@@ -35,11 +35,8 @@ from .linmodel import (
 )
 from .lyapunov import (
     CovarianceMatrix,
-    HorizonTooShortError,
     IllConditionedWarning,
     UnstableDriftError,
-    lyapunov_oracle,
-    matrix_exponential,
     residual,
     solve_lyapunov,
 )

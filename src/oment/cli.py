@@ -10,9 +10,11 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .gaussian import NegativeRadicandError
 from .linmodel import coupling_threshold_blue, coupling_threshold_red
-from .lyapunov import HorizonTooShortError, UnstableDriftError
+from .lyapunov import UnstableDriftError
 from .params import ConfigError, PhysicalParams, default_params, load_config
 from .sweep import (
     FIGURE_NAMES,
@@ -132,7 +134,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         curve_param=curve_param,
         curves=curves,
     )
-    records = run_sweep(spec, workers=args.workers)
+    records = run_sweep(spec)
     _write_output(emit(records, args.format), args.out)
     return EXIT_OK
 
@@ -140,9 +142,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     params, _ = _params_from_args(args)
     spec = figure_preset(args.name, base=params)
-    records = run_sweep(spec, workers=args.workers)
+    records = run_sweep(spec)
     _write_output(emit(records, args.format), args.out)
     return EXIT_OK
+
+
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted and ignored: the grid is evaluated as one array stack")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--curves", help="second parameter, e.g. beta=0,0.3,0.6")
     sweep.add_argument("--out", help="output path (default stdout)")
     sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sweep.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     figure = sub.add_parser("figure", help="run a named figure preset")
@@ -177,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--name", required=True, choices=FIGURE_NAMES)
     figure.add_argument("--out", help="output path (default stdout)")
     figure.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    figure.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(figure)
     figure.set_defaults(func=_cmd_figure)
     return parser
 
@@ -187,7 +194,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnstableDriftError, HorizonTooShortError, NegativeRadicandError, ArithmeticError) as exc:
+    # LinAlgError subclasses ValueError but is a numerical failure
+    except (
+        UnstableDriftError, NegativeRadicandError, ArithmeticError, np.linalg.LinAlgError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

@@ -5,7 +5,8 @@ vacuum has variance 1/2 per quadrature.  The covariance matrix solved from
 the quantum Langevin diffusion uses vacuum variance 1, so the pipeline
 rescales it by :data:`CM_SCALE` before calling into this module; the factor
 ``f`` in ``E_N = max(0, -ln(f*eta))`` then keeps its textbook value 2 and the
-separability threshold reads ``eta < 1/2``.
+separability threshold reads ``eta < 1/2``.  The block determinants, eta and
+its spectral cross-check act on whole ``(..., 4, 4)`` stacks at once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ __all__ = [
     "sigma",
     "symplectic_eta",
     "eta_spectrum",
+    "eta_stack",
+    "log_negativity_of",
+    "entanglement_report",
     "log_negativity",
     "two_mode_squeezed_cm",
 ]
@@ -68,71 +72,90 @@ def _as_cm(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def sigma(v) -> float:
-    """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr."""
+def sigma(v):
+    """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per matrix."""
     m = _as_cm(v)
-    return float(
-        np.linalg.det(m[:2, :2]) + np.linalg.det(m[2:, 2:]) - 2.0 * np.linalg.det(m[:2, 2:])
-    )
+    det = np.linalg.det
+    return det(m[..., :2, :2]) + det(m[..., 2:, 2:]) - 2.0 * det(m[..., :2, 2:])
 
 
-def eta_spectrum(v) -> float:
+def eta_spectrum(v):
     """Lowest symplectic eigenvalue of the partial transpose, via the spectrum
     of Omega * V_tilde (independent of the closed-form route)."""
     m = _as_cm(v)
     flipped = _FLIP @ m @ _FLIP
     eigenvalues = np.linalg.eigvals(_OMEGA @ flipped)
-    return float(np.min(np.abs(eigenvalues)))
+    return np.min(np.abs(eigenvalues), axis=-1)
 
 
-def symplectic_eta(v) -> float:
-    """Lowest symplectic eigenvalue of the partially transposed CM.
+def eta_stack(v):
+    """Closed-form eta of every matrix of a ``(..., 4, 4)`` stack.
 
-    Evaluates the closed form eta = sqrt((sigma - sqrt(sigma^2 - 4 det V))/2)
-    and cross-checks it against the symplectic spectrum of the partial
-    transpose; the two routes must agree to 1e-9 relative.  Radicands below
-    -1e-10 * max(1, sigma^2) raise :class:`NegativeRadicandError`; smaller
-    negative values are clamped to zero.
+    Evaluates eta = sqrt((sigma - sqrt(sigma^2 - 4 det V))/2) and returns
+    ``(sigma, det V, eta, physical)``.  ``physical`` is False where the
+    radicand lies below -1e-10 * max(1, sigma^2): a non-physical CM upstream.
+    Smaller negative radicands are clamped to zero.  At physical points eta is
+    cross-checked against :func:`eta_spectrum`; the routes must agree to 1e-9
+    relative, or ArithmeticError is raised.
     """
     m = _as_cm(v)
     sig = sigma(m)
-    det_v = float(np.linalg.det(m))
+    det_v = np.linalg.det(m)
     radicand = sig * sig - 4.0 * det_v
-    if radicand < -_RADICAND_TOL * max(1.0, sig * sig):
-        raise NegativeRadicandError(
-            f"sigma^2 - 4 det V = {radicand:.3e} is negative beyond tolerance"
-        )
-    radicand = max(radicand, 0.0)
-    inner = (sig - np.sqrt(radicand)) / 2.0
-    eta = float(np.sqrt(max(inner, 0.0)))
+    physical = ~(radicand < -_RADICAND_TOL * np.maximum(1.0, sig * sig))
+    inner = (sig - np.sqrt(np.where(radicand < 0.0, 0.0, radicand))) / 2.0
+    eta = np.sqrt(np.where(inner < 0.0, 0.0, inner))
 
     eta_alt = eta_spectrum(m)
     # the closed form carries an irreducible O(sqrt(eps)*sigma/eta) error when
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)
-    conditioning = np.sqrt(np.finfo(float).eps) * abs(sig) / max(eta, np.finfo(float).tiny)
-    tolerance = _ROUTE_AGREEMENT_TOL * max(eta, np.finfo(float).tiny) + conditioning
-    if abs(eta - eta_alt) > tolerance:
+    tiny = np.finfo(float).tiny
+    conditioning = np.sqrt(np.finfo(float).eps) * abs(sig) / np.maximum(eta, tiny)
+    tolerance = _ROUTE_AGREEMENT_TOL * np.maximum(eta, tiny) + conditioning
+    disagree = np.ravel(physical & (abs(eta - eta_alt) > tolerance))
+    if disagree.any():
+        first = np.argmax(disagree)
         raise ArithmeticError(
-            f"symplectic eigenvalue routes disagree: {eta!r} vs {eta_alt!r}"
+            "symplectic eigenvalue routes disagree: "
+            f"{np.ravel(eta)[first]!r} vs {np.ravel(eta_alt)[first]!r}"
         )
-    return eta
+    return sig, det_v, eta, physical
+
+
+def symplectic_eta(v) -> float:
+    """Lowest symplectic eigenvalue of the partially transposed CM (see :func:`eta_stack`)."""
+    return log_negativity(v).eta
+
+
+def log_negativity_of(eta, f: float):
+    """E_N = max(0, -ln(f*eta)), elementwise."""
+    value = -np.log(f * eta)
+    return np.where(value > 0.0, value, 0.0)
+
+
+def entanglement_report(sig: float, det_v: float, eta: float, f: float) -> EntanglementReport:
+    """Report of one CM from its sigma, det V and eta; entangled iff f*eta < 1."""
+    return EntanglementReport(
+        sigma_v=float(sig),
+        det_v=float(det_v),
+        eta=float(eta),
+        log_negativity=float(log_negativity_of(eta, f)),
+        entangled=bool(f * eta < 1.0),
+    )
 
 
 def log_negativity(v, f: float = 2.0) -> EntanglementReport:
-    """Full entanglement report, E_N = max(0, -ln(f*eta)).
+    """Full entanglement report of one CM, E_N = max(0, -ln(f*eta)).
 
-    The state is entangled iff f*eta < 1 (for f = 2: eta < 1/2).
+    The state is entangled iff f*eta < 1 (for f = 2: eta < 1/2).  A radicand
+    below roundoff (see :func:`eta_stack`) raises :class:`NegativeRadicandError`.
     """
-    m = _as_cm(v)
-    eta = symplectic_eta(m)
-    value = max(0.0, -np.log(f * eta))
-    return EntanglementReport(
-        sigma_v=sigma(m),
-        det_v=float(np.linalg.det(m)),
-        eta=eta,
-        log_negativity=float(value),
-        entangled=bool(f * eta < 1.0),
-    )
+    sig, det_v, eta, physical = eta_stack(v)
+    if not physical:
+        raise NegativeRadicandError(
+            f"sigma^2 - 4 det V = {sig * sig - 4.0 * det_v:.3e} is negative beyond tolerance"
+        )
+    return entanglement_report(sig, det_v, eta, f)
 
 
 def two_mode_squeezed_cm(r: float) -> np.ndarray:

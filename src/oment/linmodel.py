@@ -4,7 +4,8 @@ Quadrature ordering is ``u = (dx_m, dp_m, dI, dphi)``.  Stability is decided
 by two independent routes: the closed-form quartic Routh-Hurwitz conditions
 ``s1``/``s2`` (written for ``beta = 0``) and the spectral abscissa of the
 actual drift matrix, which includes ``beta`` and is the gating check for the
-covariance solve.
+covariance solve.  The builders and both routes are elementwise, so a whole
+grid is gated with one stack of drift matrices and one batched eigvals.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import PhysicalParams
-from .steadystate import SteadyState
+from .steadystate import SteadyState, square
 
 __all__ = [
     "DriftMatrix",
@@ -22,12 +23,16 @@ __all__ = [
     "StabilityReport",
     "MARGINAL_ABSCISSA_FACTOR",
     "drift_matrix",
+    "diffusion_matrix",
     "build_drift",
     "build_diffusion",
     "routh_conditions",
     "routh_hurwitz",
     "spectral_abscissa",
+    "spectral_verdict",
     "spectral_stability",
+    "stability_stack",
+    "stability_scalar",
     "assess_stability",
     "coupling_threshold_blue",
     "coupling_threshold_red",
@@ -75,21 +80,41 @@ def drift_matrix(
     omega_m: float,
     gamma_m: float,
     kappa: float,
-    delta: float,
-    g: float,
-    beta: float = 0.0,
+    delta,
+    g,
+    beta=0.0,
 ) -> np.ndarray:
-    """Raw 4x4 drift matrix for the quadrature ordering (dx_m, dp_m, dI, dphi)."""
-    if not beta < 1.0:
+    """Raw 4x4 drift matrix for the quadrature ordering (dx_m, dp_m, dI, dphi).
+
+    `delta`, `g` and `beta` broadcast against each other; array inputs give
+    a stack of shape ``(..., 4, 4)``.
+    """
+    if not np.less(beta, 1.0).all():
         raise ValueError(f"beta must be < 1, got {beta!r}")
-    return np.array(
-        [
-            [0.0, omega_m, 0.0, 0.0],
-            [omega_m * (beta - 1.0), -gamma_m, g, 0.0],
-            [0.0, 0.0, -kappa / 2.0, -delta],
-            [g, 0.0, delta, -kappa / 2.0],
-        ]
-    )
+    # the sum carries the broadcast shape of the inputs; scalars have none
+    a = np.zeros(getattr(delta + g + beta, "shape", ()) + (4, 4))
+    a[..., 0, 1] = omega_m
+    a[..., 1, 0] = omega_m * (beta - 1.0)
+    a[..., 1, 1] = -gamma_m
+    a[..., 1, 2] = g
+    a[..., 2, 2] = -kappa / 2.0
+    a[..., 2, 3] = -delta
+    a[..., 3, 0] = g
+    a[..., 3, 2] = delta
+    a[..., 3, 3] = -kappa / 2.0
+    return a
+
+
+def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
+    """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array `n_th`."""
+    n_th = np.asarray(n_th)
+    if np.less(n_th, 0).any():
+        raise ValueError("n_th must be >= 0")
+    d = np.zeros(n_th.shape + (4, 4))
+    d[..., 1, 1] = gamma_m * (2.0 * n_th + 1.0)
+    d[..., 2, 2] = kappa
+    d[..., 3, 3] = kappa
+    return d
 
 
 def build_drift(steady: SteadyState, params: PhysicalParams) -> DriftMatrix:
@@ -108,37 +133,29 @@ def build_drift(steady: SteadyState, params: PhysicalParams) -> DriftMatrix:
 
 def build_diffusion(params: PhysicalParams, n_th: float) -> DiffusionMatrix:
     """Diffusion matrix for a mechanical bath with occupation n_th."""
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
-    return DiffusionMatrix(
-        np.diag([0.0, params.gamma_m * (2.0 * n_th + 1.0), params.kappa, params.kappa])
-    )
+    return DiffusionMatrix(diffusion_matrix(params.gamma_m, params.kappa, n_th))
 
 
-def routh_conditions(
-    omega_m: float,
-    gamma_m: float,
-    kappa: float,
-    delta: float,
-    g: float,
-) -> tuple[float, float]:
+def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     """The two nontrivial Routh-Hurwitz conditions (s1, s2) for beta = 0.
 
     Stability requires s1 > 0 and s2 > 0.  The bracket pairing
     [kappa^2/4 + (omega_m - delta)^2] * [kappa^2/4 + (omega_m + delta)^2]
-    is the standard quartic Hurwitz form for this system.
+    is the standard quartic Hurwitz form for this system.  Elementwise over
+    arrays of `delta` and `g`.
     """
     hk2 = kappa**2 / 4.0
+    g_sq = square(g)
     s1 = (
         gamma_m
         * kappa
         * (
-            (hk2 + (omega_m - delta) ** 2) * (hk2 + (omega_m + delta) ** 2)
-            + gamma_m * ((gamma_m + kappa) * (hk2 + delta**2) + kappa * omega_m**2)
+            (hk2 + square(omega_m - delta)) * (hk2 + square(omega_m + delta))
+            + gamma_m * ((gamma_m + kappa) * (hk2 + square(delta)) + kappa * omega_m**2)
         )
-        - delta * omega_m * g**2 * (gamma_m + kappa) ** 2
+        - delta * omega_m * g_sq * (gamma_m + kappa) ** 2
     )
-    s2 = omega_m * (delta**2 + hk2) + g**2 * delta
+    s2 = omega_m * (square(delta) + hk2) + g_sq * delta
     return s1, s2
 
 
@@ -150,10 +167,17 @@ def routh_hurwitz(steady: SteadyState, params: PhysicalParams) -> StabilityRepor
     return StabilityReport(s1=s1, s2=s2, routh_stable=bool(s1 > 0 and s2 > 0))
 
 
-def spectral_abscissa(a: np.ndarray | DriftMatrix) -> float:
-    """Largest real part of the eigenvalues of A."""
+def spectral_abscissa(a: np.ndarray | DriftMatrix):
+    """Largest real part of the eigenvalues of A; one per matrix of a stack."""
     mat = a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
-    return float(np.max(np.linalg.eigvals(mat).real))
+    return np.linalg.eigvals(mat).real.max(axis=-1)
+
+
+def spectral_verdict(abscissa, marginal_tol: float = 0.0):
+    """(stable, marginal), elementwise: stable iff the abscissa is < 0, marginal
+    iff stable with abscissa > -marginal_tol."""
+    stable = abscissa < 0.0
+    return stable, stable & (abscissa > -marginal_tol)
 
 
 def spectral_stability(
@@ -162,40 +186,50 @@ def spectral_stability(
 ) -> StabilityReport:
     """Eigenvalue stability verdict; marginal when -marginal_tol < abscissa < 0."""
     abscissa = spectral_abscissa(a)
-    stable = bool(abscissa < 0.0)
+    stable, marginal = spectral_verdict(abscissa, marginal_tol)
     return StabilityReport(
+        spectral_abscissa=float(abscissa),
+        spectral_stable=bool(stable),
+        marginal=bool(marginal),
+    )
+
+
+def stability_stack(steady: SteadyState, params: PhysicalParams):
+    """Drift matrices and both stability routes at every point of `steady`.
+
+    Returns the drift stack and a :class:`StabilityReport` of arrays, without
+    ``agree``.  The spectral route uses the full drift matrix including beta
+    and gates the covariance solve; the Routh-Hurwitz numbers are reported
+    verbatim.
+    """
+    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
+    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
+    s1, s2 = routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
+    abscissa = spectral_abscissa(a)
+    stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
+    return a, StabilityReport(
+        s1=s1,
+        s2=s2,
+        routh_stable=(s1 > 0) & (s2 > 0),
         spectral_abscissa=abscissa,
         spectral_stable=stable,
-        marginal=bool(stable and abscissa > -marginal_tol),
+        marginal=marginal,
     )
+
+
+def stability_scalar(report: StabilityReport, beta: float) -> StabilityReport:
+    """Plain-Python copy of a single point's :func:`stability_stack` report.
+
+    ``agree`` compares the verdicts only at beta = 0 where both apply.
+    """
+    values = {k: np.asarray(v).item() for k, v in vars(report).items() if v is not None}
+    agree = values["routh_stable"] == values["spectral_stable"] if beta == 0.0 else None
+    return StabilityReport(**values, agree=agree)
 
 
 def assess_stability(steady: SteadyState, params: PhysicalParams) -> StabilityReport:
-    """Both stability routes at one operating point.
-
-    The spectral route uses the full drift matrix including beta and gates the
-    covariance solve; the Routh-Hurwitz numbers are reported verbatim.
-    ``agree`` compares the verdicts only at beta = 0 where both apply.
-    """
-    routh = routh_hurwitz(steady, params)
-    spectral = spectral_stability(
-        build_drift(steady, params),
-        marginal_tol=MARGINAL_ABSCISSA_FACTOR * params.kappa,
-    )
-    agree = (
-        bool(routh.routh_stable == spectral.spectral_stable)
-        if steady.beta == 0.0
-        else None
-    )
-    return StabilityReport(
-        s1=routh.s1,
-        s2=routh.s2,
-        routh_stable=routh.routh_stable,
-        spectral_abscissa=spectral.spectral_abscissa,
-        spectral_stable=spectral.spectral_stable,
-        marginal=spectral.marginal,
-        agree=agree,
-    )
+    """Both stability routes at one operating point (see :func:`stability_stack`)."""
+    return stability_scalar(stability_stack(steady, params)[1], steady.beta)
 
 
 def coupling_threshold_blue(params: PhysicalParams, delta: float | None = None) -> float:

@@ -7,8 +7,10 @@ the CLI take ordinary frequencies in Hz and convert on ingestion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
 
@@ -22,12 +24,20 @@ __all__ = [
     "inverse_thermal_occupation",
     "drive_amplitude",
     "load_config",
+    "require_finite",
     "CONFIG_KEYS",
 ]
 
 
 class ConfigError(ValueError):
     """Raised for malformed or out-of-range configuration input."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise :class:`ConfigError` naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,7 @@ class PhysicalParams:
     convention_eta_factor: float = 2.0
 
     def __post_init__(self) -> None:
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         positive = {
             "omega_m": self.omega_m,
             "gamma_m": self.gamma_m,
@@ -156,16 +167,17 @@ def inverse_thermal_occupation(n_th: float, omega_m: float) -> float:
     return HBAR * omega_m / (K_B * math.log1p(1.0 / n_th))
 
 
-def drive_amplitude(power: float, kappa: float, omega_laser: float) -> float:
+def drive_amplitude(power, kappa: float, omega_laser: float):
     """Drive amplitude |E0| = sqrt(P0 * kappa / (2 * hbar * omega_laser)) (1/s).
 
-    Scales as sqrt(P0); zero for an undriven cavity.
+    Scales as sqrt(P0); zero for an undriven cavity.  Elementwise over an
+    array of powers.
     """
-    if power < 0:
+    if np.less(power, 0).any():
         raise ValueError("power must be >= 0")
     if not (kappa > 0 and omega_laser > 0):
         raise ValueError("kappa and omega_laser must be > 0")
-    return math.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
+    return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
 
 
 def derive(params: PhysicalParams) -> DerivedParams:

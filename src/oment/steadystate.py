@@ -5,12 +5,13 @@ The steady state is fixed by the photon-number balance
 ``x_s = 2*(g_m/omega_m)*n_s``, ``p_s = 0`` and the radiation-pressure shift
 ``Delta = Delta0 + 2*(g_m^2/omega_m)*n_s`` relating bare and effective
 detuning.  Sweeps are parameterized by the effective detuning; the bare
-detuning route solves the cubic and exposes bistability.
+detuning route solves the cubic and exposes bistability.  The
+effective-detuning route is elementwise, so one call yields the operating
+points of a whole grid.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,8 @@ from .params import DerivedParams, PhysicalParams, derive
 __all__ = [
     "SteadyState",
     "DegenerateRootsWarning",
+    "square",
+    "steady_states",
     "from_effective_detuning",
     "from_bare_detuning",
     "nonlinearity_from_betaprime",
@@ -30,6 +33,17 @@ __all__ = [
 _ROOT_RESIDUAL_TOL = 1e-9
 _IMAG_TOL = 1e-8
 _DEGENERATE_TOL = 1e-6
+
+
+def square(x):
+    """x**2, rounded as libm ``pow`` rounds it, for scalars and arrays alike.
+
+    Scalar ``x**2`` calls ``pow`` while numpy evaluates ``array**2`` as
+    ``x*x``; the two differ in the last bit for about 0.1% of inputs, so
+    every squared grid variable goes through here to keep a point's value
+    independent of the batch it is evaluated in.
+    """
+    return x**2 if isinstance(x, float) else np.float_power(x, 2)
 
 
 class DegenerateRootsWarning(UserWarning):
@@ -43,7 +57,8 @@ class SteadyState:
     ``n_s`` is the intracavity photon number, ``alpha_s = sqrt(n_s)`` the field
     amplitude, ``x_s``/``p_s`` the dimensionless mirror displacement/momentum,
     ``g_eff = g_m*alpha_s`` the linearized coupling and ``beta`` the
-    dimensionless nonlinearity at this point.
+    dimensionless nonlinearity at this point.  From :func:`steady_states`
+    the fields are arrays with one entry per grid point.
     """
 
     n_s: float
@@ -56,8 +71,8 @@ class SteadyState:
     beta: float
 
 
-def _build(n_s: float, delta_eff: float, delta_bare: float, params: PhysicalParams) -> SteadyState:
-    alpha_s = math.sqrt(n_s)
+def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadyState:
+    alpha_s = np.sqrt(n_s)
     return SteadyState(
         n_s=n_s,
         alpha_s=alpha_s,
@@ -66,8 +81,21 @@ def _build(n_s: float, delta_eff: float, delta_bare: float, params: PhysicalPara
         delta_eff=delta_eff,
         delta_bare=delta_bare,
         g_eff=params.g_m * alpha_s,
-        beta=params.beta,
+        beta=beta,
     )
+
+
+def steady_states(delta_eff, e0, beta, params: PhysicalParams) -> SteadyState:
+    """Operating points at prescribed effective detunings, elementwise.
+
+    ``n_s = |E0|^2/(delta_eff^2 + kappa^2/4)`` and the bare detuning is
+    back-computed from the radiation-pressure shift.  `delta_eff`, the drive
+    amplitude `e0` and `beta` broadcast against each other; the remaining
+    parameters come from `params`.
+    """
+    n_s = square(e0) / (square(delta_eff) + params.kappa**2 / 4.0)
+    delta_bare = delta_eff - 2.0 * (params.g_m**2 / params.omega_m) * n_s
+    return _build(n_s, delta_eff, delta_bare, beta, params)
 
 
 def from_effective_detuning(
@@ -75,16 +103,10 @@ def from_effective_detuning(
     params: PhysicalParams,
     derived: DerivedParams | None = None,
 ) -> SteadyState:
-    """Operating point at a prescribed effective detuning (canonical sweep path).
-
-    ``n_s = |E0|^2/(delta_eff^2 + kappa^2/4)`` and the bare detuning is
-    back-computed from the radiation-pressure shift.
-    """
+    """Operating point at a prescribed effective detuning (see :func:`steady_states`)."""
     if derived is None:
         derived = derive(params)
-    n_s = derived.e0**2 / (delta_eff**2 + params.kappa**2 / 4.0)
-    delta_bare = delta_eff - 2.0 * (params.g_m**2 / params.omega_m) * n_s
-    return _build(n_s, delta_eff, delta_bare, params)
+    return steady_states(delta_eff, derived.e0, params.beta, params)
 
 
 def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
@@ -146,7 +168,9 @@ def from_bare_detuning(
             raise ArithmeticError(
                 f"cubic root residual {residual:.3e} exceeds tolerance at n_s={n_s!r}"
             )
-        states.append(_build(float(n_s), delta_bare + shift * n_s, delta_bare, params))
+        states.append(
+            _build(float(n_s), delta_bare + shift * n_s, delta_bare, params.beta, params)
+        )
 
     for low, high in zip(states, states[1:]):
         if high.n_s - low.n_s <= _DEGENERATE_TOL * max(high.n_s, 1e-300):

@@ -1,19 +1,29 @@
-"""Parameter sweeps with stability gating, figure presets and flat-file output."""
+"""Parameter sweeps with stability gating, figure presets and flat-file output.
+
+A sweep evaluates its whole grid as array stacks in one pass through the
+pipeline; a single point is a stack of one through the same code.
+"""
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import gaussian
-from .gaussian import EntanglementReport, NegativeRadicandError
-from .linmodel import StabilityReport, assess_stability, build_diffusion, build_drift
-from .lyapunov import CovarianceMatrix, solve_lyapunov
-from .params import ConfigError, PhysicalParams, default_params, derive
-from .steadystate import SteadyState, from_effective_detuning
+from .gaussian import EntanglementReport
+from .linmodel import StabilityReport, diffusion_matrix, stability_scalar, stability_stack
+from .lyapunov import CovarianceMatrix, solve_stack
+from .params import (
+    ConfigError,
+    PhysicalParams,
+    default_params,
+    drive_amplitude,
+    require_finite,
+    thermal_occupation,
+)
+from .steadystate import SteadyState, steady_states
 
 __all__ = [
     "SweepSpec",
@@ -77,16 +87,19 @@ class SweepSpec:
                 self.curves
             ):
                 raise ConfigError("curve_delta_norms must match curves in length")
-        if self.axis == "beta" and self.stop >= 1.0:
-            raise ConfigError("beta axis must stay below 1")
-        if self.curves is not None and self.curve_param == "beta":
-            for value in self.curves:
-                if value >= 1.0:
-                    raise ConfigError("beta curve values must stay below 1")
-        if self.axis == "n_th" and self.start < 0:
-            raise ConfigError("n_th axis must be >= 0")
-        if self.axis == "power" and self.start < 0:
-            raise ConfigError("power axis must be >= 0")
+        for name in ("start", "stop", "delta_norm", "n_th", "curves", "curve_delta_norms"):
+            for value in np.ravel(getattr(self, name) or 0.0):  # None: not set
+                require_finite(**{name: value})
+        ranges = {self.axis: (self.start, self.stop)}
+        if self.curves is not None:
+            ranges[self.curve_param] = self.curves
+        if self.n_th is not None:
+            ranges.setdefault("n_th", (self.n_th,))
+        for name, values in ranges.items():
+            if name == "beta" and max(values) >= 1.0:
+                raise ConfigError("beta values must stay below 1")
+            if name in ("n_th", "power") and min(values) < 0:
+                raise ConfigError(f"{name} values must be >= 0")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -124,6 +137,64 @@ class PointResult:
     status: str
 
 
+@dataclass(frozen=True)
+class _Stack:
+    """Every stage of the pipeline over a stack of points.
+
+    ``status`` has one entry per point.  The covariance arrays cover the
+    points listed in ``solved``, the entanglement arrays those in
+    ``reported``: the points whose status is ok.
+    """
+
+    stability: StabilityReport
+    status: np.ndarray
+    solved: np.ndarray
+    v: np.ndarray
+    residual: np.ndarray
+    condition: np.ndarray
+    ill: np.ndarray
+    reported: np.ndarray
+    sigma: np.ndarray
+    det_v: np.ndarray
+    eta: np.ndarray
+
+
+# Gate outcome by number of passed checks: none, stable, stable and marginal.
+_GATE_STATUS = np.array([STATUS_UNSTABLE, STATUS_OK, STATUS_MARGINAL])
+# Covariance and entanglement arrays of a stack in which no point is solved.
+_UNSOLVED = (
+    np.empty((0, 4, 4)),
+    *(np.empty(0, dtype) for dtype in (float, float, bool, int, float, float, float)),
+)
+
+
+def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
+    """Stability gate -> covariance -> entanglement at every point of `steady`.
+
+    `steady` and `n_th` hold 1-d arrays, or scalars for a single point;
+    `params` supplies everything that does not vary between points.
+    Unstable and marginal points skip the solve, points whose residual
+    exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
+    ``error``.
+    """
+    a, stability = stability_stack(steady, params)
+    gate = np.add(stability.spectral_stable, stability.marginal, dtype=np.intp).reshape(-1)
+    status = _GATE_STATUS[gate]
+    solved = np.nonzero(gate == 1)[0]
+    if not solved.size:
+        return _Stack(stability, status, solved, *_UNSOLVED)
+
+    d = diffusion_matrix(params.gamma_m, params.kappa, np.reshape(n_th, -1)[solved])
+    v, res, condition, ill = solve_stack(a.reshape(-1, 4, 4)[solved], d)
+    status[solved[res > RESIDUAL_LIMIT]] = STATUS_ERROR
+    keep = status[solved] == STATUS_OK
+    sig, det_v, eta, physical = gaussian.eta_stack(gaussian.CM_SCALE * v[keep])
+    reported = solved[keep]
+    status[reported[~physical]] = STATUS_ERROR
+    reports = (x[physical] for x in (reported, sig, det_v, eta))
+    return _Stack(stability, status, solved, v, res, condition, ill, *reports)
+
+
 def evaluate_point(
     params: PhysicalParams,
     delta_norm: float,
@@ -134,118 +205,101 @@ def evaluate_point(
     Unstable and marginal points carry a status instead of a report.  The
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
     with the configured eta factor; `report_raw` applies f = 2 to the
-    unrescaled covariance matrix for comparison with the raw composition.
+    unrescaled covariance matrix for comparison with the raw composition, and
+    is derived from `report` rather than evaluated again.  The point runs
+    through the same stacked pipeline as :func:`run_sweep`.
     """
-    derived = derive(params)
-    occupation = derived.n_th if n_th is None else float(n_th)
-    if occupation < 0:
+    if n_th is None:
+        n_th = thermal_occupation(params.temperature, params.omega_m)
+    require_finite(delta_norm=delta_norm, n_th=n_th)
+    if n_th < 0:
         raise ConfigError("n_th must be >= 0")
-    steady = from_effective_detuning(delta_norm * params.omega_m, params, derived)
-    stability = assess_stability(steady, params)
-
-    covariance = None
-    report = None
-    report_raw = None
-    if not stability.spectral_stable:
-        status = STATUS_UNSTABLE
-    elif stability.marginal:
-        status = STATUS_MARGINAL
-    else:
-        drift = build_drift(steady, params)
-        diffusion = build_diffusion(params, occupation)
-        covariance = solve_lyapunov(drift, diffusion)
-        if covariance.residual is not None and covariance.residual > RESIDUAL_LIMIT:
-            status = STATUS_ERROR
-        else:
-            try:
-                report = gaussian.log_negativity(
-                    gaussian.CM_SCALE * covariance.v, f=params.convention_eta_factor
-                )
-                report_raw = gaussian.log_negativity(covariance.v, f=2.0)
-                status = STATUS_OK
-            except NegativeRadicandError:
-                report = None
-                report_raw = None
-                status = STATUS_ERROR
+    e0 = drive_amplitude(params.power, params.kappa, params.omega_laser)
+    steady = steady_states(delta_norm * params.omega_m, e0, params.beta, params)
+    stack = _evaluate(params, steady, n_th)
+    covariance = report = report_raw = None
+    if stack.solved.size:
+        covariance = CovarianceMatrix(
+            v=stack.v[0],
+            residual=float(stack.residual[0]),
+            condition=float(stack.condition[0]),
+            ill_conditioned=bool(stack.ill[0]),
+        )
+    if stack.reported.size:
+        sig, det_v, eta = stack.sigma[0], stack.det_v[0], stack.eta[0]
+        report = gaussian.entanglement_report(sig, det_v, eta, params.convention_eta_factor)
+        # the raw CM is 2V: sigma scales by 4, det V by 16 and eta by 2
+        report_raw = gaussian.entanglement_report(4.0 * sig, 16.0 * det_v, 2.0 * eta, 2.0)
     return PointResult(
         params=params,
         delta_norm=delta_norm,
-        n_th=occupation,
+        n_th=float(n_th),
         steady=steady,
-        stability=stability,
+        stability=stability_scalar(stack.stability, params.beta),
         covariance=covariance,
         report=report,
         report_raw=report_raw,
-        status=status,
+        status=str(stack.status[0]),
     )
 
 
-def _record(point: PointResult, axis_value: float, curve_value: float | None) -> SweepRecord:
-    ok = point.status == STATUS_OK
-    return SweepRecord(
-        axis_value=float(axis_value),
-        curve_value=None if curve_value is None else float(curve_value),
-        n_s=point.steady.n_s,
-        g_eff=point.steady.g_eff,
-        s1=point.stability.s1,
-        s2=point.stability.s2,
-        routh_stable=point.stability.routh_stable,
-        spectral_stable=point.stability.spectral_stable,
-        eta=point.report.eta if ok else None,
-        log_negativity=point.report.log_negativity if ok else None,
-        status=point.status,
-    )
+def _grid_values(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """Per-point values of the four axes, shape (curves, grid), curves outer.
 
-
-def _job(spec: SweepSpec, axis_value: float, curve_value: float | None, curve_index: int):
-    params = spec.fixed
-    delta_norm = spec.delta_norm
+    A curve's ``curve_delta_norms`` entry sets its detuning, the curve value
+    then sets `curve_param` and the grid value sets `axis`, in that order.
+    """
+    fixed = spec.fixed
     n_th = spec.n_th
-    if spec.curve_delta_norms is not None and curve_value is not None:
-        delta_norm = spec.curve_delta_norms[curve_index]
-
-    def apply(name: str, value: float):
-        nonlocal params, delta_norm, n_th
-        if name == "delta_norm":
-            delta_norm = value
-        elif name == "beta":
-            params = replace(params, beta=value)
-        elif name == "power":
-            params = replace(params, power=value)
-        elif name == "n_th":
-            n_th = value
-
-    if curve_value is not None:
-        apply(spec.curve_param, curve_value)
-    apply(spec.axis, axis_value)
-    return params, delta_norm, n_th
+    if n_th is None:
+        n_th = thermal_occupation(fixed.temperature, fixed.omega_m)
+    base = {"delta_norm": spec.delta_norm, "beta": fixed.beta, "n_th": n_th, "power": fixed.power}
+    rows = len(spec.curves) if spec.curves is not None else 1
+    values = {name: np.full((rows, spec.count), float(value)) for name, value in base.items()}
+    if spec.curves is not None:
+        if spec.curve_delta_norms is not None:
+            values["delta_norm"][:] = np.array(spec.curve_delta_norms)[:, None]
+        values[spec.curve_param][:] = np.array(spec.curves)[:, None]
+    values[spec.axis][:] = spec.grid()
+    return {name: value.ravel() for name, value in values.items()}
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
+def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate the full grid, curves outer, axis inner.
 
-    Grid points are independent; `workers` only sets the thread count and
-    never changes the emitted records.
+    All points go through the pipeline as one stack; a point's record does
+    not depend on the other points of the grid.
     """
     spec.validate()
-    grid = spec.grid()
-    curves: list[float | None] = list(spec.curves) if spec.curves is not None else [None]
-    jobs = [
-        (axis_value, curve_value, curve_index)
-        for curve_index, curve_value in enumerate(curves)
-        for axis_value in grid
-    ]
+    values = _grid_values(spec)
+    params = spec.fixed
+    e0 = drive_amplitude(values["power"], params.kappa, params.omega_laser)
+    steady = steady_states(values["delta_norm"] * params.omega_m, e0, values["beta"], params)
+    stack = _evaluate(params, steady, values["n_th"])
 
-    def evaluate(job) -> SweepRecord:
-        axis_value, curve_value, curve_index = job
-        params, delta_norm, n_th = _job(spec, axis_value, curve_value, curve_index)
-        point = evaluate_point(params, delta_norm, n_th)
-        return _record(point, axis_value, curve_value)
+    ok = (stack.status == STATUS_OK).tolist()
+    eta = np.full(len(ok), np.nan)
+    eta[stack.reported] = stack.eta
+    log_neg = gaussian.log_negativity_of(eta, params.convention_eta_factor)
 
-    if workers <= 1:
-        return [evaluate(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, jobs))
+    def where_ok(values: np.ndarray) -> list[float | None]:
+        return [value if is_ok else None for value, is_ok in zip(values.tolist(), ok)]
+
+    curves = spec.curves if spec.curves is not None else (None,)
+    columns = (
+        spec.grid().tolist() * len(curves),
+        [None if c is None else float(c) for c in curves for _ in range(spec.count)],
+        steady.n_s.tolist(),
+        steady.g_eff.tolist(),
+        stack.stability.s1.tolist(),
+        stack.stability.s2.tolist(),
+        stack.stability.routh_stable.tolist(),
+        stack.stability.spectral_stable.tolist(),
+        where_ok(eta),
+        where_ok(log_neg),
+        stack.status.tolist(),
+    )
+    return [SweepRecord(*row) for row in zip(*columns)]
 
 
 FIGURE_NAMES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3")

@@ -24,7 +24,6 @@ from oment import (
     figure_preset,
     from_effective_detuning,
     log_negativity,
-    lyapunov_oracle,
     nth_entanglement_threshold,
     residual,
     routh_conditions,
@@ -36,6 +35,7 @@ from oment import (
     two_mode_squeezed_cm,
 )
 from oment.linmodel import MARGINAL_ABSCISSA_FACTOR
+from references import lyapunov_oracle, records_point_by_point
 
 
 def _report(name, clauses):
@@ -305,17 +305,18 @@ def test_fig3_thermal_thresholds(params):
     )
 
 
-def test_determinism_across_runs_and_workers():
-    """fig2a emits byte-identical output across repeated runs and worker counts."""
+def test_determinism_across_runs_and_batch_split():
+    """fig2a emits byte-identical output across repeated runs, and evaluating
+    the grid as one stack gives the same bytes as evaluating it point by point."""
     spec = figure_preset("fig2a")
-    first = emit(run_sweep(spec, workers=1))
-    second = emit(run_sweep(spec, workers=1))
-    parallel = emit(run_sweep(spec, workers=4))
+    first = emit(run_sweep(spec))
+    second = emit(run_sweep(spec))
+    split = emit(records_point_by_point(spec))
     _report(
-        "determinism (fig2a, workers 1 vs 4)",
+        "determinism (fig2a, whole grid vs point by point)",
         [
             ("byte-identical-across-runs", first == second),
-            ("byte-identical-across-workers", first == parallel),
+            ("byte-identical-across-batch-split", first == split),
         ],
     )
 

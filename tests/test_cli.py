@@ -152,3 +152,50 @@ def test_unwritable_output_exits_4(capsys):
     ])
     assert code == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--power-mw", "nan"], "power"),
+        (["--power-mw", "inf"], "power"),
+        (["--delta-norm", "nan"], "delta_norm"),
+        (["--nth", "inf"], "n_th"),
+        (["--temp-k", "nan"], "temperature"),
+        (["--beta=-inf"], "beta"),
+    ],
+)
+def test_point_non_finite_input_exits_2(capsys, flags, field):
+    assert main(["point", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{field} must be finite" in err
+
+
+def test_sweep_non_finite_curve_exits_2(capsys):
+    assert main([
+        "sweep", "--axis", "delta_norm", "--start", "-1", "--stop", "-0.5",
+        "--count", "3", "--curves", "beta=0,nan",
+    ]) == 2
+    assert "curves must be finite" in capsys.readouterr().err
+
+
+def test_linalg_error_exits_3(monkeypatch, capsys):
+    import numpy as np
+
+    import oment.cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(oment.cli, "evaluate_point", singular)
+    assert main(["point", "--delta-norm", "-1"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_workers_flag_is_accepted_and_ignored(tmp_path):
+    serial = tmp_path / "serial.csv"
+    flagged = tmp_path / "flagged.csv"
+    assert main(["figure", "--name", "fig1b", "--out", str(serial)]) == 0
+    assert main(["figure", "--name", "fig1b", "--workers", "4", "--out", str(flagged)]) == 0
+    assert serial.read_bytes() == flagged.read_bytes()

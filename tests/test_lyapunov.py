@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oment import (
-    HorizonTooShortError,
     IllConditionedWarning,
     UnstableDriftError,
     build_diffusion,
@@ -12,10 +11,15 @@ from oment import (
     default_params,
     derive,
     from_effective_detuning,
-    lyapunov_oracle,
-    matrix_exponential,
     residual,
     solve_lyapunov,
+)
+from oment.lyapunov import _SYSTEM, solve_stack
+from references import (
+    HorizonTooShortError,
+    lyapunov_oracle,
+    lyapunov_system_loop,
+    matrix_exponential,
 )
 
 
@@ -46,6 +50,26 @@ def test_solution_is_symmetric():
     a, d = random_stable_pair(rng)
     cm = solve_lyapunov(a, d)
     assert np.array_equal(cm.v, cm.v.T)
+
+
+def test_system_tensor_matches_column_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        a = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3, 9)
+        assert np.array_equal((a.reshape(16) @ _SYSTEM).reshape(10, 10), lyapunov_system_loop(a))
+
+
+def test_stacked_solve_matches_single_solves():
+    rng = np.random.default_rng(43)
+    pairs = [random_stable_pair(rng) for _ in range(12)]
+    a_stack, d_stack = (np.array(matrices) for matrices in zip(*pairs))
+    v, res, condition, ill = solve_stack(a_stack, d_stack)
+    for k, (a, d) in enumerate(pairs):
+        single = solve_lyapunov(a, d)
+        assert np.array_equal(v[k], single.v)
+        assert condition[k] == single.condition
+        assert res[k] == single.residual
+        assert ill[k] == single.ill_conditioned
 
 
 def test_rejects_unstable_drift():

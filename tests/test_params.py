@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -220,3 +221,10 @@ def test_load_config_rejects_bad_input(tmp_path, content):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
+
+
+@pytest.mark.parametrize("field", ["omega_m", "g_m", "power", "temperature", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_non_finite_fields(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        replace(default_params(), **{field: value})

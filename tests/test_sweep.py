@@ -1,8 +1,11 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oment import (
     ConfigError,
@@ -11,10 +14,12 @@ from oment import (
     emit,
     evaluate_point,
     figure_preset,
+    log_negativity,
     nth_entanglement_threshold,
     run_sweep,
 )
-from oment.sweep import CSV_HEADER
+from oment.sweep import AXES, CSV_HEADER
+from references import records_point_by_point
 
 
 @pytest.fixture
@@ -42,6 +47,35 @@ def test_evaluate_point_regression(params):
     assert point.report.entangled
     # the raw-CM composition differs by ln 2 and clips to zero here
     assert point.report_raw.log_negativity == 0.0
+
+
+@pytest.mark.parametrize(
+    "power, beta, delta_norm, n_th",
+    [
+        (0.7e-3, 0.0, -1.0, None),
+        (10e-3, 0.0, -1.0, 0.0),
+        (10e-3, 0.6, -0.5, 0.0),
+        (30e-3, 0.6, -0.5, 5.0),
+    ],
+)
+def test_report_raw_is_derived_from_report(params, power, beta, delta_norm, n_th):
+    point = evaluate_point(replace(params, power=power, beta=beta), delta_norm, n_th)
+    assert point.status == "ok"
+    direct = log_negativity(point.covariance.v, f=2.0)
+    derived = point.report_raw
+    assert derived.log_negativity == direct.log_negativity
+    assert derived.entangled == direct.entangled
+    # numpy's det is sign * exp(sum(log|u_ii|)), so scaling V by 2 is exact
+    # only up to the last bits of that exp/log round trip
+    assert derived.eta == pytest.approx(direct.eta, rel=1e-14)
+    assert derived.sigma_v == pytest.approx(direct.sigma_v, rel=1e-14)
+    assert derived.det_v == pytest.approx(direct.det_v, rel=1e-14)
+
+
+@pytest.mark.parametrize("delta_norm, n_th", [(math.nan, 0.0), (-1.0, math.inf), (-math.inf, None)])
+def test_evaluate_point_rejects_non_finite(params, delta_norm, n_th):
+    with pytest.raises(ConfigError, match="must be finite"):
+        evaluate_point(params, delta_norm, n_th)
 
 
 def test_evaluate_point_occupation_override(params):
@@ -89,9 +123,15 @@ def test_run_sweep_unstable_rows_carry_status(params):
         assert not r.spectral_stable
 
 
-def test_run_sweep_workers_do_not_change_records(params):
-    spec = small_spec(params, curves=(0.0, 0.4), curve_param="beta")
-    assert emit(run_sweep(spec, workers=1)) == emit(run_sweep(spec, workers=3))
+def test_run_sweep_matches_point_by_point(params):
+    # dense grids: a value squared as x*x instead of pow differs in ~0.1% of cases
+    for overrides in (
+        dict(start=-2.0, stop=0.0, count=201, curves=(0.0, 0.4), curve_param="beta"),
+        dict(axis="power", start=0.5e-3, stop=30e-3, count=201, curves=(-1.1, -0.6, -0.3),
+             curve_param="delta_norm"),
+    ):
+        spec = small_spec(params, **overrides)
+        assert emit(run_sweep(spec)) == emit(records_point_by_point(spec))
 
 
 def test_run_sweep_axis_beta_and_power(params):
@@ -131,6 +171,14 @@ def test_run_sweep_nth_axis(params):
         dict(curves=(0.0, 0.2), curve_param="delta_norm"),
         dict(curves=(0.0, 1.3), curve_param="beta"),
         dict(curves=(0.0, 0.2), curve_param="beta", curve_delta_norms=(-1.0,)),
+        dict(curves=(0.0, -1e-3), curve_param="power"),
+        dict(curves=(0.0, -1.0), curve_param="n_th"),
+        dict(n_th=-1.0),
+        dict(stop=math.inf),
+        dict(delta_norm=math.nan),
+        dict(n_th=math.nan),
+        dict(curves=(0.0, math.nan), curve_param="beta"),
+        dict(curves=(0.0, 0.2), curve_param="beta", curve_delta_norms=(-1.0, math.inf)),
     ],
 )
 def test_sweep_spec_validation(params, overrides):
@@ -240,3 +288,49 @@ def test_nth_entanglement_threshold(params):
 def test_nth_threshold_zero_when_never_entangled(params):
     # far red detuning never entangles
     assert nth_entanglement_threshold(replace(params, power=10e-3), 1.0) == 0.0
+
+
+def _uniform(low, high):
+    # an even spread over the range, not the round numbers that st.floats
+    # favours: those square exactly either way and hide pow-vs-x*x drift
+    return st.integers(0, 2**40).map(lambda k: low + (high - low) * (k / 2**40))
+
+
+_RANGES = {
+    "delta_norm": _uniform(-2.0, 0.5),
+    "beta": _uniform(0.0, 0.9),
+    "n_th": _uniform(0.0, 3000.0),
+    "power": _uniform(0.0, 30e-3),
+}
+
+
+@st.composite
+def sweep_specs(draw):
+    axis = draw(st.sampled_from(AXES))
+    start = draw(_RANGES[axis])
+    stop = draw(_RANGES[axis].filter(lambda value: value > start))
+    fields = dict(
+        axis=axis,
+        start=start,
+        stop=stop,
+        count=draw(st.integers(2, 30)),
+        fixed=replace(default_params(), power=draw(_RANGES["power"]), beta=draw(_RANGES["beta"])),
+        delta_norm=draw(_RANGES["delta_norm"]),
+        n_th=draw(st.none() | _RANGES["n_th"]),
+    )
+    if draw(st.booleans()):
+        curve_param = draw(st.sampled_from([name for name in AXES if name != axis]))
+        curves = draw(st.lists(_RANGES[curve_param], min_size=1, max_size=4))
+        fields.update(curve_param=curve_param, curves=tuple(curves))
+        if draw(st.booleans()):
+            fields["curve_delta_norms"] = tuple(
+                draw(st.lists(_RANGES["delta_norm"], min_size=len(curves), max_size=len(curves)))
+            )
+    return SweepSpec(**fields)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=sweep_specs())
+def test_records_do_not_depend_on_the_batch(spec):
+    for fmt in ("csv", "jsonl"):
+        assert emit(run_sweep(spec), fmt) == emit(records_point_by_point(spec), fmt)
