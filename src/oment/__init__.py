@@ -19,8 +19,6 @@ from .gaussian import (
     two_mode_squeezed_cm,
 )
 from .linmodel import (
-    DiffusionMatrix,
-    DriftMatrix,
     StabilityReport,
     assess_stability,
     build_diffusion,

@@ -93,7 +93,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     print(f"g_eff={_fmt(point.steady.g_eff)}")
     print(f"g_threshold_blue={_fmt(coupling_threshold_blue(params))}")
     print(f"g_threshold_red={_fmt(coupling_threshold_red(params))}")
-    return EXIT_OK
+    # a NaN abscissa: the steady state overflowed and stability is undecided
+    return EXIT_NUMERICAL if np.isnan(stability.spectral_abscissa) else EXIT_OK
 
 
 def _parse_curves(text: str) -> tuple[str, tuple[float, ...]]:

@@ -18,8 +18,6 @@ from .params import PhysicalParams
 from .steadystate import SteadyState, square
 
 __all__ = [
-    "DriftMatrix",
-    "DiffusionMatrix",
     "StabilityReport",
     "MARGINAL_ABSCISSA_FACTOR",
     "drift_matrix",
@@ -41,20 +39,6 @@ __all__ = [
 # Points with spectral abscissa in (-MARGINAL_ABSCISSA_FACTOR*kappa, 0) are
 # flagged marginal and excluded from the covariance solve, where V diverges.
 MARGINAL_ABSCISSA_FACTOR = 1e-6
-
-
-@dataclass(frozen=True)
-class DriftMatrix:
-    """Drift matrix A of du/dt = A u + n."""
-
-    a: np.ndarray
-
-
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """Diagonal diffusion matrix D = diag(0, gamma_m*(2*n_th+1), kappa, kappa)."""
-
-    d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,23 +101,16 @@ def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
     return d
 
 
-def build_drift(steady: SteadyState, params: PhysicalParams) -> DriftMatrix:
+def build_drift(steady: SteadyState, params: PhysicalParams) -> np.ndarray:
     """Drift matrix at one operating point."""
-    return DriftMatrix(
-        drift_matrix(
-            params.omega_m,
-            params.gamma_m,
-            params.kappa,
-            steady.delta_eff,
-            steady.g_eff,
-            steady.beta,
-        )
+    return drift_matrix(
+        params.omega_m, params.gamma_m, params.kappa, steady.delta_eff, steady.g_eff, steady.beta
     )
 
 
-def build_diffusion(params: PhysicalParams, n_th: float) -> DiffusionMatrix:
-    """Diffusion matrix for a mechanical bath with occupation n_th."""
-    return DiffusionMatrix(diffusion_matrix(params.gamma_m, params.kappa, n_th))
+def build_diffusion(params: PhysicalParams, n_th: float) -> np.ndarray:
+    """Diffusion matrix diag(0, gamma_m*(2*n_th+1), kappa, kappa) for bath occupation n_th."""
+    return diffusion_matrix(params.gamma_m, params.kappa, n_th)
 
 
 def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
@@ -167,10 +144,9 @@ def routh_hurwitz(steady: SteadyState, params: PhysicalParams) -> StabilityRepor
     return StabilityReport(s1=s1, s2=s2, routh_stable=bool(s1 > 0 and s2 > 0))
 
 
-def spectral_abscissa(a: np.ndarray | DriftMatrix):
+def spectral_abscissa(a: np.ndarray):
     """Largest real part of the eigenvalues of A; one per matrix of a stack."""
-    mat = a.a if isinstance(a, DriftMatrix) else np.asarray(a, dtype=float)
-    return np.linalg.eigvals(mat).real.max(axis=-1)
+    return np.linalg.eigvals(np.asarray(a, dtype=float)).real.max(axis=-1)
 
 
 def spectral_verdict(abscissa, marginal_tol: float = 0.0):
@@ -181,7 +157,7 @@ def spectral_verdict(abscissa, marginal_tol: float = 0.0):
 
 
 def spectral_stability(
-    a: np.ndarray | DriftMatrix,
+    a: np.ndarray,
     marginal_tol: float = 0.0,
 ) -> StabilityReport:
     """Eigenvalue stability verdict; marginal when -marginal_tol < abscissa < 0."""
@@ -200,12 +176,18 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
     Returns the drift stack and a :class:`StabilityReport` of arrays, without
     ``agree``.  The spectral route uses the full drift matrix including beta
     and gates the covariance solve; the Routh-Hurwitz numbers are reported
-    verbatim.
+    verbatim.  A drift matrix with an infinite or NaN entry (an overflowed
+    steady state) gets a NaN abscissa and is neither stable nor marginal.
     """
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
     a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
     s1, s2 = routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
-    abscissa = spectral_abscissa(a)
+    if np.isfinite(a).all():
+        abscissa = spectral_abscissa(a)
+    else:
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        abscissa = np.full(finite.shape, np.nan)
+        abscissa[finite] = spectral_abscissa(a[finite])
     stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
     return a, StabilityReport(
         s1=s1,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import DiffusionMatrix, DriftMatrix, spectral_abscissa
+from .linmodel import spectral_abscissa
 
 __all__ = [
     "CovarianceMatrix",
@@ -61,16 +61,6 @@ class CovarianceMatrix:
         return self.v[:2, 2:]
 
 
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, DriftMatrix):
-        return m.a
-    if isinstance(m, DiffusionMatrix):
-        return m.d
-    if isinstance(m, CovarianceMatrix):
-        return m.v
-    return np.asarray(m, dtype=float)
-
-
 # Upper-triangle index pairs of a symmetric 4x4 matrix: the 10 unknowns.
 _UT = np.triu_indices(4)
 
@@ -98,17 +88,18 @@ _SYSTEM = _system_coefficients()
 def solve_stack(a: np.ndarray, d: np.ndarray):
     """Solve A V + V A^T = -D for a stack of drift/diffusion pairs.
 
-    `a` and `d` have shape ``(..., 4, 4)``; the drift matrices must already
-    be known to be strictly stable.  Returns ``(v, residual, condition,
-    ill_conditioned)`` with one entry per pair.  Each system whose condition
-    estimate exceeds 1e12 issues an :class:`IllConditionedWarning`; its
-    result is flagged but still returned.
+    `a` and `d` have shape ``(..., 4, 4)`` and broadcast against each other,
+    so one drift matrix can take a stack of diffusion matrices; the drift
+    matrices must already be known to be strictly stable.  Returns ``(v,
+    residual, condition, ill_conditioned)``: `v` and `residual` per pair,
+    `condition` and `ill_conditioned` per drift matrix.  Each system whose
+    condition estimate exceeds 1e12 issues an :class:`IllConditionedWarning`;
+    its result is flagged but still returned.
     """
-    batch = a.shape[:-2]
-    system = (a.reshape(-1, 16) @ _SYSTEM).reshape(batch + (10, 10))
+    system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
     condition = np.linalg.cond(system)
     solution = np.linalg.solve(system, -d[..., _UT[0], _UT[1], None])[..., 0]
-    v = np.empty(batch + (4, 4))
+    v = np.empty(solution.shape[:-1] + (4, 4))
     v[..., _UT[0], _UT[1]] = solution
     v[..., _UT[1], _UT[0]] = solution
 
@@ -130,8 +121,7 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
     exceeds 1e12 an :class:`IllConditionedWarning` is issued and the result is
     flagged but still returned (see :func:`solve_stack`).
     """
-    a = _as_matrix(a)
-    d = _as_matrix(d)
+    a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
     if spectral_abscissa(a) >= 0.0:
         raise UnstableDriftError("drift matrix is not strictly stable")
     v, res, condition, ill = solve_stack(a, d)
@@ -146,10 +136,10 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
 def residual(a, v, d):
     """Relative Lyapunov residual ||A V + V A^T + D||_F / max(||D||_F, tiny).
 
-    One value per matrix of a stack.
+    One value per matrix of a stack; `v` may also be a :class:`CovarianceMatrix`.
     """
-    a = _as_matrix(a)
-    v = _as_matrix(v)
-    d = _as_matrix(d)
+    if isinstance(v, CovarianceMatrix):
+        v = v.v
+    a, v, d = (np.asarray(m, dtype=float) for m in (a, v, d))
     num = np.linalg.norm(a @ v + v @ a.swapaxes(-1, -2) + d, axis=(-2, -1))
     return num / np.maximum(np.linalg.norm(d, axis=(-2, -1)), np.finfo(float).tiny)

@@ -14,7 +14,7 @@ import numpy as np
 from . import gaussian
 from .gaussian import EntanglementReport
 from .linmodel import StabilityReport, diffusion_matrix, stability_scalar, stability_stack
-from .lyapunov import CovarianceMatrix, solve_stack
+from .lyapunov import CovarianceMatrix, residual, solve_stack
 from .params import (
     ConfigError,
     PhysicalParams,
@@ -45,6 +45,9 @@ STATUS_MARGINAL = "marginal"
 STATUS_ERROR = "error"
 
 RESIDUAL_LIMIT = 1e-8
+# Bisection levels of the thermal threshold decided per stacked evaluation.
+THRESHOLD_LEVELS = 3
+_EPS = float(np.finfo(float).eps)
 
 CSV_HEADER = "axis,curve,n_s,g_eff,s1,s2,routh_stable,spectral_stable,eta,log_negativity,status"
 
@@ -173,13 +176,14 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
 
     `steady` and `n_th` hold 1-d arrays, or scalars for a single point;
     `params` supplies everything that does not vary between points.
-    Unstable and marginal points skip the solve, points whose residual
-    exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
-    ``error``.
+    Unstable and marginal points skip the solve, points whose drift matrix
+    is not finite, whose residual exceeds :data:`RESIDUAL_LIMIT` or whose CM
+    is non-physical get status ``error``.
     """
     a, stability = stability_stack(steady, params)
     gate = np.add(stability.spectral_stable, stability.marginal, dtype=np.intp).reshape(-1)
     status = _GATE_STATUS[gate]
+    status[np.isnan(stability.spectral_abscissa).reshape(-1)] = STATUS_ERROR
     solved = np.nonzero(gate == 1)[0]
     if not solved.size:
         return _Stack(stability, status, solved, *_UNSOLVED)
@@ -424,6 +428,14 @@ def emit(records: list[SweepRecord], fmt: str = "csv") -> bytes:
     raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'jsonl'")
 
 
+def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint that the next `levels` steps of bisecting [lo, hi] can visit."""
+    if not levels:
+        return []
+    mid = (lo + hi) / 2.0
+    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
+
+
 def nth_entanglement_threshold(
     params: PhysicalParams,
     delta_norm: float,
@@ -433,20 +445,47 @@ def nth_entanglement_threshold(
     """Bath occupation where the log-negativity crosses zero, by bisection.
 
     Requires entanglement at n_th = 0 and none at `n_hi`; the threshold is
-    located to relative axis precision `rel_tol`.
+    located to relative axis precision `rel_tol`.  Only the diffusion depends
+    on n_th and A V + V A^T = -D is linear in D, so one stability gate and one
+    solve give V(n_th) = V0 + n_th * V1.  Whenever the bisection reaches a
+    midpoint not yet decided, the checks of :func:`evaluate_point` run on the
+    midpoints of its next :data:`THRESHOLD_LEVELS` levels as one stack.
     """
-    def entangled_at(n_th: float) -> bool:
-        point = evaluate_point(params, delta_norm, n_th)
-        return point.status == STATUS_OK and point.report.log_negativity > 0.0
-
-    if not entangled_at(0.0):
+    require_finite(delta_norm=delta_norm, n_hi=n_hi, rel_tol=rel_tol)
+    if not n_hi > 0.0:
+        raise ConfigError(f"n_hi must be > 0, got {n_hi!r}")
+    if not rel_tol >= _EPS:  # below it the interval stops shrinking
+        raise ConfigError(f"rel_tol must be >= {_EPS!r}, got {rel_tol!r}")
+    e0 = drive_amplitude(params.power, params.kappa, params.omega_laser)
+    steady = steady_states(delta_norm * params.omega_m, e0, params.beta, params)
+    a, stability = stability_stack(steady, params)
+    if not stability.spectral_stable or stability.marginal:
         return 0.0
-    if entangled_at(n_hi):
+    gamma_m, kappa = params.gamma_m, params.kappa
+    step = np.zeros((4, 4))
+    step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
+    (v0, v1), _, _, _ = solve_stack(a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step]))
+
+    def entangled(n_th: list[float]) -> list[bool]:
+        n = np.array(n_th)
+        v = v0 + n[:, None, None] * v1
+        ok = residual(a, v, diffusion_matrix(gamma_m, kappa, n)) <= RESIDUAL_LIMIT
+        _, _, eta, physical = gaussian.eta_stack(gaussian.CM_SCALE * v[ok])
+        ok[ok] = physical & (gaussian.log_negativity_of(eta, params.convention_eta_factor) > 0)
+        return ok.tolist()
+
+    at_zero, at_hi = entangled([0.0, n_hi])
+    if not at_zero:
+        return 0.0
+    if at_hi:
         raise ConfigError(f"still entangled at n_th = {n_hi}; raise n_hi")
-    lo, hi = 0.0, n_hi
+    lo, hi, verdicts = 0.0, n_hi, {}
     while hi - lo > rel_tol * max(lo, 1.0):
         mid = (lo + hi) / 2.0
-        if entangled_at(mid):
+        if mid not in verdicts:
+            mids = _midpoints(lo, hi, THRESHOLD_LEVELS)
+            verdicts = dict(zip(mids, entangled(mids)))
+        if verdicts[mid]:
             lo = mid
         else:
             hi = mid

@@ -2,6 +2,9 @@
 
 * :func:`records_point_by_point` is the per-point sweep loop that the stacked
   sweep replaced; a sweep must reproduce its records byte for byte.
+* :func:`nth_threshold_point_by_point` is the thermal-threshold bisection
+  that evaluated one midpoint per :func:`oment.evaluate_point` call; the
+  stacked search must return the same float.
 * :func:`lyapunov_system_loop` builds the 10x10 Lyapunov system column by
   column, as the solver did before it used a coefficient tensor.
 * :func:`lyapunov_oracle` integrates V = int_0^inf exp(A s) D exp(A^T s) ds by
@@ -14,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from oment import SweepRecord, UnstableDriftError, evaluate_point, residual, spectral_abscissa
-from oment.lyapunov import _as_matrix
 
 _MIN_HORIZON_DECAY = 10.0  # horizon must cover at least 10 decay times
 
@@ -73,6 +75,27 @@ def records_point_by_point(spec):
                 )
             )
     return records
+
+
+def nth_threshold_point_by_point(params, delta_norm, n_hi=8000.0, rel_tol=1e-3):
+    """Bath occupation where E_N crosses zero, one `evaluate_point` per midpoint."""
+
+    def entangled_at(n_th):
+        point = evaluate_point(params, delta_norm, n_th)
+        return point.status == "ok" and point.report.log_negativity > 0.0
+
+    if not entangled_at(0.0):
+        return 0.0
+    if entangled_at(n_hi):
+        raise ValueError(f"still entangled at n_th = {n_hi}")
+    lo, hi = 0.0, n_hi
+    while hi - lo > rel_tol * max(lo, 1.0):
+        mid = (lo + hi) / 2.0
+        if entangled_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def lyapunov_system_loop(a: np.ndarray) -> np.ndarray:
@@ -205,8 +228,7 @@ def lyapunov_oracle(a, d, horizon: float | None = None, tol: float = 1e-8) -> Qu
     HorizonTooShortError
         If an explicit horizon leaves the tail estimate above `tol`.
     """
-    a = _as_matrix(a)
-    d = _as_matrix(d)
+    a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
     abscissa = spectral_abscissa(a)
     if abscissa >= 0.0:
         raise UnstableDriftError("drift matrix is not strictly stable")

@@ -199,3 +199,35 @@ def test_workers_flag_is_accepted_and_ignored(tmp_path):
     assert main(["figure", "--name", "fig1b", "--out", str(serial)]) == 0
     assert main(["figure", "--name", "fig1b", "--workers", "4", "--out", str(flagged)]) == 0
     assert serial.read_bytes() == flagged.read_bytes()
+
+
+def test_overflowing_grid_point_is_local_error(capsys):
+    assert main([
+        "sweep", "--axis", "power", "--start", "0", "--stop", "1e300", "--count", "3",
+        "--delta-norm", "1",
+    ]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert main([
+        "sweep", "--axis", "power", "--start", "0", "--stop", "1e-3", "--count", "2",
+        "--delta-norm", "1",
+    ]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert rows[:2] == alone[:2]
+    assert [row.rsplit(",", 1)[1] for row in rows[2:]] == ["error", "error"]
+
+
+def test_overflowing_curve_leaves_other_curve_unchanged(capsys):
+    sweep = ["sweep", "--axis", "delta_norm", "--start", "-1.2", "--stop", "-0.8", "--count", "5"]
+    assert main(sweep + ["--curves", "power=0.01,1e300"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert main(sweep + ["--curves", "power=0.01"]) == 0
+    assert rows[:6] == capsys.readouterr().out.splitlines()
+    assert all(row.endswith(",false,false,,,error") for row in rows[6:])
+    assert len(rows) == 11
+
+
+def test_overflowing_point_exits_3(capsys):
+    assert main(["point", "--delta-norm", "-1", "--power-mw", "1e300"]) == 3
+    assert parsed_lines(capsys.readouterr().out)["status"] == "error"
+    assert main(["stability", "--delta-norm", "-1", "--power-mw", "1e300"]) == 3
+    assert parsed_lines(capsys.readouterr().out)["spectral_abscissa"] == "nan"

@@ -56,7 +56,7 @@ def test_drift_rejects_beta_at_one(params):
 def test_build_drift_from_operating_point(params):
     p10 = replace(params, power=10e-3)
     state = from_effective_detuning(-p10.omega_m, p10)
-    a = build_drift(state, p10).a
+    a = build_drift(state, p10)
     assert a[1, 2] == a[3, 0] == state.g_eff
     assert state.g_eff == pytest.approx(2870781258.3105435, rel=1e-12)
     assert a[2, 3] == -state.delta_eff
@@ -89,7 +89,7 @@ def test_drift_linear_in_coupling(params):
 
 
 def test_diffusion_zero_temperature(params):
-    d = build_diffusion(params, 0.0).d
+    d = build_diffusion(params, 0.0)
     assert np.array_equal(
         d, np.diag([0.0, params.gamma_m, params.kappa, params.kappa])
     )
@@ -97,17 +97,17 @@ def test_diffusion_zero_temperature(params):
 
 def test_diffusion_thermal_entries(params):
     n_th = 1.1157109535263916
-    d = build_diffusion(params, n_th).d
+    d = build_diffusion(params, n_th)
     assert d[1, 1] == pytest.approx(params.gamma_m * 3.231421907052783, rel=1e-12)
-    d_room = build_diffusion(params, 2500.0).d
+    d_room = build_diffusion(params, 2500.0)
     assert d_room[1, 1] == 5001.0 * params.gamma_m
     assert np.count_nonzero(d - np.diag(np.diag(d))) == 0
 
 
 def test_diffusion_monotone_and_psd(params):
-    values = [build_diffusion(params, n).d[1, 1] for n in (0.0, 0.5, 1.0, 10.0, 2500.0)]
+    values = [build_diffusion(params, n)[1, 1] for n in (0.0, 0.5, 1.0, 10.0, 2500.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
-    d = build_diffusion(params, 3.0).d
+    d = build_diffusion(params, 3.0)
     assert np.all(np.linalg.eigvalsh(d) >= 0.0)
     assert np.all(np.diag(d)[1:] > 0.0)
 

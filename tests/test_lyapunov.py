@@ -70,6 +70,14 @@ def test_stacked_solve_matches_single_solves():
         assert condition[k] == single.condition
         assert res[k] == single.residual
         assert ill[k] == single.ill_conditioned
+    # one drift matrix broadcasts against a stack of diffusion matrices
+    v, res, condition, ill = solve_stack(a_stack[0], d_stack)
+    assert v.shape == d_stack.shape and np.shape(condition) == ()
+    for k, d in enumerate(d_stack):
+        single = solve_lyapunov(a_stack[0], d)
+        assert np.array_equal(v[k], single.v)
+        assert res[k] == single.residual
+        assert condition == single.condition
 
 
 def test_rejects_unstable_drift():

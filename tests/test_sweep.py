@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +23,11 @@ from oment import (
     nth_entanglement_threshold,
     run_sweep,
 )
+import oment
+from oment import gaussian, lyapunov, sweep
+from oment.lyapunov import IllConditionedWarning
 from oment.sweep import AXES, CSV_HEADER
-from references import records_point_by_point
+from references import nth_threshold_point_by_point, records_point_by_point
 
 
 @pytest.fixture
@@ -334,3 +342,142 @@ def sweep_specs(draw):
 def test_records_do_not_depend_on_the_batch(spec):
     for fmt in ("csv", "jsonl"):
         assert emit(run_sweep(spec), fmt) == emit(records_point_by_point(spec), fmt)
+
+
+def _latin_hypercube(seed, count, ranges):
+    """`count` points; each range is cut into `count` strata, each used once."""
+    rng = random.Random(seed)
+    columns = []
+    for low, high in ranges:
+        strata = list(range(count))
+        rng.shuffle(strata)
+        columns.append([low + (high - low) * (k + rng.random()) / count for k in strata])
+    return list(zip(*columns))
+
+
+# (power in W, beta, delta_norm): a Latin hypercube over 1-30 mW, beta 0-0.6,
+# delta/omega_m -1.2..0.5, then the linear and nonlinear fig3 points.
+_THRESHOLD_POINTS = [
+    (power_mw * 1e-3, beta, delta_norm)
+    for power_mw, beta, delta_norm in _latin_hypercube(
+        2024, 40, [(1.0, 30.0), (0.0, 0.6), (-1.2, 0.5)]
+    )
+] + [(10e-3, 0.0, -1.0), (10e-3, 0.6, -0.5)]
+
+
+def test_nth_threshold_equals_point_by_point_bisection(params):
+    thresholds = []
+    for power, beta, delta_norm in _THRESHOLD_POINTS:
+        point_params = replace(params, power=power, beta=beta)
+        threshold = nth_entanglement_threshold(point_params, delta_norm)
+        assert threshold == nth_threshold_point_by_point(point_params, delta_norm), (
+            power, beta, delta_norm
+        )
+        thresholds.append(threshold)
+    assert 0.0 in thresholds
+    assert min(thresholds[-2:]) > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    power=_uniform(1e-3, 30e-3), beta=_uniform(0.0, 0.6), delta_norm=_uniform(-1.2, 0.5)
+)
+def test_nth_threshold_is_bracketed_by_evaluate_point(power, beta, delta_norm):
+    point_params = replace(default_params(), power=power, beta=beta)
+    threshold = nth_entanglement_threshold(point_params, delta_norm)
+
+    def entangled(n_th):
+        point = evaluate_point(point_params, delta_norm, n_th)
+        return point.status == "ok" and point.report.log_negativity > 0.0
+
+    if threshold == 0.0:
+        assert not entangled(0.0)
+        return
+    width = 1e-3 * max(threshold, 1.0)
+    assert entangled(max(threshold - width, 0.0))
+    assert not entangled(threshold + width)
+
+
+def test_nth_threshold_gates_and_solves_once(params, monkeypatch):
+    # blue detuned at 1 mW the gate fails, so nothing is solved there
+    assert evaluate_point(replace(params, power=1e-3), 1.0).status == "unstable"
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("stability_stack", "solve_stack", "evaluate_point"):
+        monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+    assert nth_entanglement_threshold(replace(params, power=10e-3), -1.0) > 0.0
+    assert calls == {"stability_stack": 1, "solve_stack": 1}
+    calls.clear()
+    assert nth_entanglement_threshold(replace(params, power=1e-3), 1.0) == 0.0
+    assert calls == {"stability_stack": 1}
+
+
+def test_nth_threshold_warns_once_per_call(params, monkeypatch):
+    p10 = replace(params, power=10e-3)
+    expected = nth_entanglement_threshold(p10, -1.0)
+    monkeypatch.setattr(lyapunov, "CONDITION_LIMIT", 0.0)
+    with pytest.warns(IllConditionedWarning) as caught:
+        assert nth_entanglement_threshold(p10, -1.0) == expected
+    assert sum(issubclass(w.category, IllConditionedWarning) for w in caught) == 1
+
+
+def test_nth_threshold_error_status_is_not_entangled(params, monkeypatch):
+    monkeypatch.setattr(sweep, "RESIDUAL_LIMIT", 0.0)
+    p10 = replace(params, power=10e-3)
+    assert evaluate_point(p10, -1.0, 0.0).status == "error"
+    assert nth_entanglement_threshold(p10, -1.0) == 0.0
+
+
+def test_nth_threshold_route_disagreement_raises(params, monkeypatch):
+    monkeypatch.setattr(gaussian, "eta_spectrum", lambda v: np.full(v.shape[:-2], 10.0))
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        nth_entanglement_threshold(replace(params, power=10e-3), -1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rel_tol", math.nan),
+        ("rel_tol", math.inf),
+        ("n_hi", -5.0),
+        ("n_hi", 0.0),
+        ("n_hi", math.nan),
+        ("n_hi", math.inf),
+    ],
+)
+def test_nth_threshold_rejects_bad_arguments(params, field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        nth_entanglement_threshold(replace(params, power=10e-3), -1.0, **{field: value})
+
+
+def test_nth_threshold_rel_tol_below_epsilon_fails_fast():
+    # a tolerance below machine epsilon never satisfies the stop rule, so the
+    # bisection would not end; run it in a child process under a time limit
+    source_root = os.path.dirname(os.path.dirname(oment.__file__))
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from oment import ConfigError, default_params, nth_entanglement_threshold\n"
+        "for rel_tol in (-1.0, 0.0, 1e-20):\n"
+        "    try:\n"
+        "        nth_entanglement_threshold(default_params(), -1.0, rel_tol=rel_tol)\n"
+        "    except ConfigError as exc:\n"
+        "        print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("rel_tol must be >= ") for line in lines)
