@@ -5,67 +5,33 @@ Pipeline: classical steady state -> linearized drift/diffusion matrices ->
 Routh-Hurwitz and spectral stability -> Lyapunov covariance matrix ->
 logarithmic negativity; plus detuning/nonlinearity/occupation sweeps and a
 CLI reproducing the reference figure data.
+
+Each stage is one elementwise or stacked function that takes a single point
+as readily as a grid: :func:`steady_states`, :func:`stability_stack`,
+:func:`solve_stack` and :func:`eta_stack`; :func:`solve_lyapunov` and
+:func:`log_negativity` are the checked entry points for one matrix.  The
+package exports the ``__all__`` of each module.
 """
 
+from . import gaussian, linmodel, lyapunov, params, steadystate, sweep
 from .constants import C_LIGHT, HBAR, K_B
-from .gaussian import (
-    CM_SCALE,
-    EntanglementReport,
-    NegativeRadicandError,
-    eta_spectrum,
-    log_negativity,
-    sigma,
-    symplectic_eta,
-    two_mode_squeezed_cm,
-)
-from .linmodel import (
-    StabilityReport,
-    assess_stability,
-    build_diffusion,
-    build_drift,
-    coupling_threshold_blue,
-    coupling_threshold_red,
-    drift_matrix,
-    routh_conditions,
-    routh_hurwitz,
-    spectral_abscissa,
-    spectral_stability,
-)
-from .lyapunov import (
-    CovarianceMatrix,
-    IllConditionedWarning,
-    UnstableDriftError,
-    residual,
-    solve_lyapunov,
-)
-from .params import (
-    ConfigError,
-    DerivedParams,
-    PhysicalParams,
-    default_params,
-    derive,
-    drive_amplitude,
-    inverse_thermal_occupation,
-    load_config,
-    thermal_occupation,
-)
-from .steadystate import (
-    DegenerateRootsWarning,
-    SteadyState,
-    from_bare_detuning,
-    from_effective_detuning,
-    monic_cubic_roots,
-    nonlinearity_from_betaprime,
-)
-from .sweep import (
-    PointResult,
-    SweepRecord,
-    SweepSpec,
-    emit,
-    evaluate_point,
-    figure_preset,
-    nth_entanglement_threshold,
-    run_sweep,
-)
+from .gaussian import *  # noqa: F403
+from .linmodel import *  # noqa: F403
+from .lyapunov import *  # noqa: F403
+from .params import *  # noqa: F403
+from .steadystate import *  # noqa: F403
+from .sweep import *  # noqa: F403
+
+__all__ = [
+    "C_LIGHT",
+    "HBAR",
+    "K_B",
+    *gaussian.__all__,
+    *linmodel.__all__,
+    *lyapunov.__all__,
+    *params.__all__,
+    *steadystate.__all__,
+    *sweep.__all__,
+]
 
 __version__ = "0.1.0"

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lyapunov import CovarianceMatrix
-
 __all__ = [
     "NegativeRadicandError",
     "EntanglementReport",
     "CM_SCALE",
     "sigma",
-    "symplectic_eta",
     "eta_spectrum",
     "eta_stack",
     "log_negativity_of",
@@ -66,24 +63,16 @@ class EntanglementReport:
     entangled: bool
 
 
-def _as_cm(v) -> np.ndarray:
-    if isinstance(v, CovarianceMatrix):
-        return v.v
-    return np.asarray(v, dtype=float)
-
-
 def sigma(v):
     """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per matrix."""
-    m = _as_cm(v)
     det = np.linalg.det
-    return det(m[..., :2, :2]) + det(m[..., 2:, 2:]) - 2.0 * det(m[..., :2, 2:])
+    return det(v[..., :2, :2]) + det(v[..., 2:, 2:]) - 2.0 * det(v[..., :2, 2:])
 
 
 def eta_spectrum(v):
     """Lowest symplectic eigenvalue of the partial transpose, via the spectrum
     of Omega * V_tilde (independent of the closed-form route)."""
-    m = _as_cm(v)
-    flipped = _FLIP @ m @ _FLIP
+    flipped = _FLIP @ v @ _FLIP
     eigenvalues = np.linalg.eigvals(_OMEGA @ flipped)
     return np.min(np.abs(eigenvalues), axis=-1)
 
@@ -98,7 +87,7 @@ def eta_stack(v):
     cross-checked against :func:`eta_spectrum`; the routes must agree to 1e-9
     relative, or ArithmeticError is raised.
     """
-    m = _as_cm(v)
+    m = np.asarray(v, dtype=float)
     sig = sigma(m)
     det_v = np.linalg.det(m)
     radicand = sig * sig - 4.0 * det_v
@@ -120,11 +109,6 @@ def eta_stack(v):
             f"{np.ravel(eta)[first]!r} vs {np.ravel(eta_alt)[first]!r}"
         )
     return sig, det_v, eta, physical
-
-
-def symplectic_eta(v) -> float:
-    """Lowest symplectic eigenvalue of the partially transposed CM (see :func:`eta_stack`)."""
-    return log_negativity(v).eta
 
 
 def log_negativity_of(eta, f: float):

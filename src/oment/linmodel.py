@@ -5,7 +5,8 @@ by two independent routes: the closed-form quartic Routh-Hurwitz conditions
 ``s1``/``s2`` (written for ``beta = 0``) and the spectral abscissa of the
 actual drift matrix, which includes ``beta`` and is the gating check for the
 covariance solve.  The builders and both routes are elementwise, so a whole
-grid is gated with one stack of drift matrices and one batched eigvals.
+grid, or a single point, is gated by :func:`stability_stack` with one stack of
+drift matrices and one batched eigvals.
 """
 
 from __future__ import annotations
@@ -22,16 +23,11 @@ __all__ = [
     "MARGINAL_ABSCISSA_FACTOR",
     "drift_matrix",
     "diffusion_matrix",
-    "build_drift",
-    "build_diffusion",
     "routh_conditions",
-    "routh_hurwitz",
     "spectral_abscissa",
     "spectral_verdict",
-    "spectral_stability",
     "stability_stack",
     "stability_scalar",
-    "assess_stability",
     "coupling_threshold_blue",
     "coupling_threshold_red",
 ]
@@ -43,20 +39,21 @@ MARGINAL_ABSCISSA_FACTOR = 1e-6
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Stability verdicts; fields are None when the route was not evaluated.
+    """Both stability verdicts, of one point or of a stack of points.
 
     ``routh_stable`` iff s1 > 0 and s2 > 0; ``spectral_stable`` iff the
     spectral abscissa is strictly negative; ``marginal`` marks stable points
     too close to the boundary for a reliable covariance solve.  ``agree`` is
-    set only for beta = 0, where the two routes are equivalent.
+    None except for one point at beta = 0 with a finite abscissa, where the
+    two routes are equivalent (see :func:`stability_scalar`).
     """
 
-    s1: float | None = None
-    s2: float | None = None
-    routh_stable: bool | None = None
-    spectral_abscissa: float | None = None
-    spectral_stable: bool | None = None
-    marginal: bool | None = None
+    s1: float
+    s2: float
+    routh_stable: bool
+    spectral_abscissa: float
+    spectral_stable: bool
+    marginal: bool
     agree: bool | None = None
 
 
@@ -101,18 +98,6 @@ def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
     return d
 
 
-def build_drift(steady: SteadyState, params: PhysicalParams) -> np.ndarray:
-    """Drift matrix at one operating point."""
-    return drift_matrix(
-        params.omega_m, params.gamma_m, params.kappa, steady.delta_eff, steady.g_eff, steady.beta
-    )
-
-
-def build_diffusion(params: PhysicalParams, n_th: float) -> np.ndarray:
-    """Diffusion matrix diag(0, gamma_m*(2*n_th+1), kappa, kappa) for bath occupation n_th."""
-    return diffusion_matrix(params.gamma_m, params.kappa, n_th)
-
-
 def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     """The two nontrivial Routh-Hurwitz conditions (s1, s2) for beta = 0.
 
@@ -136,14 +121,6 @@ def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     return s1, s2
 
 
-def routh_hurwitz(steady: SteadyState, params: PhysicalParams) -> StabilityReport:
-    """Routh-Hurwitz verdict at one operating point (beta-free closed forms)."""
-    s1, s2 = routh_conditions(
-        params.omega_m, params.gamma_m, params.kappa, steady.delta_eff, steady.g_eff
-    )
-    return StabilityReport(s1=s1, s2=s2, routh_stable=bool(s1 > 0 and s2 > 0))
-
-
 def spectral_abscissa(a: np.ndarray):
     """Largest real part of the eigenvalues of A; one per matrix of a stack."""
     return np.linalg.eigvals(np.asarray(a, dtype=float)).real.max(axis=-1)
@@ -154,20 +131,6 @@ def spectral_verdict(abscissa, marginal_tol: float = 0.0):
     iff stable with abscissa > -marginal_tol."""
     stable = abscissa < 0.0
     return stable, stable & (abscissa > -marginal_tol)
-
-
-def spectral_stability(
-    a: np.ndarray,
-    marginal_tol: float = 0.0,
-) -> StabilityReport:
-    """Eigenvalue stability verdict; marginal when -marginal_tol < abscissa < 0."""
-    abscissa = spectral_abscissa(a)
-    stable, marginal = spectral_verdict(abscissa, marginal_tol)
-    return StabilityReport(
-        spectral_abscissa=float(abscissa),
-        spectral_stable=bool(stable),
-        marginal=bool(marginal),
-    )
 
 
 def stability_stack(steady: SteadyState, params: PhysicalParams):
@@ -202,16 +165,13 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
 def stability_scalar(report: StabilityReport, beta: float) -> StabilityReport:
     """Plain-Python copy of a single point's :func:`stability_stack` report.
 
-    ``agree`` compares the verdicts only at beta = 0 where both apply.
+    ``agree`` compares the verdicts only at beta = 0 where both apply, and
+    stays None when the abscissa is NaN (a drift matrix that is not finite).
     """
-    values = {k: np.asarray(v).item() for k, v in vars(report).items() if v is not None}
-    agree = values["routh_stable"] == values["spectral_stable"] if beta == 0.0 else None
+    values = {k: np.asarray(v).item() for k, v in vars(report).items() if k != "agree"}
+    decided = beta == 0.0 and not np.isnan(values["spectral_abscissa"])
+    agree = values["routh_stable"] == values["spectral_stable"] if decided else None
     return StabilityReport(**values, agree=agree)
-
-
-def assess_stability(steady: SteadyState, params: PhysicalParams) -> StabilityReport:
-    """Both stability routes at one operating point (see :func:`stability_stack`)."""
-    return stability_scalar(stability_stack(steady, params)[1], steady.beta)
 
 
 def coupling_threshold_blue(params: PhysicalParams, delta: float | None = None) -> float:

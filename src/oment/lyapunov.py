@@ -45,21 +45,6 @@ class CovarianceMatrix:
     condition: float | None = None
     ill_conditioned: bool = False
 
-    @property
-    def v_m(self) -> np.ndarray:
-        """Mechanical 2x2 block."""
-        return self.v[:2, :2]
-
-    @property
-    def v_cav(self) -> np.ndarray:
-        """Optical 2x2 block."""
-        return self.v[2:, 2:]
-
-    @property
-    def v_corr(self) -> np.ndarray:
-        """Cross-correlation 2x2 block."""
-        return self.v[:2, 2:]
-
 
 # Upper-triangle index pairs of a symmetric 4x4 matrix: the 10 unknowns.
 _UT = np.triu_indices(4)
@@ -116,12 +101,16 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
 def solve_lyapunov(a, d) -> CovarianceMatrix:
     """Solve A V + V A^T = -D for symmetric V.
 
-    Raises :class:`UnstableDriftError` unless the spectral abscissa of A is
-    strictly negative.  When the condition estimate of the 10x10 system
-    exceeds 1e12 an :class:`IllConditionedWarning` is issued and the result is
-    flagged but still returned (see :func:`solve_stack`).
+    Raises ValueError when A or D has an infinite or NaN entry and
+    :class:`UnstableDriftError` unless the spectral abscissa of A is strictly
+    negative.  When the condition estimate of the 10x10 system exceeds 1e12
+    an :class:`IllConditionedWarning` is issued and the result is flagged but
+    still returned (see :func:`solve_stack`).
     """
     a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
+    for name, matrix in (("drift matrix a", a), ("diffusion matrix d", d)):
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{name} must be finite")
     if spectral_abscissa(a) >= 0.0:
         raise UnstableDriftError("drift matrix is not strictly stable")
     v, res, condition, ill = solve_stack(a, d)
@@ -136,10 +125,8 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
 def residual(a, v, d):
     """Relative Lyapunov residual ||A V + V A^T + D||_F / max(||D||_F, tiny).
 
-    One value per matrix of a stack; `v` may also be a :class:`CovarianceMatrix`.
+    One value per matrix of a stack.
     """
-    if isinstance(v, CovarianceMatrix):
-        v = v.v
     a, v, d = (np.asarray(m, dtype=float) for m in (a, v, d))
     num = np.linalg.norm(a @ v + v @ a.swapaxes(-1, -2) + d, axis=(-2, -1))
     return num / np.maximum(np.linalg.norm(d, axis=(-2, -1)), np.finfo(float).tiny)

@@ -17,9 +17,7 @@ from .constants import C_LIGHT, HBAR, K_B
 __all__ = [
     "ConfigError",
     "PhysicalParams",
-    "DerivedParams",
     "default_params",
-    "derive",
     "thermal_occupation",
     "inverse_thermal_occupation",
     "drive_amplitude",
@@ -109,20 +107,6 @@ class PhysicalParams:
         return 2.0 * math.pi * C_LIGHT / self.laser_wavelength
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from :class:`PhysicalParams` used downstream."""
-
-    e0: float            # drive amplitude |E0| (1/s)
-    n_th: float          # mean thermal occupation of the mechanical bath
-    q_factor: float      # omega_m/gamma_m
-    omega_laser: float   # laser angular frequency (rad/s)
-
-    def __post_init__(self) -> None:
-        if self.e0 < 0 or self.n_th < 0 or not self.q_factor > 0:
-            raise ValueError("invalid derived parameters")
-
-
 def default_params() -> PhysicalParams:
     """Default parameter set of the reference photonic-crystal experiment.
 
@@ -171,23 +155,15 @@ def drive_amplitude(power, kappa: float, omega_laser: float):
     """Drive amplitude |E0| = sqrt(P0 * kappa / (2 * hbar * omega_laser)) (1/s).
 
     Scales as sqrt(P0); zero for an undriven cavity.  Elementwise over an
-    array of powers.
+    array of powers.  A power too large for the product gives an infinite
+    amplitude without a warning: the grid point then reads status ``error``.
     """
     if np.less(power, 0).any():
         raise ValueError("power must be >= 0")
     if not (kappa > 0 and omega_laser > 0):
         raise ValueError("kappa and omega_laser must be > 0")
-    return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
-
-
-def derive(params: PhysicalParams) -> DerivedParams:
-    """Compute all derived quantities for one parameter set."""
-    return DerivedParams(
-        e0=drive_amplitude(params.power, params.kappa, params.omega_laser),
-        n_th=thermal_occupation(params.temperature, params.omega_m),
-        q_factor=params.q_factor,
-        omega_laser=params.omega_laser,
-    )
+    with np.errstate(over="ignore"):
+        return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
 
 
 # Config file schema: "key = value" lines, '#' comments.  Frequencies in Hz.

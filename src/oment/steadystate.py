@@ -4,10 +4,10 @@ The steady state is fixed by the photon-number balance
 ``|E0|^2 = n_s * (Delta^2 + kappa^2/4)`` together with
 ``x_s = 2*(g_m/omega_m)*n_s``, ``p_s = 0`` and the radiation-pressure shift
 ``Delta = Delta0 + 2*(g_m^2/omega_m)*n_s`` relating bare and effective
-detuning.  Sweeps are parameterized by the effective detuning; the bare
-detuning route solves the cubic and exposes bistability.  The
-effective-detuning route is elementwise, so one call yields the operating
-points of a whole grid.
+detuning.  Sweeps are parameterized by the effective detuning
+(:func:`steady_states`, elementwise, so one call yields the operating points
+of a whole grid or of a single point); the bare detuning route
+(:func:`from_bare_detuning`) solves the cubic and exposes bistability.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedParams, PhysicalParams, derive
+from .params import PhysicalParams, drive_amplitude
 
 __all__ = [
     "SteadyState",
     "DegenerateRootsWarning",
     "square",
     "steady_states",
-    "from_effective_detuning",
     "from_bare_detuning",
     "nonlinearity_from_betaprime",
     "monic_cubic_roots",
@@ -85,28 +84,19 @@ def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadySt
     )
 
 
-def steady_states(delta_eff, e0, beta, params: PhysicalParams) -> SteadyState:
+def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState:
     """Operating points at prescribed effective detunings, elementwise.
 
-    ``n_s = |E0|^2/(delta_eff^2 + kappa^2/4)`` and the bare detuning is
-    back-computed from the radiation-pressure shift.  `delta_eff`, the drive
-    amplitude `e0` and `beta` broadcast against each other; the remaining
-    parameters come from `params`.
+    ``n_s = |E0|^2/(delta_eff^2 + kappa^2/4)`` with the drive amplitude of
+    `power` (see :func:`~oment.params.drive_amplitude`), and the bare
+    detuning is back-computed from the radiation-pressure shift.
+    `delta_eff`, `power` and `beta` broadcast against each other; the
+    remaining parameters come from `params`.
     """
+    e0 = drive_amplitude(power, params.kappa, params.omega_laser)
     n_s = square(e0) / (square(delta_eff) + params.kappa**2 / 4.0)
     delta_bare = delta_eff - 2.0 * (params.g_m**2 / params.omega_m) * n_s
     return _build(n_s, delta_eff, delta_bare, beta, params)
-
-
-def from_effective_detuning(
-    delta_eff: float,
-    params: PhysicalParams,
-    derived: DerivedParams | None = None,
-) -> SteadyState:
-    """Operating point at a prescribed effective detuning (see :func:`steady_states`)."""
-    if derived is None:
-        derived = derive(params)
-    return steady_states(delta_eff, derived.e0, params.beta, params)
 
 
 def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
@@ -130,11 +120,7 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     return roots
 
 
-def from_bare_detuning(
-    delta_bare: float,
-    params: PhysicalParams,
-    derived: DerivedParams | None = None,
-) -> list[SteadyState]:
+def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[SteadyState]:
     """All physical operating points at a prescribed bare detuning.
 
     Solves the cubic ``|E0|^2 = n*((delta_bare + 2*(g_m^2/omega_m)*n)^2 +
@@ -143,9 +129,7 @@ def from_bare_detuning(
     clamped.  A :class:`DegenerateRootsWarning` is issued when two roots
     coincide within relative 1e-6.
     """
-    if derived is None:
-        derived = derive(params)
-    e0_sq = derived.e0**2
+    e0_sq = drive_amplitude(params.power, params.kappa, params.omega_laser) ** 2
     shift = 2.0 * params.g_m**2 / params.omega_m  # detuning shift per photon
     half_kappa_sq = params.kappa**2 / 4.0
 
@@ -182,17 +166,8 @@ def from_bare_detuning(
     return states
 
 
-def nonlinearity_from_betaprime(
-    beta_prime: float,
-    x_zpf: float | None,
-    x_s: float,
-    omega_m: float,
-) -> float:
-    """Dimensionless nonlinearity beta = 3*beta_prime*x_s^2/omega_m^2.
-
-    ``x_zpf`` is accepted for conventions that fold the zero-point length into
-    ``beta_prime``; it does not enter the quoted composition.
-    """
+def nonlinearity_from_betaprime(beta_prime: float, x_s: float, omega_m: float) -> float:
+    """Dimensionless nonlinearity beta = 3*beta_prime*x_s^2/omega_m^2."""
     if not omega_m > 0:
         raise ValueError("omega_m must be > 0")
     return 3.0 * beta_prime * x_s**2 / omega_m**2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -15,14 +16,7 @@ from . import gaussian
 from .gaussian import EntanglementReport
 from .linmodel import StabilityReport, diffusion_matrix, stability_scalar, stability_stack
 from .lyapunov import CovarianceMatrix, residual, solve_stack
-from .params import (
-    ConfigError,
-    PhysicalParams,
-    default_params,
-    drive_amplitude,
-    require_finite,
-    thermal_occupation,
-)
+from .params import ConfigError, PhysicalParams, default_params, require_finite, thermal_occupation
 from .steadystate import SteadyState, steady_states
 
 __all__ = [
@@ -49,7 +43,6 @@ RESIDUAL_LIMIT = 1e-8
 THRESHOLD_LEVELS = 3
 _EPS = float(np.finfo(float).eps)
 
-CSV_HEADER = "axis,curve,n_s,g_eff,s1,s2,routh_stable,spectral_stable,eta,log_negativity,status"
 
 
 @dataclass(frozen=True)
@@ -190,13 +183,23 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
 
     d = diffusion_matrix(params.gamma_m, params.kappa, np.reshape(n_th, -1)[solved])
     v, res, condition, ill = solve_stack(a.reshape(-1, 4, 4)[solved], d)
-    status[solved[res > RESIDUAL_LIMIT]] = STATUS_ERROR
-    keep = status[solved] == STATUS_OK
-    sig, det_v, eta, physical = gaussian.eta_stack(gaussian.CM_SCALE * v[keep])
-    reported = solved[keep]
-    status[reported[~physical]] = STATUS_ERROR
-    reports = (x[physical] for x in (reported, sig, det_v, eta))
-    return _Stack(stability, status, solved, v, res, condition, ill, *reports)
+    ok, sig, det_v, eta = _checked_eta(res, v)
+    status[solved[~ok]] = STATUS_ERROR
+    return _Stack(stability, status, solved, v, res, condition, ill, solved[ok], sig, det_v, eta)
+
+
+def _checked_eta(res: np.ndarray, v: np.ndarray):
+    """The checks after a solve, in order: residual, then a physical CM.
+
+    `res` holds the Lyapunov residual of each covariance matrix of the stack
+    `v`.  Returns ``ok``, False where the residual exceeds
+    :data:`RESIDUAL_LIMIT` or the rescaled CM is non-physical, and sigma,
+    det V and eta of the ok matrices (see :func:`gaussian.eta_stack`).
+    """
+    ok = res <= RESIDUAL_LIMIT
+    sig, det_v, eta, physical = gaussian.eta_stack(gaussian.CM_SCALE * v[ok])
+    ok[ok] = physical
+    return ok, sig[physical], det_v[physical], eta[physical]
 
 
 def evaluate_point(
@@ -218,8 +221,7 @@ def evaluate_point(
     require_finite(delta_norm=delta_norm, n_th=n_th)
     if n_th < 0:
         raise ConfigError("n_th must be >= 0")
-    e0 = drive_amplitude(params.power, params.kappa, params.omega_laser)
-    steady = steady_states(delta_norm * params.omega_m, e0, params.beta, params)
+    steady = steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     stack = _evaluate(params, steady, n_th)
     covariance = report = report_raw = None
     if stack.solved.size:
@@ -277,8 +279,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     spec.validate()
     values = _grid_values(spec)
     params = spec.fixed
-    e0 = drive_amplitude(values["power"], params.kappa, params.omega_laser)
-    steady = steady_states(values["delta_norm"] * params.omega_m, e0, values["beta"], params)
+    delta_eff = values["delta_norm"] * params.omega_m
+    steady = steady_states(delta_eff, values["power"], values["beta"], params)
     stack = _evaluate(params, steady, values["n_th"])
 
     ok = (stack.status == STATUS_OK).tolist()
@@ -366,64 +368,50 @@ def figure_preset(name: str, base: PhysicalParams | None = None) -> SweepSpec:
     raise ConfigError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
 
 
-def _format_float(value: float | None) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
+_format_float = "{:.17g}".format
+
+
+def _format_optional(value: float | None) -> str:
+    return "" if value is None else _format_float(value)
 
 
 def _format_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+# Output columns in order: name, the SweepRecord attribute it holds and its
+# CSV formatter.
+_COLUMNS = (
+    ("axis", "axis_value", _format_float),
+    ("curve", "curve_value", _format_optional),
+    ("n_s", "n_s", _format_float),
+    ("g_eff", "g_eff", _format_float),
+    ("s1", "s1", _format_float),
+    ("s2", "s2", _format_float),
+    ("routh_stable", "routh_stable", _format_bool),
+    ("spectral_stable", "spectral_stable", _format_bool),
+    ("eta", "eta", _format_optional),
+    ("log_negativity", "log_negativity", _format_optional),
+    ("status", "status", str),
+)
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+# json.dumps with separators builds a new encoder per call; one serves every line
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def emit(records: list[SweepRecord], fmt: str = "csv") -> bytes:
-    """Serialize records to CSV or JSONL bytes.
+    """Serialize records to CSV or JSONL bytes, with the columns of :data:`CSV_HEADER`.
 
     Floats carry 17 significant digits and round-trip exactly; identical
     inputs produce byte-identical output.
     """
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(
-                    (
-                        _format_float(r.axis_value),
-                        _format_float(r.curve_value),
-                        _format_float(r.n_s),
-                        _format_float(r.g_eff),
-                        _format_float(r.s1),
-                        _format_float(r.s2),
-                        _format_bool(r.routh_stable),
-                        _format_bool(r.spectral_stable),
-                        _format_float(r.eta),
-                        _format_float(r.log_negativity),
-                        r.status,
-                    )
-                )
-            )
-        return ("\n".join(lines) + "\n").encode()
+        columns = [list(map(f, map(attrgetter(attr), records))) for _, attr, f in _COLUMNS]
+        return ("\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n").encode()
     if fmt == "jsonl":
-        lines = []
-        for r in records:
-            lines.append(
-                json.dumps(
-                    {
-                        "axis": r.axis_value,
-                        "curve": r.curve_value,
-                        "n_s": r.n_s,
-                        "g_eff": r.g_eff,
-                        "s1": r.s1,
-                        "s2": r.s2,
-                        "routh_stable": r.routh_stable,
-                        "spectral_stable": r.spectral_stable,
-                        "eta": r.eta,
-                        "log_negativity": r.log_negativity,
-                        "status": r.status,
-                    },
-                    separators=(",", ":"),
-                )
-            )
+        names = [name for name, _, _ in _COLUMNS]
+        rows = map(attrgetter(*(attribute for _, attribute, _ in _COLUMNS)), records)
+        lines = [_JSON.encode(dict(zip(names, row))) for row in rows]
         return ("\n".join(lines) + "\n").encode() if lines else b""
     raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'jsonl'")
 
@@ -456,8 +444,7 @@ def nth_entanglement_threshold(
         raise ConfigError(f"n_hi must be > 0, got {n_hi!r}")
     if not rel_tol >= _EPS:  # below it the interval stops shrinking
         raise ConfigError(f"rel_tol must be >= {_EPS!r}, got {rel_tol!r}")
-    e0 = drive_amplitude(params.power, params.kappa, params.omega_laser)
-    steady = steady_states(delta_norm * params.omega_m, e0, params.beta, params)
+    steady = steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     a, stability = stability_stack(steady, params)
     if not stability.spectral_stable or stability.marginal:
         return 0.0
@@ -469,9 +456,8 @@ def nth_entanglement_threshold(
     def entangled(n_th: list[float]) -> list[bool]:
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
-        ok = residual(a, v, diffusion_matrix(gamma_m, kappa, n)) <= RESIDUAL_LIMIT
-        _, _, eta, physical = gaussian.eta_stack(gaussian.CM_SCALE * v[ok])
-        ok[ok] = physical & (gaussian.log_negativity_of(eta, params.convention_eta_factor) > 0)
+        ok, _, _, eta = _checked_eta(residual(a, v, diffusion_matrix(gamma_m, kappa, n)), v)
+        ok[ok] = gaussian.log_negativity_of(eta, params.convention_eta_factor) > 0
         return ok.tolist()
 
     at_zero, at_hi = entangled([0.0, n_hi])

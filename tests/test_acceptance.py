@@ -13,16 +13,13 @@ import pytest
 
 from oment import (
     SweepSpec,
-    build_diffusion,
-    build_drift,
     default_params,
-    derive,
+    diffusion_matrix,
     drift_matrix,
     emit,
     eta_spectrum,
     evaluate_point,
     figure_preset,
-    from_effective_detuning,
     log_negativity,
     nth_entanglement_threshold,
     residual,
@@ -30,8 +27,10 @@ from oment import (
     run_sweep,
     solve_lyapunov,
     spectral_abscissa,
-    spectral_stability,
-    symplectic_eta,
+    spectral_verdict,
+    stability_stack,
+    steady_states,
+    thermal_occupation,
     two_mode_squeezed_cm,
 )
 from oment.linmodel import MARGINAL_ABSCISSA_FACTOR
@@ -168,15 +167,16 @@ def test_lyapunov_oracle_equivalence(fig1a_records, params):
     spec = figure_preset("fig1a")
     grid = spec.grid()
     worst_residual = 0.0
-    derived = derive(spec.fixed)
+    fixed = spec.fixed
+    n_th = thermal_occupation(fixed.temperature, fixed.omega_m)
+    diffusion = diffusion_matrix(fixed.gamma_m, fixed.kappa, n_th)
     for record, delta_norm in zip(fig1a_records, grid):
         if record.status != "ok":
             continue
-        state = from_effective_detuning(delta_norm * spec.fixed.omega_m, spec.fixed, derived)
-        drift = build_drift(state, spec.fixed)
-        diffusion = build_diffusion(spec.fixed, derived.n_th)
+        state = steady_states(delta_norm * fixed.omega_m, fixed.power, fixed.beta, fixed)
+        drift, _ = stability_stack(state, fixed)
         cov = solve_lyapunov(drift, diffusion)
-        worst_residual = max(worst_residual, residual(drift, cov, diffusion))
+        worst_residual = max(worst_residual, residual(drift, cov.v, diffusion))
 
     _report(
         f"lyapunov-oracle-equivalence (worst rel {worst:.2e}, worst residual {worst_residual:.2e})",
@@ -205,7 +205,7 @@ def test_closed_form_entanglement():
         rot[:2, :2] = [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
         rot[2:, 2:] = np.eye(2)
         v = rot @ two_mode_squeezed_cm(r) @ rot.T
-        formula = symplectic_eta(v)
+        formula = log_negativity(v).eta
         agree &= abs(formula - eta_spectrum(v)) <= 1e-9 * max(formula, 1e-300)
     clauses.append(("dual-route-agreement-1e-9", agree))
     _report("closed-form-entanglement", clauses)
@@ -326,12 +326,14 @@ def test_marginal_points_are_excluded(params):
     (-1e-6*kappa, 0) maps to status 'marginal'."""
     # synthetic check of the gating logic used by the sweep
     nearly_marginal = np.diag([-0.5 * MARGINAL_ABSCISSA_FACTOR * params.kappa, -1.0, -1.0, -1.0])
-    verdict = spectral_stability(nearly_marginal, marginal_tol=MARGINAL_ABSCISSA_FACTOR * params.kappa)
+    _, marginal = spectral_verdict(
+        spectral_abscissa(nearly_marginal), MARGINAL_ABSCISSA_FACTOR * params.kappa
+    )
     point = evaluate_point(replace(params, power=10e-3), -0.2)
     _report(
         "marginal-exclusion",
         [
-            ("marginal-window-flagged", bool(verdict.marginal)),
+            ("marginal-window-flagged", bool(marginal)),
             ("unstable-points-reported", point.status == "unstable"),
         ],
     )

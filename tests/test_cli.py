@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -202,11 +203,16 @@ def test_workers_flag_is_accepted_and_ignored(tmp_path):
 
 
 def test_overflowing_grid_point_is_local_error(capsys):
-    assert main([
-        "sweep", "--axis", "power", "--start", "0", "--stop", "1e300", "--count", "3",
-        "--delta-norm", "1",
-    ]) == 0
-    rows = capsys.readouterr().out.splitlines()
+    # the row status reports the overflow: no warning, so none may escape the sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "sweep", "--axis", "power", "--start", "0", "--stop", "1e300", "--count", "3",
+            "--delta-norm", "1",
+        ]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()
     assert main([
         "sweep", "--axis", "power", "--start", "0", "--stop", "1e-3", "--count", "2",
         "--delta-norm", "1",

@@ -9,7 +9,6 @@ from oment import (
     eta_spectrum,
     log_negativity,
     sigma,
-    symplectic_eta,
     two_mode_squeezed_cm,
 )
 
@@ -42,7 +41,7 @@ def test_sigma_two_mode_squeezed():
 
 
 def test_vacuum_unentangled():
-    eta = symplectic_eta(VACUUM)
+    eta = log_negativity(VACUUM).eta
     assert eta == pytest.approx(0.5, abs=1e-15)
     report = log_negativity(VACUUM, f=2.0)
     assert report.log_negativity == 0.0
@@ -52,7 +51,7 @@ def test_vacuum_unentangled():
 def test_two_mode_squeezed_closed_forms():
     for r in (0.1, 0.5, 1.0):
         v = two_mode_squeezed_cm(r)
-        eta = symplectic_eta(v)
+        eta = log_negativity(v).eta
         assert eta == pytest.approx(math.exp(-2 * r) / 2.0, rel=1e-12)
         report = log_negativity(v, f=2.0)
         assert report.log_negativity == pytest.approx(2.0 * r, abs=1e-12)
@@ -60,7 +59,8 @@ def test_two_mode_squeezed_closed_forms():
 
 
 def test_two_mode_squeezed_half_value():
-    assert symplectic_eta(two_mode_squeezed_cm(0.5)) == pytest.approx(0.18393972058572117, rel=1e-12)
+    eta = log_negativity(two_mode_squeezed_cm(0.5)).eta
+    assert eta == pytest.approx(0.18393972058572117, rel=1e-12)
 
 
 def test_product_states_separable():
@@ -82,7 +82,7 @@ def test_dual_route_agreement():
             rot = rotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             matrices.append(rot @ base @ rot.T)
     for v in matrices:
-        formula = symplectic_eta(v)
+        formula = log_negativity(v).eta
         spectrum = eta_spectrum(v)
         assert abs(formula - spectrum) <= 1e-9 * max(formula, 1e-300)
 
@@ -136,7 +136,7 @@ def test_negative_radicand_raises():
         ]
     )
     with pytest.raises(NegativeRadicandError):
-        symplectic_eta(v)
+        log_negativity(v)
 
 
 def test_cm_scale_composition():

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from oment import (
-    assess_stability,
-    build_diffusion,
-    build_drift,
     coupling_threshold_blue,
     coupling_threshold_red,
     default_params,
+    diffusion_matrix,
     drift_matrix,
-    from_effective_detuning,
+    evaluate_point,
     routh_conditions,
-    routh_hurwitz,
     spectral_abscissa,
-    spectral_stability,
+    spectral_verdict,
+    stability_stack,
+    steady_states,
 )
 
 
@@ -55,8 +54,8 @@ def test_drift_rejects_beta_at_one(params):
 
 def test_build_drift_from_operating_point(params):
     p10 = replace(params, power=10e-3)
-    state = from_effective_detuning(-p10.omega_m, p10)
-    a = build_drift(state, p10)
+    state = steady_states(-p10.omega_m, p10.power, p10.beta, p10)
+    a, _ = stability_stack(state, p10)
     assert a[1, 2] == a[3, 0] == state.g_eff
     assert state.g_eff == pytest.approx(2870781258.3105435, rel=1e-12)
     assert a[2, 3] == -state.delta_eff
@@ -89,7 +88,7 @@ def test_drift_linear_in_coupling(params):
 
 
 def test_diffusion_zero_temperature(params):
-    d = build_diffusion(params, 0.0)
+    d = diffusion_matrix(params.gamma_m, params.kappa, 0.0)
     assert np.array_equal(
         d, np.diag([0.0, params.gamma_m, params.kappa, params.kappa])
     )
@@ -97,24 +96,24 @@ def test_diffusion_zero_temperature(params):
 
 def test_diffusion_thermal_entries(params):
     n_th = 1.1157109535263916
-    d = build_diffusion(params, n_th)
+    d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
     assert d[1, 1] == pytest.approx(params.gamma_m * 3.231421907052783, rel=1e-12)
-    d_room = build_diffusion(params, 2500.0)
+    d_room = diffusion_matrix(params.gamma_m, params.kappa, 2500.0)
     assert d_room[1, 1] == 5001.0 * params.gamma_m
     assert np.count_nonzero(d - np.diag(np.diag(d))) == 0
 
 
 def test_diffusion_monotone_and_psd(params):
-    values = [build_diffusion(params, n)[1, 1] for n in (0.0, 0.5, 1.0, 10.0, 2500.0)]
+    values = [diffusion_matrix(params.gamma_m, params.kappa, n)[1, 1] for n in (0.0, 0.5, 1.0, 10.0, 2500.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
-    d = build_diffusion(params, 3.0)
+    d = diffusion_matrix(params.gamma_m, params.kappa, 3.0)
     assert np.all(np.linalg.eigvalsh(d) >= 0.0)
     assert np.all(np.diag(d)[1:] > 0.0)
 
 
 def test_diffusion_rejects_negative_occupation(params):
     with pytest.raises(ValueError):
-        build_diffusion(params, -0.1)
+        diffusion_matrix(params.gamma_m, params.kappa, -0.1)
 
 
 def test_routh_uncoupled_always_stable(params):
@@ -172,21 +171,21 @@ def test_threshold_sign_requirements(params):
 
 
 def test_spectral_diagonal_cases():
-    report = spectral_stability(-np.eye(4))
-    assert report.spectral_abscissa == pytest.approx(-1.0, rel=1e-12)
-    assert report.spectral_stable
-    scaled = spectral_stability(-0.25 * np.eye(4))
-    assert scaled.spectral_abscissa == pytest.approx(-0.25, rel=1e-12)
+    abscissa = spectral_abscissa(-np.eye(4))
+    assert abscissa == pytest.approx(-1.0, rel=1e-12)
+    assert spectral_verdict(abscissa)[0]
+    assert spectral_abscissa(-0.25 * np.eye(4)) == pytest.approx(-0.25, rel=1e-12)
 
 
 def test_spectral_marginal_band():
     nearly = np.diag([-1e-9, -1.0, -1.0, -1.0])
-    report = spectral_stability(nearly, marginal_tol=1e-6)
-    assert report.spectral_stable
-    assert report.marginal
-    unstable = spectral_stability(np.diag([1e-3, -1.0, -1.0, -1.0]), marginal_tol=1e-6)
-    assert not unstable.spectral_stable
-    assert not unstable.marginal
+    stable, marginal = spectral_verdict(spectral_abscissa(nearly), marginal_tol=1e-6)
+    assert stable
+    assert marginal
+    unstable = np.diag([1e-3, -1.0, -1.0, -1.0])
+    stable, marginal = spectral_verdict(spectral_abscissa(unstable), marginal_tol=1e-6)
+    assert not stable
+    assert not marginal
 
 
 def test_routh_and_spectral_agree_on_random_points(params):
@@ -215,21 +214,27 @@ def test_routh_and_spectral_agree_on_random_points(params):
 
 def test_assess_stability_agreement_flag(params):
     p10 = replace(params, power=10e-3)
-    state = from_effective_detuning(-p10.omega_m, p10)
-    report = assess_stability(state, p10)
+    report = evaluate_point(p10, -1.0).stability
     assert report.routh_stable
     assert report.spectral_stable
     assert report.agree is True
     assert not report.marginal
 
     nonlinear = replace(p10, beta=0.4)
-    state_nl = from_effective_detuning(-0.5 * nonlinear.omega_m, nonlinear)
-    report_nl = assess_stability(state_nl, nonlinear)
+    report_nl = evaluate_point(nonlinear, -0.5).stability
     assert report_nl.agree is None
+
+
+def test_agreement_undecided_when_drift_overflows(params):
+    # the steady state overflows, so neither verdict holds and they cannot agree
+    report = evaluate_point(replace(params, power=1e300, beta=0.0), -1.0).stability
+    assert math.isnan(report.spectral_abscissa)
+    assert not report.spectral_stable
+    assert report.agree is None
 
 
 def test_routh_hurwitz_verdict_matches_signs(params):
     p10 = replace(params, power=10e-3)
-    state = from_effective_detuning(-0.2 * p10.omega_m, p10)
-    report = routh_hurwitz(state, p10)
+    state = steady_states(-0.2 * p10.omega_m, p10.power, p10.beta, p10)
+    _, report = stability_stack(state, p10)
     assert report.routh_stable == (report.s1 > 0 and report.s2 > 0)

@@ -7,7 +7,6 @@ from oment import (
     ConfigError,
     PhysicalParams,
     default_params,
-    derive,
     drive_amplitude,
     inverse_thermal_occupation,
     load_config,
@@ -152,14 +151,6 @@ def test_drive_amplitude_closed_form_identity(params):
         assert 2.0 * e0**2 * HBAR * params.omega_laser == pytest.approx(
             p0 * params.kappa, rel=1e-13
         )
-
-
-def test_derive_bundles_everything(params):
-    derived = derive(params)
-    assert derived.n_th == thermal_occupation(params.temperature, params.omega_m)
-    assert derived.e0 == drive_amplitude(params.power, params.kappa, params.omega_laser)
-    assert derived.q_factor == params.q_factor
-    assert derived.omega_laser == params.omega_laser
 
 
 def test_load_config_round_trip(tmp_path):

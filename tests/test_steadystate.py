@@ -7,11 +7,11 @@ import pytest
 from oment import (
     DegenerateRootsWarning,
     default_params,
-    derive,
+    drive_amplitude,
     from_bare_detuning,
-    from_effective_detuning,
     monic_cubic_roots,
     nonlinearity_from_betaprime,
+    steady_states,
 )
 
 
@@ -22,7 +22,7 @@ def params():
 
 def test_undriven_cavity(params):
     undriven = replace(params, power=0.0)
-    state = from_effective_detuning(-undriven.omega_m, undriven)
+    state = steady_states(-undriven.omega_m, undriven.power, undriven.beta, undriven)
     assert state.n_s == 0.0
     assert state.alpha_s == 0.0
     assert state.x_s == 0.0
@@ -33,7 +33,7 @@ def test_undriven_cavity(params):
 
 def test_operating_point_10mw_blue_sideband(params):
     p10 = replace(params, power=10e-3)
-    state = from_effective_detuning(-p10.omega_m, p10)
+    state = steady_states(-p10.omega_m, p10.power, p10.beta, p10)
     assert state.n_s == pytest.approx(252091.198648292, rel=1e-12)
     assert state.alpha_s == pytest.approx(math.sqrt(252091.198648292), rel=1e-12)
     assert state.x_s == pytest.approx(127.44610598330317, rel=1e-12)
@@ -42,7 +42,7 @@ def test_operating_point_10mw_blue_sideband(params):
 
 def test_steady_state_internal_relations(params):
     p10 = replace(params, power=10e-3, beta=0.3)
-    state = from_effective_detuning(-0.5 * p10.omega_m, p10)
+    state = steady_states(-0.5 * p10.omega_m, p10.power, p10.beta, p10)
     assert state.p_s == 0.0
     assert state.x_s == 2.0 * (p10.g_m / p10.omega_m) * state.n_s
     assert state.g_eff == p10.g_m * state.alpha_s
@@ -55,18 +55,18 @@ def test_steady_state_internal_relations(params):
 def test_photon_number_monotone_in_power(params):
     powers = [0.1e-3, 0.7e-3, 2e-3, 10e-3, 50e-3]
     values = [
-        from_effective_detuning(-params.omega_m, replace(params, power=p)).n_s for p in powers
+        steady_states(-params.omega_m, p, params.beta, params).n_s for p in powers
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_bare_detuning_decoupled_limit(params):
     decoupled = replace(params, g_m=0.0, power=1e-3)
-    derived = derive(decoupled)
+    e0 = drive_amplitude(decoupled.power, decoupled.kappa, decoupled.omega_laser)
     delta0 = -0.8 * decoupled.omega_m
-    states = from_bare_detuning(delta0, decoupled, derived)
+    states = from_bare_detuning(delta0, decoupled)
     assert len(states) == 1
-    expected = derived.e0**2 / (delta0**2 + decoupled.kappa**2 / 4.0)
+    expected = e0**2 / (delta0**2 + decoupled.kappa**2 / 4.0)
     assert states[0].n_s == pytest.approx(expected, rel=1e-12)
     assert states[0].delta_eff == delta0
 
@@ -74,7 +74,7 @@ def test_bare_detuning_decoupled_limit(params):
 def test_effective_bare_round_trip(params):
     p10 = replace(params, power=10e-3)
     for delta_norm in (-1.0, -0.5, -0.25):
-        state = from_effective_detuning(delta_norm * p10.omega_m, p10)
+        state = steady_states(delta_norm * p10.omega_m, p10.power, p10.beta, p10)
         branches = from_bare_detuning(state.delta_bare, p10)
         best = min(branches, key=lambda s: abs(s.n_s - state.n_s))
         assert best.n_s == pytest.approx(state.n_s, rel=1e-8)
@@ -92,11 +92,11 @@ def test_bistable_window_three_roots(params):
         [254196.37362987053, 4581800.972516917, 6662613.932684274], rel=1e-9
     )
     # every root satisfies the cubic
-    derived = derive(bistable)
+    e0 = drive_amplitude(bistable.power, bistable.kappa, bistable.omega_laser)
     shift = 2.0 * bistable.g_m**2 / bistable.omega_m
     for n in roots:
-        residual = abs(n * ((delta0 + shift * n) ** 2 + bistable.kappa**2 / 4) - derived.e0**2)
-        assert residual < 1e-9 * derived.e0**2
+        residual = abs(n * ((delta0 + shift * n) ** 2 + bistable.kappa**2 / 4) - e0**2)
+        assert residual < 1e-9 * e0**2
     # outer branches have positive drive slope, the middle one negative
     def slope(n):
         d = delta0 + shift * n
@@ -110,11 +110,11 @@ def test_bistable_window_three_roots(params):
 def test_root_count_against_dense_sign_scan(params):
     bistable = replace(params, power=5e-3)
     delta0 = -5.0 * bistable.kappa
-    derived = derive(bistable)
+    e0 = drive_amplitude(bistable.power, bistable.kappa, bistable.omega_laser)
     shift = 2.0 * bistable.g_m**2 / bistable.omega_m
 
     def drive(n):
-        return n * ((delta0 + shift * n) ** 2 + bistable.kappa**2 / 4) - derived.e0**2
+        return n * ((delta0 + shift * n) ** 2 + bistable.kappa**2 / 4) - e0**2
 
     grid = np.linspace(0.0, 2e7, 200001)
     signs = np.sign(drive(grid))
@@ -163,12 +163,12 @@ def test_monic_cubic_roots_complex_pair():
 
 
 def test_nonlinearity_from_betaprime_linear_beam(params):
-    assert nonlinearity_from_betaprime(0.0, None, 12.0, params.omega_m) == 0.0
+    assert nonlinearity_from_betaprime(0.0, 12.0, params.omega_m) == 0.0
 
 
 def test_nonlinearity_from_betaprime_quadratic_scaling(params):
-    base = nonlinearity_from_betaprime(1e14, None, 50.0, params.omega_m)
-    doubled = nonlinearity_from_betaprime(1e14, None, 100.0, params.omega_m)
+    base = nonlinearity_from_betaprime(1e14, 50.0, params.omega_m)
+    doubled = nonlinearity_from_betaprime(1e14, 100.0, params.omega_m)
     assert doubled == pytest.approx(4.0 * base, rel=1e-14)
 
 
@@ -176,6 +176,6 @@ def test_nonlinearity_from_betaprime_matches_figure_value(params):
     # beta' chosen to give beta = 0.6 at the 10 mW blue-sideband displacement
     x_s = 127.44610598330317
     beta_prime = 6300015137411598.0
-    assert nonlinearity_from_betaprime(beta_prime, None, x_s, params.omega_m) == pytest.approx(
+    assert nonlinearity_from_betaprime(beta_prime, x_s, params.omega_m) == pytest.approx(
         0.6, rel=1e-12
     )

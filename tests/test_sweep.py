@@ -398,6 +398,22 @@ def test_nth_threshold_is_bracketed_by_evaluate_point(power, beta, delta_norm):
     assert not entangled(threshold + width)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    power=_uniform(0.5e-3, 30e-3),
+    beta=_uniform(0.0, 0.6),
+    delta_norm=_uniform(-2.0, 0.5),
+    occupations=st.lists(_uniform(0.0, 3000.0), min_size=2, max_size=6),
+)
+def test_log_negativity_does_not_increase_with_occupation(power, beta, delta_norm, occupations):
+    # V(n_th) = V0 + n_th*V1 with V1 >= 0: the bath adds correlated classical
+    # displacement noise, a mixture of local unitaries, which cannot raise E_N
+    point_params = replace(default_params(), power=power, beta=beta)
+    points = [evaluate_point(point_params, delta_norm, n) for n in sorted(occupations)]
+    values = [point.report.log_negativity for point in points if point.status == "ok"]
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
+
+
 def test_nth_threshold_gates_and_solves_once(params, monkeypatch):
     # blue detuned at 1 mW the gate fails, so nothing is solved there
     assert evaluate_point(replace(params, power=1e-3), 1.0).status == "unstable"
