@@ -25,7 +25,6 @@ __all__ = [
     "log_negativity_of",
     "entanglement_report",
     "log_negativity",
-    "two_mode_squeezed_cm",
 ]
 
 # Rescaling applied to Langevin-convention covariance matrices (vacuum
@@ -141,20 +140,3 @@ def log_negativity(v, f: float = 2.0) -> EntanglementReport:
         )
     return entanglement_report(sig, det_v, eta, f)
 
-
-def two_mode_squeezed_cm(r: float) -> np.ndarray:
-    """Two-mode squeezed vacuum CM in the standard (vacuum = 1/2) convention.
-
-    Diagonal blocks cosh(2r)/2 * I, correlations sinh(2r)/2 * diag(1, -1);
-    eta = exp(-2r)/2 and E_N = 2r in closed form.  r = 0 gives the vacuum.
-    """
-    c = np.cosh(2.0 * r) / 2.0
-    s = np.sinh(2.0 * r) / 2.0
-    return np.array(
-        [
-            [c, 0.0, s, 0.0],
-            [0.0, c, 0.0, -s],
-            [s, 0.0, c, 0.0],
-            [0.0, -s, 0.0, c],
-        ]
-    )

@@ -19,7 +19,6 @@ __all__ = [
     "PhysicalParams",
     "default_params",
     "thermal_occupation",
-    "inverse_thermal_occupation",
     "drive_amplitude",
     "load_config",
     "require_finite",
@@ -140,15 +139,6 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
     if temperature == 0.0:
         return 0.0
     return 1.0 / math.expm1(HBAR * omega_m / (K_B * temperature))
-
-
-def inverse_thermal_occupation(n_th: float, omega_m: float) -> float:
-    """Bath temperature reproducing a given occupation, T = hbar*omega_m/(k_B*log1p(1/n_th))."""
-    if not n_th > 0:
-        raise ValueError("n_th must be > 0")
-    if not omega_m > 0:
-        raise ValueError("omega_m must be > 0")
-    return HBAR * omega_m / (K_B * math.log1p(1.0 / n_th))
 
 
 def drive_amplitude(power, kappa: float, omega_laser: float):

@@ -39,8 +39,6 @@ STATUS_MARGINAL = "marginal"
 STATUS_ERROR = "error"
 
 RESIDUAL_LIMIT = 1e-8
-# Bisection levels of the thermal threshold decided per stacked evaluation.
-THRESHOLD_LEVELS = 3
 _EPS = float(np.finfo(float).eps)
 
 
@@ -416,12 +414,30 @@ def emit(records: list[SweepRecord], fmt: str = "csv") -> bytes:
     raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'jsonl'")
 
 
-def _midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    """Every midpoint that the next `levels` steps of bisecting [lo, hi] can visit."""
-    if not levels:
-        return []
-    mid = (lo + hi) / 2.0
-    return [mid, *_midpoints(lo, mid, levels - 1), *_midpoints(mid, hi, levels - 1)]
+# Fractions of n_hi at which Simon's quartic is sampled, and the inverse
+# Vandermonde matrix that maps the five samples to its coefficients.
+_NODES = np.linspace(0.0, 1.0, 5)
+_FIT = np.linalg.inv(np.vander(_NODES, increasing=True))
+
+
+def _predicted_path(quartic: list[float], n_hi: float, lo: float, hi: float, rel_tol: float):
+    """The midpoints that bisecting [lo, hi] visits if the sign of `quartic` decides each.
+
+    `quartic` holds c0..c4 in t = n_th/n_hi of Simon's P = det W - sigma(W)/f^2
+    + 1/f^4 = (eta^2 - 1/f^2)(eta_+^2 - 1/f^2) for W = CM_SCALE * V(n_th), so
+    P < 0 where f * eta < 1 < f * eta_+ (Simon, PRL 84, 2726 (2000)).
+    """
+    c0, c1, c2, c3, c4 = quartic
+    path = []
+    while hi - lo > rel_tol * max(lo, 1.0):
+        mid = (lo + hi) / 2.0
+        path.append(mid)
+        t = mid / n_hi
+        if c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return path
 
 
 def nth_entanglement_threshold(
@@ -435,9 +451,10 @@ def nth_entanglement_threshold(
     Requires entanglement at n_th = 0 and none at `n_hi`; the threshold is
     located to relative axis precision `rel_tol`.  Only the diffusion depends
     on n_th and A V + V A^T = -D is linear in D, so one stability gate and one
-    solve give V(n_th) = V0 + n_th * V1.  Whenever the bisection reaches a
-    midpoint not yet decided, the checks of :func:`evaluate_point` run on the
-    midpoints of its next :data:`THRESHOLD_LEVELS` levels as one stack.
+    solve give V(n_th) = V0 + n_th * V1.  Simon's quartic in n_th predicts
+    the bisection's path, and the checks of :func:`evaluate_point` decide 0,
+    `n_hi` and every predicted midpoint as one stack; a midpoint off the
+    path starts a new prediction from there, checked as one more stack.
     """
     require_finite(delta_norm=delta_norm, n_hi=n_hi, rel_tol=rel_tol)
     if not n_hi > 0.0:
@@ -448,29 +465,32 @@ def nth_entanglement_threshold(
     a, stability = stability_stack(steady, params)
     if not stability.spectral_stable or stability.marginal:
         return 0.0
-    gamma_m, kappa = params.gamma_m, params.kappa
+    gamma_m, kappa, f = params.gamma_m, params.kappa, params.convention_eta_factor
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
     (v0, v1), _, _, _ = solve_stack(a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step]))
+    # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
+    w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
+    simon = np.linalg.det(w) - gaussian.sigma(w) / f**2 + f**-4
+    quartic = (_FIT @ simon).tolist()
 
-    def entangled(n_th: list[float]) -> list[bool]:
+    def entangled(n_th: list[float]) -> dict[float, bool]:
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
         ok, _, _, eta = _checked_eta(residual(a, v, diffusion_matrix(gamma_m, kappa, n)), v)
-        ok[ok] = gaussian.log_negativity_of(eta, params.convention_eta_factor) > 0
-        return ok.tolist()
+        ok[ok] = gaussian.log_negativity_of(eta, f) > 0
+        return dict(zip(n_th, ok.tolist()))
 
-    at_zero, at_hi = entangled([0.0, n_hi])
-    if not at_zero:
+    lo, hi = 0.0, n_hi
+    verdicts = entangled([lo, hi, *_predicted_path(quartic, n_hi, lo, hi, rel_tol)])
+    if not verdicts[lo]:
         return 0.0
-    if at_hi:
+    if verdicts[hi]:
         raise ConfigError(f"still entangled at n_th = {n_hi}; raise n_hi")
-    lo, hi, verdicts = 0.0, n_hi, {}
     while hi - lo > rel_tol * max(lo, 1.0):
         mid = (lo + hi) / 2.0
         if mid not in verdicts:
-            mids = _midpoints(lo, hi, THRESHOLD_LEVELS)
-            verdicts = dict(zip(mids, entangled(mids)))
+            verdicts.update(entangled(_predicted_path(quartic, n_hi, lo, hi, rel_tol)))
         if verdicts[mid]:
             lo = mid
         else:

@@ -10,13 +10,17 @@
 * :func:`lyapunov_oracle` integrates V = int_0^inf exp(A s) D exp(A^T s) ds by
   adaptive Simpson quadrature with an explicit tail bound, so it shares no
   code path with the linear solve of :func:`oment.solve_lyapunov`.
+* :func:`two_mode_squeezed_cm` and :func:`inverse_thermal_occupation` are
+  closed forms that the tests build inputs and expected values from.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from oment import SweepRecord, UnstableDriftError, evaluate_point, residual, spectral_abscissa
+from oment.constants import HBAR, K_B
 
 _MIN_HORIZON_DECAY = 10.0  # horizon must cover at least 10 decay times
 
@@ -278,3 +282,30 @@ def lyapunov_oracle(a, d, horizon: float | None = None, tol: float = 1e-8) -> Qu
         raise HorizonTooShortError("tail estimate did not converge under horizon doubling")
 
     return Quadrature(v=v, residual=float(residual(a, v, d)), tail_bound=float(tail))
+
+
+def two_mode_squeezed_cm(r: float) -> np.ndarray:
+    """Two-mode squeezed vacuum CM in the standard (vacuum = 1/2) convention.
+
+    Diagonal blocks cosh(2r)/2 * I, correlations sinh(2r)/2 * diag(1, -1);
+    eta = exp(-2r)/2 and E_N = 2r in closed form.  r = 0 gives the vacuum.
+    """
+    c = np.cosh(2.0 * r) / 2.0
+    s = np.sinh(2.0 * r) / 2.0
+    return np.array(
+        [
+            [c, 0.0, s, 0.0],
+            [0.0, c, 0.0, -s],
+            [s, 0.0, c, 0.0],
+            [0.0, -s, 0.0, c],
+        ]
+    )
+
+
+def inverse_thermal_occupation(n_th: float, omega_m: float) -> float:
+    """Bath temperature reproducing a given occupation, T = hbar*omega_m/(k_B*log1p(1/n_th))."""
+    if not n_th > 0:
+        raise ValueError("n_th must be > 0")
+    if not omega_m > 0:
+        raise ValueError("omega_m must be > 0")
+    return HBAR * omega_m / (K_B * math.log1p(1.0 / n_th))

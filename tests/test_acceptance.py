@@ -31,10 +31,9 @@ from oment import (
     stability_stack,
     steady_states,
     thermal_occupation,
-    two_mode_squeezed_cm,
 )
 from oment.linmodel import MARGINAL_ABSCISSA_FACTOR
-from references import lyapunov_oracle, records_point_by_point
+from references import lyapunov_oracle, records_point_by_point, two_mode_squeezed_cm
 
 
 def _report(name, clauses):

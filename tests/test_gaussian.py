@@ -9,8 +9,8 @@ from oment import (
     eta_spectrum,
     log_negativity,
     sigma,
-    two_mode_squeezed_cm,
 )
+from references import two_mode_squeezed_cm
 
 VACUUM = 0.5 * np.eye(4)
 

@@ -8,11 +8,11 @@ from oment import (
     PhysicalParams,
     default_params,
     drive_amplitude,
-    inverse_thermal_occupation,
     load_config,
     thermal_occupation,
 )
 from oment.constants import HBAR, K_B
+from references import inverse_thermal_occupation
 
 
 @pytest.fixture

@@ -355,14 +355,30 @@ def _latin_hypercube(seed, count, ranges):
     return list(zip(*columns))
 
 
+# Near a product state (an undriven or barely driven cavity) f*eta sits
+# within rounding of 1, so Simon's quartic mispredicts the bisection's path.
+# At 0 and 1e-12 W the verdicts are rounding noise, and V0 + n_th*V1 and a
+# solve at each n_th can disagree: some of those thresholds differ from the
+# one-evaluate_point-per-midpoint reference (a strict xfail below).
+_NEAR_PRODUCT_POINTS = [
+    (power, beta, delta_norm)
+    for power in (0.0, 1e-12, 1e-9, 1e-7)
+    for beta in (0.0, 0.6)
+    for delta_norm in (-1.5, -1.0, -0.5, -0.1)
+]
 # (power in W, beta, delta_norm): a Latin hypercube over 1-30 mW, beta 0-0.6,
-# delta/omega_m -1.2..0.5, then the linear and nonlinear fig3 points.
-_THRESHOLD_POINTS = [
-    (power_mw * 1e-3, beta, delta_norm)
-    for power_mw, beta, delta_norm in _latin_hypercube(
-        2024, 40, [(1.0, 30.0), (0.0, 0.6), (-1.2, 0.5)]
-    )
-] + [(10e-3, 0.0, -1.0), (10e-3, 0.6, -0.5)]
+# delta/omega_m -1.2..0.5, the near product states from 1e-9 W, then the
+# linear and nonlinear fig3 points.
+_THRESHOLD_POINTS = (
+    [
+        (power_mw * 1e-3, beta, delta_norm)
+        for power_mw, beta, delta_norm in _latin_hypercube(
+            2024, 40, [(1.0, 30.0), (0.0, 0.6), (-1.2, 0.5)]
+        )
+    ]
+    + [point for point in _NEAR_PRODUCT_POINTS if point[0] >= 1e-9]
+    + [(10e-3, 0.0, -1.0), (10e-3, 0.6, -0.5)]
+)
 
 
 def test_nth_threshold_equals_point_by_point_bisection(params):
@@ -376,6 +392,71 @@ def test_nth_threshold_equals_point_by_point_bisection(params):
         thresholds.append(threshold)
     assert 0.0 in thresholds
     assert min(thresholds[-2:]) > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="near a product state the verdict is rounding noise, and V0 + n_th*V1 "
+    "and a solve at each n_th round differently",
+)
+def test_nth_threshold_equals_point_by_point_near_product_states(params):
+    mismatches = []
+    for power, beta, delta_norm in _NEAR_PRODUCT_POINTS:
+        point_params = replace(params, power=power, beta=beta)
+        threshold = nth_entanglement_threshold(point_params, delta_norm)
+        if threshold != nth_threshold_point_by_point(point_params, delta_norm):
+            mismatches.append((power, beta, delta_norm))
+    assert mismatches == []
+
+
+_PREDICTED_PATH = sweep._predicted_path
+
+
+def _no_prediction(quartic, n_hi, lo, hi, rel_tol):
+    return [(lo + hi) / 2.0]  # plain bisection: one midpoint per stacked check
+
+
+def _wrong_prediction(quartic, n_hi, lo, hi, rel_tol):
+    # -P flips every turn: of each predicted path only the first midpoint is visited
+    return _PREDICTED_PATH([-c for c in quartic], n_hi, lo, hi, rel_tol)
+
+
+@pytest.mark.parametrize("predictor", [_no_prediction, _wrong_prediction])
+def test_nth_threshold_does_not_depend_on_the_predictor(params, monkeypatch, predictor):
+    points = [
+        (replace(params, power=power, beta=beta), delta_norm)
+        for power, beta, delta_norm in _THRESHOLD_POINTS + _NEAR_PRODUCT_POINTS
+    ]
+    calls = Counter()
+
+    def counted(*args):
+        calls["predictions"] += 1
+        return _PREDICTED_PATH(*args)
+
+    monkeypatch.setattr(sweep, "_predicted_path", counted)
+    expected = [nth_entanglement_threshold(p, delta_norm) for p, delta_norm in points]
+    assert calls["predictions"] > len(points)  # some paths were mispredicted
+    monkeypatch.setattr(sweep, "_predicted_path", predictor)
+    assert [nth_entanglement_threshold(p, delta_norm) for p, delta_norm in points] == expected
+
+
+def test_nth_threshold_verdicts_come_from_the_checks(params, monkeypatch):
+    points = [
+        (replace(params, power=power, beta=beta), delta_norm)
+        for power, beta, delta_norm in _THRESHOLD_POINTS[-2:]
+    ]
+    unshifted = [nth_entanglement_threshold(p, delta_norm) for p, delta_norm in points]
+    # the checks now draw the line at f*eta = 1/1.02, Simon's quartic still at
+    # f*eta = 1: the quartic mispredicts and the checks decide
+    log_negativity_of = gaussian.log_negativity_of
+
+    def shifted(eta, f):
+        return log_negativity_of(eta, 1.02 * f)
+
+    monkeypatch.setattr(gaussian, "log_negativity_of", shifted)
+    for (p, delta_norm), before in zip(points, unshifted):
+        threshold = nth_entanglement_threshold(p, delta_norm)
+        assert threshold == nth_threshold_point_by_point(p, delta_norm) < before
 
 
 @settings(max_examples=30, deadline=None)
@@ -426,13 +507,26 @@ def test_nth_threshold_gates_and_solves_once(params, monkeypatch):
 
         return wrapper
 
-    for name in ("stability_stack", "solve_stack", "evaluate_point"):
+    for name in ("stability_stack", "solve_stack", "evaluate_point", "_checked_eta"):
         monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+    monkeypatch.setattr(gaussian, "eta_stack", counted("eta_stack", gaussian.eta_stack))
+    # the predicted path is right here, so one stacked check decides every midpoint
     assert nth_entanglement_threshold(replace(params, power=10e-3), -1.0) > 0.0
-    assert calls == {"stability_stack": 1, "solve_stack": 1}
+    assert calls == {"stability_stack": 1, "solve_stack": 1, "_checked_eta": 1, "eta_stack": 1}
     calls.clear()
     assert nth_entanglement_threshold(replace(params, power=1e-3), 1.0) == 0.0
     assert calls == {"stability_stack": 1}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the mechanical block of V is at vacuum 1/2 and the cavity block at 1, "
+    "and CM_SCALE halves both, so a product state reads eta = 1/4",
+)
+def test_undriven_cavity_is_separable(params):
+    undriven = replace(params, power=0.0)  # g_eff = 0: a product state
+    assert not evaluate_point(undriven, -0.5, 0.0).report.entangled
+    assert nth_entanglement_threshold(undriven, -0.5) == 0.0
 
 
 def test_nth_threshold_warns_once_per_call(params, monkeypatch):
