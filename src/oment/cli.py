@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gaussian import NegativeRadicandError
+from .gaussian import NegativeRadicandError, log_negativity_of
 from .linmodel import coupling_threshold_blue, coupling_threshold_red
 from .lyapunov import UnstableDriftError
 from .params import ConfigError, PhysicalParams, default_params, load_config
@@ -76,8 +76,10 @@ def _cmd_point(args: argparse.Namespace) -> int:
     print(f"eta={_fmt(report.eta)}")
     print(f"log_negativity={_fmt(report.log_negativity)}")
     print(f"entangled={'true' if report.entangled else 'false'}")
-    if point.report_raw.log_negativity != report.log_negativity:
-        print(f"log_negativity_raw_cm={_fmt(point.report_raw.log_negativity)}")
+    # the unrescaled CM is 2V, so its eta is 2 eta, taken with f = 2
+    raw = float(log_negativity_of(2.0 * report.eta, 2.0))
+    if raw != report.log_negativity:
+        print(f"log_negativity_raw_cm={_fmt(raw)}")
     return EXIT_OK
 
 
@@ -135,22 +137,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         curve_param=curve_param,
         curves=curves,
     )
-    records = run_sweep(spec)
-    _write_output(emit(records, args.format), args.out)
+    _write_output(emit(run_sweep(spec), args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     params, _ = _params_from_args(args)
     spec = figure_preset(args.name, base=params)
-    records = run_sweep(spec)
-    _write_output(emit(records, args.format), args.out)
+    _write_output(emit(run_sweep(spec), args.format), args.out)
     return EXIT_OK
-
-
-def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted and ignored: the grid is evaluated as one array stack")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--curves", help="second parameter, e.g. beta=0,0.3,0.6")
     sweep.add_argument("--out", help="output path (default stdout)")
     sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_workers_flag(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     figure = sub.add_parser("figure", help="run a named figure preset")
@@ -185,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--name", required=True, choices=FIGURE_NAMES)
     figure.add_argument("--out", help="output path (default stdout)")
     figure.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    _add_workers_flag(figure)
     figure.set_defaults(func=_cmd_figure)
     return parser
 

@@ -27,7 +27,6 @@ __all__ = [
     "spectral_abscissa",
     "spectral_verdict",
     "stability_stack",
-    "stability_scalar",
     "coupling_threshold_blue",
     "coupling_threshold_red",
 ]
@@ -43,9 +42,7 @@ class StabilityReport:
 
     ``routh_stable`` iff s1 > 0 and s2 > 0; ``spectral_stable`` iff the
     spectral abscissa is strictly negative; ``marginal`` marks stable points
-    too close to the boundary for a reliable covariance solve.  ``agree`` is
-    None except for one point at beta = 0 with a finite abscissa, where the
-    two routes are equivalent (see :func:`stability_scalar`).
+    too close to the boundary for a reliable covariance solve.
     """
 
     s1: float
@@ -54,7 +51,6 @@ class StabilityReport:
     spectral_abscissa: float
     spectral_stable: bool
     marginal: bool
-    agree: bool | None = None
 
 
 def drift_matrix(
@@ -106,18 +102,21 @@ def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     is the standard quartic Hurwitz form for this system.  Elementwise over
     arrays of `delta` and `g`.
     """
-    hk2 = kappa**2 / 4.0
-    g_sq = square(g)
-    s1 = (
-        gamma_m
-        * kappa
-        * (
-            (hk2 + square(omega_m - delta)) * (hk2 + square(omega_m + delta))
-            + gamma_m * ((gamma_m + kappa) * (hk2 + square(delta)) + kappa * omega_m**2)
+    # a huge coupling overflows s1, and a larger one s2, to +-inf (NaN at delta
+    # = 0): the Routh verdict reads unstable and the spectral gate sets the status
+    with np.errstate(over="ignore", invalid="ignore"):
+        hk2 = kappa**2 / 4.0
+        g_sq = square(g)
+        s1 = (
+            gamma_m
+            * kappa
+            * (
+                (hk2 + square(omega_m - delta)) * (hk2 + square(omega_m + delta))
+                + gamma_m * ((gamma_m + kappa) * (hk2 + square(delta)) + kappa * omega_m**2)
+            )
+            - delta * omega_m * g_sq * (gamma_m + kappa) ** 2
         )
-        - delta * omega_m * g_sq * (gamma_m + kappa) ** 2
-    )
-    s2 = omega_m * (square(delta) + hk2) + g_sq * delta
+        s2 = omega_m * (square(delta) + hk2) + g_sq * delta
     return s1, s2
 
 
@@ -136,10 +135,9 @@ def spectral_verdict(abscissa, marginal_tol: float = 0.0):
 def stability_stack(steady: SteadyState, params: PhysicalParams):
     """Drift matrices and both stability routes at every point of `steady`.
 
-    Returns the drift stack and a :class:`StabilityReport` of arrays, without
-    ``agree``.  The spectral route uses the full drift matrix including beta
-    and gates the covariance solve; the Routh-Hurwitz numbers are reported
-    verbatim.  A drift matrix with an infinite or NaN entry (an overflowed
+    Returns the drift stack and a :class:`StabilityReport` of arrays.  The
+    spectral route uses the full drift matrix including beta and gates the
+    covariance solve; the Routh-Hurwitz numbers are reported verbatim.  A drift matrix with an infinite or NaN entry (an overflowed
     steady state) gets a NaN abscissa and is neither stable nor marginal.
     """
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
@@ -160,18 +158,6 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
         spectral_stable=stable,
         marginal=marginal,
     )
-
-
-def stability_scalar(report: StabilityReport, beta: float) -> StabilityReport:
-    """Plain-Python copy of a single point's :func:`stability_stack` report.
-
-    ``agree`` compares the verdicts only at beta = 0 where both apply, and
-    stays None when the abscissa is NaN (a drift matrix that is not finite).
-    """
-    values = {k: np.asarray(v).item() for k, v in vars(report).items() if k != "agree"}
-    decided = beta == 0.0 and not np.isnan(values["spectral_abscissa"])
-    agree = values["routh_stable"] == values["spectral_stable"] if decided else None
-    return StabilityReport(**values, agree=agree)
 
 
 def coupling_threshold_blue(params: PhysicalParams, delta: float | None = None) -> float:

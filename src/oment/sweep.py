@@ -7,21 +7,20 @@ pipeline; a single point is a stack of one through the same code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import gaussian
 from .gaussian import EntanglementReport
-from .linmodel import StabilityReport, diffusion_matrix, stability_scalar, stability_stack
+from .linmodel import StabilityReport, diffusion_matrix, stability_stack
 from .lyapunov import CovarianceMatrix, residual, solve_stack
 from .params import ConfigError, PhysicalParams, default_params, require_finite, thermal_occupation
 from .steadystate import SteadyState, steady_states
 
 __all__ = [
     "SweepSpec",
-    "SweepRecord",
+    "Sweep",
     "PointResult",
     "evaluate_point",
     "run_sweep",
@@ -100,34 +99,36 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One row of figure data; `eta`/`log_negativity` present iff status ok."""
+class Sweep:
+    """Figure data as columns, one entry per grid point, curves outer.
 
-    axis_value: float
-    curve_value: float | None
-    n_s: float
-    g_eff: float
-    s1: float
-    s2: float
-    routh_stable: bool
-    spectral_stable: bool
-    eta: float | None
-    log_negativity: float | None
-    status: str
+    The fields are the output columns of :func:`emit`, in order.  ``curve``
+    is NaN without curves; ``eta`` and ``log_negativity`` are NaN exactly
+    where the status is not ok (an ok point has passed the residual check,
+    so neither is NaN there).
+    """
+
+    axis: np.ndarray
+    curve: np.ndarray
+    n_s: np.ndarray
+    g_eff: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    routh_stable: np.ndarray
+    spectral_stable: np.ndarray
+    eta: np.ndarray
+    log_negativity: np.ndarray
+    status: np.ndarray
 
 
 @dataclass(frozen=True)
 class PointResult:
     """Full evaluation of one operating point."""
 
-    params: PhysicalParams
-    delta_norm: float
-    n_th: float
     steady: SteadyState
     stability: StabilityReport
     covariance: CovarianceMatrix | None
     report: EntanglementReport | None
-    report_raw: EntanglementReport | None
     status: str
 
 
@@ -209,10 +210,8 @@ def evaluate_point(
 
     Unstable and marginal points carry a status instead of a report.  The
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
-    with the configured eta factor; `report_raw` applies f = 2 to the
-    unrescaled covariance matrix for comparison with the raw composition, and
-    is derived from `report` rather than evaluated again.  The point runs
-    through the same stacked pipeline as :func:`run_sweep`.
+    with the configured eta factor.  The point runs through the same stacked
+    pipeline as :func:`run_sweep`.
     """
     if n_th is None:
         n_th = thermal_occupation(params.temperature, params.omega_m)
@@ -221,7 +220,7 @@ def evaluate_point(
         raise ConfigError("n_th must be >= 0")
     steady = steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     stack = _evaluate(params, steady, n_th)
-    covariance = report = report_raw = None
+    covariance = report = None
     if stack.solved.size:
         covariance = CovarianceMatrix(
             v=stack.v[0],
@@ -230,19 +229,16 @@ def evaluate_point(
             ill_conditioned=bool(stack.ill[0]),
         )
     if stack.reported.size:
-        sig, det_v, eta = stack.sigma[0], stack.det_v[0], stack.eta[0]
-        report = gaussian.entanglement_report(sig, det_v, eta, params.convention_eta_factor)
-        # the raw CM is 2V: sigma scales by 4, det V by 16 and eta by 2
-        report_raw = gaussian.entanglement_report(4.0 * sig, 16.0 * det_v, 2.0 * eta, 2.0)
+        report = gaussian.entanglement_report(
+            stack.sigma[0], stack.det_v[0], stack.eta[0], params.convention_eta_factor
+        )
     return PointResult(
-        params=params,
-        delta_norm=delta_norm,
-        n_th=float(n_th),
         steady=steady,
-        stability=stability_scalar(stack.stability, params.beta),
+        stability=StabilityReport(
+            **{name: np.asarray(value).item() for name, value in vars(stack.stability).items()}
+        ),
         covariance=covariance,
         report=report,
-        report_raw=report_raw,
         status=str(stack.status[0]),
     )
 
@@ -268,11 +264,11 @@ def _grid_values(spec: SweepSpec) -> dict[str, np.ndarray]:
     return {name: value.ravel() for name, value in values.items()}
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
+def run_sweep(spec: SweepSpec) -> Sweep:
     """Evaluate the full grid, curves outer, axis inner.
 
-    All points go through the pipeline as one stack; a point's record does
-    not depend on the other points of the grid.
+    All points go through the pipeline as one stack; a point's row does not
+    depend on the other points of the grid.
     """
     spec.validate()
     values = _grid_values(spec)
@@ -281,29 +277,23 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     steady = steady_states(delta_eff, values["power"], values["beta"], params)
     stack = _evaluate(params, steady, values["n_th"])
 
-    ok = (stack.status == STATUS_OK).tolist()
-    eta = np.full(len(ok), np.nan)
+    eta, log_neg = np.full((2, stack.status.size), np.nan)
     eta[stack.reported] = stack.eta
-    log_neg = gaussian.log_negativity_of(eta, params.convention_eta_factor)
-
-    def where_ok(values: np.ndarray) -> list[float | None]:
-        return [value if is_ok else None for value, is_ok in zip(values.tolist(), ok)]
-
-    curves = spec.curves if spec.curves is not None else (None,)
-    columns = (
-        spec.grid().tolist() * len(curves),
-        [None if c is None else float(c) for c in curves for _ in range(spec.count)],
-        steady.n_s.tolist(),
-        steady.g_eff.tolist(),
-        stack.stability.s1.tolist(),
-        stack.stability.s2.tolist(),
-        stack.stability.routh_stable.tolist(),
-        stack.stability.spectral_stable.tolist(),
-        where_ok(eta),
-        where_ok(log_neg),
-        stack.status.tolist(),
+    log_neg[stack.reported] = gaussian.log_negativity_of(stack.eta, params.convention_eta_factor)
+    curves = np.array(spec.curves if spec.curves is not None else [np.nan], dtype=float)
+    return Sweep(
+        axis=np.tile(spec.grid(), len(curves)),
+        curve=np.repeat(curves, spec.count),
+        n_s=steady.n_s,
+        g_eff=steady.g_eff,
+        s1=stack.stability.s1,
+        s2=stack.stability.s2,
+        routh_stable=stack.stability.routh_stable,
+        spectral_stable=stack.stability.spectral_stable,
+        eta=eta,
+        log_negativity=log_neg,
+        status=stack.status,
     )
-    return [SweepRecord(*row) for row in zip(*columns)]
 
 
 FIGURE_NAMES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3")
@@ -377,41 +367,38 @@ def _format_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-# Output columns in order: name, the SweepRecord attribute it holds and its
-# CSV formatter.
-_COLUMNS = (
-    ("axis", "axis_value", _format_float),
-    ("curve", "curve_value", _format_optional),
-    ("n_s", "n_s", _format_float),
-    ("g_eff", "g_eff", _format_float),
-    ("s1", "s1", _format_float),
-    ("s2", "s2", _format_float),
-    ("routh_stable", "routh_stable", _format_bool),
-    ("spectral_stable", "spectral_stable", _format_bool),
-    ("eta", "eta", _format_optional),
-    ("log_negativity", "log_negativity", _format_optional),
-    ("status", "status", str),
-)
-CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+_COLUMNS = tuple(column.name for column in fields(Sweep))
+# CSV formatter of each column that does not hold plain floats
+_FORMATS = dict(curve=_format_optional, eta=_format_optional, log_negativity=_format_optional,
+                routh_stable=_format_bool, spectral_stable=_format_bool, status=str)
+CSV_HEADER = ",".join(_COLUMNS)
 # json.dumps with separators builds a new encoder per call; one serves every line
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def emit(records: list[SweepRecord], fmt: str = "csv") -> bytes:
-    """Serialize records to CSV or JSONL bytes, with the columns of :data:`CSV_HEADER`.
+def _column(sweep: Sweep, name: str) -> list:
+    """One column as Python values; NaN in an optional column becomes None."""
+    values = getattr(sweep, name).tolist()
+    if _FORMATS.get(name) is _format_optional:
+        return [None if value != value else value for value in values]
+    return values
 
-    Floats carry 17 significant digits and round-trip exactly; identical
-    inputs produce byte-identical output.
+
+def emit(sweep: Sweep, fmt: str = "csv") -> bytes:
+    """Serialize a sweep to CSV or JSONL bytes, with the columns of :data:`CSV_HEADER`.
+
+    Floats carry 17 significant digits and round-trip exactly; an absent
+    value is an empty CSV cell or a JSON null.  Identical inputs produce
+    byte-identical output.
     """
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'jsonl'")
     if fmt == "csv":
-        columns = [list(map(f, map(attrgetter(attr), records))) for _, attr, f in _COLUMNS]
-        return ("\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n").encode()
-    if fmt == "jsonl":
-        names = [name for name, _, _ in _COLUMNS]
-        rows = map(attrgetter(*(attribute for _, attribute, _ in _COLUMNS)), records)
-        lines = [_JSON.encode(dict(zip(names, row))) for row in rows]
-        return ("\n".join(lines) + "\n").encode() if lines else b""
-    raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'jsonl'")
+        cells = [list(map(_FORMATS.get(n, _format_float), _column(sweep, n))) for n in _COLUMNS]
+        return ("\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n").encode()
+    columns = [_column(sweep, name) for name in _COLUMNS]
+    lines = [_JSON.encode(dict(zip(_COLUMNS, row))) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode() if lines else b""
 
 
 # Fractions of n_hi at which Simon's quartic is sampled, and the inverse

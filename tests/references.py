@@ -1,7 +1,7 @@
 """Reference implementations the library is checked against.
 
 * :func:`records_point_by_point` is the per-point sweep loop that the stacked
-  sweep replaced; a sweep must reproduce its records byte for byte.
+  sweep replaced; a sweep must reproduce its columns byte for byte.
 * :func:`nth_threshold_point_by_point` is the thermal-threshold bisection
   that evaluated one midpoint per :func:`oment.evaluate_point` call; the
   stacked search must return the same float.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from oment import SweepRecord, UnstableDriftError, evaluate_point, residual, spectral_abscissa
+from oment import Sweep, UnstableDriftError, evaluate_point, residual, spectral_abscissa
 from oment.constants import HBAR, K_B
 
 _MIN_HORIZON_DECAY = 10.0  # horizon must cover at least 10 decay times
@@ -39,14 +39,14 @@ class Quadrature:
 
 
 def records_point_by_point(spec):
-    """The records of `spec`, one `evaluate_point` call per grid point.
+    """The :class:`oment.Sweep` of `spec`, one `evaluate_point` call per grid point.
 
     This is the per-point loop that the stacked sweep replaced, kept as the
     reference the sweep must reproduce byte for byte.
     """
     spec.validate()
     curves = spec.curves if spec.curves is not None else (None,)
-    records = []
+    rows = []
     for index, curve in enumerate(curves):
         for axis_value in spec.grid():
             values = {
@@ -63,22 +63,22 @@ def records_point_by_point(spec):
             params = replace(spec.fixed, beta=values["beta"], power=values["power"])
             point = evaluate_point(params, values["delta_norm"], values["n_th"])
             ok = point.status == "ok"
-            records.append(
-                SweepRecord(
-                    axis_value=float(axis_value),
-                    curve_value=None if curve is None else float(curve),
-                    n_s=point.steady.n_s,
-                    g_eff=point.steady.g_eff,
-                    s1=point.stability.s1,
-                    s2=point.stability.s2,
-                    routh_stable=point.stability.routh_stable,
-                    spectral_stable=point.stability.spectral_stable,
-                    eta=point.report.eta if ok else None,
-                    log_negativity=point.report.log_negativity if ok else None,
-                    status=point.status,
+            rows.append(
+                (
+                    axis_value,
+                    math.nan if curve is None else curve,
+                    point.steady.n_s,
+                    point.steady.g_eff,
+                    point.stability.s1,
+                    point.stability.s2,
+                    point.stability.routh_stable,
+                    point.stability.spectral_stable,
+                    point.report.eta if ok else math.nan,
+                    point.report.log_negativity if ok else math.nan,
+                    point.status,
                 )
             )
-    return records
+    return Sweep(*map(np.array, zip(*rows)))
 
 
 def nth_threshold_point_by_point(params, delta_norm, n_hi=8000.0, rel_tol=1e-3):

@@ -51,7 +51,7 @@ def params():
 
 
 @pytest.fixture(scope="module")
-def fig1a_records():
+def fig1a_sweep():
     return run_sweep(figure_preset("fig1a"))
 
 
@@ -65,15 +65,9 @@ def fig2a_curves(params):
         fixed=replace(params, power=10e-3),
         curves=(0.0, 0.3, 0.6),
     )
-    records = run_sweep(spec)
+    result = run_sweep(spec)
     grid = spec.grid()
-    curves = {}
-    for beta in (0.0, 0.3, 0.6):
-        rows = [r for r in records if r.curve_value == beta]
-        values = np.array(
-            [np.nan if r.log_negativity is None else r.log_negativity for r in rows]
-        )
-        curves[beta] = values
+    curves = {beta: result.log_negativity[result.curve == beta] for beta in (0.0, 0.3, 0.6)}
     return grid, curves
 
 
@@ -150,7 +144,7 @@ def test_routh_spectral_agreement():
     )
 
 
-def test_lyapunov_oracle_equivalence(fig1a_records, params):
+def test_lyapunov_oracle_equivalence(fig1a_sweep, params):
     """Solver and quadrature oracle agree to 1e-6; sweep residuals < 1e-8."""
     rng = np.random.default_rng(424242)
     worst = 0.0
@@ -169,8 +163,8 @@ def test_lyapunov_oracle_equivalence(fig1a_records, params):
     fixed = spec.fixed
     n_th = thermal_occupation(fixed.temperature, fixed.omega_m)
     diffusion = diffusion_matrix(fixed.gamma_m, fixed.kappa, n_th)
-    for record, delta_norm in zip(fig1a_records, grid):
-        if record.status != "ok":
+    for status, delta_norm in zip(fig1a_sweep.status, grid):
+        if status != "ok":
             continue
         state = steady_states(delta_norm * fixed.omega_m, fixed.power, fixed.beta, fixed)
         drift, _ = stability_stack(state, fixed)
@@ -210,12 +204,12 @@ def test_closed_form_entanglement():
     _report("closed-form-entanglement", clauses)
 
 
-def test_fig1a_shape(fig1a_records):
+def test_fig1a_shape(fig1a_sweep):
     """Low-power linear regime: entanglement on a connected detuning interval
     containing -1, zero outside it, with the maximum within 0.15 of -1."""
     grid = figure_preset("fig1a").grid()
-    values = np.array([r.log_negativity for r in fig1a_records])
-    assert all(r.status == "ok" for r in fig1a_records)
+    values = fig1a_sweep.log_negativity
+    assert (fig1a_sweep.status == "ok").all()
     positive = np.where(values > 0)[0]
     connected = bool(np.all(np.diff(positive) == 1)) if len(positive) else False
     contains_minus_one = values[int(np.argmin(np.abs(grid + 1.0)))] > 0
@@ -272,9 +266,9 @@ def test_fig2a_shift_and_enhancement(fig2a_curves):
 
 def test_fig2b_monotonicity():
     """At delta = -0.5 and 10 mW the log-negativity never decreases with beta."""
-    records = run_sweep(figure_preset("fig2b"))
-    all_ok = all(r.status == "ok" for r in records)
-    values = [r.log_negativity for r in records]
+    result = run_sweep(figure_preset("fig2b"))
+    all_ok = bool((result.status == "ok").all())
+    values = result.log_negativity.tolist()
     monotone = all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
     _report(
         f"fig2b-monotonicity (E[0]={values[0]:.4f}, E[0.6]={values[-1]:.4f})",
@@ -287,11 +281,10 @@ def test_fig3_thermal_thresholds(params):
     survives to n_th = 600 +-40%, the beta = 0.6 curve to 2500 +-40%, with at
     least a factor-2 ordering between the two thresholds."""
     p10 = replace(params, power=10e-3)
-    records = run_sweep(figure_preset("fig3"))
+    result = run_sweep(figure_preset("fig3"))
     clauses = []
     for beta, delta_norm in ((0.0, -1.0), (0.6, -0.5)):
-        rows = [r for r in records if r.curve_value == beta]
-        values = [r.log_negativity for r in rows if r.status == "ok"]
+        values = result.log_negativity[(result.curve == beta) & (result.status == "ok")].tolist()
         monotone = all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
         clauses.append((f"monotone-nonincreasing-beta={beta}", monotone))
     linear = nth_entanglement_threshold(replace(p10, beta=0.0), -1.0)

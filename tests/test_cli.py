@@ -15,6 +15,9 @@ def parsed_lines(text):
     return out
 
 
+SWEEP_FLAGS = ["--axis", "delta_norm", "--start", "-1.1", "--stop", "-0.9", "--count", "2"]
+
+
 def test_point_default_parameters(capsys):
     assert main(["point", "--delta-norm", "-1"]) == 0
     values = parsed_lines(capsys.readouterr().out)
@@ -194,12 +197,30 @@ def test_linalg_error_exits_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_workers_flag_is_accepted_and_ignored(tmp_path):
-    serial = tmp_path / "serial.csv"
-    flagged = tmp_path / "flagged.csv"
-    assert main(["figure", "--name", "fig1b", "--out", str(serial)]) == 0
-    assert main(["figure", "--name", "fig1b", "--workers", "4", "--out", str(flagged)]) == 0
-    assert serial.read_bytes() == flagged.read_bytes()
+@pytest.mark.parametrize(
+    "command", [["figure", "--name", "fig1b"], ["sweep", *SWEEP_FLAGS]], ids=["figure", "sweep"]
+)
+def test_workers_flag_is_rejected(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--workers", "4"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta_norm, s1", [("-0.5", "inf"), ("0.5", "-inf")])
+def test_overflowing_routh_numbers_stay_quiet(delta_norm, s1, capsys):
+    # s1 overflows for a finite steady state; the row says so without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "sweep", "--axis", "power", "--start", "0", "--stop", "1e250", "--count", "5",
+            "--delta-norm", delta_norm,
+        ]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [row.split(",") for row in captured.out.splitlines()[2:]]
+    assert len(rows) == 4
+    assert all(row[4] == s1 and row[-1] == "unstable" for row in rows)
 
 
 def test_overflowing_grid_point_is_local_error(capsys):

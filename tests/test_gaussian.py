@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oment import (
     CM_SCALE,
@@ -99,6 +101,33 @@ def test_local_rotation_invariance():
         assert report.det_v == pytest.approx(ref.det_v, rel=1e-10)
         assert report.eta == pytest.approx(ref.eta, rel=1e-10)
         assert report.log_negativity == pytest.approx(ref.log_negativity, abs=1e-10)
+
+
+def local_symplectic(theta, squeeze):
+    """A single-mode squeezer followed by a rotation: a symplectic 2x2 map."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [-s, c]]) @ np.diag([math.exp(-squeeze), math.exp(squeeze)])
+
+
+_ANGLES = st.floats(0.0, 2 * math.pi)
+_SQUEEZES = st.floats(-1.0, 1.0)
+
+
+@given(
+    r=st.floats(0.01, 2.0),
+    theta=_ANGLES,
+    phi=_ANGLES,
+    squeeze_1=_SQUEEZES,
+    squeeze_2=_SQUEEZES,
+)
+def test_local_symplectic_maps_keep_two_mode_squeezed_log_negativity(
+    r, theta, phi, squeeze_1, squeeze_2
+):
+    s = np.zeros((4, 4))
+    s[:2, :2] = local_symplectic(theta, squeeze_1)
+    s[2:, 2:] = local_symplectic(phi, squeeze_2)
+    v = s @ two_mode_squeezed_cm(r) @ s.T
+    assert log_negativity(v, f=2.0).log_negativity == pytest.approx(2.0 * r, abs=1e-9)
 
 
 def test_threshold_behavior_of_log_negativity():

@@ -212,27 +212,6 @@ def test_routh_and_spectral_agree_on_random_points(params):
     assert checked > 250
 
 
-def test_assess_stability_agreement_flag(params):
-    p10 = replace(params, power=10e-3)
-    report = evaluate_point(p10, -1.0).stability
-    assert report.routh_stable
-    assert report.spectral_stable
-    assert report.agree is True
-    assert not report.marginal
-
-    nonlinear = replace(p10, beta=0.4)
-    report_nl = evaluate_point(nonlinear, -0.5).stability
-    assert report_nl.agree is None
-
-
-def test_agreement_undecided_when_drift_overflows(params):
-    # the steady state overflows, so neither verdict holds and they cannot agree
-    report = evaluate_point(replace(params, power=1e300, beta=0.0), -1.0).stability
-    assert math.isnan(report.spectral_abscissa)
-    assert not report.spectral_stable
-    assert report.agree is None
-
-
 def test_routh_hurwitz_verdict_matches_signs(params):
     p10 = replace(params, power=10e-3)
     state = steady_states(-0.2 * p10.omega_m, p10.power, p10.beta, p10)

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from oment import (
     ConfigError,
+    Sweep,
     SweepSpec,
     default_params,
     emit,
@@ -24,7 +25,7 @@ from oment import (
     run_sweep,
 )
 import oment
-from oment import gaussian, lyapunov, sweep
+from oment import cli, gaussian, lyapunov, sweep
 from oment.lyapunov import IllConditionedWarning
 from oment.sweep import AXES, CSV_HEADER
 from references import nth_threshold_point_by_point, records_point_by_point
@@ -53,8 +54,6 @@ def test_evaluate_point_regression(params):
     assert point.report.log_negativity == pytest.approx(0.014957782856779069, rel=1e-9)
     assert point.report.eta == pytest.approx(0.49257676454639704, rel=1e-9)
     assert point.report.entangled
-    # the raw-CM composition differs by ln 2 and clips to zero here
-    assert point.report_raw.log_negativity == 0.0
 
 
 @pytest.mark.parametrize(
@@ -66,18 +65,21 @@ def test_evaluate_point_regression(params):
         (30e-3, 0.6, -0.5, 5.0),
     ],
 )
-def test_report_raw_is_derived_from_report(params, power, beta, delta_norm, n_th):
-    point = evaluate_point(replace(params, power=power, beta=beta), delta_norm, n_th)
+def test_report_raw_is_derived_from_report(params, power, beta, delta_norm, n_th, capsys):
+    # `oment point` derives the raw-CM E_N from the report's eta; it prints the
+    # value whenever it differs from E_N
+    power_mw = power * 1e3
+    flags = ["--power-mw", repr(power_mw), "--beta", repr(beta), "--delta-norm", repr(delta_norm)]
+    assert cli.main(["point", *flags, *(["--nth", repr(n_th)] if n_th is not None else [])]) == 0
+    values = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    point = evaluate_point(replace(params, power=power_mw * 1e-3, beta=beta), delta_norm, n_th)
     assert point.status == "ok"
     direct = log_negativity(point.covariance.v, f=2.0)
-    derived = point.report_raw
-    assert derived.log_negativity == direct.log_negativity
-    assert derived.entangled == direct.entangled
+    raw = float(values.get("log_negativity_raw_cm", values["log_negativity"]))
+    assert raw == direct.log_negativity
     # numpy's det is sign * exp(sum(log|u_ii|)), so scaling V by 2 is exact
     # only up to the last bits of that exp/log round trip
-    assert derived.eta == pytest.approx(direct.eta, rel=1e-14)
-    assert derived.sigma_v == pytest.approx(direct.sigma_v, rel=1e-14)
-    assert derived.det_v == pytest.approx(direct.det_v, rel=1e-14)
+    assert 2.0 * point.report.eta == pytest.approx(direct.eta, rel=1e-14)
 
 
 @pytest.mark.parametrize("delta_norm, n_th", [(math.nan, 0.0), (-1.0, math.inf), (-math.inf, None)])
@@ -104,17 +106,24 @@ def test_evaluate_point_unstable_status(params):
 
 def test_run_sweep_row_order_and_fields(params):
     spec = small_spec(params, curves=(0.0, 0.3), curve_param="beta")
-    records = run_sweep(spec)
-    assert len(records) == 10
+    result = run_sweep(spec)
+    assert all(len(getattr(result, column.name)) == 10 for column in fields(Sweep))
     grid = list(spec.grid())
-    assert [r.axis_value for r in records] == grid + grid
-    assert [r.curve_value for r in records[:5]] == [0.0] * 5
-    assert [r.curve_value for r in records[5:]] == [0.3] * 5
-    for r in records:
-        assert r.status == "ok"
-        assert r.n_s > 0
-        assert r.g_eff > 0
-        assert (r.log_negativity is not None) == (r.status == "ok")
+    assert result.axis.tolist() == grid + grid
+    assert result.curve[:5].tolist() == [0.0] * 5
+    assert result.curve[5:].tolist() == [0.3] * 5
+    assert (result.status == "ok").all()
+    assert (result.n_s > 0).all()
+    assert (result.g_eff > 0).all()
+    assert (~np.isnan(result.log_negativity) == (result.status == "ok")).all()
+
+
+def test_sweep_fields_are_the_output_columns(params):
+    names = [column.name for column in fields(Sweep)]
+    assert CSV_HEADER.split(",") == names
+    result = run_sweep(small_spec(params, count=2))
+    for line in emit(result, "jsonl").decode().splitlines():
+        assert list(json.loads(line)) == names
 
 
 def test_run_sweep_unstable_rows_carry_status(params):
@@ -122,13 +131,12 @@ def test_run_sweep_unstable_rows_carry_status(params):
         axis="delta_norm", start=-0.25, stop=-0.15, count=3,
         fixed=replace(params, power=10e-3),
     )
-    records = run_sweep(spec)
-    unstable = [r for r in records if r.status == "unstable"]
-    assert unstable
-    for r in unstable:
-        assert r.eta is None
-        assert r.log_negativity is None
-        assert not r.spectral_stable
+    result = run_sweep(spec)
+    unstable = result.status == "unstable"
+    assert unstable.any()
+    assert np.isnan(result.eta[unstable]).all()
+    assert np.isnan(result.log_negativity[unstable]).all()
+    assert not result.spectral_stable[unstable].any()
 
 
 def test_run_sweep_matches_point_by_point(params):
@@ -147,16 +155,14 @@ def test_run_sweep_axis_beta_and_power(params):
         axis="beta", start=0.0, stop=0.4, count=3,
         fixed=replace(params, power=10e-3), delta_norm=-0.5,
     )
-    records = run_sweep(spec)
-    assert [r.axis_value for r in records] == [0.0, 0.2, 0.4]
-    values = [r.log_negativity for r in records]
-    assert all(b > a for a, b in zip(values, values[1:]))
+    result = run_sweep(spec)
+    assert result.axis.tolist() == [0.0, 0.2, 0.4]
+    assert (np.diff(result.log_negativity) > 0).all()
 
     spec_p = SweepSpec(
         axis="power", start=0.5e-3, stop=2e-3, count=3, fixed=params, delta_norm=-1.0,
     )
-    photon_numbers = [r.n_s for r in run_sweep(spec_p)]
-    assert all(b > a for a, b in zip(photon_numbers, photon_numbers[1:]))
+    assert (np.diff(run_sweep(spec_p).n_s) > 0).all()
 
 
 def test_run_sweep_nth_axis(params):
@@ -164,8 +170,7 @@ def test_run_sweep_nth_axis(params):
         axis="n_th", start=0.0, stop=100.0, count=5,
         fixed=replace(params, power=10e-3), delta_norm=-1.0,
     )
-    values = [r.log_negativity for r in run_sweep(spec)]
-    assert all(b < a for a, b in zip(values, values[1:]))
+    assert (np.diff(run_sweep(spec).log_negativity) < 0).all()
 
 
 @pytest.mark.parametrize(
@@ -222,47 +227,50 @@ def test_figure_presets(params):
 
 
 def test_emit_csv_schema(params):
-    assert emit([], "csv") == (CSV_HEADER + "\n").encode()
+    empty = Sweep(*(np.empty(0) for _ in fields(Sweep)))
+    assert emit(empty, "csv") == (CSV_HEADER + "\n").encode()
+    assert emit(empty, "jsonl") == b""
     spec = SweepSpec(
         axis="delta_norm", start=-0.2, stop=-0.15, count=2,
         fixed=replace(params, power=10e-3),
     )
-    records = run_sweep(spec)
-    data = emit(records, "csv").decode()
+    result = run_sweep(spec)
+    data = emit(result, "csv").decode()
     lines = data.strip().split("\n")
     assert lines[0] == "axis,curve,n_s,g_eff,s1,s2,routh_stable,spectral_stable,eta,log_negativity,status"
     first = lines[1].split(",")
     assert first[-1] == "unstable"
     assert first[8] == "" and first[9] == ""  # eta, log_negativity empty
-    assert float(first[0]) == records[0].axis_value  # 17-digit round trip
-    assert float(first[2]) == records[0].n_s
+    assert float(first[0]) == result.axis[0]  # 17-digit round trip
+    assert float(first[2]) == result.n_s[0]
 
 
 def test_emit_csv_float_round_trip(params):
-    records = run_sweep(small_spec(params))
-    lines = emit(records, "csv").decode().strip().split("\n")[1:]
-    for line, record in zip(lines, records):
+    result = run_sweep(small_spec(params))
+    lines = emit(result, "csv").decode().strip().split("\n")[1:]
+    assert len(lines) == 5
+    for index, line in enumerate(lines):
         cells = line.split(",")
-        assert float(cells[0]) == record.axis_value
-        assert float(cells[3]) == record.g_eff
-        assert float(cells[9]) == record.log_negativity
+        assert float(cells[0]) == result.axis[index]
+        assert float(cells[3]) == result.g_eff[index]
+        assert float(cells[9]) == result.log_negativity[index]
 
 
 def test_emit_jsonl(params):
-    records = run_sweep(small_spec(params, count=3))
-    payloads = [json.loads(line) for line in emit(records, "jsonl").decode().splitlines()]
+    result = run_sweep(small_spec(params, count=3))
+    payloads = [json.loads(line) for line in emit(result, "jsonl").decode().splitlines()]
     assert len(payloads) == 3
-    for payload, record in zip(payloads, records):
-        assert payload["axis"] == record.axis_value
+    for index, payload in enumerate(payloads):
+        assert payload["axis"] == result.axis[index]
         assert payload["curve"] is None
-        assert payload["log_negativity"] == record.log_negativity
+        assert payload["log_negativity"] == result.log_negativity[index]
         assert payload["status"] == "ok"
         assert payload["routh_stable"] is True
 
 
 def test_emit_rejects_unknown_format(params):
     with pytest.raises(ConfigError):
-        emit([], "xml")
+        emit(run_sweep(small_spec(params, count=2)), "xml")
 
 
 def test_emit_deterministic(params):
@@ -273,13 +281,12 @@ def test_emit_deterministic(params):
 def test_fig2a_linear_curve_matches_fig1b(params):
     fig1b = run_sweep(figure_preset("fig1b"))
     fig2a = run_sweep(figure_preset("fig2a"))
-    linear = [r for r in fig2a if r.curve_value == 0.0]
-    assert len(linear) == len(fig1b)
-    for a, b in zip(linear, fig1b):
-        assert a.axis_value == b.axis_value
-        assert a.status == b.status
-        if a.status == "ok":
-            assert abs(a.log_negativity - b.log_negativity) <= 1e-12
+    linear = fig2a.curve == 0.0
+    assert linear.sum() == len(fig1b.axis)
+    assert (fig2a.axis[linear] == fig1b.axis).all()
+    assert (fig2a.status[linear] == fig1b.status).all()
+    ok = fig1b.status == "ok"
+    assert (abs(fig2a.log_negativity[linear][ok] - fig1b.log_negativity[ok]) <= 1e-12).all()
 
 
 def test_nth_entanglement_threshold(params):
