@@ -4,7 +4,10 @@ The solver vectorizes the symmetric 4x4 problem into 10 unknowns and solves a
 dense 10x10 linear system; exact, tiny and directly residual-checkable.  A
 stack of drift matrices is turned into its stack of systems by one matrix
 product with a constant coefficient tensor and solved in one batched call.
-The test suite checks it against an independent quadrature oracle.
+The condition diagnostic is the 1-norm condition ||S||_1 ||S^-1||_1 of each
+system S from one batched LU inverse: within a factor of 10 of the 2-norm
+condition, and ``inf`` for a system the LU finds singular.  The test suite
+checks the solve against an independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +41,12 @@ class IllConditionedWarning(RuntimeWarning):
 
 @dataclass
 class CovarianceMatrix:
-    """Symmetric 4x4 stationary covariance matrix with solver diagnostics."""
+    """Symmetric 4x4 stationary covariance matrix with solver diagnostics.
+
+    `condition` is the 1-norm condition of the 10x10 system (``inf`` if it is
+    singular, and then `v` and `residual` are NaN); `ill_conditioned` is True
+    when it exceeds 1e12.
+    """
 
     v: np.ndarray
     residual: float | None = None
@@ -77,13 +85,29 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     so one drift matrix can take a stack of diffusion matrices; the drift
     matrices must already be known to be strictly stable.  Returns ``(v,
     residual, condition, ill_conditioned)``: `v` and `residual` per pair,
-    `condition` and `ill_conditioned` per drift matrix.  Each system whose
-    condition estimate exceeds 1e12 issues an :class:`IllConditionedWarning`;
-    its result is flagged but still returned.
+    `condition` and `ill_conditioned` per drift matrix.  `condition` is the
+    1-norm condition of the 10x10 system from one batched LU inverse, within
+    a factor of 10 of the 2-norm condition.  Each system whose condition
+    exceeds 1e12 issues an :class:`IllConditionedWarning`; its result is
+    flagged but still returned.  A system the LU finds singular has condition
+    ``inf``: it is flagged and warned about, and it is left out of the solve,
+    so its `v` and `residual` are NaN while every other pair gets the bits it
+    gets when solved alone.
     """
     system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
-    condition = np.linalg.cond(system)
-    solution = np.linalg.solve(system, -d[..., _UT[0], _UT[1], None])[..., 0]
+    condition = np.linalg.cond(system, 1)
+    rhs = -d[..., _UT[0], _UT[1], None]
+    regular = np.isfinite(condition)
+    if regular.all():
+        solution = np.linalg.solve(system, rhs)[..., 0]
+    else:
+        shape = np.broadcast_shapes(system.shape[:-2], rhs.shape[:-2])
+        regular = np.broadcast_to(regular, shape)
+        solution = np.full(shape + (10,), np.nan)
+        solution[regular] = np.linalg.solve(
+            np.broadcast_to(system, shape + (10, 10))[regular],
+            np.broadcast_to(rhs, shape + (10, 1))[regular],
+        )[..., 0]
     v = np.empty(solution.shape[:-1] + (4, 4))
     v[..., _UT[0], _UT[1]] = solution
     v[..., _UT[1], _UT[0]] = solution
@@ -103,9 +127,12 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
 
     Raises ValueError when A or D has an infinite or NaN entry and
     :class:`UnstableDriftError` unless the spectral abscissa of A is strictly
-    negative.  When the condition estimate of the 10x10 system exceeds 1e12
+    negative.  When the 1-norm condition of the 10x10 system exceeds 1e12
     an :class:`IllConditionedWarning` is issued and the result is flagged but
-    still returned (see :func:`solve_stack`).
+    still returned.  A system the LU finds singular (a stable A can still give
+    one in floating point) has condition ``inf``: the warning is issued and
+    the result is flagged, with `v` and `residual` NaN (see
+    :func:`solve_stack`).
     """
     a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
     for name, matrix in (("drift matrix a", a), ("diffusion matrix d", d)):

@@ -455,7 +455,11 @@ def nth_entanglement_threshold(
     gamma_m, kappa, f = params.gamma_m, params.kappa, params.convention_eta_factor
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
-    (v0, v1), _, _, _ = solve_stack(a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step]))
+    (v0, v1), _, condition, _ = solve_stack(
+        a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step])
+    )
+    if not np.isfinite(condition):  # singular system: every V is an error, so not entangled
+        return 0.0
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
     simon = np.linalg.det(w) - gaussian.sigma(w) / f**2 + f**-4

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from oment.cli import main
+from oment.lyapunov import IllConditionedWarning
 
 
 def parsed_lines(text):
@@ -258,3 +259,30 @@ def test_overflowing_point_exits_3(capsys):
     assert parsed_lines(capsys.readouterr().out)["status"] == "error"
     assert main(["stability", "--delta-norm", "-1", "--power-mw", "1e300"]) == 3
     assert parsed_lines(capsys.readouterr().out)["spectral_abscissa"] == "nan"
+
+
+def test_singular_grid_point_is_local_error(capsys):
+    # stable points whose 10x10 system is singular: each row reads error, the
+    # sweep goes on, and the finite power-0 row keeps its bits
+    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+        assert main([
+            "sweep", "--axis", "power", "--start", "0", "--stop", "1e250", "--count", "5",
+            "--delta-norm", "0",
+        ]) == 0
+    assert len(caught) == 4
+    rows = capsys.readouterr().out.splitlines()
+    assert main([
+        "sweep", "--axis", "power", "--start", "0", "--stop", "1e-3", "--count", "2",
+        "--delta-norm", "0",
+    ]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert rows[:2] == alone[:2]
+    assert [row.rsplit(",", 1)[1] for row in rows[2:]] == ["error"] * 4
+
+
+def test_singular_point_exits_3(capsys):
+    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
+        assert main(["point", "--delta-norm", "0", "--power-mw", "1e253"]) == 3
+    captured = capsys.readouterr()
+    assert parsed_lines(captured.out)["status"] == "error"
+    assert "numerical failure" not in captured.err

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from oment import (
     coupling_threshold_blue,
@@ -188,28 +190,47 @@ def test_spectral_marginal_band():
     assert not marginal
 
 
+def routh_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g):
+    """Routh-Hurwitz and spectral verdict at beta = 0, or None near the boundary.
+
+    The point is log10 of omega_m, log10 of gamma, kappa and g in units of
+    omega_m, and delta in units of omega_m; a point whose s1 or s2 is within
+    1e-6 of its own scale is too close to the boundary to tell.
+    """
+    omega = 10.0**log_omega
+    gamma, kappa, g = omega * 10.0**log_gamma, omega * 10.0**log_kappa, omega * 10.0**log_g
+    delta = delta_norm * omega
+    s1, s2 = routh_conditions(omega, gamma, kappa, delta, g)
+    hk2 = kappa**2 / 4
+    s1_scale = gamma * kappa * (
+        (hk2 + (omega - delta) ** 2) * (hk2 + (omega + delta) ** 2)
+        + gamma * ((gamma + kappa) * (hk2 + delta**2) + kappa * omega**2)
+    ) + abs(delta) * omega * g**2 * (gamma + kappa) ** 2
+    s2_scale = omega * (delta**2 + hk2) + g**2 * abs(delta)
+    if abs(s1) < 1e-6 * s1_scale or abs(s2) < 1e-6 * s2_scale:
+        return None
+    a = drift_matrix(omega, gamma, kappa, delta, g, 0.0)
+    return (s1 > 0 and s2 > 0) == (spectral_abscissa(a) < 0)
+
+
+_RANGES = ((6, 10), (-6, -1), (-3, 0.3), (-2.0, 2.0), (-4, 0.3))
+
+
 def test_routh_and_spectral_agree_on_random_points(params):
     rng = np.random.default_rng(2024)
-    checked = 0
-    for _ in range(300):
-        omega = 10.0 ** rng.uniform(6, 10)
-        gamma = omega * 10.0 ** rng.uniform(-6, -1)
-        kappa = omega * 10.0 ** rng.uniform(-3, 0.3)
-        delta = rng.uniform(-2.0, 2.0) * omega
-        g = omega * 10.0 ** rng.uniform(-4, 0.3)
-        s1, s2 = routh_conditions(omega, gamma, kappa, delta, g)
-        hk2 = kappa**2 / 4
-        s1_scale = gamma * kappa * (
-            (hk2 + (omega - delta) ** 2) * (hk2 + (omega + delta) ** 2)
-            + gamma * ((gamma + kappa) * (hk2 + delta**2) + kappa * omega**2)
-        ) + abs(delta) * omega * g**2 * (gamma + kappa) ** 2
-        s2_scale = omega * (delta**2 + hk2) + g**2 * abs(delta)
-        if abs(s1) < 1e-6 * s1_scale or abs(s2) < 1e-6 * s2_scale:
-            continue
-        a = drift_matrix(omega, gamma, kappa, delta, g, 0.0)
-        assert (s1 > 0 and s2 > 0) == (spectral_abscissa(a) < 0)
-        checked += 1
-    assert checked > 250
+    verdicts = [
+        routh_agrees_with_spectral(*(rng.uniform(low, high) for low, high in _RANGES))
+        for _ in range(300)
+    ]
+    assert False not in verdicts
+    assert verdicts.count(True) > 250
+
+
+@given(*(st.floats(low, high) for low, high in _RANGES))
+def test_routh_and_spectral_agree_at_beta_zero(log_omega, log_gamma, log_kappa, delta_norm, log_g):
+    verdict = routh_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g)
+    assume(verdict is not None)
+    assert verdict
 
 
 def test_routh_hurwitz_verdict_matches_signs(params):

@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oment import (
     IllConditionedWarning,
@@ -78,6 +81,56 @@ def test_stacked_solve_matches_single_solves():
         assert np.array_equal(v[k], single.v)
         assert res[k] == single.residual
         assert condition == single.condition
+
+
+def singular_drift():
+    # stable (abscissa -1.1e5), but its entries span so many orders of
+    # magnitude that the LU of the 10x10 system finds an exact zero pivot
+    params = default_params()
+    a, stability = stability_stack(steady_states(0.0, 1e250, params.beta, params), params)
+    assert stability.spectral_stable and not stability.marginal
+    return a
+
+
+def test_singular_system_marks_only_its_own_pair():
+    rng = np.random.default_rng(47)
+    pairs = [random_stable_pair(rng) for _ in range(7)]
+    pairs[3] = (singular_drift(), pairs[3][1])
+    a_stack, d_stack = (np.array(matrices) for matrices in zip(*pairs))
+    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+        v, res, condition, ill = solve_stack(a_stack, d_stack)
+    assert len(caught) == 1
+    assert np.isnan(v[3]).all() and np.isnan(res[3])
+    assert condition[3] == np.inf and ill[3]
+    for k, (a, d) in enumerate(pairs):
+        if k != 3:
+            single = solve_lyapunov(a, d)
+            assert np.array_equal(v[k], single.v)
+            assert (res[k], condition[k], ill[k]) == (
+                single.residual, single.condition, single.ill_conditioned
+            )
+    # the broadcast form: one singular drift matrix, a stack of diffusion matrices
+    with pytest.warns(IllConditionedWarning):
+        v, res, condition, ill = solve_stack(singular_drift(), d_stack[:2])
+    assert v.shape == (2, 4, 4) and np.isnan(v).all() and np.isnan(res).all()
+    assert condition == np.inf and ill
+
+
+def test_solve_lyapunov_returns_singular_system_flagged():
+    with pytest.warns(IllConditionedWarning):
+        cm = solve_lyapunov(singular_drift(), np.eye(4))
+    assert np.isnan(cm.v).all() and math.isnan(cm.residual)
+    assert cm.condition == math.inf and cm.ill_conditioned
+
+
+@given(seed=st.integers(0, 2**32 - 1), margin=st.floats(1e-3, 3.0))
+def test_condition_within_a_factor_of_ten_of_the_two_norm(seed, margin):
+    # the 1-norm and 2-norm condition of an n x n matrix agree within n = 10
+    a, d = random_stable_pair(np.random.default_rng(seed), margin)
+    singular_values = np.linalg.svd((a.reshape(16) @ _SYSTEM).reshape(10, 10), compute_uv=False)
+    two_norm = singular_values[0] / singular_values[-1]
+    condition = solve_stack(a, d)[2]
+    assert two_norm / 10 <= condition <= 10 * two_norm
 
 
 def test_rejects_unstable_drift():

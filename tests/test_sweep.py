@@ -289,6 +289,18 @@ def test_fig2a_linear_curve_matches_fig1b(params):
     assert (abs(fig2a.log_negativity[linear][ok] - fig1b.log_negativity[ok]) <= 1e-12).all()
 
 
+def test_figure_sweep_takes_no_svd(monkeypatch):
+    expected = emit(run_sweep(figure_preset("fig2a")))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the pipeline took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    # np.linalg.cond looks the name up in its own module
+    monkeypatch.setitem(np.linalg.cond.__wrapped__.__globals__, "svd", no_svd)
+    assert emit(run_sweep(figure_preset("fig2a"))) == expected
+
+
 def test_nth_entanglement_threshold(params):
     p10 = replace(params, power=10e-3)
     threshold = nth_entanglement_threshold(p10, -1.0)
@@ -550,6 +562,15 @@ def test_nth_threshold_error_status_is_not_entangled(params, monkeypatch):
     p10 = replace(params, power=10e-3)
     assert evaluate_point(p10, -1.0, 0.0).status == "error"
     assert nth_entanglement_threshold(p10, -1.0) == 0.0
+
+
+def test_nth_threshold_singular_system_is_not_entangled(params):
+    # stable at 1e250 W and delta = 0, but the 10x10 system is singular
+    singular = replace(params, power=1e250)
+    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
+        assert evaluate_point(singular, 0.0).status == "error"
+    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
+        assert nth_entanglement_threshold(singular, 0.0) == 0.0
 
 
 def test_nth_threshold_route_disagreement_raises(params, monkeypatch):
