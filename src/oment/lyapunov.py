@@ -6,8 +6,9 @@ stack of drift matrices is turned into its stack of systems by one matrix
 product with a constant coefficient tensor and solved in one batched call.
 The condition diagnostic is the 1-norm condition ||S||_1 ||S^-1||_1 of each
 system S from one batched LU inverse: within a factor of 10 of the 2-norm
-condition, and ``inf`` for a system the LU finds singular.  The test suite
-checks the solve against an independent quadrature oracle.
+condition, and ``inf`` where it is not finite (S singular, or the condition
+beyond the float range).  The test suite checks the solve against an
+independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class CovarianceMatrix:
     """Symmetric 4x4 stationary covariance matrix with solver diagnostics.
 
     `condition` is the 1-norm condition of the 10x10 system (``inf`` if it is
-    singular, and then `v` and `residual` are NaN); `ill_conditioned` is True
-    when it exceeds 1e12.
+    singular or beyond the float range, and then `v` and `residual` are NaN);
+    `ill_conditioned` is True when it exceeds 1e12.
     """
 
     v: np.ndarray
@@ -89,25 +90,21 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     1-norm condition of the 10x10 system from one batched LU inverse, within
     a factor of 10 of the 2-norm condition.  Each system whose condition
     exceeds 1e12 issues an :class:`IllConditionedWarning`; its result is
-    flagged but still returned.  A system the LU finds singular has condition
-    ``inf``: it is flagged and warned about, and it is left out of the solve,
-    so its `v` and `residual` are NaN while every other pair gets the bits it
-    gets when solved alone.
+    flagged but still returned.  A system whose condition is not finite
+    (singular, or beyond the float range) has condition ``inf``: it is
+    flagged and warned about, and it is left out of the solve, so its `v` and
+    `residual` are NaN while every other pair gets the bits it gets when
+    solved alone.
     """
     system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
     condition = np.linalg.cond(system, 1)
     rhs = -d[..., _UT[0], _UT[1], None]
+    # a system with a non-finite condition is swapped for the identity so the
+    # batched solve cannot raise; each system is solved on its own, so the
+    # others keep their bits, and its own solution is replaced by NaN
     regular = np.isfinite(condition)
-    if regular.all():
-        solution = np.linalg.solve(system, rhs)[..., 0]
-    else:
-        shape = np.broadcast_shapes(system.shape[:-2], rhs.shape[:-2])
-        regular = np.broadcast_to(regular, shape)
-        solution = np.full(shape + (10,), np.nan)
-        solution[regular] = np.linalg.solve(
-            np.broadcast_to(system, shape + (10, 10))[regular],
-            np.broadcast_to(rhs, shape + (10, 1))[regular],
-        )[..., 0]
+    solution = np.linalg.solve(np.where(regular[..., None, None], system, np.eye(10)), rhs)[..., 0]
+    solution = np.where(regular[..., None], solution, np.nan)
     v = np.empty(solution.shape[:-1] + (4, 4))
     v[..., _UT[0], _UT[1]] = solution
     v[..., _UT[1], _UT[0]] = solution
@@ -129,10 +126,10 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
     :class:`UnstableDriftError` unless the spectral abscissa of A is strictly
     negative.  When the 1-norm condition of the 10x10 system exceeds 1e12
     an :class:`IllConditionedWarning` is issued and the result is flagged but
-    still returned.  A system the LU finds singular (a stable A can still give
-    one in floating point) has condition ``inf``: the warning is issued and
-    the result is flagged, with `v` and `residual` NaN (see
-    :func:`solve_stack`).
+    still returned.  A system whose condition is not finite (singular, which a
+    stable A can still give in floating point, or beyond the float range) has
+    condition ``inf``: the warning is issued and the result is flagged, with
+    `v` and `residual` NaN (see :func:`solve_stack`).
     """
     a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
     for name, matrix in (("drift matrix a", a), ("diffusion matrix d", d)):

@@ -458,7 +458,7 @@ def nth_entanglement_threshold(
     (v0, v1), _, condition, _ = solve_stack(
         a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step])
     )
-    if not np.isfinite(condition):  # singular system: every V is an error, so not entangled
+    if not np.isfinite(condition):  # condition not finite: every V is an error, so not entangled
         return 0.0
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)

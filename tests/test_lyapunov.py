@@ -116,9 +116,15 @@ def test_singular_system_marks_only_its_own_pair():
     assert condition == np.inf and ill
 
 
-def test_solve_lyapunov_returns_singular_system_flagged():
-    with pytest.warns(IllConditionedWarning):
-        cm = solve_lyapunov(singular_drift(), np.eye(4))
+def beyond_float_range_drift():
+    # regular (diagonal, pivots 2e-160 .. 2e160), but kappa_1 = 1e320 overflows
+    return np.diag([-1e-160, -1.0, -1.0, -1e160])
+
+
+@pytest.mark.parametrize("drift", [singular_drift, beyond_float_range_drift])
+def test_solve_lyapunov_returns_non_finite_condition_flagged(drift):
+    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
+        cm = solve_lyapunov(drift(), np.eye(4))
     assert np.isnan(cm.v).all() and math.isnan(cm.residual)
     assert cm.condition == math.inf and cm.ill_conditioned
 
