@@ -69,6 +69,9 @@ def _cmd_point(args: argparse.Namespace) -> int:
     print(f"g_eff={_fmt(point.steady.g_eff)}")
     if point.status != STATUS_OK:
         print(f"spectral_abscissa={_fmt(point.stability.spectral_abscissa)}")
+        if point.covariance is not None:  # solved, then failed a check: say which
+            print(f"condition={_fmt(point.covariance.condition)}")
+            print(f"residual={_fmt(point.covariance.residual)}")
         return EXIT_NUMERICAL
     report = point.report
     print(f"sigma_v={_fmt(report.sigma_v)}")

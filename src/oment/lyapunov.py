@@ -13,6 +13,8 @@ independent quadrature oracle.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -78,6 +80,20 @@ def _system_coefficients() -> np.ndarray:
 
 _SYSTEM = _system_coefficients()
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _user_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning issued by the caller of this
+    function names the first frame outside the oment package.
+
+    Python before 3.12 has no ``skip_file_prefixes``; this walks the stack.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
 
 def solve_stack(a: np.ndarray, d: np.ndarray):
     """Solve A V + V A^T = -D for a stack of drift/diffusion pairs.
@@ -86,15 +102,16 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     so one drift matrix can take a stack of diffusion matrices; the drift
     matrices must already be known to be strictly stable.  Returns ``(v,
     residual, condition, ill_conditioned)``: `v` and `residual` per pair,
-    `condition` and `ill_conditioned` per drift matrix.  `condition` is the
-    1-norm condition of the 10x10 system from one batched LU inverse, within
-    a factor of 10 of the 2-norm condition.  Each system whose condition
-    exceeds 1e12 issues an :class:`IllConditionedWarning`; its result is
-    flagged but still returned.  A system whose condition is not finite
-    (singular, or beyond the float range) has condition ``inf``: it is
-    flagged and warned about, and it is left out of the solve, so its `v` and
-    `residual` are NaN while every other pair gets the bits it gets when
-    solved alone.
+    `condition` and `ill_conditioned` per drift matrix, and each pair is
+    solved on its own.  `condition` is the 1-norm condition of the 10x10
+    system from one batched LU inverse, within a factor of 10 of the 2-norm
+    condition.  Each system whose condition exceeds 1e12 issues an
+    :class:`IllConditionedWarning`, attributed to the first caller outside
+    oment; its result is flagged but still returned.  A system whose
+    condition is not finite (singular, or beyond the float range) has
+    condition ``inf``: it is flagged and warned about, and it is left out of
+    the solve, so its `v` and `residual` are NaN while every other pair gets
+    the bits it gets when solved alone.
     """
     system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
     condition = np.linalg.cond(system, 1)
@@ -114,7 +131,7 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
         warnings.warn(
             f"Lyapunov system condition estimate {value:.3e} exceeds {CONDITION_LIMIT:.0e}",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=_user_stacklevel(),
         )
     return v, residual(a, v, d), condition, ill
 

@@ -7,6 +7,7 @@ pipeline; a single point is a stack of one through the same code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -69,9 +70,13 @@ class SweepSpec:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.start < self.stop:
             raise ConfigError("start must be < stop")
+        if not isinstance(self.count, (int, np.integer)):
+            raise ConfigError(f"count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ConfigError("count must be >= 2")
         if self.curves is not None:
+            if not len(self.curves):
+                raise ConfigError("curves must not be empty")
             if self.curve_param == self.axis:
                 raise ConfigError("swept axis duplicated in curves")
             if self.curve_param not in AXES:
@@ -134,11 +139,13 @@ class PointResult:
 
 @dataclass(frozen=True)
 class _Stack:
-    """Every stage of the pipeline over a stack of points.
+    """Every stage of the pipeline over a grid of points.
 
-    ``status`` has one entry per point.  The covariance arrays cover the
-    points listed in ``solved``, the entanglement arrays those in
-    ``reported``: the points whose status is ok.
+    ``stability`` has one entry per operating point, ``status`` one per grid
+    point, flattened.  ``v`` and ``residual`` cover the grid points listed in
+    ``solved``, ``condition`` and ``ill`` their operating points, and the
+    entanglement arrays the points listed in ``reported``: those whose status
+    is ok.
     """
 
     stability: StabilityReport
@@ -163,28 +170,59 @@ _UNSOLVED = (
 )
 
 
-def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
-    """Stability gate -> covariance -> entanglement at every point of `steady`.
+def _operating_groups(op_shape: tuple, shape: tuple) -> np.ndarray:
+    """Flat grid indices by operating point: row i holds the grid points of
+    operating point i, in grid order.
 
-    `steady` and `n_th` hold 1-d arrays, or scalars for a single point;
-    `params` supplies everything that does not vary between points.
-    Unstable and marginal points skip the solve, points whose drift matrix
-    is not finite, whose residual exceeds :data:`RESIDUAL_LIMIT` or whose CM
-    is non-physical get status ``error``.
+    The grid has `shape`; the operating points, of `op_shape`, broadcast to
+    it, so each repeats along the axes where `op_shape` is 1 (n_th values).
+    """
+    op_shape = (1,) * (len(shape) - len(op_shape)) + tuple(op_shape)
+    # the axes an operating point spans first, the axes it repeats along last
+    order = sorted(range(len(shape)), key=lambda axis: op_shape[axis] != shape[axis])
+    index = np.arange(math.prod(shape)).reshape(shape).transpose(order)
+    return index.reshape(math.prod(op_shape), -1)
+
+
+def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
+    """Stability gate -> covariance -> entanglement at every point of a grid.
+
+    The fields of `steady` hold one operating point each and broadcast
+    against `n_th` to the grid, or are scalars for a single point; `params`
+    supplies everything that does not vary between points.  Only the
+    diffusion depends on n_th, so the gate and the Lyapunov systems run once
+    per operating point and the solve once per grid point, each (drift,
+    diffusion) pair on its own.  Unstable and marginal operating points skip
+    the solve; points whose drift matrix is not finite, whose residual
+    exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
+    ``error``.
     """
     a, stability = stability_stack(steady, params)
+    op_shape = stability.spectral_abscissa.shape
     gate = np.add(stability.spectral_stable, stability.marginal, dtype=np.intp).reshape(-1)
     status = _GATE_STATUS[gate]
     status[np.isnan(stability.spectral_abscissa).reshape(-1)] = STATUS_ERROR
+    # an n_th axis or n_th curves: an operating point spans several grid points
+    shape = np.broadcast(stability.spectral_abscissa, n_th).shape
+    if shape != op_shape:
+        status = np.broadcast_to(status.reshape(op_shape), shape).flatten()
     solved = np.nonzero(gate == 1)[0]
     if not solved.size:
         return _Stack(stability, status, solved, *_UNSOLVED)
 
-    d = diffusion_matrix(params.gamma_m, params.kappa, np.reshape(n_th, -1)[solved])
-    v, res, condition, ill = solve_stack(a.reshape(-1, 4, 4)[solved], d)
+    a = a.reshape(-1, 4, 4)[solved]
+    if shape != op_shape:  # each drift matrix meets the diffusion matrices of its grid points
+        a, solved = a[:, None], _operating_groups(op_shape, shape)[solved]
+    n = np.broadcast_to(n_th, shape).reshape(-1)[solved]
+    d = diffusion_matrix(params.gamma_m, params.kappa, n)
+    v, res, condition, ill = solve_stack(a, d)
+    solved, v, res = solved.reshape(-1), v.reshape(-1, 4, 4), res.reshape(-1)
     ok, sig, det_v, eta = _checked_eta(res, v)
     status[solved[~ok]] = STATUS_ERROR
-    return _Stack(stability, status, solved, v, res, condition, ill, solved[ok], sig, det_v, eta)
+    return _Stack(
+        stability, status, solved, v, res, condition.reshape(-1), ill.reshape(-1),
+        solved[ok], sig, det_v, eta,
+    )
 
 
 def _checked_eta(res: np.ndarray, v: np.ndarray):
@@ -244,31 +282,34 @@ def evaluate_point(
 
 
 def _grid_values(spec: SweepSpec) -> dict[str, np.ndarray]:
-    """Per-point values of the four axes, shape (curves, grid), curves outer.
+    """Values of the four axes on the grid of shape (curves, count), curves outer.
 
-    A curve's ``curve_delta_norms`` entry sets its detuning, the curve value
-    then sets `curve_param` and the grid value sets `axis`, in that order.
+    Each value has the broadcast shape of what it varies with: (1, count)
+    for the axis, (curves, 1) for the curve parameter and a curve's detuning,
+    (1, 1) for a fixed value.  A curve's ``curve_delta_norms`` entry sets its
+    detuning, the curve value then sets `curve_param` and the grid value sets
+    `axis`, in that order.
     """
     fixed = spec.fixed
     n_th = spec.n_th
     if n_th is None:
         n_th = thermal_occupation(fixed.temperature, fixed.omega_m)
     base = {"delta_norm": spec.delta_norm, "beta": fixed.beta, "n_th": n_th, "power": fixed.power}
-    rows = len(spec.curves) if spec.curves is not None else 1
-    values = {name: np.full((rows, spec.count), float(value)) for name, value in base.items()}
+    values = {name: np.full((1, 1), float(value)) for name, value in base.items()}
     if spec.curves is not None:
         if spec.curve_delta_norms is not None:
-            values["delta_norm"][:] = np.array(spec.curve_delta_norms)[:, None]
-        values[spec.curve_param][:] = np.array(spec.curves)[:, None]
-    values[spec.axis][:] = spec.grid()
-    return {name: value.ravel() for name, value in values.items()}
+            values["delta_norm"] = np.array(spec.curve_delta_norms, dtype=float)[:, None]
+        values[spec.curve_param] = np.array(spec.curves, dtype=float)[:, None]
+    values[spec.axis] = spec.grid()[None, :]
+    return values
 
 
 def run_sweep(spec: SweepSpec) -> Sweep:
     """Evaluate the full grid, curves outer, axis inner.
 
-    All points go through the pipeline as one stack; a point's row does not
-    depend on the other points of the grid.
+    The grid goes through the pipeline as one stack: every stage that does
+    not depend on n_th runs once per operating point, and a point's row does
+    not depend on the other points of the grid.
     """
     spec.validate()
     values = _grid_values(spec)
@@ -281,18 +322,25 @@ def run_sweep(spec: SweepSpec) -> Sweep:
     eta[stack.reported] = stack.eta
     log_neg[stack.reported] = gaussian.log_negativity_of(stack.eta, params.convention_eta_factor)
     curves = np.array(spec.curves if spec.curves is not None else [np.nan], dtype=float)
+    stability = stack.stability
+    # steady-state and Routh columns vary with fewer parameters than the grid
+    columns = np.broadcast_arrays(
+        steady.n_s, steady.g_eff, stability.s1, stability.s2, stability.routh_stable,
+        stability.spectral_stable, stack.status.reshape(len(curves), spec.count),
+    )
+    n_s, g_eff, s1, s2, routh_stable, spectral_stable, status = (c.reshape(-1) for c in columns)
     return Sweep(
         axis=np.tile(spec.grid(), len(curves)),
         curve=np.repeat(curves, spec.count),
-        n_s=steady.n_s,
-        g_eff=steady.g_eff,
-        s1=stack.stability.s1,
-        s2=stack.stability.s2,
-        routh_stable=stack.stability.routh_stable,
-        spectral_stable=stack.stability.spectral_stable,
+        n_s=n_s,
+        g_eff=g_eff,
+        s1=s1,
+        s2=s2,
+        routh_stable=routh_stable,
+        spectral_stable=spectral_stable,
         eta=eta,
         log_negativity=log_neg,
-        status=stack.status,
+        status=status,
     )
 
 

@@ -49,7 +49,8 @@ def test_point_unstable_exit_code(capsys):
     assert main(["point", "--delta-norm", "-0.2", "--power-mw", "10"]) == 3
     values = parsed_lines(capsys.readouterr().out)
     assert values["status"] == "unstable"
-    assert "log_negativity" not in values
+    # nothing was solved, so there are no solver diagnostics either
+    assert list(values) == ["status", "n_s", "g_eff", "spectral_abscissa"]
 
 
 def test_stability_output(capsys):
@@ -256,7 +257,9 @@ def test_overflowing_curve_leaves_other_curve_unchanged(capsys):
 
 def test_overflowing_point_exits_3(capsys):
     assert main(["point", "--delta-norm", "-1", "--power-mw", "1e300"]) == 3
-    assert parsed_lines(capsys.readouterr().out)["status"] == "error"
+    values = parsed_lines(capsys.readouterr().out)
+    assert values["status"] == "error"
+    assert list(values) == ["status", "n_s", "g_eff", "spectral_abscissa"]
     assert main(["stability", "--delta-norm", "-1", "--power-mw", "1e300"]) == 3
     assert parsed_lines(capsys.readouterr().out)["spectral_abscissa"] == "nan"
 
@@ -284,5 +287,9 @@ def test_singular_point_exits_3(capsys):
     with pytest.warns(IllConditionedWarning, match="inf exceeds"):
         assert main(["point", "--delta-norm", "0", "--power-mw", "1e253"]) == 3
     captured = capsys.readouterr()
-    assert parsed_lines(captured.out)["status"] == "error"
+    values = parsed_lines(captured.out)
+    assert values["status"] == "error"
+    # the point was solved, so its diagnostics say why it reads error
+    assert list(values)[3:] == ["spectral_abscissa", "condition", "residual"]
+    assert (values["condition"], values["residual"]) == ("inf", "nan")
     assert "numerical failure" not in captured.err

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -26,7 +27,9 @@ from oment import (
 )
 import oment
 from oment import cli, gaussian, lyapunov, sweep
-from oment.lyapunov import IllConditionedWarning
+from oment.linmodel import diffusion_matrix, stability_stack
+from oment.lyapunov import IllConditionedWarning, solve_lyapunov
+from oment.steadystate import steady_states
 from oment.sweep import AXES, CSV_HEADER
 from references import nth_threshold_point_by_point, records_point_by_point
 
@@ -192,12 +195,23 @@ def test_run_sweep_nth_axis(params):
         dict(n_th=math.nan),
         dict(curves=(0.0, math.nan), curve_param="beta"),
         dict(curves=(0.0, 0.2), curve_param="beta", curve_delta_norms=(-1.0, math.inf)),
+        dict(curves=(), curve_param="n_th"),
+        dict(curves=(), curve_param="beta"),
+        dict(count=2.5),
     ],
 )
 def test_sweep_spec_validation(params, overrides):
     spec = small_spec(params, **overrides)
     with pytest.raises(ConfigError):
         run_sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "overrides, field", [(dict(curves=()), "curves"), (dict(count=2.5), "count")]
+)
+def test_sweep_spec_errors_name_the_field(params, overrides, field):
+    with pytest.raises(ConfigError, match=f"^{field} must"):
+        small_spec(params, **overrides).validate()
 
 
 def test_figure_presets(params):
@@ -361,6 +375,117 @@ def sweep_specs(draw):
 def test_records_do_not_depend_on_the_batch(spec):
     for fmt in ("csv", "jsonl"):
         assert emit(run_sweep(spec), fmt) == emit(records_point_by_point(spec), fmt)
+
+
+# Operating points along n_th: ok, unstable, Routh numbers overflowing
+# (unstable), steady state overflowing (error) and a singular 10x10 system
+# (error at every n_th).
+_EDGE_POWERS = (10e-3, 1e-3, 1e250, 1e300, 1e250)
+_EDGE_DELTA_NORMS = (-1.0, 1.0, -1.0, -1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "overrides, statuses",
+    [
+        # n_th axis, one operating point per curve
+        (dict(axis="n_th", start=0.0, stop=3000.0, count=9, curve_param="power",
+              curves=_EDGE_POWERS, curve_delta_norms=_EDGE_DELTA_NORMS),
+         {"ok", "unstable", "error"}),
+        (dict(axis="n_th", start=0.0, stop=3000.0, count=9), {"ok"}),
+        # n_th curves, one operating point per grid value
+        (dict(start=-1.5, stop=0.5, count=9, curve_param="n_th", curves=(0.0, 100.0, 2500.0)),
+         {"ok", "unstable"}),
+        (dict(axis="power", start=0.0, stop=1e250, count=5, delta_norm=0.0, curve_param="n_th",
+              curves=(0.0, 100.0, 2500.0)),
+         {"ok", "error"}),
+        (dict(axis="power", start=0.0, stop=1e300, count=5, curve_param="n_th",
+              curves=(0.0, 100.0)),
+         {"ok", "error"}),
+    ],
+)
+def test_nth_grids_match_point_by_point(params, overrides, statuses):
+    spec = small_spec(params, **overrides)
+    with warnings.catch_warnings():  # the singular operating points warn
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        swept, by_point = run_sweep(spec), records_point_by_point(spec)
+    for fmt in ("csv", "jsonl"):
+        assert emit(swept, fmt) == emit(by_point, fmt)
+    assert set(swept.status) == statuses
+
+
+def _count_operating_points(monkeypatch):
+    """Drift matrices gated, systems conditioned and pairs solved, per call."""
+    counts = {"gated": [], "conditioned": [], "solved": []}
+    gate, cond, solve = sweep.stability_stack, np.linalg.cond, np.linalg.solve
+
+    def counted_stability(steady, params):
+        a, report = gate(steady, params)
+        counts["gated"].append(a.size // 16)
+        return a, report
+
+    def counted_cond(x, p=None):
+        counts["conditioned"].append(np.size(x) // 100)
+        return cond(x, p)
+
+    def counted_solve(a, b):
+        counts["solved"].append(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+        return solve(a, b)
+
+    monkeypatch.setattr(sweep, "stability_stack", counted_stability)
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return counts
+
+
+def test_sweep_gates_and_conditions_once_per_operating_point(params, monkeypatch):
+    counts = _count_operating_points(monkeypatch)
+    # fig3: 4 curves x 201 n_th values, 4 operating points, every pair solved
+    run_sweep(figure_preset("fig3"))
+    assert counts == {"gated": [4], "conditioned": [4], "solved": [(4, 201)]}
+    for values in counts.values():
+        values.clear()
+    # n_th curves on a detuning axis: one operating point per grid value
+    run_sweep(small_spec(params, count=7, curve_param="n_th", curves=(0.0, 100.0, 1000.0)))
+    assert counts == {"gated": [7], "conditioned": [7], "solved": [(7, 3)]}
+    for values in counts.values():
+        values.clear()
+    # no repeated operating points: the same work as one point per grid value
+    run_sweep(figure_preset("fig1b"))
+    assert counts["gated"] == [201] and counts["solved"] == [(counts["conditioned"][0],)]
+
+
+def test_singular_operating_point_warns_once(params):
+    # three n_th curves; four powers give a singular system, each warns once
+    spec = small_spec(params, axis="power", start=0.0, stop=1e250, count=5, delta_norm=0.0,
+                      curve_param="n_th", curves=(0.0, 100.0, 1000.0))
+    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+        result = run_sweep(spec)
+    assert len(caught) == 4
+    assert (result.status.reshape(3, 5)[:, 1:] == "error").all()
+
+
+def _singular_drift_and_diffusion(params):
+    steady = steady_states(0.0, 1e250, params.beta, params)
+    a, _ = stability_stack(steady, params)
+    return a, diffusion_matrix(params.gamma_m, params.kappa, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda params: run_sweep(small_spec(
+            params, axis="power", start=0.0, stop=1e250, count=5, delta_norm=0.0
+        )),
+        lambda params: evaluate_point(replace(params, power=1e250), 0.0),
+        lambda params: nth_entanglement_threshold(replace(params, power=1e250), 0.0),
+        lambda params: solve_lyapunov(*_singular_drift_and_diffusion(params)),
+    ],
+    ids=["run_sweep", "evaluate_point", "nth_entanglement_threshold", "solve_lyapunov"],
+)
+def test_ill_conditioned_warning_names_the_callers_line(params, call):
+    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+        call(params)
+    assert {w.filename for w in caught} == {__file__}
 
 
 def _latin_hypercube(seed, count, ranges):
