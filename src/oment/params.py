@@ -31,9 +31,14 @@ class ConfigError(ValueError):
 
 
 def require_finite(**values: float) -> None:
-    """Raise :class:`ConfigError` naming the first value that is NaN or infinite."""
+    """Raise :class:`ConfigError` naming the first value that is not a real
+    number, or is NaN or infinite."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+        if not finite:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 

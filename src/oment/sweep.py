@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -68,6 +69,17 @@ class SweepSpec:
     def validate(self) -> None:
         if self.axis not in AXES:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
+        numbers = dict(
+            start=(self.start,),
+            stop=(self.stop,),
+            delta_norm=(self.delta_norm,),
+            n_th=() if self.n_th is None else (self.n_th,),
+            curves=() if self.curves is None else self.curves,
+            curve_delta_norms=() if self.curve_delta_norms is None else self.curve_delta_norms,
+        )
+        for name, values in numbers.items():
+            for value in values:
+                require_finite(**{name: value})
         if not self.start < self.stop:
             raise ConfigError("start must be < stop")
         if not isinstance(self.count, (int, np.integer)):
@@ -85,9 +97,6 @@ class SweepSpec:
                 self.curves
             ):
                 raise ConfigError("curve_delta_norms must match curves in length")
-        for name in ("start", "stop", "delta_norm", "n_th", "curves", "curve_delta_norms"):
-            for value in np.ravel(getattr(self, name) or 0.0):  # None: not set
-                require_finite(**{name: value})
         ranges = {self.axis: (self.start, self.stop)}
         if self.curves is not None:
             ranges[self.curve_param] = self.curves
@@ -404,49 +413,93 @@ def figure_preset(name: str, base: PhysicalParams | None = None) -> SweepSpec:
     raise ConfigError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
 
 
-_format_float = "{:.17g}".format
-
-
-def _format_optional(value: float | None) -> str:
-    return "" if value is None else _format_float(value)
-
-
-def _format_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 _COLUMNS = tuple(column.name for column in fields(Sweep))
-# CSV formatter of each column that does not hold plain floats
-_FORMATS = dict(curve=_format_optional, eta=_format_optional, log_negativity=_format_optional,
-                routh_stable=_format_bool, spectral_stable=_format_bool, status=str)
 CSV_HEADER = ",".join(_COLUMNS)
-# json.dumps with separators builds a new encoder per call; one serves every line
+# columns in which NaN marks an absent value: an empty CSV cell, a JSON null
+_OPTIONAL = frozenset({"curve", "eta", "log_negativity"})
+_FLAGS = frozenset({"routh_stable", "spectral_stable"})
+# json.dumps with separators builds a new encoder per call; one serves every column
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def _column(sweep: Sweep, name: str) -> list:
-    """One column as Python values; NaN in an optional column becomes None."""
-    values = getattr(sweep, name).tolist()
-    if _FORMATS.get(name) is _format_optional:
-        return [None if value != value else value for value in values]
-    return values
+def _distinct(keys: np.ndarray):
+    """The distinct keys of each row of the 2-d array `keys`, row after row.
+
+    Returns them, the end of each row's share of them, and for every entry
+    of `keys` the index of its key among them.
+    """
+    order = keys.argsort(axis=1)
+    order += keys.shape[1] * np.arange(len(keys))[:, None]  # flat positions
+    ordered = keys.ravel()[order]
+    first = np.ones(keys.shape, bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    inverse = np.empty(keys.size, np.intp)
+    inverse[order.ravel()] = first.cumsum() - 1
+    return ordered[first], first.sum(axis=1).cumsum().tolist(), inverse.reshape(keys.shape)
+
+
+def _flag_text(values: np.ndarray) -> list[str]:
+    return ["true" if value else "false" for value in values.tolist()]
+
+
+def _mark_absent(name: str, values: np.ndarray, text: list[str], absent: str) -> list[str]:
+    """`text` of `values`, with `absent` for NaN in an optional column."""
+    if name in _OPTIONAL:
+        for index in np.flatnonzero(np.isnan(values)).tolist():
+            text[index] = absent
+    return text
+
+
+def _csv_cells(name: str, values: np.ndarray) -> list[str]:
+    """CSV text of the distinct values of column `name`."""
+    if name == "status":
+        return values.tolist()
+    if name in _FLAGS:
+        return _flag_text(values)
+    # float.__format__ is "{:.17g}".format without parsing the template per value
+    text = list(map(float.__format__, values.tolist(), repeat(".17g")))
+    return _mark_absent(name, values, text, "")
+
+
+def _jsonl_cells(name: str, values: np.ndarray) -> list[str]:
+    """JSON members ``"name":value`` for the distinct values of column `name`."""
+    if name == "status":
+        text = list(map(_JSON.encode, values.tolist()))
+    elif name in _FLAGS:
+        text = _flag_text(values)
+    else:  # one encoder call for the column: no encoded number holds a comma
+        text = _JSON.encode(values.tolist())[1:-1].split(",") if values.size else []
+        text = _mark_absent(name, values, text, "null")
+    key = f'"{name}":'
+    return [key + value for value in text]
 
 
 def emit(sweep: Sweep, fmt: str = "csv") -> bytes:
     """Serialize a sweep to CSV or JSONL bytes, with the columns of :data:`CSV_HEADER`.
 
     Floats carry 17 significant digits and round-trip exactly; an absent
-    value is an empty CSV cell or a JSON null.  Identical inputs produce
-    byte-identical output.
+    value is an empty CSV cell or a JSON null.  Each column's distinct values
+    are encoded once and mapped back to its rows, and both formats join a
+    row's cells with commas: only the cell encoder differs between them.
+    Identical inputs produce byte-identical output.
     """
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown output format {fmt!r}; expected 'csv' or 'jsonl'")
+    encode = _csv_cells if fmt == "csv" else _jsonl_cells
+    # Every column but the last, status, holds numbers: they are told apart by
+    # the bits of their float value, so that 0.0 and -0.0, and every NaN,
+    # keep their own text.  A status word is told apart by its rank.
+    words, ranks = np.unique(sweep.status, return_inverse=True)
+    columns = np.array([*(getattr(sweep, name) for name in _COLUMNS[:-1]), ranks], dtype=float)
+    distinct, ends, inverse = _distinct(columns.view(np.uint64))
+    text = []
+    for name, start, end in zip(_COLUMNS, [0, *ends], ends):
+        values = distinct[start:end].view(float)
+        text += encode(name, words[values.astype(np.intp)] if name == "status" else values)
+    lines = list(map(",".join, zip(*np.fromiter(text, object, len(text))[inverse].tolist())))
     if fmt == "csv":
-        cells = [list(map(_FORMATS.get(n, _format_float), _column(sweep, n))) for n in _COLUMNS]
-        return ("\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n").encode()
-    columns = [_column(sweep, name) for name in _COLUMNS]
-    lines = [_JSON.encode(dict(zip(_COLUMNS, row))) for row in zip(*columns)]
-    return ("\n".join(lines) + "\n").encode() if lines else b""
+        return ("\n".join([CSV_HEADER, *lines]) + "\n").encode()
+    return ("{" + "}\n{".join(lines) + "}\n").encode() if lines else b""
 
 
 # Fractions of n_hi at which Simon's quartic is sampled, and the inverse

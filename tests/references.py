@@ -2,6 +2,8 @@
 
 * :func:`records_point_by_point` is the per-point sweep loop that the stacked
   sweep replaced; a sweep must reproduce its columns byte for byte.
+* :func:`emit_cell_by_cell` is the serializer that formatted every cell on
+  its own; :func:`oment.emit` must write the same bytes.
 * :func:`nth_threshold_point_by_point` is the thermal-threshold bisection
   that evaluated one midpoint per :func:`oment.evaluate_point` call; the
   stacked search must return the same float.
@@ -14,8 +16,9 @@
   closed forms that the tests build inputs and expected values from.
 """
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -79,6 +82,48 @@ def records_point_by_point(spec):
                 )
             )
     return Sweep(*map(np.array, zip(*rows)))
+
+
+_COLUMNS = tuple(column.name for column in fields(Sweep))
+_format_float = "{:.17g}".format
+
+
+def _format_optional(value):
+    return "" if value is None else _format_float(value)
+
+
+def _format_bool(value):
+    return "true" if value else "false"
+
+
+# CSV formatter of each column that does not hold plain floats
+_FORMATS = dict(curve=_format_optional, eta=_format_optional, log_negativity=_format_optional,
+                routh_stable=_format_bool, spectral_stable=_format_bool, status=str)
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _column(sweep, name):
+    """One column as Python values; NaN in an optional column becomes None."""
+    values = getattr(sweep, name).tolist()
+    if _FORMATS.get(name) is _format_optional:
+        return [None if value != value else value for value in values]
+    return values
+
+
+def emit_cell_by_cell(sweep, fmt="csv"):
+    """The CSV or JSONL bytes of `sweep`, every cell formatted on its own.
+
+    CSV cells are ``.17g`` floats, empty for NaN in ``curve``, ``eta`` and
+    ``log_negativity``, ``true``/``false`` and the status word; JSONL lines
+    are one ``json`` object per row, with null for those NaN.
+    """
+    if fmt == "csv":
+        cells = [list(map(_FORMATS.get(n, _format_float), _column(sweep, n))) for n in _COLUMNS]
+        header = ",".join(_COLUMNS)
+        return ("\n".join([header, *map(",".join, zip(*cells))]) + "\n").encode()
+    columns = [_column(sweep, name) for name in _COLUMNS]
+    lines = [_JSON.encode(dict(zip(_COLUMNS, row))) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode() if lines else b""
 
 
 def nth_threshold_point_by_point(params, delta_norm, n_hi=8000.0, rel_tol=1e-3):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,10 +8,11 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oment import (
@@ -31,7 +33,7 @@ from oment.linmodel import diffusion_matrix, stability_stack
 from oment.lyapunov import IllConditionedWarning, solve_lyapunov
 from oment.steadystate import steady_states
 from oment.sweep import AXES, CSV_HEADER
-from references import nth_threshold_point_by_point, records_point_by_point
+from references import emit_cell_by_cell, nth_threshold_point_by_point, records_point_by_point
 
 
 @pytest.fixture
@@ -207,7 +209,15 @@ def test_sweep_spec_validation(params, overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides, field", [(dict(curves=()), "curves"), (dict(count=2.5), "count")]
+    "overrides, field",
+    [
+        (dict(curves=()), "curves"),
+        (dict(count=2.5), "count"),
+        (dict(start="0"), "start"),
+        (dict(delta_norm=None), "delta_norm"),
+        (dict(n_th="5"), "n_th"),
+        (dict(curves=("x",)), "curves"),
+    ],
 )
 def test_sweep_spec_errors_name_the_field(params, overrides, field):
     with pytest.raises(ConfigError, match=f"^{field} must"):
@@ -280,6 +290,61 @@ def test_emit_jsonl(params):
         assert payload["log_negativity"] == result.log_negativity[index]
         assert payload["status"] == "ok"
         assert payload["routh_stable"] is True
+
+
+def test_preset_csvs_match_the_benchmark_digests(tmp_path):
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "reference.json").read_text())
+    for name, digest in reference["figures"].items():
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["figure", "--name", name, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+# Values that print alike but differ in their bits (signed zeros, NaNs with
+# another sign or payload), infinities, subnormals and plain numbers.
+_NEG_NAN, _PAYLOAD_NAN = np.array([0xFFF8 << 48, (0x7FF8 << 48) | 1], np.uint64).view(float).tolist()
+_CELL_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.nan, _NEG_NAN, _PAYLOAD_NAN, math.inf, -math.inf,
+     5e-324, -5e-324, 1e-310, 1.0, -2.5, 0.1, 1e300]
+) | st.floats()
+_STATUSES = (sweep.STATUS_OK, sweep.STATUS_UNSTABLE, sweep.STATUS_MARGINAL, sweep.STATUS_ERROR)
+
+
+@st.composite
+def cell_sweeps(draw):
+    """A `Sweep` of 0-12 rows; each column draws its cells from a pool of at
+    most four values, so that values repeat within a column."""
+    rows = draw(st.integers(0, 12))
+
+    def cells(values, dtype):
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)), dtype)
+
+    columns = {}
+    for field in fields(Sweep):
+        if field.name in ("routh_stable", "spectral_stable"):
+            columns[field.name] = cells(st.booleans(), bool)
+        elif field.name == "status":
+            columns[field.name] = cells(st.sampled_from(_STATUSES), str)
+        else:
+            columns[field.name] = cells(_CELL_FLOATS, float)
+    return Sweep(**columns)
+
+
+_SIGNED_ZEROS = replace(
+    Sweep(*(np.array([0.0, -0.0, 0.0]) for _ in fields(Sweep))),
+    routh_stable=np.array([True, False, True]),
+    spectral_stable=np.array([False, False, True]),
+    status=np.array(["ok", "error", "ok"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(result=cell_sweeps())
+@example(result=_SIGNED_ZEROS)
+def test_emit_matches_cell_by_cell(result):
+    for fmt in ("csv", "jsonl"):
+        assert emit(result, fmt) == emit_cell_by_cell(result, fmt)
 
 
 def test_emit_rejects_unknown_format(params):
