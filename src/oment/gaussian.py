@@ -6,7 +6,14 @@ the quantum Langevin diffusion uses vacuum variance 1, so the pipeline
 rescales it by :data:`CM_SCALE` before calling into this module; the factor
 ``f`` in ``E_N = max(0, -ln(f*eta))`` then keeps its textbook value 2 and the
 separability threshold reads ``eta < 1/2``.  The block determinants, eta and
-its spectral cross-check act on whole ``(..., 4, 4)`` stacks at once.
+its cross-check act on whole ``(..., 4, 4)`` stacks at once.
+
+eta has two routes that share no code.  The closed form takes it from the
+block determinants of V.  The cross-check factors the partial transpose
+V~ = L L^T by Cholesky: M = L^T Omega L is antisymmetric with eigenvalues
++-i nu_1 and +-i nu_2, so nu_1^2 + nu_2^2 = ||M||_F^2 / 2 and
+nu_1 nu_2 = |Pf M| = det L, the product of the diagonal of L.  A matrix that
+has no Cholesky factor is not positive definite, so not a physical CM.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ __all__ = [
     "EntanglementReport",
     "CM_SCALE",
     "sigma",
-    "eta_spectrum",
     "eta_stack",
     "log_negativity_of",
     "entanglement_report",
@@ -43,12 +49,14 @@ _OMEGA = np.array(
         [0.0, 0.0, -1.0, 0.0],
     ]
 )
-# Partial transpose of the second mode flips its momentum.
-_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+# Partial transpose of the second mode flips the sign of its momentum: the
+# sign of V_tilde = F V F, F = diag(1, 1, 1, -1), entry by entry.
+_FLIP = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 
 class NegativeRadicandError(ArithmeticError):
-    """sigma(V)^2 - 4 det V is negative beyond roundoff: non-physical CM upstream."""
+    """Non-physical CM upstream: it is not positive definite, or
+    sigma(V)^2 - 4 det V is negative beyond roundoff."""
 
 
 @dataclass(frozen=True)
@@ -68,33 +76,63 @@ def sigma(v):
     return det(v[..., :2, :2]) + det(v[..., 2:, 2:]) - 2.0 * det(v[..., :2, 2:])
 
 
-def eta_spectrum(v):
-    """Lowest symplectic eigenvalue of the partial transpose, via the spectrum
-    of Omega * V_tilde (independent of the closed-form route)."""
-    flipped = _FLIP @ v @ _FLIP
-    eigenvalues = np.linalg.eigvals(_OMEGA @ flipped)
-    return np.min(np.abs(eigenvalues), axis=-1)
+def _negative_radicand(sig, radicand):
+    """True where sigma^2 - 4 det V lies below -1e-10 * max(1, sigma^2)."""
+    return radicand < -_RADICAND_TOL * np.maximum(1.0, sig * sig)
+
+
+def _is_positive_definite(w) -> bool:
+    try:
+        np.linalg.cholesky(w)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _eta_cholesky(v):
+    """eta of every matrix of a stack from the Cholesky factor of its partial
+    transpose, and whether the matrix is positive definite (and finite).
+
+    Where it is not, the identity is factored in its place, so the other
+    matrices are factored as they are alone.
+    """
+    w = v * _FLIP
+    try:
+        lower = np.linalg.cholesky(w)
+        definite = True
+    except np.linalg.LinAlgError:
+        # numpy's batched cholesky fails the whole stack for one such matrix
+        flat = [_is_positive_definite(matrix) for matrix in w.reshape(-1, 4, 4)]
+        definite = np.reshape(flat, w.shape[:-2])
+        lower = np.linalg.cholesky(np.where(definite[..., None, None], w, np.eye(4)))
+    m = lower.swapaxes(-1, -2) @ (_OMEGA @ lower)
+    s = 0.5 * (m * m).sum(axis=(-2, -1))
+    p = lower[..., 0, 0] * lower[..., 1, 1] * lower[..., 2, 2] * lower[..., 3, 3]
+    eta = np.sqrt((s - np.sqrt(np.maximum(s * s - 4.0 * p * p, 0.0))) / 2.0)
+    return eta, definite & np.isfinite(p)
 
 
 def eta_stack(v):
     """Closed-form eta of every matrix of a ``(..., 4, 4)`` stack.
 
     Evaluates eta = sqrt((sigma - sqrt(sigma^2 - 4 det V))/2) and returns
-    ``(sigma, det V, eta, physical)``.  ``physical`` is False where the
-    radicand lies below -1e-10 * max(1, sigma^2): a non-physical CM upstream.
-    Smaller negative radicands are clamped to zero.  At physical points eta is
-    cross-checked against :func:`eta_spectrum`; the routes must agree to 1e-9
-    relative, or ArithmeticError is raised.
+    ``(sigma, det V, eta, physical)``.  ``physical`` is False where the matrix
+    is not positive definite or not finite, or where the radicand lies below
+    -1e-10 * max(1, sigma^2): a non-physical CM upstream.  Smaller negative
+    radicands are clamped to zero.  At physical points eta is cross-checked
+    against the Cholesky route of the module docstring; the routes must agree
+    to 1e-9 relative, or ArithmeticError is raised.  A matrix that is not
+    positive definite changes nothing for the others in the stack.
     """
     m = np.asarray(v, dtype=float)
     sig = sigma(m)
     det_v = np.linalg.det(m)
     radicand = sig * sig - 4.0 * det_v
-    physical = ~(radicand < -_RADICAND_TOL * np.maximum(1.0, sig * sig))
     inner = (sig - np.sqrt(np.where(radicand < 0.0, 0.0, radicand))) / 2.0
     eta = np.sqrt(np.where(inner < 0.0, 0.0, inner))
 
-    eta_alt = eta_spectrum(m)
+    eta_alt, definite = _eta_cholesky(m)
+    physical = definite & ~_negative_radicand(sig, radicand)
     # the closed form carries an irreducible O(sqrt(eps)*sigma/eta) error when
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)
     tiny = np.finfo(float).tiny
@@ -130,13 +168,17 @@ def entanglement_report(sig: float, det_v: float, eta: float, f: float) -> Entan
 def log_negativity(v, f: float = 2.0) -> EntanglementReport:
     """Full entanglement report of one CM, E_N = max(0, -ln(f*eta)).
 
-    The state is entangled iff f*eta < 1 (for f = 2: eta < 1/2).  A radicand
-    below roundoff (see :func:`eta_stack`) raises :class:`NegativeRadicandError`.
+    The state is entangled iff f*eta < 1 (for f = 2: eta < 1/2).  A matrix
+    that is not positive definite, or whose radicand lies below roundoff (see
+    :func:`eta_stack`), raises :class:`NegativeRadicandError`.
     """
     sig, det_v, eta, physical = eta_stack(v)
     if not physical:
-        raise NegativeRadicandError(
-            f"sigma^2 - 4 det V = {sig * sig - 4.0 * det_v:.3e} is negative beyond tolerance"
-        )
+        radicand = sig * sig - 4.0 * det_v
+        if _negative_radicand(sig, radicand):
+            raise NegativeRadicandError(
+                f"sigma^2 - 4 det V = {radicand:.3e} is negative beyond tolerance"
+            )
+        raise NegativeRadicandError("covariance matrix is not positive definite")
     return entanglement_report(sig, det_v, eta, f)
 

@@ -12,6 +12,9 @@
 * :func:`lyapunov_oracle` integrates V = int_0^inf exp(A s) D exp(A^T s) ds by
   adaptive Simpson quadrature with an explicit tail bound, so it shares no
   code path with the linear solve of :func:`oment.solve_lyapunov`.
+* :func:`eta_spectrum` takes eta from a general ``eigvals`` of Omega V~, the
+  spectral route that :func:`oment.eta_stack` cross-checked against before it
+  used a Cholesky factor; it shares no code with either library route.
 * :func:`two_mode_squeezed_cm` and :func:`inverse_thermal_occupation` are
   closed forms that the tests build inputs and expected values from.
 """
@@ -327,6 +330,27 @@ def lyapunov_oracle(a, d, horizon: float | None = None, tol: float = 1e-8) -> Qu
         raise HorizonTooShortError("tail estimate did not converge under horizon doubling")
 
     return Quadrature(v=v, residual=float(residual(a, v, d)), tail_bound=float(tail))
+
+
+# Symplectic form for two modes in (x1, p1, x2, p2) ordering.
+_OMEGA = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 0.0],
+    ]
+)
+# Partial transpose of the second mode flips its momentum.
+_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def eta_spectrum(v):
+    """Lowest symplectic eigenvalue of the partial transpose of each CM of a
+    stack, from the spectrum of Omega V~ (eigenvalues +-i nu_1, +-i nu_2)."""
+    flipped = _FLIP @ v @ _FLIP
+    eigenvalues = np.linalg.eigvals(_OMEGA @ flipped)
+    return np.min(np.abs(eigenvalues), axis=-1)
 
 
 def two_mode_squeezed_cm(r: float) -> np.ndarray:

@@ -17,7 +17,6 @@ from oment import (
     diffusion_matrix,
     drift_matrix,
     emit,
-    eta_spectrum,
     evaluate_point,
     figure_preset,
     log_negativity,
@@ -33,7 +32,7 @@ from oment import (
     thermal_occupation,
 )
 from oment.linmodel import MARGINAL_ABSCISSA_FACTOR
-from references import lyapunov_oracle, records_point_by_point, two_mode_squeezed_cm
+from references import eta_spectrum, lyapunov_oracle, records_point_by_point, two_mode_squeezed_cm
 
 
 def _report(name, clauses):

@@ -200,6 +200,26 @@ def test_linalg_error_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["figure", "--name", "fig1a"], ["point", "--delta-norm", "-1"]],
+    ids=["figure", "point"],
+)
+def test_eta_route_disagreement_exits_3(command, monkeypatch, capsys):
+    import numpy as np
+
+    from oment import gaussian
+
+    def disagreeing(v):
+        return np.full(v.shape[:-2], 10.0), np.ones(v.shape[:-2], dtype=bool)
+
+    monkeypatch.setattr(gaussian, "_eta_cholesky", disagreeing)
+    assert main(command) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: symplectic eigenvalue routes disagree" in captured.err
+
+
+@pytest.mark.parametrize(
     "command", [["figure", "--name", "fig1b"], ["sweep", *SWEEP_FLAGS]], ids=["figure", "sweep"]
 )
 def test_workers_flag_is_rejected(command, capsys):

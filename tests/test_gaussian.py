@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from oment import (
     CM_SCALE,
     NegativeRadicandError,
-    eta_spectrum,
+    eta_stack,
+    gaussian,
     log_negativity,
     sigma,
 )
-from references import two_mode_squeezed_cm
+from references import eta_spectrum, two_mode_squeezed_cm
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -164,8 +165,75 @@ def test_negative_radicand_raises():
             [0.0, c, 0.0, 2.0],
         ]
     )
-    with pytest.raises(NegativeRadicandError):
+    with pytest.raises(NegativeRadicandError, match="is negative beyond tolerance"):
         log_negativity(v)
+
+
+def test_negative_definite_matrix_is_not_physical():
+    # sigma = 2 and det V = 1: the radicand is exactly 0, so only the
+    # missing Cholesky factor shows that -I is no covariance matrix
+    with pytest.raises(NegativeRadicandError, match="not positive definite") as raised:
+        log_negativity(-np.eye(4))
+    assert "negative" not in str(raised.value)
+
+
+def test_non_positive_definite_matrix_leaves_the_stack_alone():
+    good = [two_mode_squeezed_cm(0.4), 0.7 * np.eye(4)]
+    sig, det_v, eta, physical = eta_stack(np.array([good[0], -np.eye(4), good[1]]))
+    assert physical.tolist() == [True, False, True]
+    for index, matrix in zip((0, 2), good):
+        alone = eta_stack(matrix[None])
+        for stacked, single in zip((sig, det_v, eta), alone[:3]):
+            assert stacked[index].tobytes() == single[0].tobytes()
+
+
+def test_non_finite_matrix_is_not_physical():
+    for value in (np.nan, np.inf):
+        v = 0.5 * np.eye(4)
+        v[2, 2] = value
+        with np.errstate(invalid="ignore", over="ignore"):  # np.linalg.det warns here
+            _, _, _, physical = eta_stack(v)
+        assert not physical
+
+
+def _tilted_sigma(v):
+    """sigma with the sign of det C flipped: the invariant of V, not of V~."""
+    det = np.linalg.det
+    return det(v[..., :2, :2]) + det(v[..., 2:, 2:]) + 2.0 * det(v[..., :2, 2:])
+
+
+@pytest.mark.parametrize(
+    "name, mutant", [("sigma", _tilted_sigma), ("_FLIP", np.ones((4, 4)))], ids=["det-C", "flip"]
+)
+def test_route_cross_check_catches_mutants(monkeypatch, name, mutant):
+    # either mutant computes eta of V instead of its partial transpose on one
+    # route only, and an entangled state tells the two apart
+    v = two_mode_squeezed_cm(0.5)
+    eta_stack(v)
+    monkeypatch.setattr(gaussian, name, mutant)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        eta_stack(v)
+
+
+@given(
+    r=st.floats(0.0, 2.0),
+    n=st.floats(0.0, 100.0),
+    theta=_ANGLES,
+    phi=_ANGLES,
+    squeeze_1=_SQUEEZES,
+    squeeze_2=_SQUEEZES,
+)
+def test_library_eta_matches_the_eigvals_oracle(r, n, theta, phi, squeeze_1, squeeze_2):
+    # thermal two-mode squeezed states under local rotations and squeezers
+    s = np.zeros((4, 4))
+    s[:2, :2] = local_symplectic(theta, squeeze_1)
+    s[2:, 2:] = local_symplectic(phi, squeeze_2)
+    v = (2.0 * n + 1.0) * (s @ two_mode_squeezed_cm(r) @ s.T)
+    sig, _, eta, physical = eta_stack(v)
+    assert physical
+    # the agreement tolerance of eta_stack, conditioning term included
+    tolerance = gaussian._ROUTE_AGREEMENT_TOL * eta + math.sqrt(np.finfo(float).eps) * sig / eta
+    assert abs(eta - eta_spectrum(v)) <= tolerance
 
 
 def test_cm_scale_composition():

@@ -763,10 +763,32 @@ def test_nth_threshold_singular_system_is_not_entangled(params):
         assert nth_entanglement_threshold(singular, 0.0) == 0.0
 
 
+def disagreeing_route(v):
+    """A Cholesky route of eta that calls every matrix positive definite and reads 10."""
+    return np.full(v.shape[:-2], 10.0), np.ones(v.shape[:-2], dtype=bool)
+
+
 def test_nth_threshold_route_disagreement_raises(params, monkeypatch):
-    monkeypatch.setattr(gaussian, "eta_spectrum", lambda v: np.full(v.shape[:-2], 10.0))
+    monkeypatch.setattr(gaussian, "_eta_cholesky", disagreeing_route)
     with pytest.raises(ArithmeticError, match="routes disagree"):
         nth_entanglement_threshold(replace(params, power=10e-3), -1.0)
+
+
+def test_non_positive_definite_covariance_is_error(params, monkeypatch):
+    p10 = replace(params, power=10e-3)
+    assert evaluate_point(p10, -1.0).status == "ok"
+
+    def negated(a, d):
+        # -V has the block determinants of V, so sigma, det V and eta stay
+        # as they were; with a zero residual only its definiteness tells
+        v, res, condition, ill = solve_stack(a, d)
+        return -v, np.zeros_like(res), condition, ill
+
+    solve_stack = sweep.solve_stack
+    monkeypatch.setattr(sweep, "solve_stack", negated)
+    point = evaluate_point(p10, -1.0)
+    assert point.status == "error"
+    assert point.report is None
 
 
 @pytest.mark.parametrize(
