@@ -2,11 +2,16 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (instability, residual or radicand), 4 I/O failure.
+
+The argparse parser is built on the first :func:`main` call and kept, so
+in-process callers (a benchmark, a test suite) share one parser; every call
+parses into a fresh namespace, so no value carries over between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -151,7 +156,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``oment`` parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="oment",
         description="Stationary optomechanical entanglement with geometrical nonlinearity.",

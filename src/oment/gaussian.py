@@ -39,6 +39,8 @@ CM_SCALE = 0.5
 
 _RADICAND_TOL = 1e-10
 _ROUTE_AGREEMENT_TOL = 1e-9
+_TINY = np.finfo(float).tiny
+_SQRT_EPS = np.sqrt(np.finfo(float).eps)
 
 # Symplectic form for two modes in (x1, p1, x2, p2) ordering.
 _OMEGA = np.array(
@@ -52,6 +54,10 @@ _OMEGA = np.array(
 # Partial transpose of the second mode flips the sign of its momentum: the
 # sign of V_tilde = F V F, F = diag(1, 1, 1, -1), entry by entry.
 _FLIP = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+# Rows and columns of the blocks V_m, V_cav and V_corr: v[..., _ROWS, _COLS]
+# is the (..., 3, 2, 2) stack of the three.
+_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
+_COLS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
 
 
 class NegativeRadicandError(ArithmeticError):
@@ -71,9 +77,14 @@ class EntanglementReport:
 
 
 def sigma(v):
-    """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per matrix."""
-    det = np.linalg.det
-    return det(v[..., :2, :2]) + det(v[..., 2:, 2:]) - 2.0 * det(v[..., :2, 2:])
+    """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per matrix.
+
+    The three 2x2 blocks of every matrix are gathered into one stack and take
+    one ``np.linalg.det``, which factors each block on its own, so the bits
+    are those of three separate determinants.
+    """
+    d = np.linalg.det(v[..., _ROWS, _COLS])
+    return d[..., 0] + d[..., 1] - 2.0 * d[..., 2]
 
 
 def _negative_radicand(sig, radicand):
@@ -112,6 +123,9 @@ def _eta_cholesky(v):
     return eta, definite & np.isfinite(p)
 
 
+# a matrix with a NaN or inf entry, or whose determinants overflow, reads
+# non-physical; numpy's warnings on the way there say nothing more
+@np.errstate(over="ignore", invalid="ignore")
 def eta_stack(v):
     """Closed-form eta of every matrix of a ``(..., 4, 4)`` stack.
 
@@ -122,7 +136,9 @@ def eta_stack(v):
     radicands are clamped to zero.  At physical points eta is cross-checked
     against the Cholesky route of the module docstring; the routes must agree
     to 1e-9 relative, or ArithmeticError is raised.  A matrix that is not
-    positive definite changes nothing for the others in the stack.
+    positive definite changes nothing for the others in the stack, and one
+    with a NaN or inf entry, or whose determinants overflow, reads
+    non-physical without a numpy warning.
     """
     m = np.asarray(v, dtype=float)
     sig = sigma(m)
@@ -135,9 +151,8 @@ def eta_stack(v):
     physical = definite & ~_negative_radicand(sig, radicand)
     # the closed form carries an irreducible O(sqrt(eps)*sigma/eta) error when
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)
-    tiny = np.finfo(float).tiny
-    conditioning = np.sqrt(np.finfo(float).eps) * abs(sig) / np.maximum(eta, tiny)
-    tolerance = _ROUTE_AGREEMENT_TOL * np.maximum(eta, tiny) + conditioning
+    conditioning = _SQRT_EPS * abs(sig) / np.maximum(eta, _TINY)
+    tolerance = _ROUTE_AGREEMENT_TOL * np.maximum(eta, _TINY) + conditioning
     disagree = np.ravel(physical & (abs(eta - eta_alt) > tolerance))
     if disagree.any():
         first = np.argmax(disagree)
@@ -174,7 +189,8 @@ def log_negativity(v, f: float = 2.0) -> EntanglementReport:
     """
     sig, det_v, eta, physical = eta_stack(v)
     if not physical:
-        radicand = sig * sig - 4.0 * det_v
+        with np.errstate(over="ignore", invalid="ignore"):  # sigma, det V may be inf
+            radicand = sig * sig - 4.0 * det_v
         if _negative_radicand(sig, radicand):
             raise NegativeRadicandError(
                 f"sigma^2 - 4 det V = {radicand:.3e} is negative beyond tolerance"

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+_TINY = np.finfo(float).tiny
 
 
 class UnstableDriftError(ValueError):
@@ -166,8 +167,14 @@ def solve_lyapunov(a, d) -> CovarianceMatrix:
 def residual(a, v, d):
     """Relative Lyapunov residual ||A V + V A^T + D||_F / max(||D||_F, tiny).
 
-    One value per matrix of a stack.
+    One value per matrix of a stack.  Each Frobenius norm is the plain
+    ``sqrt((x * x).sum(axis=(-2, -1)))``, which is what ``np.linalg.norm``
+    computes for real input, without its wrapper.
     """
     a, v, d = (np.asarray(m, dtype=float) for m in (a, v, d))
-    num = np.linalg.norm(a @ v + v @ a.swapaxes(-1, -2) + d, axis=(-2, -1))
-    return num / np.maximum(np.linalg.norm(d, axis=(-2, -1)), np.finfo(float).tiny)
+    num = _frobenius(a @ v + v @ a.swapaxes(-1, -2) + d)
+    return num / np.maximum(_frobenius(d), _TINY)
+
+
+def _frobenius(x):
+    return np.sqrt((x * x).sum(axis=(-2, -1)))

@@ -15,8 +15,13 @@
 * :func:`eta_spectrum` takes eta from a general ``eigvals`` of Omega V~, the
   spectral route that :func:`oment.eta_stack` cross-checked against before it
   used a Cholesky factor; it shares no code with either library route.
+* :func:`sigma_three_dets` and :func:`residual_by_norm` are sigma with one
+  ``np.linalg.det`` per block and the Lyapunov residual through
+  ``np.linalg.norm``, as the library computed them before it took one
+  stacked ``det`` and plain sums; the library must give the same bits.
 * :func:`two_mode_squeezed_cm` and :func:`inverse_thermal_occupation` are
-  closed forms that the tests build inputs and expected values from.
+  closed forms that the tests build inputs and expected values from, and
+  :func:`matrix_stack` builds random matrix stacks in several memory layouts.
 """
 
 import json
@@ -351,6 +356,41 @@ def eta_spectrum(v):
     flipped = _FLIP @ v @ _FLIP
     eigenvalues = np.linalg.eigvals(_OMEGA @ flipped)
     return np.min(np.abs(eigenvalues), axis=-1)
+
+
+def sigma_three_dets(v):
+    """sigma(V) = det V_m + det V_cav - 2 det V_corr, one ``det`` per block."""
+    det = np.linalg.det
+    return det(v[..., :2, :2]) + det(v[..., 2:, 2:]) - 2.0 * det(v[..., :2, 2:])
+
+
+def residual_by_norm(a, v, d):
+    """||A V + V A^T + D||_F / max(||D||_F, tiny) through ``np.linalg.norm``."""
+    a, v, d = (np.asarray(m, dtype=float) for m in (a, v, d))
+    num = np.linalg.norm(a @ v + v @ a.swapaxes(-1, -2) + d, axis=(-2, -1))
+    return num / np.maximum(np.linalg.norm(d, axis=(-2, -1)), np.finfo(float).tiny)
+
+
+MATRIX_LAYOUTS = ("contiguous", "strided", "transposed", "broadcast")
+STACK_SHAPES = ((), (1,), (5,), (1, 1), (2, 3), (4, 1), (1, 4))
+
+
+def matrix_stack(seed, shape: tuple, layout: str) -> np.ndarray:
+    """A ``(*shape, 4, 4)`` stack of random matrices, each scaled by a factor
+    from 1e-4 to 1e4, in one of :data:`MATRIX_LAYOUTS`: C order, every other
+    row and column of 8x8 matrices, each matrix column-major, or one matrix
+    repeated with stride 0 along the last stack axis."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(shape + (4, 4)) * 10.0 ** rng.uniform(-4.0, 4.0, shape + (1, 1))
+    if layout == "strided":
+        big = np.zeros(shape + (8, 8))
+        big[..., ::2, ::2] = base
+        return big[..., ::2, ::2]
+    if layout == "transposed":
+        return np.ascontiguousarray(base.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if layout == "broadcast" and shape:
+        return np.broadcast_to(base[..., :1, :, :], base.shape)
+    return base
 
 
 def two_mode_squeezed_cm(r: float) -> np.ndarray:

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 import warnings
 
 import pytest
 
-from oment.cli import main
+from oment.cli import build_parser, main
 from oment.lyapunov import IllConditionedWarning
 
 
@@ -313,3 +314,50 @@ def test_singular_point_exits_3(capsys):
     assert list(values)[3:] == ["spectral_abscissa", "condition", "residual"]
     assert (values["condition"], values["residual"]) == ("inf", "nan")
     assert "numerical failure" not in captured.err
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    assert main(["point"]) == 0
+    assert len(built) == 5  # the parser and its four subcommands
+    assert main(["figure", "--name", "fig2b", "--out", str(tmp_path / "fig2b.csv")]) == 0
+    assert main(["sweep", *SWEEP_FLAGS]) == 0
+    assert len(built) == 5
+
+
+def test_reused_parser_carries_no_value_between_calls(capsys):
+    assert main(["point"]) == 0
+    default = capsys.readouterr().out
+    assert main(["point", "--beta", "0.3"]) == 0
+    assert capsys.readouterr().out != default
+    assert main(["point"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_parser_error_leaves_the_next_call_working(capsys):
+    assert main(["point"]) == 0
+    default = capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        main(["point", "--beta", "x"])
+    assert err.value.code == 2
+    assert "invalid float value" in capsys.readouterr().err
+    assert main(["point"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_nth_with_temperature_is_rejected_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["point", "--nth", "1", "--temp-k", "0.1"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert main(["point", "--nth", "1"]) == 0
+        capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from oment import (
     log_negativity,
     sigma,
 )
-from references import eta_spectrum, two_mode_squeezed_cm
+from references import (
+    MATRIX_LAYOUTS,
+    STACK_SHAPES,
+    eta_spectrum,
+    matrix_stack,
+    sigma_three_dets,
+    two_mode_squeezed_cm,
+)
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -191,9 +199,47 @@ def test_non_finite_matrix_is_not_physical():
     for value in (np.nan, np.inf):
         v = 0.5 * np.eye(4)
         v[2, 2] = value
-        with np.errstate(invalid="ignore", over="ignore"):  # np.linalg.det warns here
-            _, _, _, physical = eta_stack(v)
+        _, _, _, physical = eta_stack(v)
         assert not physical
+
+
+def test_non_finite_and_overflowing_matrices_are_quiet():
+    identity = np.eye(4)
+    stack = np.stack([identity, np.full((4, 4), np.nan), 1e200 * identity])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig, det_v, eta, physical = eta_stack(stack)
+        for matrix in stack[1:]:
+            with pytest.raises(NegativeRadicandError, match="not positive definite"):
+                log_negativity(matrix)
+    assert physical.tolist() == [True, False, False]
+    alone = eta_stack(identity[None])
+    for stacked, single in zip((sig, det_v, eta), alone[:3]):
+        assert stacked[0].tobytes() == single[0].tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(STACK_SHAPES),
+    layout=st.sampled_from(MATRIX_LAYOUTS),
+)
+def test_sigma_matches_three_dets(seed, shape, layout):
+    v = matrix_stack(seed, shape, layout)
+    assert np.array_equal(sigma(v), sigma_three_dets(v))
+
+
+def test_sigma_takes_one_det_per_stack(monkeypatch):
+    shapes = []
+    det = np.linalg.det
+
+    def counted(a):
+        shapes.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    sigma(np.eye(4))
+    sigma(np.ones((5, 2, 4, 4)))
+    assert shapes == [(3, 2, 2), (5, 2, 3, 2, 2)]
 
 
 def _tilted_sigma(v):

@@ -19,10 +19,14 @@ from oment import (
 )
 from oment.lyapunov import _SYSTEM, solve_stack
 from references import (
+    MATRIX_LAYOUTS,
+    STACK_SHAPES,
     HorizonTooShortError,
     lyapunov_oracle,
     lyapunov_system_loop,
     matrix_exponential,
+    matrix_stack,
+    residual_by_norm,
 )
 
 
@@ -169,6 +173,25 @@ def test_residual_of_exact_solution():
     rates = np.array([1.0, 2.0, 3.0, 4.0])
     v = np.diag(1.0 / (2 * rates))
     assert residual(np.diag(-rates), v, np.eye(4)) < 1e-14
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(STACK_SHAPES),
+    layout=st.sampled_from(MATRIX_LAYOUTS),
+)
+def test_residual_matches_the_norm_oracle(seed, shape, layout):
+    a, v, d = (matrix_stack((seed, i), shape, layout) for i in range(3))
+    assert np.array_equal(residual(a, v, d), residual_by_norm(a, v, d))
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), m=st.integers(1, 4))
+def test_residual_of_a_broadcast_drift_matches_the_norm_oracle(seed, k, m):
+    # one drift matrix per row against a row of m diffusion matrices, as in
+    # an operating point that spans several n_th values
+    a = matrix_stack((seed, 0), (k, 1), "contiguous")
+    v, d = (matrix_stack((seed, i), (k, m), "contiguous") for i in (1, 2))
+    assert np.array_equal(residual(a, v, d), residual_by_norm(a, v, d))
 
 
 def test_residual_monotone_in_perturbation():
