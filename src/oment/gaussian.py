@@ -62,7 +62,7 @@ _COLS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
 
 class NegativeRadicandError(ArithmeticError):
     """Non-physical CM upstream: it is not positive definite, or
-    sigma(V)^2 - 4 det V is negative beyond roundoff."""
+    sigma(V)^2 - 4 det V is not finite or is negative beyond roundoff."""
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,10 @@ def sigma(v):
     return d[..., 0] + d[..., 1] - 2.0 * d[..., 2]
 
 
-def _negative_radicand(sig, radicand):
-    """True where sigma^2 - 4 det V lies below -1e-10 * max(1, sigma^2)."""
-    return radicand < -_RADICAND_TOL * np.maximum(1.0, sig * sig)
+def _radicand_floor(sig):
+    """-1e-10 * max(1, sigma^2): the most negative sigma^2 - 4 det V that
+    rounding explains."""
+    return -_RADICAND_TOL * np.maximum(1.0, sig * sig)
 
 
 def _is_positive_definite(w) -> bool:
@@ -131,8 +132,9 @@ def eta_stack(v):
 
     Evaluates eta = sqrt((sigma - sqrt(sigma^2 - 4 det V))/2) and returns
     ``(sigma, det V, eta, physical)``.  ``physical`` is False where the matrix
-    is not positive definite or not finite, or where the radicand lies below
-    -1e-10 * max(1, sigma^2): a non-physical CM upstream.  Smaller negative
+    is not positive definite or not finite, or where the radicand is not
+    finite (sigma^2 or det V overflows) or lies below -1e-10 * max(1,
+    sigma^2): a non-physical CM upstream.  Smaller negative
     radicands are clamped to zero.  At physical points eta is cross-checked
     against the Cholesky route of the module docstring; the routes must agree
     to 1e-9 relative, or ArithmeticError is raised.  A matrix that is not
@@ -144,15 +146,15 @@ def eta_stack(v):
     sig = sigma(m)
     det_v = np.linalg.det(m)
     radicand = sig * sig - 4.0 * det_v
-    inner = (sig - np.sqrt(np.where(radicand < 0.0, 0.0, radicand))) / 2.0
-    eta = np.sqrt(np.where(inner < 0.0, 0.0, inner))
+    inner = (sig - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
+    eta = np.sqrt(np.maximum(inner, 0.0))
 
     eta_alt, definite = _eta_cholesky(m)
-    physical = definite & ~_negative_radicand(sig, radicand)
+    physical = definite & np.isfinite(radicand) & (radicand >= _radicand_floor(sig))
     # the closed form carries an irreducible O(sqrt(eps)*sigma/eta) error when
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)
-    conditioning = _SQRT_EPS * abs(sig) / np.maximum(eta, _TINY)
-    tolerance = _ROUTE_AGREEMENT_TOL * np.maximum(eta, _TINY) + conditioning
+    floor = np.maximum(eta, _TINY)
+    tolerance = _ROUTE_AGREEMENT_TOL * floor + _SQRT_EPS * abs(sig) / floor
     disagree = np.ravel(physical & (abs(eta - eta_alt) > tolerance))
     if disagree.any():
         first = np.argmax(disagree)
@@ -184,17 +186,22 @@ def log_negativity(v, f: float = 2.0) -> EntanglementReport:
     """Full entanglement report of one CM, E_N = max(0, -ln(f*eta)).
 
     The state is entangled iff f*eta < 1 (for f = 2: eta < 1/2).  A matrix
-    that is not positive definite, or whose radicand lies below roundoff (see
-    :func:`eta_stack`), raises :class:`NegativeRadicandError`.
+    that is not positive definite, or whose radicand is not finite or lies
+    below roundoff (see :func:`eta_stack`), raises
+    :class:`NegativeRadicandError`.
     """
     sig, det_v, eta, physical = eta_stack(v)
     if not physical:
         with np.errstate(over="ignore", invalid="ignore"):  # sigma, det V may be inf
             radicand = sig * sig - 4.0 * det_v
-        if _negative_radicand(sig, radicand):
+            negative = radicand < _radicand_floor(sig)
+            definite = _eta_cholesky(np.asarray(v, dtype=float))[1]
+        if negative:
             raise NegativeRadicandError(
                 f"sigma^2 - 4 det V = {radicand:.3e} is negative beyond tolerance"
             )
-        raise NegativeRadicandError("covariance matrix is not positive definite")
+        if np.isfinite(radicand) or not definite:
+            raise NegativeRadicandError("covariance matrix is not positive definite")
+        raise NegativeRadicandError(f"sigma^2 - 4 det V = {radicand:.3e} is not finite")
     return entanglement_report(sig, det_v, eta, f)
 

@@ -137,15 +137,18 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
 
     Returns the drift stack and a :class:`StabilityReport` of arrays.  The
     spectral route uses the full drift matrix including beta and gates the
-    covariance solve; the Routh-Hurwitz numbers are reported verbatim.  A drift matrix with an infinite or NaN entry (an overflowed
-    steady state) gets a NaN abscissa and is neither stable nor marginal.
+    covariance solve; the Routh-Hurwitz numbers are reported verbatim.  One
+    batched eigvals gates the stack.  A drift matrix with an infinite or NaN
+    entry (an overflowed steady state), which eigvals refuses, gets a NaN
+    abscissa and is neither stable nor marginal; the others are then gated
+    without it.
     """
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
     a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
     s1, s2 = routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
-    if np.isfinite(a).all():
-        abscissa = spectral_abscissa(a)
-    else:
+    try:
+        abscissa = np.linalg.eigvals(a).real.max(axis=-1)
+    except np.linalg.LinAlgError:  # eigvals refuses a stack with an infinite or NaN entry
         finite = np.isfinite(a).all(axis=(-2, -1))
         abscissa = np.full(finite.shape, np.nan)
         abscissa[finite] = spectral_abscissa(a[finite])

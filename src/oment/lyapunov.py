@@ -5,9 +5,9 @@ dense 10x10 linear system; exact, tiny and directly residual-checkable.  A
 stack of drift matrices is turned into its stack of systems by one matrix
 product with a constant coefficient tensor and solved in one batched call.
 The condition diagnostic is the 1-norm condition ||S||_1 ||S^-1||_1 of each
-system S from one batched LU inverse: within a factor of 10 of the 2-norm
-condition, and ``inf`` where it is not finite (S singular, or the condition
-beyond the float range).  The test suite checks the solve against an
+system S from one batched ``np.linalg.inv`` and the column sums of S and of
+its inverse: within a factor of 10 of the 2-norm condition, and ``inf`` where
+it is not finite (S singular, or the condition beyond the float range).  The test suite checks the solve against an
 independent quadrature oracle.
 """
 
@@ -33,6 +33,8 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 _TINY = np.finfo(float).tiny
+# Stands in for a system whose condition is not finite, so the batched solve cannot raise.
+_IDENTITY = np.eye(10)
 
 
 class UnstableDriftError(ValueError):
@@ -105,7 +107,9 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     residual, condition, ill_conditioned)``: `v` and `residual` per pair,
     `condition` and `ill_conditioned` per drift matrix, and each pair is
     solved on its own.  `condition` is the 1-norm condition of the 10x10
-    system from one batched LU inverse, within a factor of 10 of the 2-norm
+    system from one batched ``np.linalg.inv`` plus 1-norm column sums, bit
+    for bit what ``np.linalg.cond(system, 1)`` gives, which runs only for a
+    stack with a singular system; it is within a factor of 10 of the 2-norm
     condition.  Each system whose condition exceeds 1e12 issues an
     :class:`IllConditionedWarning`, attributed to the first caller outside
     oment; its result is flagged but still returned.  A system whose
@@ -115,26 +119,52 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     the bits it gets when solved alone.
     """
     system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
-    condition = np.linalg.cond(system, 1)
+    condition = _condition(system)
     rhs = -d[..., _UT[0], _UT[1], None]
     # a system with a non-finite condition is swapped for the identity so the
     # batched solve cannot raise; each system is solved on its own, so the
     # others keep their bits, and its own solution is replaced by NaN
     regular = np.isfinite(condition)
-    solution = np.linalg.solve(np.where(regular[..., None, None], system, np.eye(10)), rhs)[..., 0]
+    solution = np.linalg.solve(np.where(regular[..., None, None], system, _IDENTITY), rhs)[..., 0]
     solution = np.where(regular[..., None], solution, np.nan)
     v = np.empty(solution.shape[:-1] + (4, 4))
     v[..., _UT[0], _UT[1]] = solution
     v[..., _UT[1], _UT[0]] = solution
 
     ill = condition > CONDITION_LIMIT
-    for value in np.atleast_1d(condition)[np.atleast_1d(ill)]:
-        warnings.warn(
-            f"Lyapunov system condition estimate {value:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            IllConditionedWarning,
-            stacklevel=_user_stacklevel(),
-        )
+    if ill.any():
+        for value in np.atleast_1d(condition)[np.atleast_1d(ill)]:
+            warnings.warn(
+                f"Lyapunov system condition estimate {value:.3e} exceeds {CONDITION_LIMIT:.0e}",
+                IllConditionedWarning,
+                stacklevel=_user_stacklevel(),
+            )
     return v, residual(a, v, d), condition, ill
+
+
+def _condition(system):
+    """1-norm condition ||S||_1 ||S^-1||_1 of each system of a stack.
+
+    This is what ``np.linalg.cond(system, 1)`` computes, bit for bit, from one
+    ``np.linalg.inv`` and the column sums, without the wrappers of ``cond``
+    and ``norm``.  A singular system makes ``inv`` raise for the whole stack,
+    and a NaN product has no meaning of its own; ``cond`` then takes the
+    stack, and gives each such system ``inf``.
+    """
+    try:
+        inverse = np.linalg.inv(system)
+    except np.linalg.LinAlgError:
+        return np.linalg.cond(system, 1)
+    with np.errstate(over="ignore"):  # a condition beyond the float range is inf
+        condition = _norm_1(system) * _norm_1(inverse)
+    if np.isnan(condition).any():
+        return np.linalg.cond(system, 1)
+    return condition
+
+
+def _norm_1(x):
+    """Largest column sum of absolute values: ``np.linalg.norm(x, 1, axis=(-2, -1))``."""
+    return np.abs(x).sum(axis=-2).max(axis=-1)
 
 
 def solve_lyapunov(a, d) -> CovarianceMatrix:

@@ -141,7 +141,7 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
         a1 = (delta_bare**2 + half_kappa_sq) / shift**2
         a0 = -e0_sq / shift**2
         roots = monic_cubic_roots(a2, a1, a0)
-        scale = np.max(np.abs(roots)) + 1.0
+        scale = np.abs(roots).max() + 1.0
         real = roots[np.abs(roots.imag) <= _IMAG_TOL * (np.abs(roots.real) + scale)].real
         candidates = np.sort(real[real >= 0.0])
 

@@ -146,7 +146,9 @@ class PointResult:
     status: str
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass sets each of its fields through
+# object.__setattr__, and a single point builds one _Stack per call
+@dataclass
 class _Stack:
     """Every stage of the pipeline over a grid of points.
 
@@ -279,10 +281,16 @@ def evaluate_point(
         report = gaussian.entanglement_report(
             stack.sigma[0], stack.det_v[0], stack.eta[0], params.convention_eta_factor
         )
+    stability = stack.stability
     return PointResult(
         steady=steady,
         stability=StabilityReport(
-            **{name: np.asarray(value).item() for name, value in vars(stack.stability).items()}
+            s1=float(stability.s1),
+            s2=float(stability.s2),
+            routh_stable=bool(stability.routh_stable),
+            spectral_abscissa=float(stability.spectral_abscissa),
+            spectral_stable=bool(stability.spectral_stable),
+            marginal=bool(stability.marginal),
         ),
         covariance=covariance,
         report=report,

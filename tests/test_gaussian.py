@@ -218,6 +218,31 @@ def test_non_finite_and_overflowing_matrices_are_quiet():
         assert stacked[0].tobytes() == single[0].tobytes()
 
 
+@pytest.mark.parametrize(
+    "huge, radicand",
+    [
+        # finite sigma = 2e200, but det V = 1e400 overflows: inf - inf
+        (1e100 * np.eye(4), "nan"),
+        # sigma = 1e160 squares to inf while det V = 1: the closed form reads
+        # eta = 0, and the Cholesky route gives NaN, which never disagrees
+        (np.diag([1e80, 1e80, 1e-80, 1e-80]), "inf"),
+    ],
+)
+def test_overflowing_radicand_is_not_physical(huge, radicand):
+    # positive definite with a finite Cholesky factor, so only the radicand
+    # sigma^2 - 4 det V shows that the closed form has no value here
+    identity = np.eye(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig, det_v, eta, physical = eta_stack(np.stack([identity, huge]))
+        with pytest.raises(NegativeRadicandError, match=f"= {radicand} is not finite"):
+            log_negativity(huge)
+    assert physical.tolist() == [True, False]
+    alone = eta_stack(identity)
+    for stacked, single in zip((sig, det_v, eta, physical), alone):
+        assert stacked[0].tobytes() == single.tobytes()
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(STACK_SHAPES),

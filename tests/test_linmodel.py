@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -238,3 +239,37 @@ def test_routh_hurwitz_verdict_matches_signs(params):
     state = steady_states(-0.2 * p10.omega_m, p10.power, p10.beta, p10)
     _, report = stability_stack(state, p10)
     assert report.routh_stable == (report.s1 > 0 and report.s2 > 0)
+
+
+def gate_stack(params, powers):
+    """stability_stack at -0.5 omega_m and beta = 0.2, one point per power."""
+    powers = np.asarray(powers, dtype=float)
+    return stability_stack(steady_states(-0.5 * params.omega_m, powers, 0.2, params), params)
+
+
+def test_finite_drift_stack_takes_one_eigvals(params, monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    gate_stack(params, [1e-3, 5e-3, 10e-3])
+    assert calls == [(3, 4, 4)]
+
+
+def test_gate_of_a_stack_with_an_overflowed_drift_matrix(params):
+    # 1e300 W overflows the drive amplitude, so that drift matrix holds inf entries
+    powers = [10e-3, 1e300, 3e-3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, report = gate_stack(params, powers)
+        alone = [gate_stack(params, power)[1] for power in powers]
+    assert not np.isfinite(a[1]).all()
+    assert np.isnan(report.spectral_abscissa).tolist() == [False, True, False]
+    assert report.spectral_stable.tolist()[1] is False and report.marginal.tolist()[1] is False
+    for k in (0, 2):
+        assert report.spectral_abscissa[k].tobytes() == alone[k].spectral_abscissa.tobytes()
+        assert report.spectral_stable[k] == alone[k].spectral_stable

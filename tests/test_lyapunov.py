@@ -143,6 +143,93 @@ def test_condition_within_a_factor_of_ten_of_the_two_norm(seed, margin):
     assert two_norm / 10 <= condition <= 10 * two_norm
 
 
+def systems_of(a):
+    return (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
+
+
+def stable_drift_stack(rng, shape, margin):
+    """Stable drift matrices of `shape`, each scaled by a factor from 1e-4 to 1e4."""
+    drifts = [random_stable_pair(rng, margin)[0] * 10.0 ** rng.uniform(-4, 4)
+              for _ in range(math.prod(shape))]
+    return np.reshape(drifts, shape + (4, 4))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(((), (3,), (2, 3))),
+    margin=st.floats(1e-3, 3.0),
+)
+def test_condition_matches_numpy_cond(seed, shape, margin):
+    rng = np.random.default_rng(seed)
+    a = stable_drift_stack(rng, shape, margin)
+    condition = solve_stack(a, np.eye(4))[2]
+    assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1))
+    assert np.shape(condition) == shape
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), m=st.integers(1, 4))
+def test_condition_of_a_broadcast_drift_matches_numpy_cond(seed, k, m):
+    rng = np.random.default_rng(seed)
+    # one drift matrix against a stack of diffusion matrices, as in the n_th threshold search
+    a = stable_drift_stack(rng, (), 0.7)
+    condition = solve_stack(a, np.stack([np.eye(4)] * m))[2]
+    assert np.shape(condition) == () and condition == np.linalg.cond(systems_of(a), 1)
+    # one drift matrix per row against a row of m diffusion matrices, as in a sweep
+    a = stable_drift_stack(rng, (k, 1), 0.7)
+    condition = solve_stack(a, np.broadcast_to(np.eye(4), (k, m, 4, 4)))[2]
+    assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1))
+
+
+@pytest.mark.parametrize("members", [(singular_drift,), (beyond_float_range_drift,),
+                                     (singular_drift, beyond_float_range_drift)])
+def test_condition_of_a_stack_with_non_finite_members_matches_numpy_cond(members):
+    rng = np.random.default_rng(53)
+    a = stable_drift_stack(rng, (2 + len(members),), 0.7)
+    a[1 : 1 + len(members)] = [drift() for drift in members]
+    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+        condition = solve_stack(a, np.eye(4))[2]
+    assert len(caught) == len(members)
+    assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1))
+    assert np.isinf(condition[1 : 1 + len(members)]).all()
+
+
+def count_calls(monkeypatch, module, names):
+    """Patch each function `names` of `module` to count its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_regular_stack_takes_one_inverse_and_no_cond(monkeypatch):
+    a = stable_drift_stack(np.random.default_rng(59), (6,), 0.7)
+    counts = count_calls(monkeypatch, np.linalg, ("inv", "cond"))
+    solve_stack(a, np.eye(4))
+    assert counts == {"inv": 1, "cond": 0}
+
+
+def test_singular_stack_falls_back_to_cond(monkeypatch):
+    a = np.stack([-np.eye(4), singular_drift()])
+    counts = count_calls(monkeypatch, np.linalg, ("inv", "cond"))
+    with pytest.warns(IllConditionedWarning):
+        solve_stack(a, np.eye(4))
+    assert counts == {"inv": 1, "cond": 1}
+
+
+def test_nan_product_falls_back_to_cond(monkeypatch):
+    a = stable_drift_stack(np.random.default_rng(61), (3,), 0.7)
+    expected = np.linalg.cond(systems_of(a), 1)
+    # an inverse that holds a NaN gives the product no meaning of its own
+    monkeypatch.setattr(np.linalg, "inv", lambda x: np.full_like(x, np.nan))
+    assert np.array_equal(solve_stack(a, np.eye(4))[2], expected)
+
+
 def test_rejects_unstable_drift():
     with pytest.raises(UnstableDriftError):
         solve_lyapunov(np.diag([0.5, -1.0, -1.0, -1.0]), np.eye(4))

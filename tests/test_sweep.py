@@ -479,25 +479,25 @@ def test_nth_grids_match_point_by_point(params, overrides, statuses):
 
 
 def _count_operating_points(monkeypatch):
-    """Drift matrices gated, systems conditioned and pairs solved, per call."""
+    """Drift matrices gated, systems conditioned (inverted) and pairs solved, per call."""
     counts = {"gated": [], "conditioned": [], "solved": []}
-    gate, cond, solve = sweep.stability_stack, np.linalg.cond, np.linalg.solve
+    gate, inv, solve = sweep.stability_stack, np.linalg.inv, np.linalg.solve
 
     def counted_stability(steady, params):
         a, report = gate(steady, params)
         counts["gated"].append(a.size // 16)
         return a, report
 
-    def counted_cond(x, p=None):
+    def counted_inv(x):
         counts["conditioned"].append(np.size(x) // 100)
-        return cond(x, p)
+        return inv(x)
 
     def counted_solve(a, b):
         counts["solved"].append(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
         return solve(a, b)
 
     monkeypatch.setattr(sweep, "stability_stack", counted_stability)
-    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     return counts
 
