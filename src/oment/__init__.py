@@ -6,10 +6,9 @@ Routh-Hurwitz and spectral stability -> Lyapunov covariance matrix ->
 logarithmic negativity; plus detuning/nonlinearity/occupation sweeps and a
 CLI reproducing the reference figure data.
 
-Each stage is one elementwise or stacked function that takes a single point
-as readily as a grid: :func:`steady_states`, :func:`stability_stack`,
-:func:`solve_stack` and :func:`eta_stack`; :func:`solve_lyapunov` and
-:func:`log_negativity` are the checked entry points for one matrix.  The
+Each stage has one entry point, an elementwise or stacked function that takes
+a single point as readily as a grid: :func:`steady_states`,
+:func:`stability_stack`, :func:`solve_stack` and :func:`eta_stack`.  The
 package exports the ``__all__`` of each module.
 """
 

@@ -1,7 +1,9 @@
 """Command-line interface: point, stability, sweep and figure subcommands.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(instability, residual or radicand), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a point
+that is not ok: unstable, marginal or failing a check; an undecided stability
+verdict; or an ArithmeticError or LinAlgError, such as disagreeing eta
+routes), 4 I/O failure.
 
 The argparse parser is built on the first :func:`main` call and kept, so
 in-process callers (a benchmark, a test suite) share one parser; every call
@@ -17,9 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gaussian import NegativeRadicandError, log_negativity_of
+from .gaussian import log_negativity_of
 from .linmodel import coupling_threshold_blue, coupling_threshold_red
-from .lyapunov import UnstableDriftError
 from .params import ConfigError, PhysicalParams, default_params, load_config
 from .sweep import (
     FIGURE_NAMES,
@@ -199,9 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # LinAlgError subclasses ValueError but is a numerical failure
-    except (
-        UnstableDriftError, NegativeRadicandError, ArithmeticError, np.linalg.LinAlgError
-    ) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

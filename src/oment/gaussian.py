@@ -23,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NegativeRadicandError",
     "EntanglementReport",
     "CM_SCALE",
     "sigma",
     "eta_stack",
     "log_negativity_of",
     "entanglement_report",
-    "log_negativity",
 ]
 
 # Rescaling applied to Langevin-convention covariance matrices (vacuum
@@ -60,11 +58,6 @@ _ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
 _COLS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
 
 
-class NegativeRadicandError(ArithmeticError):
-    """Non-physical CM upstream: it is not positive definite, or
-    sigma(V)^2 - 4 det V is not finite or is negative beyond roundoff."""
-
-
 @dataclass(frozen=True)
 class EntanglementReport:
     """Entanglement figures of one covariance matrix."""
@@ -85,12 +78,6 @@ def sigma(v):
     """
     d = np.linalg.det(v[..., _ROWS, _COLS])
     return d[..., 0] + d[..., 1] - 2.0 * d[..., 2]
-
-
-def _radicand_floor(sig):
-    """-1e-10 * max(1, sigma^2): the most negative sigma^2 - 4 det V that
-    rounding explains."""
-    return -_RADICAND_TOL * np.maximum(1.0, sig * sig)
 
 
 def _is_positive_definite(w) -> bool:
@@ -150,12 +137,14 @@ def eta_stack(v):
     eta = np.sqrt(np.maximum(inner, 0.0))
 
     eta_alt, definite = _eta_cholesky(m)
-    physical = definite & np.isfinite(radicand) & (radicand >= _radicand_floor(sig))
+    lowest = -_RADICAND_TOL * np.maximum(1.0, sig * sig)  # the most that rounding explains
+    physical = definite & np.isfinite(radicand) & (radicand >= lowest)
     # the closed form carries an irreducible O(sqrt(eps)*sigma/eta) error when
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)
     floor = np.maximum(eta, _TINY)
     tolerance = _ROUTE_AGREEMENT_TOL * floor + _SQRT_EPS * abs(sig) / floor
-    disagree = np.ravel(physical & (abs(eta - eta_alt) > tolerance))
+    # written as "not within" so that a NaN from either route disagrees
+    disagree = np.ravel(physical & ~(abs(eta - eta_alt) <= tolerance))
     if disagree.any():
         first = np.argmax(disagree)
         raise ArithmeticError(
@@ -180,28 +169,3 @@ def entanglement_report(sig: float, det_v: float, eta: float, f: float) -> Entan
         log_negativity=float(log_negativity_of(eta, f)),
         entangled=bool(f * eta < 1.0),
     )
-
-
-def log_negativity(v, f: float = 2.0) -> EntanglementReport:
-    """Full entanglement report of one CM, E_N = max(0, -ln(f*eta)).
-
-    The state is entangled iff f*eta < 1 (for f = 2: eta < 1/2).  A matrix
-    that is not positive definite, or whose radicand is not finite or lies
-    below roundoff (see :func:`eta_stack`), raises
-    :class:`NegativeRadicandError`.
-    """
-    sig, det_v, eta, physical = eta_stack(v)
-    if not physical:
-        with np.errstate(over="ignore", invalid="ignore"):  # sigma, det V may be inf
-            radicand = sig * sig - 4.0 * det_v
-            negative = radicand < _radicand_floor(sig)
-            definite = _eta_cholesky(np.asarray(v, dtype=float))[1]
-        if negative:
-            raise NegativeRadicandError(
-                f"sigma^2 - 4 det V = {radicand:.3e} is negative beyond tolerance"
-            )
-        if np.isfinite(radicand) or not definite:
-            raise NegativeRadicandError("covariance matrix is not positive definite")
-        raise NegativeRadicandError(f"sigma^2 - 4 det V = {radicand:.3e} is not finite")
-    return entanglement_report(sig, det_v, eta, f)
-

@@ -164,7 +164,7 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
 
 
 def coupling_threshold_blue(params: PhysicalParams, delta: float | None = None) -> float:
-    """Coupling where s2 crosses zero, G = sqrt(omega_m*(delta^2+kappa^2/4)/(-delta)).
+    """Coupling where s2 crosses zero, G = sqrt(s2(G=0) / (-delta)).
 
     Defaults to the blue sideband delta = -omega_m.  Requires delta < 0; s2
     never crosses zero on the red side.
@@ -173,20 +173,19 @@ def coupling_threshold_blue(params: PhysicalParams, delta: float | None = None) 
         delta = -params.omega_m
     if not delta < 0:
         raise ValueError("s2 threshold exists only for delta < 0")
-    return float(np.sqrt(params.omega_m * (delta**2 + params.kappa**2 / 4.0) / (-delta)))
+    s2 = routh_conditions(params.omega_m, params.gamma_m, params.kappa, delta, 0.0)[1]
+    return float(np.sqrt(s2 / (-delta)))
 
 
 def coupling_threshold_red(params: PhysicalParams, delta: float | None = None) -> float:
-    """Coupling where s1 crosses zero; defaults to the red sideband delta = +omega_m."""
+    """Coupling where s1 crosses zero, G = sqrt(s1(G=0) / (delta omega_m (gamma_m+kappa)^2)).
+
+    Defaults to the red sideband delta = +omega_m.  Requires delta > 0.
+    """
     if delta is None:
         delta = params.omega_m
     if not delta > 0:
         raise ValueError("s1 threshold exists only for delta > 0")
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    hk2 = kappa**2 / 4.0
-    bracket = (hk2 + (omega_m - delta) ** 2) * (hk2 + (omega_m + delta) ** 2) + gamma_m * (
-        (gamma_m + kappa) * (hk2 + delta**2) + kappa * omega_m**2
-    )
-    return float(
-        np.sqrt(gamma_m * kappa * bracket / (delta * omega_m * (gamma_m + kappa) ** 2))
-    )
+    s1 = routh_conditions(omega_m, gamma_m, kappa, delta, 0.0)[0]
+    return float(np.sqrt(s1 / (delta * omega_m * (gamma_m + kappa) ** 2)))

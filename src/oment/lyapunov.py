@@ -7,8 +7,8 @@ product with a constant coefficient tensor and solved in one batched call.
 The condition diagnostic is the 1-norm condition ||S||_1 ||S^-1||_1 of each
 system S from one batched ``np.linalg.inv`` and the column sums of S and of
 its inverse: within a factor of 10 of the 2-norm condition, and ``inf`` where
-it is not finite (S singular, or the condition beyond the float range).  The test suite checks the solve against an
-independent quadrature oracle.
+it is not finite (S singular, or the condition beyond the float range).  The
+test suite checks the solve against an independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linmodel import spectral_abscissa
-
 __all__ = [
     "CovarianceMatrix",
-    "UnstableDriftError",
     "IllConditionedWarning",
-    "solve_lyapunov",
     "solve_stack",
     "residual",
 ]
@@ -35,10 +31,6 @@ CONDITION_LIMIT = 1e12
 _TINY = np.finfo(float).tiny
 # Stands in for a system whose condition is not finite, so the batched solve cannot raise.
 _IDENTITY = np.eye(10)
-
-
-class UnstableDriftError(ValueError):
-    """The drift matrix has a non-negative spectral abscissa."""
 
 
 class IllConditionedWarning(RuntimeWarning):
@@ -165,33 +157,6 @@ def _condition(system):
 def _norm_1(x):
     """Largest column sum of absolute values: ``np.linalg.norm(x, 1, axis=(-2, -1))``."""
     return np.abs(x).sum(axis=-2).max(axis=-1)
-
-
-def solve_lyapunov(a, d) -> CovarianceMatrix:
-    """Solve A V + V A^T = -D for symmetric V.
-
-    Raises ValueError when A or D has an infinite or NaN entry and
-    :class:`UnstableDriftError` unless the spectral abscissa of A is strictly
-    negative.  When the 1-norm condition of the 10x10 system exceeds 1e12
-    an :class:`IllConditionedWarning` is issued and the result is flagged but
-    still returned.  A system whose condition is not finite (singular, which a
-    stable A can still give in floating point, or beyond the float range) has
-    condition ``inf``: the warning is issued and the result is flagged, with
-    `v` and `residual` NaN (see :func:`solve_stack`).
-    """
-    a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
-    for name, matrix in (("drift matrix a", a), ("diffusion matrix d", d)):
-        if not np.isfinite(matrix).all():
-            raise ValueError(f"{name} must be finite")
-    if spectral_abscissa(a) >= 0.0:
-        raise UnstableDriftError("drift matrix is not strictly stable")
-    v, res, condition, ill = solve_stack(a, d)
-    return CovarianceMatrix(
-        v=v,
-        residual=float(res),
-        condition=float(condition),
-        ill_conditioned=bool(ill),
-    )
 
 
 def residual(a, v, d):

@@ -11,7 +11,7 @@
   column, as the solver did before it used a coefficient tensor.
 * :func:`lyapunov_oracle` integrates V = int_0^inf exp(A s) D exp(A^T s) ds by
   adaptive Simpson quadrature with an explicit tail bound, so it shares no
-  code path with the linear solve of :func:`oment.solve_lyapunov`.
+  code path with the linear solve of :func:`oment.solve_stack`.
 * :func:`eta_spectrum` takes eta from a general ``eigvals`` of Omega V~, the
   spectral route that :func:`oment.eta_stack` cross-checked against before it
   used a Cholesky factor; it shares no code with either library route.
@@ -19,6 +19,13 @@
   ``np.linalg.det`` per block and the Lyapunov residual through
   ``np.linalg.norm``, as the library computed them before it took one
   stacked ``det`` and plain sums; the library must give the same bits.
+* :func:`blue_threshold_closed_form` and :func:`red_threshold_closed_form`
+  are the coupling thresholds with the Routh-Hurwitz brackets written out, as
+  the library computed them before it took them from
+  :func:`oment.routh_conditions`; the library must give the same bits.
+* :func:`report_of` is the entanglement report of one covariance matrix,
+  through the stacked :func:`oment.eta_stack`, for a matrix that must be
+  physical.
 * :func:`two_mode_squeezed_cm` and :func:`inverse_thermal_occupation` are
   closed forms that the tests build inputs and expected values from, and
   :func:`matrix_stack` builds random matrix stacks in several memory layouts.
@@ -30,7 +37,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from oment import Sweep, UnstableDriftError, evaluate_point, residual, spectral_abscissa
+from oment import (
+    Sweep,
+    entanglement_report,
+    eta_stack,
+    evaluate_point,
+    residual,
+    spectral_abscissa,
+)
 from oment.constants import HBAR, K_B
 
 _MIN_HORIZON_DECAY = 10.0  # horizon must cover at least 10 decay times
@@ -38,6 +52,10 @@ _MIN_HORIZON_DECAY = 10.0  # horizon must cover at least 10 decay times
 
 class HorizonTooShortError(ValueError):
     """The quadrature horizon leaves a tail estimate above tolerance."""
+
+
+class UnstableDriftError(ValueError):
+    """The drift matrix has a non-negative spectral abscissa."""
 
 
 @dataclass
@@ -391,6 +409,29 @@ def matrix_stack(seed, shape: tuple, layout: str) -> np.ndarray:
     if layout == "broadcast" and shape:
         return np.broadcast_to(base[..., :1, :, :], base.shape)
     return base
+
+
+def blue_threshold_closed_form(omega_m, kappa, delta):
+    """Coupling where s2 crosses zero, sqrt(omega_m (delta^2 + kappa^2/4) / (-delta))."""
+    return float(np.sqrt(omega_m * (delta**2 + kappa**2 / 4.0) / (-delta)))
+
+
+def red_threshold_closed_form(omega_m, gamma_m, kappa, delta):
+    """Coupling where s1 crosses zero, with the quartic Hurwitz bracket of s1."""
+    hk2 = kappa**2 / 4.0
+    bracket = (hk2 + (omega_m - delta) ** 2) * (hk2 + (omega_m + delta) ** 2) + gamma_m * (
+        (gamma_m + kappa) * (hk2 + delta**2) + kappa * omega_m**2
+    )
+    return float(
+        np.sqrt(gamma_m * kappa * bracket / (delta * omega_m * (gamma_m + kappa) ** 2))
+    )
+
+
+def report_of(v, f: float = 2.0):
+    """:class:`oment.EntanglementReport` of one CM, which must be physical."""
+    sig, det_v, eta, physical = eta_stack(v)
+    assert physical, "not a physical covariance matrix"
+    return entanglement_report(sig, det_v, eta, f)
 
 
 def two_mode_squeezed_cm(r: float) -> np.ndarray:

@@ -19,12 +19,11 @@ from oment import (
     emit,
     evaluate_point,
     figure_preset,
-    log_negativity,
     nth_entanglement_threshold,
     residual,
     routh_conditions,
     run_sweep,
-    solve_lyapunov,
+    solve_stack,
     spectral_abscissa,
     spectral_verdict,
     stability_stack,
@@ -32,7 +31,13 @@ from oment import (
     thermal_occupation,
 )
 from oment.linmodel import MARGINAL_ABSCISSA_FACTOR
-from references import eta_spectrum, lyapunov_oracle, records_point_by_point, two_mode_squeezed_cm
+from references import (
+    eta_spectrum,
+    lyapunov_oracle,
+    records_point_by_point,
+    report_of,
+    two_mode_squeezed_cm,
+)
 
 
 def _report(name, clauses):
@@ -152,7 +157,7 @@ def test_lyapunov_oracle_equivalence(fig1a_sweep, params):
         a = g - (np.max(np.linalg.eigvals(g).real) + rng.uniform(0.4, 1.2)) * np.eye(4)
         b = rng.standard_normal((4, 4))
         d = b @ b.T
-        direct = solve_lyapunov(a, d).v
+        direct = solve_stack(a, d)[0]
         quadrature = lyapunov_oracle(a, d, tol=1e-7).v
         worst = max(worst, np.linalg.norm(direct - quadrature) / np.linalg.norm(direct))
 
@@ -167,8 +172,8 @@ def test_lyapunov_oracle_equivalence(fig1a_sweep, params):
             continue
         state = steady_states(delta_norm * fixed.omega_m, fixed.power, fixed.beta, fixed)
         drift, _ = stability_stack(state, fixed)
-        cov = solve_lyapunov(drift, diffusion)
-        worst_residual = max(worst_residual, residual(drift, cov.v, diffusion))
+        v = solve_stack(drift, diffusion)[0]
+        worst_residual = max(worst_residual, residual(drift, v, diffusion))
 
     _report(
         f"lyapunov-oracle-equivalence (worst rel {worst:.2e}, worst residual {worst_residual:.2e})",
@@ -184,9 +189,9 @@ def test_closed_form_entanglement():
     both symplectic-eigenvalue routes agree to 1e-9 everywhere."""
     clauses = []
     for r in (0.1, 0.5, 1.0):
-        value = log_negativity(two_mode_squeezed_cm(r), f=2.0).log_negativity
+        value = report_of(two_mode_squeezed_cm(r)).log_negativity
         clauses.append((f"E_N(r={r})=2r", abs(value - 2.0 * r) <= 1e-9))
-    vacuum = log_negativity(0.5 * np.eye(4), f=2.0).log_negativity
+    vacuum = report_of(0.5 * np.eye(4)).log_negativity
     clauses.append(("vacuum-exact-zero", vacuum == 0.0))
     rng = np.random.default_rng(5150)
     agree = True
@@ -197,7 +202,7 @@ def test_closed_form_entanglement():
         rot[:2, :2] = [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
         rot[2:, 2:] = np.eye(2)
         v = rot @ two_mode_squeezed_cm(r) @ rot.T
-        formula = log_negativity(v).eta
+        formula = report_of(v).eta
         agree &= abs(formula - eta_spectrum(v)) <= 1e-9 * max(formula, 1e-300)
     clauses.append(("dual-route-agreement-1e-9", agree))
     _report("closed-form-entanglement", clauses)

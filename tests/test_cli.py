@@ -1,7 +1,10 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,50 @@ def parsed_lines(text):
 
 
 SWEEP_FLAGS = ["--axis", "delta_norm", "--start", "-1.1", "--stop", "-0.9", "--count", "2"]
+
+# Operating points whose `point` and `stability` output is pinned byte for
+# byte in cli_golden.json: ok, unstable, an overflowing steady state, a
+# singular Lyapunov system, and kappa from a `kappa_convention = pi` config.
+GOLDEN_FLAGS = {
+    "ok": ["--delta-norm", "-1"],
+    "ok-10mW": ["--delta-norm", "-1", "--power-mw", "10"],
+    "unstable": ["--delta-norm", "-0.2", "--power-mw", "10"],
+    "overflow": ["--delta-norm", "-1", "--power-mw", "1e300"],
+    "singular": ["--delta-norm", "0", "--power-mw", "1e253"],
+    "pi-config": ["--config", "{config}", "--delta-norm", "-1"],
+}
+PI_CONFIG = "kappa_hz = 529e6\nkappa_convention = pi\n"
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+
+def golden_run(command, case, config_dir):
+    """Exit code, stdout, stderr and warning texts of ``oment <command>`` at `case`.
+
+    `config_dir` receives the `kappa_convention = pi` config file.
+    """
+    config = Path(config_dir) / "pi.cfg"
+    config.write_text(PI_CONFIG)
+    argv = [command, *(flag.format(config=config) for flag in GOLDEN_FLAGS[case])]
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return {
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+    }
+
+
+@pytest.mark.parametrize("case", GOLDEN_FLAGS)
+@pytest.mark.parametrize("command", ["point", "stability"])
+def test_point_and_stability_output_is_pinned(command, case, tmp_path):
+    assert golden_run(command, case, tmp_path) == json.loads(GOLDEN.read_text())[command][case]
 
 
 def test_point_default_parameters(capsys):

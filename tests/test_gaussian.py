@@ -6,19 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oment import (
-    CM_SCALE,
-    NegativeRadicandError,
-    eta_stack,
-    gaussian,
-    log_negativity,
-    sigma,
-)
+from oment import CM_SCALE, eta_stack, gaussian, sigma
 from references import (
     MATRIX_LAYOUTS,
     STACK_SHAPES,
     eta_spectrum,
     matrix_stack,
+    report_of,
     sigma_three_dets,
     two_mode_squeezed_cm,
 )
@@ -52,9 +46,9 @@ def test_sigma_two_mode_squeezed():
 
 
 def test_vacuum_unentangled():
-    eta = log_negativity(VACUUM).eta
+    eta = report_of(VACUUM).eta
     assert eta == pytest.approx(0.5, abs=1e-15)
-    report = log_negativity(VACUUM, f=2.0)
+    report = report_of(VACUUM, f=2.0)
     assert report.log_negativity == 0.0
     assert not report.entangled
 
@@ -62,15 +56,15 @@ def test_vacuum_unentangled():
 def test_two_mode_squeezed_closed_forms():
     for r in (0.1, 0.5, 1.0):
         v = two_mode_squeezed_cm(r)
-        eta = log_negativity(v).eta
+        eta = report_of(v).eta
         assert eta == pytest.approx(math.exp(-2 * r) / 2.0, rel=1e-12)
-        report = log_negativity(v, f=2.0)
+        report = report_of(v)
         assert report.log_negativity == pytest.approx(2.0 * r, abs=1e-12)
         assert report.entangled
 
 
 def test_two_mode_squeezed_half_value():
-    eta = log_negativity(two_mode_squeezed_cm(0.5)).eta
+    eta = report_of(two_mode_squeezed_cm(0.5)).eta
     assert eta == pytest.approx(0.18393972058572117, rel=1e-12)
 
 
@@ -78,7 +72,7 @@ def test_product_states_separable():
     for n in (0.0, 0.5, 3.0, 100.0):
         mech = (2 * n + 1) / 2.0 * np.eye(2)
         v = np.block([[mech, np.zeros((2, 2))], [np.zeros((2, 2)), 0.5 * np.eye(2)]])
-        report = log_negativity(v, f=2.0)
+        report = report_of(v)
         assert 2.0 * report.eta >= 1.0 - 1e-12
         assert report.log_negativity == 0.0
         assert not report.entangled
@@ -93,7 +87,7 @@ def test_dual_route_agreement():
             rot = rotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             matrices.append(rot @ base @ rot.T)
     for v in matrices:
-        formula = log_negativity(v).eta
+        formula = report_of(v).eta
         spectrum = eta_spectrum(v)
         assert abs(formula - spectrum) <= 1e-9 * max(formula, 1e-300)
 
@@ -101,11 +95,11 @@ def test_dual_route_agreement():
 def test_local_rotation_invariance():
     rng = np.random.default_rng(123)
     base = two_mode_squeezed_cm(0.7)
-    ref = log_negativity(base, f=2.0)
+    ref = report_of(base, f=2.0)
     for _ in range(25):
         rot = rotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         rotated = rot @ base @ rot.T
-        report = log_negativity(rotated, f=2.0)
+        report = report_of(rotated, f=2.0)
         assert sigma(rotated) == pytest.approx(ref.sigma_v, rel=1e-10)
         assert report.det_v == pytest.approx(ref.det_v, rel=1e-10)
         assert report.eta == pytest.approx(ref.eta, rel=1e-10)
@@ -136,7 +130,7 @@ def test_local_symplectic_maps_keep_two_mode_squeezed_log_negativity(
     s[:2, :2] = local_symplectic(theta, squeeze_1)
     s[2:, 2:] = local_symplectic(phi, squeeze_2)
     v = s @ two_mode_squeezed_cm(r) @ s.T
-    assert log_negativity(v, f=2.0).log_negativity == pytest.approx(2.0 * r, abs=1e-9)
+    assert report_of(v).log_negativity == pytest.approx(2.0 * r, abs=1e-9)
 
 
 def test_threshold_behavior_of_log_negativity():
@@ -144,7 +138,7 @@ def test_threshold_behavior_of_log_negativity():
     # their symplectic spectrum is degenerate, so the closed-form eta only
     # carries O(sqrt(eps)) accuracy here
     scales = np.linspace(0.2, 2.0, 37)
-    values = [log_negativity(s * VACUUM, f=2.0).log_negativity for s in scales]
+    values = [report_of(s * VACUUM, f=2.0).log_negativity for s in scales]
     for s, value in zip(scales, values):
         if s >= 1.0:
             assert value == pytest.approx(0.0, abs=1e-7)
@@ -153,17 +147,17 @@ def test_threshold_behavior_of_log_negativity():
     below = [v for s, v in zip(scales, values) if s < 1.0]
     assert all(a > b for a, b in zip(below, below[1:]))
     # continuity at the threshold
-    assert log_negativity((1 - 1e-12) * VACUUM, f=2.0).log_negativity < 1e-7
+    assert report_of((1 - 1e-12) * VACUUM, f=2.0).log_negativity < 1e-7
 
 
 def test_entangled_iff_f_eta_below_one():
     for r in (0.0, 0.1, 0.5):
-        report = log_negativity(two_mode_squeezed_cm(r), f=2.0)
+        report = report_of(two_mode_squeezed_cm(r), f=2.0)
         assert report.entangled == (2.0 * report.eta < 1.0)
         assert report.entangled == (report.log_negativity > 0.0)
 
 
-def test_negative_radicand_raises():
+def test_negative_radicand_is_not_physical():
     c = math.sqrt(3.0)
     v = np.array(
         [
@@ -173,16 +167,17 @@ def test_negative_radicand_raises():
             [0.0, c, 0.0, 2.0],
         ]
     )
-    with pytest.raises(NegativeRadicandError, match="is negative beyond tolerance"):
-        log_negativity(v)
+    sig, det_v, _, physical = eta_stack(v)
+    assert sig * sig - 4.0 * det_v < -1e-10 * max(1.0, sig * sig)
+    assert not physical
 
 
 def test_negative_definite_matrix_is_not_physical():
     # sigma = 2 and det V = 1: the radicand is exactly 0, so only the
     # missing Cholesky factor shows that -I is no covariance matrix
-    with pytest.raises(NegativeRadicandError, match="not positive definite") as raised:
-        log_negativity(-np.eye(4))
-    assert "negative" not in str(raised.value)
+    sig, det_v, _, physical = eta_stack(-np.eye(4))
+    assert sig * sig - 4.0 * det_v == 0.0
+    assert not physical
 
 
 def test_non_positive_definite_matrix_leaves_the_stack_alone():
@@ -210,8 +205,7 @@ def test_non_finite_and_overflowing_matrices_are_quiet():
         warnings.simplefilter("error")
         sig, det_v, eta, physical = eta_stack(stack)
         for matrix in stack[1:]:
-            with pytest.raises(NegativeRadicandError, match="not positive definite"):
-                log_negativity(matrix)
+            assert not eta_stack(matrix)[3]
     assert physical.tolist() == [True, False, False]
     alone = eta_stack(identity[None])
     for stacked, single in zip((sig, det_v, eta), alone[:3]):
@@ -224,7 +218,7 @@ def test_non_finite_and_overflowing_matrices_are_quiet():
         # finite sigma = 2e200, but det V = 1e400 overflows: inf - inf
         (1e100 * np.eye(4), "nan"),
         # sigma = 1e160 squares to inf while det V = 1: the closed form reads
-        # eta = 0, and the Cholesky route gives NaN, which never disagrees
+        # eta = 0, and the Cholesky route gives NaN
         (np.diag([1e80, 1e80, 1e-80, 1e-80]), "inf"),
     ],
 )
@@ -235,8 +229,9 @@ def test_overflowing_radicand_is_not_physical(huge, radicand):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sig, det_v, eta, physical = eta_stack(np.stack([identity, huge]))
-        with pytest.raises(NegativeRadicandError, match=f"= {radicand} is not finite"):
-            log_negativity(huge)
+        assert not eta_stack(huge)[3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert str(sig[1] * sig[1] - 4.0 * det_v[1]) == radicand
     assert physical.tolist() == [True, False]
     alone = eta_stack(identity)
     for stacked, single in zip((sig, det_v, eta, physical), alone):
@@ -273,12 +268,20 @@ def _tilted_sigma(v):
     return det(v[..., :2, :2]) + det(v[..., 2:, 2:]) + 2.0 * det(v[..., :2, 2:])
 
 
+def _nan_route(v):
+    """A Cholesky route of eta that calls every matrix positive definite and reads NaN."""
+    return np.full(v.shape[:-2], np.nan), np.ones(v.shape[:-2], dtype=bool)
+
+
 @pytest.mark.parametrize(
-    "name, mutant", [("sigma", _tilted_sigma), ("_FLIP", np.ones((4, 4)))], ids=["det-C", "flip"]
+    "name, mutant",
+    [("sigma", _tilted_sigma), ("_FLIP", np.ones((4, 4))), ("_eta_cholesky", _nan_route)],
+    ids=["det-C", "flip", "nan-route"],
 )
 def test_route_cross_check_catches_mutants(monkeypatch, name, mutant):
-    # either mutant computes eta of V instead of its partial transpose on one
-    # route only, and an entangled state tells the two apart
+    # the first two compute eta of V instead of its partial transpose on one
+    # route only, and an entangled state tells the two apart; a route that
+    # breaks down and reads NaN is no agreement either
     v = two_mode_squeezed_cm(0.5)
     eta_stack(v)
     monkeypatch.setattr(gaussian, name, mutant)
@@ -310,7 +313,7 @@ def test_library_eta_matches_the_eigvals_oracle(r, n, theta, phi, squeeze_1, squ
 def test_cm_scale_composition():
     # Langevin-convention vacuum (variance 1) rescales to the standard vacuum
     raw = np.eye(4)
-    report = log_negativity(CM_SCALE * raw, f=2.0)
+    report = report_of(CM_SCALE * raw, f=2.0)
     assert report.eta == pytest.approx(0.5, abs=1e-15)
     assert report.log_negativity == 0.0
 
@@ -318,6 +321,6 @@ def test_cm_scale_composition():
 def test_eta_factor_four_equals_literal_composition():
     # f = 4 on the rescaled CM reproduces f = 2 on the raw one
     raw = 3.0 * two_mode_squeezed_cm(0.9)  # arbitrary Langevin-scale CM
-    rescaled = log_negativity(CM_SCALE * raw, f=4.0)
-    literal = log_negativity(raw, f=2.0)
+    rescaled = report_of(CM_SCALE * raw, f=4.0)
+    literal = report_of(raw, f=2.0)
     assert rescaled.log_negativity == pytest.approx(literal.log_negativity, abs=1e-12)

@@ -20,6 +20,7 @@ from oment import (
     stability_stack,
     steady_states,
 )
+from references import blue_threshold_closed_form, red_threshold_closed_form
 
 
 @pytest.fixture
@@ -171,6 +172,22 @@ def test_threshold_sign_requirements(params):
         coupling_threshold_blue(params, delta=params.omega_m)
     with pytest.raises(ValueError):
         coupling_threshold_red(params, delta=-params.omega_m)
+
+
+# log10 of omega_m, gamma_m, kappa and |delta| (rad/s), six decades each
+_THRESHOLD_RANGES = ((3.0, 9.0), (-1.0, 5.0), (3.0, 9.0), (3.0, 9.0))
+
+
+@given(*(st.floats(low, high) for low, high in _THRESHOLD_RANGES))
+def test_thresholds_match_the_closed_forms(log_omega, log_gamma, log_kappa, log_delta):
+    omega, gamma, kappa, delta = (10.0**x for x in (log_omega, log_gamma, log_kappa, log_delta))
+    params = replace(default_params(), omega_m=omega, gamma_m=gamma, kappa=kappa)
+    assert coupling_threshold_blue(params, -delta) == blue_threshold_closed_form(
+        omega, kappa, -delta
+    )
+    assert coupling_threshold_red(params, delta) == red_threshold_closed_form(
+        omega, gamma, kappa, delta
+    )
 
 
 def test_spectral_diagonal_cases():

@@ -23,17 +23,21 @@ from oment import (
     emit,
     evaluate_point,
     figure_preset,
-    log_negativity,
     nth_entanglement_threshold,
     run_sweep,
 )
 import oment
 from oment import cli, gaussian, lyapunov, sweep
 from oment.linmodel import diffusion_matrix, stability_stack
-from oment.lyapunov import IllConditionedWarning, solve_lyapunov
+from oment.lyapunov import IllConditionedWarning, solve_stack
 from oment.steadystate import steady_states
 from oment.sweep import AXES, CSV_HEADER
-from references import emit_cell_by_cell, nth_threshold_point_by_point, records_point_by_point
+from references import (
+    emit_cell_by_cell,
+    nth_threshold_point_by_point,
+    records_point_by_point,
+    report_of,
+)
 
 
 @pytest.fixture
@@ -79,7 +83,7 @@ def test_report_raw_is_derived_from_report(params, power, beta, delta_norm, n_th
     values = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
     point = evaluate_point(replace(params, power=power_mw * 1e-3, beta=beta), delta_norm, n_th)
     assert point.status == "ok"
-    direct = log_negativity(point.covariance.v, f=2.0)
+    direct = report_of(point.covariance.v)
     raw = float(values.get("log_negativity_raw_cm", values["log_negativity"]))
     assert raw == direct.log_negativity
     # numpy's det is sign * exp(sum(log|u_ii|)), so scaling V by 2 is exact
@@ -543,9 +547,9 @@ def _singular_drift_and_diffusion(params):
         )),
         lambda params: evaluate_point(replace(params, power=1e250), 0.0),
         lambda params: nth_entanglement_threshold(replace(params, power=1e250), 0.0),
-        lambda params: solve_lyapunov(*_singular_drift_and_diffusion(params)),
+        lambda params: solve_stack(*_singular_drift_and_diffusion(params)),
     ],
-    ids=["run_sweep", "evaluate_point", "nth_entanglement_threshold", "solve_lyapunov"],
+    ids=["run_sweep", "evaluate_point", "nth_entanglement_threshold", "solve_stack"],
 )
 def test_ill_conditioned_warning_names_the_callers_line(params, call):
     with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
@@ -770,6 +774,17 @@ def disagreeing_route(v):
 
 def test_nth_threshold_route_disagreement_raises(params, monkeypatch):
     monkeypatch.setattr(gaussian, "_eta_cholesky", disagreeing_route)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        nth_entanglement_threshold(replace(params, power=10e-3), -1.0)
+
+
+def nan_route(v):
+    """A Cholesky route of eta that calls every matrix positive definite and reads NaN."""
+    return np.full(v.shape[:-2], np.nan), np.ones(v.shape[:-2], dtype=bool)
+
+
+def test_nth_threshold_nan_route_raises(params, monkeypatch):
+    monkeypatch.setattr(gaussian, "_eta_cholesky", nan_route)
     with pytest.raises(ArithmeticError, match="routes disagree"):
         nth_entanglement_threshold(replace(params, power=10e-3), -1.0)
 
