@@ -13,7 +13,9 @@ block determinants of V.  The cross-check factors the partial transpose
 V~ = L L^T by Cholesky: M = L^T Omega L is antisymmetric with eigenvalues
 +-i nu_1 and +-i nu_2, so nu_1^2 + nu_2^2 = ||M||_F^2 / 2 and
 nu_1 nu_2 = |Pf M| = det L, the product of the diagonal of L.  A matrix that
-has no Cholesky factor is not positive definite, so not a physical CM.
+has no Cholesky factor is not positive definite, so not a physical CM.  The
+determinants and factors are numpy's LAPACK gufuncs without the ``np.linalg``
+wrappers, so a matrix with no factor reads NaN alone, not the whole stack.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "EntanglementReport",
@@ -73,47 +76,32 @@ def sigma(v):
     """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per matrix.
 
     The three 2x2 blocks of every matrix are gathered into one stack and take
-    one ``np.linalg.det``, which factors each block on its own, so the bits
-    are those of three separate determinants.
+    one batched determinant, which factors each block on its own, so the bits
+    are those of three separate ``np.linalg.det`` calls.
     """
-    d = np.linalg.det(v[..., _ROWS, _COLS])
+    with np.errstate(all="ignore"):
+        d = _umath_linalg.det(v[..., _ROWS, _COLS], signature="d->d")
     return d[..., 0] + d[..., 1] - 2.0 * d[..., 2]
-
-
-def _is_positive_definite(w) -> bool:
-    try:
-        np.linalg.cholesky(w)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _eta_cholesky(v):
     """eta of every matrix of a stack from the Cholesky factor of its partial
     transpose, and whether the matrix is positive definite (and finite).
 
-    Where it is not, the identity is factored in its place, so the other
-    matrices are factored as they are alone.
+    One that is not has a NaN factor and so a NaN product p of its diagonal;
+    the others are factored as they are alone.  Runs under the caller's errstate.
     """
-    w = v * _FLIP
-    try:
-        lower = np.linalg.cholesky(w)
-        definite = True
-    except np.linalg.LinAlgError:
-        # numpy's batched cholesky fails the whole stack for one such matrix
-        flat = [_is_positive_definite(matrix) for matrix in w.reshape(-1, 4, 4)]
-        definite = np.reshape(flat, w.shape[:-2])
-        lower = np.linalg.cholesky(np.where(definite[..., None, None], w, np.eye(4)))
+    lower = _umath_linalg.cholesky_lo(v * _FLIP, signature="d->d")
     m = lower.swapaxes(-1, -2) @ (_OMEGA @ lower)
     s = 0.5 * (m * m).sum(axis=(-2, -1))
     p = lower[..., 0, 0] * lower[..., 1, 1] * lower[..., 2, 2] * lower[..., 3, 3]
     eta = np.sqrt((s - np.sqrt(np.maximum(s * s - 4.0 * p * p, 0.0))) / 2.0)
-    return eta, definite & np.isfinite(p)
+    return eta, np.isfinite(p)
 
 
-# a matrix with a NaN or inf entry, or whose determinants overflow, reads
-# non-physical; numpy's warnings on the way there say nothing more
-@np.errstate(over="ignore", invalid="ignore")
+# a matrix with a NaN or inf entry, no Cholesky factor or overflowing
+# determinants reads non-physical; numpy's warnings on the way say nothing more
+@np.errstate(all="ignore")
 def eta_stack(v):
     """Closed-form eta of every matrix of a ``(..., 4, 4)`` stack.
 
@@ -131,7 +119,7 @@ def eta_stack(v):
     """
     m = np.asarray(v, dtype=float)
     sig = sigma(m)
-    det_v = np.linalg.det(m)
+    det_v = _umath_linalg.det(m, signature="d->d")
     radicand = sig * sig - 4.0 * det_v
     inner = (sig - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
     eta = np.sqrt(np.maximum(inner, 0.0))
@@ -149,7 +137,7 @@ def eta_stack(v):
         first = np.argmax(disagree)
         raise ArithmeticError(
             "symplectic eigenvalue routes disagree: "
-            f"{np.ravel(eta)[first]!r} vs {np.ravel(eta_alt)[first]!r}"
+            f"{float(np.ravel(eta)[first])!r} vs {float(np.ravel(eta_alt)[first])!r}"
         )
     return sig, det_v, eta, physical
 

@@ -6,7 +6,8 @@ by two independent routes: the closed-form quartic Routh-Hurwitz conditions
 actual drift matrix, which includes ``beta`` and is the gating check for the
 covariance solve.  The builders and both routes are elementwise, so a whole
 grid, or a single point, is gated by :func:`stability_stack` with one stack of
-drift matrices and one batched eigvals.
+drift matrices and one batched eigvals: numpy's LAPACK gufunc, called as
+``np.linalg.eigvals`` calls it but without its wrapper.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .params import PhysicalParams
 from .steadystate import SteadyState, square
@@ -121,8 +123,19 @@ def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
 
 
 def spectral_abscissa(a: np.ndarray):
-    """Largest real part of the eigenvalues of A; one per matrix of a stack."""
-    return np.linalg.eigvals(np.asarray(a, dtype=float)).real.max(axis=-1)
+    """Largest real part of the eigenvalues of A; one per matrix of a stack.
+
+    A matrix with an infinite or NaN entry is kept from LAPACK and reads NaN;
+    the others get the bits they get alone.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        abscissa = np.full(finite.shape, np.nan)
+        abscissa[finite] = spectral_abscissa(a[finite])
+        return abscissa
+    with np.errstate(all="ignore"):
+        return _umath_linalg.eigvals(a, signature="d->D").real.max(axis=-1)
 
 
 def spectral_verdict(abscissa, marginal_tol: float = 0.0):
@@ -138,20 +151,15 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
     Returns the drift stack and a :class:`StabilityReport` of arrays.  The
     spectral route uses the full drift matrix including beta and gates the
     covariance solve; the Routh-Hurwitz numbers are reported verbatim.  One
-    batched eigvals gates the stack.  A drift matrix with an infinite or NaN
-    entry (an overflowed steady state), which eigvals refuses, gets a NaN
-    abscissa and is neither stable nor marginal; the others are then gated
-    without it.
+    batched eigvals gates the stack (:func:`spectral_abscissa`).  A drift
+    matrix with an infinite or NaN entry (an overflowed steady state) gets a
+    NaN abscissa and is neither stable nor marginal; the others are gated as
+    they are alone.
     """
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
     a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
     s1, s2 = routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
-    try:
-        abscissa = np.linalg.eigvals(a).real.max(axis=-1)
-    except np.linalg.LinAlgError:  # eigvals refuses a stack with an infinite or NaN entry
-        finite = np.isfinite(a).all(axis=(-2, -1))
-        abscissa = np.full(finite.shape, np.nan)
-        abscissa[finite] = spectral_abscissa(a[finite])
+    abscissa = spectral_abscissa(a)
     stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
     return a, StabilityReport(
         s1=s1,

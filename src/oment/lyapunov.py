@@ -5,10 +5,12 @@ dense 10x10 linear system; exact, tiny and directly residual-checkable.  A
 stack of drift matrices is turned into its stack of systems by one matrix
 product with a constant coefficient tensor and solved in one batched call.
 The condition diagnostic is the 1-norm condition ||S||_1 ||S^-1||_1 of each
-system S from one batched ``np.linalg.inv`` and the column sums of S and of
-its inverse: within a factor of 10 of the 2-norm condition, and ``inf`` where
-it is not finite (S singular, or the condition beyond the float range).  The
-test suite checks the solve against an independent quadrature oracle.
+system S from one batched inverse and the column sums of S and of its
+inverse: within a factor of 10 of the 2-norm condition, and ``inf`` where it
+is not finite (S singular, or the condition beyond the float range).  Solve
+and inverse are numpy's LAPACK gufuncs without the ``np.linalg`` wrappers, so
+a singular system reads NaN alone.  The test suite checks the solve against
+an independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "CovarianceMatrix",
@@ -29,8 +32,6 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 _TINY = np.finfo(float).tiny
-# Stands in for a system whose condition is not finite, so the batched solve cannot raise.
-_IDENTITY = np.eye(10)
 
 
 class IllConditionedWarning(RuntimeWarning):
@@ -42,8 +43,9 @@ class CovarianceMatrix:
     """Symmetric 4x4 stationary covariance matrix with solver diagnostics.
 
     `condition` is the 1-norm condition of the 10x10 system (``inf`` if it is
-    singular or beyond the float range, and then `v` and `residual` are NaN);
-    `ill_conditioned` is True when it exceeds 1e12.
+    singular or beyond the float range, NaN if the drift matrix has a NaN or
+    inf entry, and then `v` and `residual` are NaN); `ill_conditioned` is True
+    when it exceeds 1e12 or is NaN.
     """
 
     v: np.ndarray
@@ -99,58 +101,51 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     residual, condition, ill_conditioned)``: `v` and `residual` per pair,
     `condition` and `ill_conditioned` per drift matrix, and each pair is
     solved on its own.  `condition` is the 1-norm condition of the 10x10
-    system from one batched ``np.linalg.inv`` plus 1-norm column sums, bit
-    for bit what ``np.linalg.cond(system, 1)`` gives, which runs only for a
-    stack with a singular system; it is within a factor of 10 of the 2-norm
-    condition.  Each system whose condition exceeds 1e12 issues an
-    :class:`IllConditionedWarning`, attributed to the first caller outside
-    oment; its result is flagged but still returned.  A system whose
-    condition is not finite (singular, or beyond the float range) has
-    condition ``inf``: it is flagged and warned about, and it is left out of
-    the solve, so its `v` and `residual` are NaN while every other pair gets
-    the bits it gets when solved alone.
+    system, bit for bit what ``np.linalg.cond(system, 1)`` gives; it is
+    within a factor of 10 of the 2-norm condition.  Each system whose
+    condition exceeds 1e12, or is NaN (a NaN or inf entry in its drift
+    matrix), issues an :class:`IllConditionedWarning`, attributed to the
+    first caller outside oment; its result is flagged but still returned.  A
+    system whose condition is not finite (singular, beyond the float range,
+    or NaN) has its `v` and `residual` read NaN, while every other pair gets
+    the bits it gets when solved alone.  No numpy ``RuntimeWarning`` escapes.
     """
-    system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
-    condition = _condition(system)
-    rhs = -d[..., _UT[0], _UT[1], None]
-    # a system with a non-finite condition is swapped for the identity so the
-    # batched solve cannot raise; each system is solved on its own, so the
-    # others keep their bits, and its own solution is replaced by NaN
-    regular = np.isfinite(condition)
-    solution = np.linalg.solve(np.where(regular[..., None, None], system, _IDENTITY), rhs)[..., 0]
-    solution = np.where(regular[..., None], solution, np.nan)
-    v = np.empty(solution.shape[:-1] + (4, 4))
-    v[..., _UT[0], _UT[1]] = solution
-    v[..., _UT[1], _UT[0]] = solution
+    with np.errstate(all="ignore"):  # a failing system reads NaN on its own
+        system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
+        condition = _condition(system)
+        rhs = -d[..., _UT[0], _UT[1], None]
+        solution = _umath_linalg.solve(system, rhs, signature="dd->d")[..., 0]
+        solution = np.where(np.isfinite(condition)[..., None], solution, np.nan)
+        v = np.empty(solution.shape[:-1] + (4, 4))
+        v[..., _UT[0], _UT[1]] = solution
+        v[..., _UT[1], _UT[0]] = solution
+        res = residual(a, v, d)
 
-    ill = condition > CONDITION_LIMIT
+    ill = ~(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
     if ill.any():
         for value in np.atleast_1d(condition)[np.atleast_1d(ill)]:
+            reason = "is not finite" if np.isnan(value) else f"exceeds {CONDITION_LIMIT:.0e}"
             warnings.warn(
-                f"Lyapunov system condition estimate {value:.3e} exceeds {CONDITION_LIMIT:.0e}",
+                f"Lyapunov system condition estimate {value:.3e} {reason}",
                 IllConditionedWarning,
                 stacklevel=_user_stacklevel(),
             )
-    return v, residual(a, v, d), condition, ill
+    return v, res, condition, ill
 
 
 def _condition(system):
     """1-norm condition ||S||_1 ||S^-1||_1 of each system of a stack.
 
-    This is what ``np.linalg.cond(system, 1)`` computes, bit for bit, from one
-    ``np.linalg.inv`` and the column sums, without the wrappers of ``cond``
-    and ``norm``.  A singular system makes ``inv`` raise for the whole stack,
-    and a NaN product has no meaning of its own; ``cond`` then takes the
-    stack, and gives each such system ``inf``.
+    This is what ``np.linalg.cond(system, 1)`` computes, bit for bit: the
+    inverse from the gufunc that ``cond`` calls, and the column sums, without
+    the wrappers of ``cond`` and ``norm``.  A singular system's inverse reads
+    NaN, and its condition ``inf`` unless the system has a NaN entry, which is
+    ``cond``'s rule.  Runs under the caller's errstate.
     """
-    try:
-        inverse = np.linalg.inv(system)
-    except np.linalg.LinAlgError:
-        return np.linalg.cond(system, 1)
-    with np.errstate(over="ignore"):  # a condition beyond the float range is inf
-        condition = _norm_1(system) * _norm_1(inverse)
-    if np.isnan(condition).any():
-        return np.linalg.cond(system, 1)
+    condition = _norm_1(system) * _norm_1(_umath_linalg.inv(system, signature="d->d"))
+    nan = np.isnan(condition)
+    if nan.any():
+        return np.where(nan & ~np.isnan(system).any(axis=(-2, -1)), np.inf, condition)
     return condition
 
 

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .params import PhysicalParams, drive_amplitude
 
@@ -103,7 +104,8 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     """All roots of x^3 + a2*x^2 + a1*x + a0 via companion-matrix eigenvalues.
 
     Each eigenvalue is polished with one Newton step, which keeps residuals
-    checkable even for nearly degenerate roots.
+    checkable even for nearly degenerate roots.  As in ``np.linalg.eigvals``,
+    a non-finite coefficient raises ``LinAlgError`` and all-real roots are real.
     """
     companion = np.array(
         [
@@ -112,7 +114,12 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
             [0.0, 1.0, -a2],
         ]
     )
-    roots = np.linalg.eigvals(companion)
+    if not np.isfinite(companion).all():  # LAPACK must not see it
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(all="ignore"):
+        roots = _umath_linalg.eigvals(companion, signature="d->D")
+    if not roots.imag.any():
+        roots = roots.real
     poly = ((roots + a2) * roots + a1) * roots + a0
     dpoly = (3.0 * roots + 2.0 * a2) * roots + a1
     safe = np.abs(dpoly) > 0

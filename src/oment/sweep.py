@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import gaussian
 from .gaussian import EntanglementReport
@@ -571,7 +572,8 @@ def nth_entanglement_threshold(
         return 0.0
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
-    simon = np.linalg.det(w) - gaussian.sigma(w) / f**2 + f**-4
+    with np.errstate(all="ignore"):
+        simon = _umath_linalg.det(w, signature="d->d") - gaussian.sigma(w) / f**2 + f**-4
     quartic = (_FIT @ simon).tolist()
 
     def entangled(n_th: list[float]) -> dict[float, bool]:

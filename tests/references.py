@@ -29,6 +29,8 @@
 * :func:`two_mode_squeezed_cm` and :func:`inverse_thermal_occupation` are
   closed forms that the tests build inputs and expected values from, and
   :func:`matrix_stack` builds random matrix stacks in several memory layouts.
+* :func:`record_gufunc_calls` records the calls that reach numpy's LAPACK
+  gufuncs, which the library calls without the ``np.linalg`` wrappers.
 """
 
 import json
@@ -36,6 +38,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from oment import (
     Sweep,
@@ -459,3 +462,22 @@ def inverse_thermal_occupation(n_th: float, omega_m: float) -> float:
     if not omega_m > 0:
         raise ValueError("omega_m must be > 0")
     return HBAR * omega_m / (K_B * math.log1p(1.0 / n_th))
+
+
+def record_gufunc_calls(monkeypatch, names):
+    """Patch each gufunc `names` of ``numpy.linalg._umath_linalg`` to record its calls.
+
+    Returns ``{name: [(args, kwargs), ...]}``, every call in order.  The
+    ``np.linalg`` wrappers call the same gufuncs, so their calls are recorded
+    too.
+    """
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(_umath_linalg, name)
+
+        def recorded(*args, name=name, original=original, **kwargs):
+            calls[name].append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_umath_linalg, name, recorded)
+    return calls

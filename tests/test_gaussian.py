@@ -12,6 +12,7 @@ from references import (
     STACK_SHAPES,
     eta_spectrum,
     matrix_stack,
+    record_gufunc_calls,
     report_of,
     sigma_three_dets,
     two_mode_squeezed_cm,
@@ -249,17 +250,10 @@ def test_sigma_matches_three_dets(seed, shape, layout):
 
 
 def test_sigma_takes_one_det_per_stack(monkeypatch):
-    shapes = []
-    det = np.linalg.det
-
-    def counted(a):
-        shapes.append(a.shape)
-        return det(a)
-
-    monkeypatch.setattr(np.linalg, "det", counted)
+    calls = record_gufunc_calls(monkeypatch, ["det"])
     sigma(np.eye(4))
     sigma(np.ones((5, 2, 4, 4)))
-    assert shapes == [(3, 2, 2), (5, 2, 3, 2, 2)]
+    assert [args[0].shape for args, _ in calls["det"]] == [(3, 2, 2), (5, 2, 3, 2, 2)]
 
 
 def _tilted_sigma(v):
@@ -287,6 +281,15 @@ def test_route_cross_check_catches_mutants(monkeypatch, name, mutant):
     monkeypatch.setattr(gaussian, name, mutant)
     with pytest.raises(ArithmeticError, match="routes disagree"):
         eta_stack(v)
+
+
+def test_route_disagreement_message_prints_plain_floats(monkeypatch):
+    v = two_mode_squeezed_cm(0.5)
+    eta = float(eta_stack(v)[2])
+    monkeypatch.setattr(gaussian, "_eta_cholesky", _nan_route)
+    with pytest.raises(ArithmeticError) as raised:
+        eta_stack(v)
+    assert str(raised.value) == f"symplectic eigenvalue routes disagree: {eta!r} vs nan"
 
 
 @given(

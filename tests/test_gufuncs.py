@@ -1,0 +1,183 @@
+"""oment calls numpy's LAPACK gufuncs without the ``np.linalg`` wrappers.
+
+``numpy.linalg._umath_linalg`` is private, so these tests pin what oment
+relies on: each call, as oment makes it, gives the bits of the public
+wrapper; a singular member of a stack, or one that is not positive definite,
+reads NaN while the others keep their bits; and no wrapper runs on the
+pipeline's path.  A numpy release that changes the private module fails
+here.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
+
+from oment import (
+    default_params,
+    evaluate_point,
+    figure_preset,
+    from_bare_detuning,
+    monic_cubic_roots,
+    nth_entanglement_threshold,
+    run_sweep,
+)
+from references import STACK_SHAPES, record_gufunc_calls
+
+# Each gufunc with the signature oment passes it, and the public wrapper
+# whose bits it must give.
+WRAPPERS = {
+    ("eigvals", "d->D"): np.linalg.eigvals,
+    ("inv", "d->d"): np.linalg.inv,
+    ("solve", "dd->d"): np.linalg.solve,
+    ("det", "d->d"): np.linalg.det,
+    ("cholesky_lo", "d->d"): np.linalg.cholesky,
+}
+SIZES = (2, 3, 4, 10)
+
+
+def direct(name, signature, *args):
+    """The gufunc call as oment makes it, under ``np.errstate(all="ignore")``;
+    an all-real eigvals result is made real, the wrapper's rule that
+    ``monic_cubic_roots`` keeps."""
+    with np.errstate(all="ignore"):
+        out = getattr(_umath_linalg, name)(*args, signature=signature)
+    if name == "eigvals" and not out.imag.any():
+        out = out.real
+    return out
+
+
+def assert_same_bits(out, expected):
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def random_inputs(name, seed, shape, n, symmetric):
+    """Finite arguments of gufunc `name` for a stack of `shape` n x n matrices,
+    each scaled by a factor from 1e-4 to 1e4; positive definite for Cholesky."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape + (n, n)) * 10.0 ** rng.uniform(-4.0, 4.0, shape + (1, 1))
+    if symmetric:  # all-real eigenvalues
+        m = m + m.swapaxes(-1, -2)
+    if name == "cholesky_lo":
+        m = m @ m.swapaxes(-1, -2) + np.abs(m).max() * np.eye(n)
+    if name == "solve":
+        return m, rng.standard_normal(shape + (n, 1))
+    return (m,)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    call=st.sampled_from(sorted(WRAPPERS)),
+    shape=st.sampled_from(STACK_SHAPES),
+    n=st.sampled_from(SIZES),
+    symmetric=st.booleans(),
+)
+def test_gufunc_gives_the_bits_of_its_wrapper(seed, call, shape, n, symmetric):
+    args = random_inputs(call[0], seed, shape, n, symmetric)
+    assert_same_bits(direct(*call, *args), WRAPPERS[call](*args))
+
+
+@given(roots=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3), real=st.booleans())
+def test_cubic_roots_match_the_eigvals_wrapper(roots, real):
+    # three real roots, or one real root and a complex pair r1 +- i r2
+    r0, r1, r2 = roots
+    if real:
+        a2, a1, a0 = -(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2
+    else:
+        a2, a1, a0 = -(r0 + 2 * r1), 2 * r0 * r1 + r1 * r1 + r2 * r2, -r0 * (r1 * r1 + r2 * r2)
+    companion = np.array([[0.0, 0.0, -a0], [1.0, 0.0, -a1], [0.0, 1.0, -a2]])
+    by_wrapper = np.linalg.eigvals(companion)
+    # the bits are compared, not the warnings: at subnormal coefficients the
+    # Newton step itself can overflow, with either source of eigenvalues
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        direct_roots = monic_cubic_roots(a2, a1, a0)
+        patch.setattr(_umath_linalg, "eigvals", lambda a, signature: by_wrapper)
+        assert_same_bits(direct_roots, monic_cubic_roots(a2, a1, a0))
+
+
+@pytest.mark.parametrize("coefficient", [np.inf, np.nan])
+def test_a_non_finite_cubic_coefficient_is_kept_from_lapack(coefficient, monkeypatch):
+    calls = record_gufunc_calls(monkeypatch, ["eigvals"])
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        monic_cubic_roots(1.0, coefficient, -2.0)
+    assert calls["eigvals"] == []
+
+
+def test_all_real_cubic_roots_are_a_real_array():
+    assert monic_cubic_roots(-6.0, 11.0, -6.0).dtype == np.float64  # (x - 1)(x - 2)(x - 3)
+    assert monic_cubic_roots(0.0, 0.0, 1.0).dtype == np.complex128  # x^3 + 1
+
+
+def failing_member(name, n):
+    """A matrix that `name` fails on: a zero column, which LU meets as an
+    exact zero pivot, or a negative definite one for Cholesky."""
+    if name == "cholesky_lo":
+        return -np.eye(n)
+    m = np.eye(n)
+    m[:, n // 2] = 0.0
+    return m
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(["inv", "solve", "cholesky_lo"]),
+    k=st.integers(2, 5),
+    n=st.sampled_from(SIZES),
+    data=st.data(),
+)
+def test_a_failing_member_reads_nan_and_the_others_keep_their_bits(seed, name, k, n, data):
+    bad = data.draw(st.integers(0, k - 1))
+    args = random_inputs(name, seed, (k,), n, False)
+    args[0][bad] = failing_member(name, n)
+    signature = "dd->d" if name == "solve" else "d->d"
+    out = direct(name, signature, *args)
+    assert np.isnan(out[bad]).all()
+    others = [j for j in range(k) if j != bad]
+    expected = WRAPPERS[name, signature](*(x[others] for x in args))
+    assert_same_bits(out[others], expected)
+
+
+@pytest.fixture
+def params():
+    return default_params()
+
+
+def run_pipeline(params):
+    """evaluate_point, a preset run_sweep, nth_entanglement_threshold and
+    from_bare_detuning, at points that reach every gufunc."""
+    p10 = replace(params, power=10e-3)
+    point = evaluate_point(p10, -1.0)
+    sweep = run_sweep(figure_preset("fig2b"))
+    threshold = nth_entanglement_threshold(p10, -1.0)
+    states = from_bare_detuning(-5.0 * params.kappa, replace(params, power=5e-3))
+    return (
+        point.status, point.report, point.covariance.v.tobytes(),
+        sweep.log_negativity.tobytes(), sweep.status.tolist(), threshold, states,
+    )
+
+
+def test_oment_calls_each_gufunc_as_its_wrapper_does(params, monkeypatch):
+    calls = record_gufunc_calls(monkeypatch, sorted({name for name, _ in WRAPPERS}))
+    run_pipeline(params)
+    monkeypatch.undo()
+    for name, recorded in calls.items():
+        assert recorded, f"{name} is never called"
+        for args, kwargs in recorded:
+            assert kwargs.keys() == {"signature"}
+            wrapper = WRAPPERS[name, kwargs["signature"]]
+            assert_same_bits(direct(name, kwargs["signature"], *args), wrapper(*args))
+
+
+def test_no_linalg_wrapper_runs_on_the_pipeline(params, monkeypatch):
+    expected = run_pipeline(params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an np.linalg wrapper ran")
+
+    for name in ("eigvals", "inv", "solve", "det", "cholesky", "cond"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run_pipeline(params) == expected

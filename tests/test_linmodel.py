@@ -20,7 +20,11 @@ from oment import (
     stability_stack,
     steady_states,
 )
-from references import blue_threshold_closed_form, red_threshold_closed_form
+from references import (
+    blue_threshold_closed_form,
+    record_gufunc_calls,
+    red_threshold_closed_form,
+)
 
 
 @pytest.fixture
@@ -265,26 +269,23 @@ def gate_stack(params, powers):
 
 
 def test_finite_drift_stack_takes_one_eigvals(params, monkeypatch):
-    calls = []
-    eigvals = np.linalg.eigvals
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    calls = record_gufunc_calls(monkeypatch, ["eigvals"])
     gate_stack(params, [1e-3, 5e-3, 10e-3])
-    assert calls == [(3, 4, 4)]
+    assert [args[0].shape for args, _ in calls["eigvals"]] == [(3, 4, 4)]
 
 
-def test_gate_of_a_stack_with_an_overflowed_drift_matrix(params):
+def test_gate_of_a_stack_with_an_overflowed_drift_matrix(params, monkeypatch):
     # 1e300 W overflows the drive amplitude, so that drift matrix holds inf entries
     powers = [10e-3, 1e300, 3e-3]
+    calls = record_gufunc_calls(monkeypatch, ["eigvals"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, report = gate_stack(params, powers)
         alone = [gate_stack(params, power)[1] for power in powers]
     assert not np.isfinite(a[1]).all()
+    # LAPACK never sees a matrix with an inf entry; the finite ones go in one call
+    matrices = [args[0] for args, _ in calls["eigvals"]]
+    assert matrices[0].shape == (2, 4, 4) and all(np.isfinite(m).all() for m in matrices)
     assert np.isnan(report.spectral_abscissa).tolist() == [False, True, False]
     assert report.spectral_stable.tolist()[1] is False and report.marginal.tolist()[1] is False
     for k in (0, 2):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from oment import (
     IllConditionedWarning,
@@ -25,6 +26,7 @@ from references import (
     lyapunov_system_loop,
     matrix_exponential,
     matrix_stack,
+    record_gufunc_calls,
     residual_by_norm,
 )
 
@@ -206,25 +208,61 @@ def count_calls(monkeypatch, module, names):
 
 def test_regular_stack_takes_one_inverse_and_no_cond(monkeypatch):
     a = stable_drift_stack(np.random.default_rng(59), (6,), 0.7)
-    counts = count_calls(monkeypatch, np.linalg, ("inv", "cond"))
+    calls = record_gufunc_calls(monkeypatch, ["inv", "solve"])
+    counts = count_calls(monkeypatch, np.linalg, ("cond",))
     solve_stack(a, np.eye(4))
-    assert counts == {"inv": 1, "cond": 0}
+    assert [args[0].shape for args, _ in calls["inv"]] == [(6, 10, 10)]
+    assert [args[0].shape for args, _ in calls["solve"]] == [(6, 10, 10)]
+    assert counts == {"cond": 0}
 
 
-def test_singular_stack_falls_back_to_cond(monkeypatch):
+def test_singular_stack_takes_one_inverse_and_reads_inf(monkeypatch):
     a = np.stack([-np.eye(4), singular_drift()])
-    counts = count_calls(monkeypatch, np.linalg, ("inv", "cond"))
-    with pytest.warns(IllConditionedWarning):
-        solve_stack(a, np.eye(4))
-    assert counts == {"inv": 1, "cond": 1}
+    alone = solve_stack(-np.eye(4), np.eye(4))
+    calls = record_gufunc_calls(monkeypatch, ["inv"])
+    counts = count_calls(monkeypatch, np.linalg, ("cond",))
+    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
+        v, res, condition, ill = solve_stack(a, np.eye(4))
+    assert len(calls["inv"]) == 1 and counts == {"cond": 0}
+    assert condition[1] == np.inf and ill.tolist() == [False, True]
+    for stacked, single in zip((v, res, condition, ill), alone):
+        assert stacked[0].tobytes() == single.tobytes()
 
 
-def test_nan_product_falls_back_to_cond(monkeypatch):
-    a = stable_drift_stack(np.random.default_rng(61), (3,), 0.7)
-    expected = np.linalg.cond(systems_of(a), 1)
-    # an inverse that holds a NaN gives the product no meaning of its own
-    monkeypatch.setattr(np.linalg, "inv", lambda x: np.full_like(x, np.nan))
-    assert np.array_equal(solve_stack(a, np.eye(4))[2], expected)
+def test_nan_inverse_reads_inf_unless_the_system_has_a_nan_entry(monkeypatch):
+    a = stable_drift_stack(np.random.default_rng(61), (4,), 0.7)
+    a[2, 0, 1] = np.nan
+    inv = _umath_linalg.inv
+
+    def failing_second(x, **kwargs):
+        inverse = inv(x, **kwargs)
+        inverse[1] = np.nan  # as LAPACK reports a singular system
+        return inverse
+
+    monkeypatch.setattr(_umath_linalg, "inv", failing_second)
+    with pytest.warns(IllConditionedWarning) as caught:
+        condition = solve_stack(a, np.eye(4))[2]
+    # np.linalg.cond takes the same (patched) inverse, so this is its rule
+    assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1), equal_nan=True)
+    assert condition[1] == np.inf and np.isnan(condition[2])
+    assert [str(w.message).split()[-3:] for w in caught] == [
+        ["inf", "exceeds", "1e+12"], ["is", "not", "finite"]
+    ]
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_drift_with_a_non_finite_entry_is_flagged_ill_conditioned(entry):
+    a = -np.eye(4)
+    a[2, 1] = entry
+    with pytest.warns(IllConditionedWarning, match="nan is not finite") as caught:
+        v, res, condition, ill = solve_stack(np.stack([-np.eye(4), a]), np.eye(4))
+    # one warning, and no numpy RuntimeWarning on the way
+    assert [w.category for w in caught] == [IllConditionedWarning]
+    assert np.isnan(condition[1]) and ill.tolist() == [False, True]
+    assert np.isnan(v[1]).all() and np.isnan(res[1])
+    alone = solve_stack(-np.eye(4), np.eye(4))
+    for stacked, single in zip((v, res, condition, ill), alone):
+        assert stacked[0].tobytes() == single.tobytes()
 
 
 def test_rejects_unstable_drift():
