@@ -72,15 +72,16 @@ class EntanglementReport:
     entangled: bool
 
 
+@np.errstate(all="ignore")
 def sigma(v):
-    """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per matrix.
+    """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per
+    matrix, from one batched determinant of the three 2x2 blocks of each."""
+    return _sigma(v)
 
-    The three 2x2 blocks of every matrix are gathered into one stack and take
-    one batched determinant, which factors each block on its own, so the bits
-    are those of three separate ``np.linalg.det`` calls.
-    """
-    with np.errstate(all="ignore"):
-        d = _umath_linalg.det(v[..., _ROWS, _COLS], signature="d->d")
+
+def _sigma(v):
+    """:func:`sigma` under the caller's error state."""
+    d = _umath_linalg.det(v[..., _ROWS, _COLS], signature="d->d")
     return d[..., 0] + d[..., 1] - 2.0 * d[..., 2]
 
 
@@ -117,8 +118,12 @@ def eta_stack(v):
     with a NaN or inf entry, or whose determinants overflow, reads
     non-physical without a numpy warning.
     """
-    m = np.asarray(v, dtype=float)
-    sig = sigma(m)
+    return _eta_stack(np.asarray(v, dtype=float))
+
+
+def _eta_stack(m):
+    """:func:`eta_stack` of a float stack, under the caller's error state."""
+    sig = _sigma(m)
     det_v = _umath_linalg.det(m, signature="d->d")
     radicand = sig * sig - 4.0 * det_v
     inner = (sig - np.sqrt(np.maximum(radicand, 0.0))) / 2.0

@@ -55,21 +55,24 @@ class StabilityReport:
     marginal: bool
 
 
-def drift_matrix(
-    omega_m: float,
-    gamma_m: float,
-    kappa: float,
-    delta,
-    g,
-    beta=0.0,
-) -> np.ndarray:
+def _check_beta(beta) -> None:
+    if not np.less(beta, 1.0).all():
+        raise ValueError(f"beta must be < 1, got {beta!r}")
+
+
+def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.0) -> np.ndarray:
     """Raw 4x4 drift matrix for the quadrature ordering (dx_m, dp_m, dI, dphi).
 
     `delta`, `g` and `beta` broadcast against each other; array inputs give
-    a stack of shape ``(..., 4, 4)``.
+    a stack of shape ``(..., 4, 4)``.  Checks that every beta is below 1,
+    then calls :func:`_drift_matrix`.
     """
-    if not np.less(beta, 1.0).all():
-        raise ValueError(f"beta must be < 1, got {beta!r}")
+    _check_beta(beta)
+    return _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta)
+
+
+def _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta):
+    """:func:`drift_matrix` without its check: it trusts every beta < 1."""
     # the sum carries the broadcast shape of the inputs; scalars have none
     a = np.zeros(getattr(delta + g + beta, "shape", ()) + (4, 4))
     a[..., 0, 1] = omega_m
@@ -85,17 +88,28 @@ def drift_matrix(
 
 
 def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
-    """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array `n_th`."""
+    """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array `n_th`.
+
+    Checks that every n_th is >= 0, then calls :func:`_diffusion_matrix`.
+    """
     n_th = np.asarray(n_th)
     if np.less(n_th, 0).any():
         raise ValueError("n_th must be >= 0")
-    d = np.zeros(n_th.shape + (4, 4))
+    return _diffusion_matrix(gamma_m, kappa, n_th)
+
+
+def _diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
+    """:func:`diffusion_matrix` without its check: it trusts every n_th >= 0."""
+    d = np.zeros(np.shape(n_th) + (4, 4))
     d[..., 1, 1] = gamma_m * (2.0 * n_th + 1.0)
     d[..., 2, 2] = kappa
     d[..., 3, 3] = kappa
     return d
 
 
+# a huge coupling overflows s1, and a larger one s2, to +-inf (NaN at delta
+# = 0): the Routh verdict reads unstable and the spectral gate sets the status
+@np.errstate(over="ignore", invalid="ignore")
 def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     """The two nontrivial Routh-Hurwitz conditions (s1, s2) for beta = 0.
 
@@ -104,38 +118,44 @@ def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     is the standard quartic Hurwitz form for this system.  Elementwise over
     arrays of `delta` and `g`.
     """
-    # a huge coupling overflows s1, and a larger one s2, to +-inf (NaN at delta
-    # = 0): the Routh verdict reads unstable and the spectral gate sets the status
-    with np.errstate(over="ignore", invalid="ignore"):
-        hk2 = kappa**2 / 4.0
-        g_sq = square(g)
-        s1 = (
-            gamma_m
-            * kappa
-            * (
-                (hk2 + square(omega_m - delta)) * (hk2 + square(omega_m + delta))
-                + gamma_m * ((gamma_m + kappa) * (hk2 + square(delta)) + kappa * omega_m**2)
-            )
-            - delta * omega_m * g_sq * (gamma_m + kappa) ** 2
+    return _routh_conditions(omega_m, gamma_m, kappa, delta, g)
+
+
+def _routh_conditions(omega_m, gamma_m, kappa, delta, g):
+    """:func:`routh_conditions` under the caller's error state."""
+    hk2 = kappa**2 / 4.0
+    g_sq = square(g)
+    s1 = (
+        gamma_m
+        * kappa
+        * (
+            (hk2 + square(omega_m - delta)) * (hk2 + square(omega_m + delta))
+            + gamma_m * ((gamma_m + kappa) * (hk2 + square(delta)) + kappa * omega_m**2)
         )
-        s2 = omega_m * (square(delta) + hk2) + g_sq * delta
+        - delta * omega_m * g_sq * (gamma_m + kappa) ** 2
+    )
+    s2 = omega_m * (square(delta) + hk2) + g_sq * delta
     return s1, s2
 
 
+@np.errstate(all="ignore")
 def spectral_abscissa(a: np.ndarray):
     """Largest real part of the eigenvalues of A; one per matrix of a stack.
 
     A matrix with an infinite or NaN entry is kept from LAPACK and reads NaN;
     the others get the bits they get alone.
     """
-    a = np.asarray(a, dtype=float)
+    return _spectral_abscissa(np.asarray(a, dtype=float))
+
+
+def _spectral_abscissa(a: np.ndarray):
+    """:func:`spectral_abscissa` of a float stack, under the caller's error state."""
     if not np.isfinite(a).all():
         finite = np.isfinite(a).all(axis=(-2, -1))
         abscissa = np.full(finite.shape, np.nan)
-        abscissa[finite] = spectral_abscissa(a[finite])
+        abscissa[finite] = _spectral_abscissa(a[finite])
         return abscissa
-    with np.errstate(all="ignore"):
-        return _umath_linalg.eigvals(a, signature="d->D").real.max(axis=-1)
+    return _umath_linalg.eigvals(a, signature="d->D").real.max(axis=-1)
 
 
 def spectral_verdict(abscissa, marginal_tol: float = 0.0):
@@ -145,6 +165,7 @@ def spectral_verdict(abscissa, marginal_tol: float = 0.0):
     return stable, stable & (abscissa > -marginal_tol)
 
 
+@np.errstate(all="ignore")
 def stability_stack(steady: SteadyState, params: PhysicalParams):
     """Drift matrices and both stability routes at every point of `steady`.
 
@@ -154,12 +175,20 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
     batched eigvals gates the stack (:func:`spectral_abscissa`).  A drift
     matrix with an infinite or NaN entry (an overflowed steady state) gets a
     NaN abscissa and is neither stable nor marginal; the others are gated as
-    they are alone.
+    they are alone.  Checks that every beta is below 1, as
+    :func:`drift_matrix` does, then calls :func:`_stability_stack`.
     """
+    _check_beta(steady.beta)
+    return _stability_stack(steady, params)
+
+
+def _stability_stack(steady: SteadyState, params: PhysicalParams):
+    """:func:`stability_stack` without its check, under the caller's error
+    state: it trusts every beta < 1 and a checked `params`."""
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
-    s1, s2 = routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
-    abscissa = spectral_abscissa(a)
+    a = _drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
+    s1, s2 = _routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
+    abscissa = _spectral_abscissa(a)
     stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
     return a, StabilityReport(
         s1=s1,

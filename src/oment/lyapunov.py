@@ -56,6 +56,9 @@ class CovarianceMatrix:
 
 # Upper-triangle index pairs of a symmetric 4x4 matrix: the 10 unknowns.
 _UT = np.triu_indices(4)
+# The unknown at each entry of the 4x4 matrix: solution[..., _SYM] is V.
+_SYM = np.zeros((4, 4), np.intp)
+_SYM[_UT] = _SYM.T[_UT] = np.arange(10)
 
 
 def _system_coefficients() -> np.ndarray:
@@ -78,20 +81,26 @@ def _system_coefficients() -> np.ndarray:
 _SYSTEM = _system_coefficients()
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+# The code of the wrapper that ``@np.errstate(...)`` puts around a function.
+_ERRSTATE_WRAPPER = np.errstate()(lambda: None).__code__
 
 
 def _user_stacklevel() -> int:
     """The ``stacklevel`` at which a warning issued by the caller of this
-    function names the first frame outside the oment package.
+    function names the first frame outside the oment package and the
+    ``np.errstate`` wrappers of its functions.
 
     Python before 3.12 has no ``skip_file_prefixes``; this walks the stack.
     """
     frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+    while frame is not None and (
+        frame.f_code is _ERRSTATE_WRAPPER or frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+    ):
         frame, level = frame.f_back, level + 1
     return level
 
 
+@np.errstate(all="ignore")  # a failing system reads NaN on its own
 def solve_stack(a: np.ndarray, d: np.ndarray):
     """Solve A V + V A^T = -D for a stack of drift/diffusion pairs.
 
@@ -101,8 +110,7 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     residual, condition, ill_conditioned)``: `v` and `residual` per pair,
     `condition` and `ill_conditioned` per drift matrix, and each pair is
     solved on its own.  `condition` is the 1-norm condition of the 10x10
-    system, bit for bit what ``np.linalg.cond(system, 1)`` gives; it is
-    within a factor of 10 of the 2-norm condition.  Each system whose
+    system, as ``np.linalg.cond(system, 1)`` gives it.  Each system whose
     condition exceeds 1e12, or is NaN (a NaN or inf entry in its drift
     matrix), issues an :class:`IllConditionedWarning`, attributed to the
     first caller outside oment; its result is flagged but still returned.  A
@@ -110,16 +118,17 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     or NaN) has its `v` and `residual` read NaN, while every other pair gets
     the bits it gets when solved alone.  No numpy ``RuntimeWarning`` escapes.
     """
-    with np.errstate(all="ignore"):  # a failing system reads NaN on its own
-        system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
-        condition = _condition(system)
-        rhs = -d[..., _UT[0], _UT[1], None]
-        solution = _umath_linalg.solve(system, rhs, signature="dd->d")[..., 0]
-        solution = np.where(np.isfinite(condition)[..., None], solution, np.nan)
-        v = np.empty(solution.shape[:-1] + (4, 4))
-        v[..., _UT[0], _UT[1]] = solution
-        v[..., _UT[1], _UT[0]] = solution
-        res = residual(a, v, d)
+    return _solve_stack(a, d)
+
+
+def _solve_stack(a: np.ndarray, d: np.ndarray):
+    """:func:`solve_stack` under the caller's error state."""
+    system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
+    condition = _condition(system)
+    rhs = -d[..., _UT[0], _UT[1], None]
+    solution = _umath_linalg.solve(system, rhs, signature="dd->d")[..., 0]
+    v = np.where(np.isfinite(condition)[..., None], solution, np.nan)[..., _SYM]
+    res = residual(a, v, d)
 
     ill = ~(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
     if ill.any():
@@ -134,13 +143,9 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
 
 
 def _condition(system):
-    """1-norm condition ||S||_1 ||S^-1||_1 of each system of a stack.
-
-    This is what ``np.linalg.cond(system, 1)`` computes, bit for bit: the
-    inverse from the gufunc that ``cond`` calls, and the column sums, without
-    the wrappers of ``cond`` and ``norm``.  A singular system's inverse reads
-    NaN, and its condition ``inf`` unless the system has a NaN entry, which is
-    ``cond``'s rule.  Runs under the caller's errstate.
+    """1-norm condition ||S||_1 ||S^-1||_1 of each system of a stack, as
+    ``np.linalg.cond(system, 1)`` gives it: ``inf`` for a singular system
+    unless it has a NaN entry.  Runs under the caller's errstate.
     """
     condition = _norm_1(system) * _norm_1(_umath_linalg.inv(system, signature="d->d"))
     nan = np.isnan(condition)
@@ -155,12 +160,8 @@ def _norm_1(x):
 
 
 def residual(a, v, d):
-    """Relative Lyapunov residual ||A V + V A^T + D||_F / max(||D||_F, tiny).
-
-    One value per matrix of a stack.  Each Frobenius norm is the plain
-    ``sqrt((x * x).sum(axis=(-2, -1)))``, which is what ``np.linalg.norm``
-    computes for real input, without its wrapper.
-    """
+    """Relative Lyapunov residual ||A V + V A^T + D||_F / max(||D||_F, tiny),
+    one value per matrix of a stack."""
     a, v, d = (np.asarray(m, dtype=float) for m in (a, v, d))
     num = _frobenius(a @ v + v @ a.swapaxes(-1, -2) + d)
     return num / np.maximum(_frobenius(d), _TINY)

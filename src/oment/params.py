@@ -146,19 +146,30 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
     return 1.0 / math.expm1(HBAR * omega_m / (K_B * temperature))
 
 
+def _check_drive(power, kappa: float, omega_laser: float) -> None:
+    if np.less(power, 0).any():
+        raise ValueError("power must be >= 0")
+    if not (kappa > 0 and omega_laser > 0):
+        raise ValueError("kappa and omega_laser must be > 0")
+
+
+@np.errstate(over="ignore")
 def drive_amplitude(power, kappa: float, omega_laser: float):
     """Drive amplitude |E0| = sqrt(P0 * kappa / (2 * hbar * omega_laser)) (1/s).
 
     Scales as sqrt(P0); zero for an undriven cavity.  Elementwise over an
     array of powers.  A power too large for the product gives an infinite
     amplitude without a warning: the grid point then reads status ``error``.
+    Checks its input, then calls :func:`_drive_amplitude`.
     """
-    if np.less(power, 0).any():
-        raise ValueError("power must be >= 0")
-    if not (kappa > 0 and omega_laser > 0):
-        raise ValueError("kappa and omega_laser must be > 0")
-    with np.errstate(over="ignore"):
-        return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
+    _check_drive(power, kappa, omega_laser)
+    return _drive_amplitude(power, kappa, omega_laser)
+
+
+def _drive_amplitude(power, kappa: float, omega_laser: float):
+    """:func:`drive_amplitude` without its checks, under the caller's error
+    state: it trusts a power >= 0 and kappa, omega_laser > 0."""
+    return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
 
 
 # Config file schema: "key = value" lines, '#' comments.  Frequencies in Hz.

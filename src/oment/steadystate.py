@@ -12,13 +12,14 @@ of a whole grid or of a single point); the bare detuning route
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .params import PhysicalParams, drive_amplitude
+from .params import PhysicalParams, _check_drive, _drive_amplitude
 
 __all__ = [
     "SteadyState",
@@ -85,6 +86,7 @@ def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadySt
     )
 
 
+@np.errstate(over="ignore")
 def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState:
     """Operating points at prescribed effective detunings, elementwise.
 
@@ -92,21 +94,40 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
     `power` (see :func:`~oment.params.drive_amplitude`), and the bare
     detuning is back-computed from the radiation-pressure shift.
     `delta_eff`, `power` and `beta` broadcast against each other; the
-    remaining parameters come from `params`.
+    remaining parameters come from `params`.  Checks `power` as
+    :func:`~oment.params.drive_amplitude` does, then calls
+    :func:`_steady_states`.
     """
-    e0 = drive_amplitude(power, params.kappa, params.omega_laser)
+    _check_drive(power, params.kappa, params.omega_laser)
+    return _steady_states(delta_eff, power, beta, params)
+
+
+def _steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState:
+    """:func:`steady_states` without its check, under the caller's error
+    state: it trusts a power >= 0 and a checked `params`."""
+    e0 = _drive_amplitude(power, params.kappa, params.omega_laser)
     n_s = square(e0) / (square(delta_eff) + params.kappa**2 / 4.0)
     delta_bare = delta_eff - 2.0 * (params.g_m**2 / params.omega_m) * n_s
     return _build(n_s, delta_eff, delta_bare, beta, params)
 
 
+@np.errstate(all="ignore")
 def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     """All roots of x^3 + a2*x^2 + a1*x + a0 via companion-matrix eigenvalues.
 
     Each eigenvalue is polished with one Newton step, which keeps residuals
-    checkable even for nearly degenerate roots.  As in ``np.linalg.eigvals``,
-    a non-finite coefficient raises ``LinAlgError`` and all-real roots are real.
+    checkable even for nearly degenerate roots; a root whose step is not
+    finite (a zero or subnormal derivative) stays unpolished.  As in
+    ``np.linalg.eigvals``, a non-finite coefficient raises ``LinAlgError``
+    and all-real roots are real.  No numpy ``RuntimeWarning`` escapes.
     """
+    return _monic_cubic_roots(a2, a1, a0)
+
+
+def _monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
+    """:func:`monic_cubic_roots` under the caller's error state."""
+    if not (math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0)):  # kept from LAPACK
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     companion = np.array(
         [
             [0.0, 0.0, -a0],
@@ -114,19 +135,15 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
             [0.0, 1.0, -a2],
         ]
     )
-    if not np.isfinite(companion).all():  # LAPACK must not see it
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    with np.errstate(all="ignore"):
-        roots = _umath_linalg.eigvals(companion, signature="d->D")
+    roots = _umath_linalg.eigvals(companion, signature="d->D")
     if not roots.imag.any():
         roots = roots.real
     poly = ((roots + a2) * roots + a1) * roots + a0
-    dpoly = (3.0 * roots + 2.0 * a2) * roots + a1
-    safe = np.abs(dpoly) > 0
-    roots = np.where(safe, roots - poly / np.where(safe, dpoly, 1.0), roots)
-    return roots
+    step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
+    return np.where(np.isfinite(step), roots - step, roots)
 
 
+@np.errstate(all="ignore")
 def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[SteadyState]:
     """All physical operating points at a prescribed bare detuning.
 
@@ -134,9 +151,10 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     kappa^2/4)`` for the photon number.  Real non-negative roots are returned
     sorted ascending by ``n_s``; complex or negative roots are discarded, not
     clamped.  A :class:`DegenerateRootsWarning` is issued when two roots
-    coincide within relative 1e-6.
+    coincide within relative 1e-6.  It trusts `params`, which
+    :class:`~oment.params.PhysicalParams` checks.
     """
-    e0_sq = drive_amplitude(params.power, params.kappa, params.omega_laser) ** 2
+    e0_sq = _drive_amplitude(params.power, params.kappa, params.omega_laser) ** 2
     shift = 2.0 * params.g_m**2 / params.omega_m  # detuning shift per photon
     half_kappa_sq = params.kappa**2 / 4.0
 
@@ -147,10 +165,11 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
         a2 = 2.0 * delta_bare / shift
         a1 = (delta_bare**2 + half_kappa_sq) / shift**2
         a0 = -e0_sq / shift**2
-        roots = monic_cubic_roots(a2, a1, a0)
-        scale = np.abs(roots).max() + 1.0
-        real = roots[np.abs(roots.imag) <= _IMAG_TOL * (np.abs(roots.real) + scale)].real
-        candidates = np.sort(real[real >= 0.0])
+        roots = _monic_cubic_roots(a2, a1, a0)
+        if roots.dtype.kind == "c":  # all-real roots come back as a real array
+            scale = np.abs(roots).max() + 1.0
+            roots = roots[np.abs(roots.imag) <= _IMAG_TOL * (np.abs(roots.real) + scale)].real
+        candidates = np.sort(roots[roots >= 0.0])
 
     states = []
     for n_s in candidates:
@@ -168,7 +187,7 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
             warnings.warn(
                 f"degenerate photon-number roots near n_s={high.n_s:.6e}",
                 DegenerateRootsWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller's line, past the np.errstate wrapper
             )
     return states
 

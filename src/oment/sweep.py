@@ -16,10 +16,10 @@ from numpy.linalg import _umath_linalg
 
 from . import gaussian
 from .gaussian import EntanglementReport
-from .linmodel import StabilityReport, diffusion_matrix, stability_stack
-from .lyapunov import CovarianceMatrix, residual, solve_stack
+from .linmodel import StabilityReport, _diffusion_matrix, _stability_stack
+from .lyapunov import CovarianceMatrix, _solve_stack, residual
 from .params import ConfigError, PhysicalParams, default_params, require_finite, thermal_occupation
-from .steadystate import SteadyState, steady_states
+from .steadystate import SteadyState, _steady_states
 
 __all__ = [
     "SweepSpec",
@@ -42,7 +42,6 @@ STATUS_ERROR = "error"
 
 RESIDUAL_LIMIT = 1e-8
 _EPS = float(np.finfo(float).eps)
-
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,10 @@ class _Stack:
     eta: np.ndarray
 
 
-# Gate outcome by number of passed checks: none, stable, stable and marginal.
-_GATE_STATUS = np.array([STATUS_UNSTABLE, STATUS_OK, STATUS_MARGINAL])
+# Gate outcome by stable + marginal + 3 * (abscissa is NaN); a NaN abscissa is
+# neither stable nor marginal, so each of the four outcomes has its own index.
+_GATE_STATUS = np.array([STATUS_UNSTABLE, STATUS_OK, STATUS_MARGINAL, STATUS_ERROR])
+_NAN_GATE = np.intp(3)  # a numpy integer: a Python int takes numpy's slow scalar path
 # Covariance and entanglement arrays of a stack in which no point is solved.
 _UNSOLVED = (
     np.empty((0, 4, 4)),
@@ -207,27 +208,27 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     diffusion) pair on its own.  Unstable and marginal operating points skip
     the solve; points whose drift matrix is not finite, whose residual
     exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
-    ``error``.
+    ``error``.  It trusts its input, which the entry points check, and runs
+    under their error state.
     """
-    a, stability = stability_stack(steady, params)
-    op_shape = stability.spectral_abscissa.shape
-    gate = np.add(stability.spectral_stable, stability.marginal, dtype=np.intp).reshape(-1)
+    a, stability = _stability_stack(steady, params)
+    abscissa, stable = stability.spectral_abscissa, stability.spectral_stable
+    op_shape = abscissa.shape
+    gate = (_NAN_GATE * np.isnan(abscissa) + stable + stability.marginal).reshape(-1)
     status = _GATE_STATUS[gate]
-    status[np.isnan(stability.spectral_abscissa).reshape(-1)] = STATUS_ERROR
     # an n_th axis or n_th curves: an operating point spans several grid points
-    shape = np.broadcast(stability.spectral_abscissa, n_th).shape
+    shape = np.broadcast(abscissa, n_th).shape
     if shape != op_shape:
         status = np.broadcast_to(status.reshape(op_shape), shape).flatten()
-    solved = np.nonzero(gate == 1)[0]
+    solved = np.flatnonzero(gate == 1)
     if not solved.size:
         return _Stack(stability, status, solved, *_UNSOLVED)
 
     a = a.reshape(-1, 4, 4)[solved]
     if shape != op_shape:  # each drift matrix meets the diffusion matrices of its grid points
         a, solved = a[:, None], _operating_groups(op_shape, shape)[solved]
-    n = np.broadcast_to(n_th, shape).reshape(-1)[solved]
-    d = diffusion_matrix(params.gamma_m, params.kappa, n)
-    v, res, condition, ill = solve_stack(a, d)
+    d = _diffusion_matrix(params.gamma_m, params.kappa, np.full(shape, n_th).reshape(-1)[solved])
+    v, res, condition, ill = _solve_stack(a, d)
     solved, v, res = solved.reshape(-1), v.reshape(-1, 4, 4), res.reshape(-1)
     ok, sig, det_v, eta = _checked_eta(res, v)
     status[solved[~ok]] = STATUS_ERROR
@@ -246,11 +247,12 @@ def _checked_eta(res: np.ndarray, v: np.ndarray):
     det V and eta of the ok matrices (see :func:`gaussian.eta_stack`).
     """
     ok = res <= RESIDUAL_LIMIT
-    sig, det_v, eta, physical = gaussian.eta_stack(gaussian.CM_SCALE * v[ok])
+    sig, det_v, eta, physical = gaussian._eta_stack(gaussian.CM_SCALE * v[ok])
     ok[ok] = physical
     return ok, sig[physical], det_v[physical], eta[physical]
 
 
+@np.errstate(all="ignore")
 def evaluate_point(
     params: PhysicalParams,
     delta_norm: float,
@@ -261,14 +263,16 @@ def evaluate_point(
     Unstable and marginal points carry a status instead of a report.  The
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
     with the configured eta factor.  The point runs through the same stacked
-    pipeline as :func:`run_sweep`.
+    pipeline as :func:`run_sweep`.  `params` is checked by
+    :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here; the
+    stages then trust them.
     """
     if n_th is None:
         n_th = thermal_occupation(params.temperature, params.omega_m)
     require_finite(delta_norm=delta_norm, n_th=n_th)
     if n_th < 0:
         raise ConfigError("n_th must be >= 0")
-    steady = steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
+    steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     stack = _evaluate(params, steady, n_th)
     covariance = report = None
     if stack.solved.size:
@@ -322,18 +326,20 @@ def _grid_values(spec: SweepSpec) -> dict[str, np.ndarray]:
     return values
 
 
+@np.errstate(all="ignore")
 def run_sweep(spec: SweepSpec) -> Sweep:
     """Evaluate the full grid, curves outer, axis inner.
 
     The grid goes through the pipeline as one stack: every stage that does
     not depend on n_th runs once per operating point, and a point's row does
-    not depend on the other points of the grid.
+    not depend on the other points of the grid.  :meth:`SweepSpec.validate`
+    checks every grid value; the stages then trust them.
     """
     spec.validate()
     values = _grid_values(spec)
     params = spec.fixed
     delta_eff = values["delta_norm"] * params.omega_m
-    steady = steady_states(delta_eff, values["power"], values["beta"], params)
+    steady = _steady_states(delta_eff, values["power"], values["beta"], params)
     stack = _evaluate(params, steady, values["n_th"])
 
     eta, log_neg = np.full((2, stack.status.size), np.nan)
@@ -362,7 +368,21 @@ def run_sweep(spec: SweepSpec) -> Sweep:
     )
 
 
-FIGURE_NAMES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3")
+_BETAS = (0.0, 0.2, 0.4, 0.6)
+# Each preset's SweepSpec fields that differ from a 201-point detuning sweep on
+# [-2, 0], and the base parameters that it replaces.
+_PRESETS = {
+    "fig1a": ({}, dict(power=0.7e-3, beta=0.0)),
+    "fig1b": ({}, dict(power=10e-3, beta=0.0)),
+    "fig2a": (dict(curves=_BETAS), dict(power=10e-3)),
+    "fig2b": (dict(axis="beta", start=0.0, stop=0.6, delta_norm=-0.5), dict(power=10e-3)),
+    "fig3": (
+        dict(axis="n_th", start=0.0, stop=3000.0, curves=_BETAS,
+             curve_delta_norms=(-1.0, -0.5, -0.5, -0.5)),
+        dict(power=10e-3),
+    ),
+}
+FIGURE_NAMES = tuple(_PRESETS)
 
 
 def figure_preset(name: str, base: PhysicalParams | None = None) -> SweepSpec:
@@ -374,52 +394,12 @@ def figure_preset(name: str, base: PhysicalParams | None = None) -> SweepSpec:
     sweep at 10 mW, the linear curve at its optimum -1 and the nonlinear
     curves at theirs, -0.5.
     """
+    if name not in FIGURE_NAMES:
+        raise ConfigError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
+    sweep_fields, param_fields = _PRESETS[name]
     params = base if base is not None else default_params()
-    if name == "fig1a":
-        return SweepSpec(
-            axis="delta_norm",
-            start=-2.0,
-            stop=0.0,
-            count=201,
-            fixed=replace(params, power=0.7e-3, beta=0.0),
-        )
-    if name == "fig1b":
-        return SweepSpec(
-            axis="delta_norm",
-            start=-2.0,
-            stop=0.0,
-            count=201,
-            fixed=replace(params, power=10e-3, beta=0.0),
-        )
-    if name == "fig2a":
-        return SweepSpec(
-            axis="delta_norm",
-            start=-2.0,
-            stop=0.0,
-            count=201,
-            fixed=replace(params, power=10e-3),
-            curves=(0.0, 0.2, 0.4, 0.6),
-        )
-    if name == "fig2b":
-        return SweepSpec(
-            axis="beta",
-            start=0.0,
-            stop=0.6,
-            count=201,
-            fixed=replace(params, power=10e-3),
-            delta_norm=-0.5,
-        )
-    if name == "fig3":
-        return SweepSpec(
-            axis="n_th",
-            start=0.0,
-            stop=3000.0,
-            count=201,
-            fixed=replace(params, power=10e-3),
-            curves=(0.0, 0.2, 0.4, 0.6),
-            curve_delta_norms=(-1.0, -0.5, -0.5, -0.5),
-        )
-    raise ConfigError(f"unknown figure preset {name!r}; expected one of {FIGURE_NAMES}")
+    sweep_fields = dict(axis="delta_norm", start=-2.0, stop=0.0, count=201) | sweep_fields
+    return SweepSpec(**sweep_fields, fixed=replace(params, **param_fields))
 
 
 _COLUMNS = tuple(column.name for column in fields(Sweep))
@@ -537,6 +517,7 @@ def _predicted_path(quartic: list[float], n_hi: float, lo: float, hi: float, rel
     return path
 
 
+@np.errstate(all="ignore")
 def nth_entanglement_threshold(
     params: PhysicalParams,
     delta_norm: float,
@@ -552,34 +533,35 @@ def nth_entanglement_threshold(
     the bisection's path, and the checks of :func:`evaluate_point` decide 0,
     `n_hi` and every predicted midpoint as one stack; a midpoint off the
     path starts a new prediction from there, checked as one more stack.
+    `params` is checked by :class:`~oment.params.PhysicalParams` and the
+    other arguments here; the stages then trust them.
     """
     require_finite(delta_norm=delta_norm, n_hi=n_hi, rel_tol=rel_tol)
     if not n_hi > 0.0:
         raise ConfigError(f"n_hi must be > 0, got {n_hi!r}")
     if not rel_tol >= _EPS:  # below it the interval stops shrinking
         raise ConfigError(f"rel_tol must be >= {_EPS!r}, got {rel_tol!r}")
-    steady = steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
-    a, stability = stability_stack(steady, params)
+    steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
+    a, stability = _stability_stack(steady, params)
     if not stability.spectral_stable or stability.marginal:
         return 0.0
     gamma_m, kappa, f = params.gamma_m, params.kappa, params.convention_eta_factor
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
-    (v0, v1), _, condition, _ = solve_stack(
-        a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step])
+    (v0, v1), _, condition, _ = _solve_stack(
+        a, np.stack([_diffusion_matrix(gamma_m, kappa, 0.0), step])
     )
     if not np.isfinite(condition):  # condition not finite: every V is an error, so not entangled
         return 0.0
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
-    with np.errstate(all="ignore"):
-        simon = _umath_linalg.det(w, signature="d->d") - gaussian.sigma(w) / f**2 + f**-4
+    simon = _umath_linalg.det(w, signature="d->d") - gaussian._sigma(w) / f**2 + f**-4
     quartic = (_FIT @ simon).tolist()
 
     def entangled(n_th: list[float]) -> dict[float, bool]:
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
-        ok, _, _, eta = _checked_eta(residual(a, v, diffusion_matrix(gamma_m, kappa, n)), v)
+        ok, _, _, eta = _checked_eta(residual(a, v, _diffusion_matrix(gamma_m, kappa, n)), v)
         ok[ok] = gaussian.log_negativity_of(eta, f) > 0
         return dict(zip(n_th, ok.tolist()))
 

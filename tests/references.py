@@ -23,6 +23,9 @@
   are the coupling thresholds with the Routh-Hurwitz brackets written out, as
   the library computed them before it took them from
   :func:`oment.routh_conditions`; the library must give the same bits.
+* :func:`hurwitz_with_beta` is the Routh-Hurwitz test of the drift's
+  characteristic quartic with the nonlinearity beta in it, which
+  :func:`oment.routh_conditions` (written for beta = 0) leaves out.
 * :func:`report_of` is the entanglement report of one covariance matrix,
   through the stacked :func:`oment.eta_stack`, for a matrix that must be
   physical.
@@ -30,7 +33,8 @@
   closed forms that the tests build inputs and expected values from, and
   :func:`matrix_stack` builds random matrix stacks in several memory layouts.
 * :func:`record_gufunc_calls` records the calls that reach numpy's LAPACK
-  gufuncs, which the library calls without the ``np.linalg`` wrappers.
+  gufuncs, which the library calls without the ``np.linalg`` wrappers, and
+  :func:`run_pipeline` runs every entry point of the pipeline once.
 """
 
 import json
@@ -45,7 +49,11 @@ from oment import (
     entanglement_report,
     eta_stack,
     evaluate_point,
+    figure_preset,
+    from_bare_detuning,
+    nth_entanglement_threshold,
     residual,
+    run_sweep,
     spectral_abscissa,
 )
 from oment.constants import HBAR, K_B
@@ -430,6 +438,43 @@ def red_threshold_closed_form(omega_m, gamma_m, kappa, delta):
     )
 
 
+def characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta):
+    """Coefficients a1..a4 of the drift's characteristic polynomial s^4 + a1 s^3 + ... + a4,
+
+    p(s) = (s^2 + gamma_m s + omega_m^2 (1 - beta)) ((s + kappa/2)^2 + delta^2)
+    + omega_m delta g^2: only the mechanical omega_m^2 takes the factor
+    (1 - beta), the coupling term keeps omega_m.  Elementwise.
+    """
+    w = omega_m**2 * (1.0 - beta)
+    c = kappa**2 / 4.0 + delta**2
+    return (
+        kappa + gamma_m,
+        c + gamma_m * kappa + w,
+        gamma_m * c + w * kappa,
+        w * c + omega_m * delta * g**2,
+    )
+
+
+def hurwitz_with_beta(omega_m, gamma_m, kappa, delta, g, beta):
+    """The Hurwitz determinants [h1, h2, h3, h4] of :func:`characteristic_quartic`
+    and their scales, as arrays of the broadcast shape of the inputs.
+
+    The drift is stable iff all four are positive:
+    h1 = a1, h2 = a1 a2 - a3, h3 = a3 h2 - a1^2 a4 and h4 = a4.  A scale is
+    the sum of the magnitudes of the terms of its determinant, so
+    ``abs(h) < 1e-6 * scale`` marks a point too close to the boundary to tell.
+    """
+    a1, a2, a3, a4 = characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta)
+    h2 = a1 * a2 - a3
+    h2_scale = a1 * a2 + abs(a3)
+    w_c = omega_m**2 * (1.0 - beta) * (kappa**2 / 4.0 + delta**2)
+    a4_scale = w_c + omega_m * abs(delta) * g**2
+    h3 = a3 * h2 - a1**2 * a4
+    h3_scale = abs(a3) * h2_scale + a1**2 * a4_scale
+    scales = np.broadcast_arrays(a1, h2_scale, h3_scale, a4_scale)
+    return np.broadcast_arrays(a1, h2, h3, a4), scales
+
+
 def report_of(v, f: float = 2.0):
     """:class:`oment.EntanglementReport` of one CM, which must be physical."""
     sig, det_v, eta, physical = eta_stack(v)
@@ -481,3 +526,17 @@ def record_gufunc_calls(monkeypatch, names):
 
         monkeypatch.setattr(_umath_linalg, name, recorded)
     return calls
+
+
+def run_pipeline(params):
+    """evaluate_point, a preset run_sweep, nth_entanglement_threshold and
+    from_bare_detuning, at points that reach every gufunc."""
+    p10 = replace(params, power=10e-3)
+    point = evaluate_point(p10, -1.0)
+    sweep = run_sweep(figure_preset("fig2b"))
+    threshold = nth_entanglement_threshold(p10, -1.0)
+    states = from_bare_detuning(-5.0 * params.kappa, replace(params, power=5e-3))
+    return (
+        point.status, point.report, point.covariance.v.tobytes(),
+        sweep.log_negativity.tobytes(), sweep.status.tolist(), threshold, states,
+    )

@@ -146,6 +146,27 @@ def test_bad_beta_exits_2(capsys):
     assert main(["point", "--beta", "1.2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--power-mw", "-1"],
+        ["point", "--nth", "-1"],
+        ["stability", "--power-mw", "-1"],
+        ["stability", "--beta", "1"],
+        ["sweep", "--axis", "power", "--start", "-1", "--stop", "1", "--count", "3"],
+        ["sweep", "--axis", "delta_norm", "--start", "-1", "--stop", "0", "--nth", "-1"],
+        ["sweep", "--axis", "delta_norm", "--start", "-1", "--stop", "0", "--curves", "beta=0,1"],
+    ],
+    ids=[
+        "point-power", "point-nth", "stability-power", "stability-beta",
+        "sweep-power-axis", "sweep-nth", "sweep-beta-curves",
+    ],
+)
+def test_out_of_range_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_sweep_to_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main([

@@ -269,7 +269,7 @@ def _nan_route(v):
 
 @pytest.mark.parametrize(
     "name, mutant",
-    [("sigma", _tilted_sigma), ("_FLIP", np.ones((4, 4))), ("_eta_cholesky", _nan_route)],
+    [("_sigma", _tilted_sigma), ("_FLIP", np.ones((4, 4))), ("_eta_cholesky", _nan_route)],
     ids=["det-C", "flip", "nan-route"],
 )
 def test_route_cross_check_catches_mutants(monkeypatch, name, mutant):

@@ -8,24 +8,14 @@ pipeline's path.  A numpy release that changes the private module fails
 here.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
-from oment import (
-    default_params,
-    evaluate_point,
-    figure_preset,
-    from_bare_detuning,
-    monic_cubic_roots,
-    nth_entanglement_threshold,
-    run_sweep,
-)
-from references import STACK_SHAPES, record_gufunc_calls
+from oment import default_params, monic_cubic_roots
+from references import STACK_SHAPES, record_gufunc_calls, run_pipeline
 
 # Each gufunc with the signature oment passes it, and the public wrapper
 # whose bits it must give.
@@ -144,20 +134,6 @@ def test_a_failing_member_reads_nan_and_the_others_keep_their_bits(seed, name, k
 @pytest.fixture
 def params():
     return default_params()
-
-
-def run_pipeline(params):
-    """evaluate_point, a preset run_sweep, nth_entanglement_threshold and
-    from_bare_detuning, at points that reach every gufunc."""
-    p10 = replace(params, power=10e-3)
-    point = evaluate_point(p10, -1.0)
-    sweep = run_sweep(figure_preset("fig2b"))
-    threshold = nth_entanglement_threshold(p10, -1.0)
-    states = from_bare_detuning(-5.0 * params.kappa, replace(params, power=5e-3))
-    return (
-        point.status, point.report, point.covariance.v.tobytes(),
-        sweep.log_negativity.tobytes(), sweep.status.tolist(), threshold, states,
-    )
 
 
 def test_oment_calls_each_gufunc_as_its_wrapper_does(params, monkeypatch):

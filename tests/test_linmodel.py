@@ -14,7 +14,9 @@ from oment import (
     diffusion_matrix,
     drift_matrix,
     evaluate_point,
+    figure_preset,
     routh_conditions,
+    run_sweep,
     spectral_abscissa,
     spectral_verdict,
     stability_stack,
@@ -22,6 +24,8 @@ from oment import (
 )
 from references import (
     blue_threshold_closed_form,
+    characteristic_quartic,
+    hurwitz_with_beta,
     record_gufunc_calls,
     red_threshold_closed_form,
 )
@@ -58,6 +62,12 @@ def test_drift_softening_entry(params):
 def test_drift_rejects_beta_at_one(params):
     with pytest.raises(ValueError):
         drift_matrix(params.omega_m, params.gamma_m, params.kappa, -params.omega_m, 1e9, 1.0)
+
+
+def test_stability_stack_rejects_beta_at_one(params):
+    steady = steady_states(-params.omega_m, params.power, np.array([0.0, 1.0]), params)
+    with pytest.raises(ValueError, match="beta must be < 1"):
+        stability_stack(steady, params)
 
 
 def test_build_drift_from_operating_point(params):
@@ -253,6 +263,61 @@ def test_routh_and_spectral_agree_at_beta_zero(log_omega, log_gamma, log_kappa, 
     verdict = routh_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g)
     assume(verdict is not None)
     assert verdict
+
+
+def test_characteristic_quartic_is_that_of_the_drift(params):
+    rng = np.random.default_rng(7)
+    omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
+    for _ in range(50):
+        delta, g = rng.uniform(-2.0, 2.0) * omega, rng.uniform(0.0, 3e9)
+        beta = rng.uniform(0.0, 1.0)
+        expected = np.poly(drift_matrix(omega, gamma, kappa, delta, g, beta))[1:]
+        quartic = characteristic_quartic(omega, gamma, kappa, delta, g, beta)
+        np.testing.assert_allclose(quartic, expected, rtol=1e-9, atol=0.0)
+
+
+def hurwitz_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g, beta):
+    """The beta-aware Hurwitz verdict against the spectral one, or None near the
+    boundary: a point with a Hurwitz determinant within 1e-6 of its scale.
+
+    The point is given as in :func:`routh_agrees_with_spectral`.
+    """
+    omega = 10.0**log_omega
+    gamma, kappa, g = omega * 10.0**log_gamma, omega * 10.0**log_kappa, omega * 10.0**log_g
+    delta = delta_norm * omega
+    h, scale = hurwitz_with_beta(omega, gamma, kappa, delta, g, beta)
+    if any(abs(x) < 1e-6 * s for x, s in zip(h, scale)):
+        return None
+    a = drift_matrix(omega, gamma, kappa, delta, g, beta)
+    return all(x > 0 for x in h) == (spectral_abscissa(a) < 0)
+
+
+@given(*(st.floats(low, high) for low, high in _RANGES), st.floats(0.0, 1.0, exclude_max=True))
+def test_beta_aware_hurwitz_and_spectral_agree(
+    log_omega, log_gamma, log_kappa, delta_norm, log_g, beta
+):
+    verdict = hurwitz_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g, beta)
+    assume(verdict is not None)
+    assert verdict
+
+
+def test_fig2a_rows_where_the_beta_zero_routh_numbers_miss_the_instability():
+    # routh_conditions is written for beta = 0, so on the beta > 0 curves of
+    # fig2a it reads 17 unstable rows, next to the curves' maxima, as stable
+    spec = figure_preset("fig2a")
+    fig2a = run_sweep(spec)
+    missed = fig2a.routh_stable & ~fig2a.spectral_stable
+    assert missed.sum() == 17
+    assert set(fig2a.curve[missed].tolist()) == {0.2, 0.4, 0.6}
+    assert fig2a.axis[missed].min() == pytest.approx(-0.33)
+    assert fig2a.axis[missed].max() == pytest.approx(-0.24)
+    assert set(fig2a.status[missed].tolist()) == {"unstable"}
+    # the Hurwitz test with beta agrees with the spectral gate on every row
+    p = spec.fixed
+    h, _ = hurwitz_with_beta(
+        p.omega_m, p.gamma_m, p.kappa, fig2a.axis * p.omega_m, fig2a.g_eff, fig2a.curve
+    )
+    assert np.array_equal(np.logical_and.reduce([x > 0 for x in h]), fig2a.spectral_stable)
 
 
 def test_routh_hurwitz_verdict_matches_signs(params):

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from oment import (
@@ -144,6 +145,13 @@ def test_drive_amplitude_sqrt_scaling(params):
         )
 
 
+def test_drive_amplitude_rejects_negative_power(params):
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        drive_amplitude(-1e-3, params.kappa, params.omega_laser)
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        drive_amplitude(np.array([1e-3, -1e-3]), params.kappa, params.omega_laser)
+
+
 def test_drive_amplitude_closed_form_identity(params):
     # 2 * E0^2 * hbar * omega_l = P0 * kappa under the implemented convention
     for p0 in (1e-5, 0.7e-3, 10e-3):
@@ -200,6 +208,8 @@ def test_load_config_partial_keeps_defaults(tmp_path):
         "omega_m_hz = not_a_number\n",
         "kappa_convention = half_pi\nkappa_hz = 529e6\n",
         "beta = 1.5\n",
+        "beta = 1.0\n",
+        "power_w = -1e-3\n",
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, content):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -138,8 +139,28 @@ def test_degenerate_roots_warn_near_fold(params):
                 break
         else:
             lo = mid
-    with pytest.warns(DegenerateRootsWarning):
+    with pytest.warns(DegenerateRootsWarning) as caught:
         from_bare_detuning(delta0, replace(params, power=hi))
+    assert {w.filename for w in caught} == {__file__}  # the caller's line
+
+
+def test_steady_states_rejects_negative_power(params):
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        steady_states(-params.omega_m, -1e-3, 0.0, params)
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        steady_states(-params.omega_m, np.array([1e-3, -1e-3]), 0.0, params)
+
+
+def test_cubic_root_with_a_subnormal_derivative_stays_unpolished():
+    # x^3 + 1e-322 x: roots 0 and +-i sqrt(1e-322).  At the complex pair the
+    # derivative is subnormal and the Newton step overflows, so it is not taken.
+    a1 = 1e-322
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = monic_cubic_roots(-0.0, a1, -0.0)
+    assert np.isfinite(roots).all()
+    expected = [-1j * math.sqrt(a1), 0.0, 1j * math.sqrt(a1)]
+    np.testing.assert_allclose(np.sort_complex(roots), expected, rtol=1e-12, atol=0.0)
 
 
 def test_monic_cubic_roots_recovers_chosen_roots():

@@ -24,6 +24,7 @@ from oment import (
     emit,
     evaluate_point,
     figure_preset,
+    from_bare_detuning,
     nth_entanglement_threshold,
     run_sweep,
 )
@@ -38,6 +39,7 @@ from references import (
     nth_threshold_point_by_point,
     records_point_by_point,
     report_of,
+    run_pipeline,
 )
 
 
@@ -205,6 +207,10 @@ def test_run_sweep_nth_axis(params):
         dict(curves=(), curve_param="n_th"),
         dict(curves=(), curve_param="beta"),
         dict(count=2.5),
+        dict(axis="power", start=-1e-3, stop=1e-3),
+        dict(axis="n_th", start=-1.0, stop=10.0),
+        dict(axis="beta", start=0.0, stop=1.0),
+        dict(curves=(0.0, 1.0), curve_param="beta"),
     ],
 )
 def test_sweep_spec_validation(params, overrides):
@@ -486,7 +492,7 @@ def test_nth_grids_match_point_by_point(params, overrides, statuses):
 def _count_operating_points(monkeypatch):
     """Drift matrices gated, systems conditioned (inverted) and pairs solved, per call."""
     counts = {"gated": [], "conditioned": [], "solved": []}
-    gate, inv, solve = sweep.stability_stack, _umath_linalg.inv, _umath_linalg.solve
+    gate, inv, solve = sweep._stability_stack, _umath_linalg.inv, _umath_linalg.solve
 
     def counted_stability(steady, params):
         a, report = gate(steady, params)
@@ -501,7 +507,7 @@ def _count_operating_points(monkeypatch):
         counts["solved"].append(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
         return solve(a, b, **kwargs)
 
-    monkeypatch.setattr(sweep, "stability_stack", counted_stability)
+    monkeypatch.setattr(sweep, "_stability_stack", counted_stability)
     monkeypatch.setattr(_umath_linalg, "inv", counted_inv)
     monkeypatch.setattr(_umath_linalg, "solve", counted_solve)
     return counts
@@ -721,9 +727,16 @@ def test_nth_threshold_gates_and_solves_once(params, monkeypatch):
 
         return wrapper
 
-    for name in ("stability_stack", "solve_stack", "evaluate_point", "_checked_eta"):
-        monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
-    monkeypatch.setattr(gaussian, "eta_stack", counted("eta_stack", gaussian.eta_stack))
+    # the pipeline calls the cores of stability_stack, solve_stack and eta_stack
+    patched = {
+        "stability_stack": "_stability_stack",
+        "solve_stack": "_solve_stack",
+        "evaluate_point": "evaluate_point",
+        "_checked_eta": "_checked_eta",
+    }
+    for name, attribute in patched.items():
+        monkeypatch.setattr(sweep, attribute, counted(name, getattr(sweep, attribute)))
+    monkeypatch.setattr(gaussian, "_eta_stack", counted("eta_stack", gaussian._eta_stack))
     # the predicted path is right here, so one stacked check decides every midpoint
     assert nth_entanglement_threshold(replace(params, power=10e-3), -1.0) > 0.0
     assert calls == {"stability_stack": 1, "solve_stack": 1, "_checked_eta": 1, "eta_stack": 1}
@@ -800,11 +813,16 @@ def test_non_positive_definite_covariance_is_error(params, monkeypatch):
         v, res, condition, ill = solve_stack(a, d)
         return -v, np.zeros_like(res), condition, ill
 
-    solve_stack = sweep.solve_stack
-    monkeypatch.setattr(sweep, "solve_stack", negated)
+    solve_stack = sweep._solve_stack
+    monkeypatch.setattr(sweep, "_solve_stack", negated)
     point = evaluate_point(p10, -1.0)
     assert point.status == "error"
     assert point.report is None
+
+
+def test_evaluate_point_rejects_negative_occupation(params):
+    with pytest.raises(ConfigError, match="n_th must be >= 0"):
+        evaluate_point(params, -1.0, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -847,3 +865,61 @@ def test_nth_threshold_rel_tol_below_epsilon_fails_fast():
     lines = result.stdout.splitlines()
     assert len(lines) == 3
     assert all(line.startswith("rel_tol must be >= ") for line in lines)
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the checked {name} ran on the pipeline")
+
+    return refuse
+
+
+def test_the_pipeline_calls_only_the_unchecked_cores(params, monkeypatch):
+    # the entry points check their input once, then call the stages' cores
+    expected = run_pipeline(params)
+    checked = ("drive_amplitude", "steady_states", "drift_matrix", "diffusion_matrix")
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "oment"]:
+        for name in checked:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse(name))
+    assert run_pipeline(params) == expected
+    with pytest.raises(AssertionError, match="checked drift_matrix"):
+        oment.linmodel.drift_matrix(1.0, 1.0, 1.0, 0.0, 0.0)
+
+
+def _errstate_entries(call):
+    """How many times `call` enters an ``np.errstate``, as a block or a
+    decorator, and what it returns."""
+    targets = {np.errstate.__enter__.__code__, np.errstate()(lambda: None).__code__}
+    entries = 0
+
+    def profile(frame, event, arg):
+        nonlocal entries
+        entries += event == "call" and frame.f_code in targets
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return entries, result
+
+
+@pytest.mark.parametrize("delta_norm, status", [(-1.0, "ok"), (0.5, "unstable")])
+def test_a_point_enters_one_error_state(params, delta_norm, status):
+    p = replace(params, power=10e-3, beta=0.2)
+    entries, point = _errstate_entries(lambda: evaluate_point(p, delta_norm, 100.0))
+    assert (entries, point.status) == (1, status)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: from_bare_detuning(-0.6 * p.omega_m, replace(p, power=10e-3)),
+        lambda p: nth_entanglement_threshold(replace(p, power=10e-3), -1.0),
+        lambda p: run_sweep(figure_preset("fig2b", base=p)),
+    ],
+    ids=["from_bare_detuning", "nth_threshold", "run_sweep"],
+)
+def test_an_entry_point_enters_one_error_state(params, call):
+    assert _errstate_entries(lambda: call(params))[0] == 1
