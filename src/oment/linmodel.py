@@ -64,8 +64,8 @@ def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.
     """Raw 4x4 drift matrix for the quadrature ordering (dx_m, dp_m, dI, dphi).
 
     `delta`, `g` and `beta` broadcast against each other; array inputs give
-    a stack of shape ``(..., 4, 4)``.  Checks that every beta is below 1,
-    then calls :func:`_drift_matrix`.
+    a stack of shape ``(..., 4, 4)``.  Raises ``ValueError`` unless every beta
+    is below 1.
     """
     _check_beta(beta)
     return _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta)
@@ -88,10 +88,8 @@ def _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta):
 
 
 def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
-    """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array `n_th`.
-
-    Checks that every n_th is >= 0, then calls :func:`_diffusion_matrix`.
-    """
+    """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array
+    `n_th`.  Raises ``ValueError`` for a negative n_th."""
     n_th = np.asarray(n_th)
     if np.less(n_th, 0).any():
         raise ValueError("n_th must be >= 0")
@@ -109,7 +107,7 @@ def _diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
 
 # a huge coupling overflows s1, and a larger one s2, to +-inf (NaN at delta
 # = 0): the Routh verdict reads unstable and the spectral gate sets the status
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     """The two nontrivial Routh-Hurwitz conditions (s1, s2) for beta = 0.
 
@@ -118,11 +116,6 @@ def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     is the standard quartic Hurwitz form for this system.  Elementwise over
     arrays of `delta` and `g`.
     """
-    return _routh_conditions(omega_m, gamma_m, kappa, delta, g)
-
-
-def _routh_conditions(omega_m, gamma_m, kappa, delta, g):
-    """:func:`routh_conditions` under the caller's error state."""
     hk2 = kappa**2 / 4.0
     g_sq = square(g)
     s1 = (
@@ -145,17 +138,18 @@ def spectral_abscissa(a: np.ndarray):
     A matrix with an infinite or NaN entry is kept from LAPACK and reads NaN;
     the others get the bits they get alone.
     """
-    return _spectral_abscissa(np.asarray(a, dtype=float))
-
-
-def _spectral_abscissa(a: np.ndarray):
-    """:func:`spectral_abscissa` of a float stack, under the caller's error state."""
     if not np.isfinite(a).all():
+        a = np.asarray(a, dtype=float)
         finite = np.isfinite(a).all(axis=(-2, -1))
         abscissa = np.full(finite.shape, np.nan)
         abscissa[finite] = _spectral_abscissa(a[finite])
         return abscissa
     return _umath_linalg.eigvals(a, signature="d->D").real.max(axis=-1)
+
+
+# The undecorated bodies, which the pipeline runs under its entry point's errstate.
+_routh_conditions = routh_conditions.__wrapped__
+_spectral_abscissa = spectral_abscissa.__wrapped__
 
 
 def spectral_verdict(abscissa, marginal_tol: float = 0.0):
@@ -175,8 +169,7 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
     batched eigvals gates the stack (:func:`spectral_abscissa`).  A drift
     matrix with an infinite or NaN entry (an overflowed steady state) gets a
     NaN abscissa and is neither stable nor marginal; the others are gated as
-    they are alone.  Checks that every beta is below 1, as
-    :func:`drift_matrix` does, then calls :func:`_stability_stack`.
+    they are alone.  Raises ``ValueError`` unless every beta is below 1.
     """
     _check_beta(steady.beta)
     return _stability_stack(steady, params)

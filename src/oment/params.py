@@ -101,11 +101,6 @@ class PhysicalParams:
             raise ValueError(f"beta must be < 1, got {self.beta!r}")
 
     @property
-    def q_factor(self) -> float:
-        """Mechanical quality factor omega_m/gamma_m (computed, never stored)."""
-        return self.omega_m / self.gamma_m
-
-    @property
     def omega_laser(self) -> float:
         """Laser angular frequency 2*pi*c/lambda (rad/s)."""
         return 2.0 * math.pi * C_LIGHT / self.laser_wavelength
@@ -153,14 +148,15 @@ def _check_drive(power, kappa: float, omega_laser: float) -> None:
         raise ValueError("kappa and omega_laser must be > 0")
 
 
-@np.errstate(over="ignore")
+@np.errstate(all="ignore")
 def drive_amplitude(power, kappa: float, omega_laser: float):
     """Drive amplitude |E0| = sqrt(P0 * kappa / (2 * hbar * omega_laser)) (1/s).
 
     Scales as sqrt(P0); zero for an undriven cavity.  Elementwise over an
     array of powers.  A power too large for the product gives an infinite
     amplitude without a warning: the grid point then reads status ``error``.
-    Checks its input, then calls :func:`_drive_amplitude`.
+    Raises ``ValueError`` for a negative power or a kappa or omega_laser that
+    is not positive.
     """
     _check_drive(power, kappa, omega_laser)
     return _drive_amplitude(power, kappa, omega_laser)

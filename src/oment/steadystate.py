@@ -2,9 +2,9 @@
 
 The steady state is fixed by the photon-number balance
 ``|E0|^2 = n_s * (Delta^2 + kappa^2/4)`` together with
-``x_s = 2*(g_m/omega_m)*n_s``, ``p_s = 0`` and the radiation-pressure shift
-``Delta = Delta0 + 2*(g_m^2/omega_m)*n_s`` relating bare and effective
-detuning.  Sweeps are parameterized by the effective detuning
+``x_s = 2*(g_m/omega_m)*n_s`` (the mirror's mean momentum is zero) and the
+radiation-pressure shift ``Delta = Delta0 + 2*(g_m^2/omega_m)*n_s`` relating
+bare and effective detuning.  Sweeps are parameterized by the effective detuning
 (:func:`steady_states`, elementwise, so one call yields the operating points
 of a whole grid or of a single point); the bare detuning route
 (:func:`from_bare_detuning`) solves the cubic and exposes bistability.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .params import PhysicalParams, _check_drive, _drive_amplitude
+from .params import PhysicalParams, _check_drive, _drive_amplitude, require_finite
 
 __all__ = [
     "SteadyState",
@@ -56,7 +56,7 @@ class SteadyState:
     """One classical operating point.
 
     ``n_s`` is the intracavity photon number, ``alpha_s = sqrt(n_s)`` the field
-    amplitude, ``x_s``/``p_s`` the dimensionless mirror displacement/momentum,
+    amplitude, ``x_s`` the dimensionless mirror displacement,
     ``g_eff = g_m*alpha_s`` the linearized coupling and ``beta`` the
     dimensionless nonlinearity at this point.  From :func:`steady_states`
     the fields are arrays with one entry per grid point.
@@ -65,7 +65,6 @@ class SteadyState:
     n_s: float
     alpha_s: float
     x_s: float
-    p_s: float
     delta_eff: float
     delta_bare: float
     g_eff: float
@@ -78,7 +77,6 @@ def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadySt
         n_s=n_s,
         alpha_s=alpha_s,
         x_s=2.0 * (params.g_m / params.omega_m) * n_s,
-        p_s=0.0,
         delta_eff=delta_eff,
         delta_bare=delta_bare,
         g_eff=params.g_m * alpha_s,
@@ -86,7 +84,7 @@ def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadySt
     )
 
 
-@np.errstate(over="ignore")
+@np.errstate(all="ignore")
 def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState:
     """Operating points at prescribed effective detunings, elementwise.
 
@@ -94,9 +92,8 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
     `power` (see :func:`~oment.params.drive_amplitude`), and the bare
     detuning is back-computed from the radiation-pressure shift.
     `delta_eff`, `power` and `beta` broadcast against each other; the
-    remaining parameters come from `params`.  Checks `power` as
-    :func:`~oment.params.drive_amplitude` does, then calls
-    :func:`_steady_states`.
+    remaining parameters come from `params`.  Raises ``ValueError`` for a
+    negative power, as :func:`~oment.params.drive_amplitude` does.
     """
     _check_drive(power, params.kappa, params.omega_laser)
     return _steady_states(delta_eff, power, beta, params)
@@ -121,11 +118,6 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     ``np.linalg.eigvals``, a non-finite coefficient raises ``LinAlgError``
     and all-real roots are real.  No numpy ``RuntimeWarning`` escapes.
     """
-    return _monic_cubic_roots(a2, a1, a0)
-
-
-def _monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
-    """:func:`monic_cubic_roots` under the caller's error state."""
     if not (math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0)):  # kept from LAPACK
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     companion = np.array(
@@ -143,6 +135,10 @@ def _monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     return np.where(np.isfinite(step), roots - step, roots)
 
 
+# The undecorated body, which the pipeline runs under its entry point's errstate.
+_monic_cubic_roots = monic_cubic_roots.__wrapped__
+
+
 @np.errstate(all="ignore")
 def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[SteadyState]:
     """All physical operating points at a prescribed bare detuning.
@@ -151,19 +147,26 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     kappa^2/4)`` for the photon number.  Real non-negative roots are returned
     sorted ascending by ``n_s``; complex or negative roots are discarded, not
     clamped.  A :class:`DegenerateRootsWarning` is issued when two roots
-    coincide within relative 1e-6.  It trusts `params`, which
-    :class:`~oment.params.PhysicalParams` checks.
+    coincide within relative 1e-6.  A `delta_bare` that is not finite raises
+    :class:`~oment.params.ConfigError`, and one whose square overflows, or
+    whose cubic has no root within tolerance, raises ``ArithmeticError``.  It
+    trusts `params`, which :class:`~oment.params.PhysicalParams` checks.
     """
+    require_finite(delta_bare=delta_bare)
     e0_sq = _drive_amplitude(params.power, params.kappa, params.omega_laser) ** 2
     shift = 2.0 * params.g_m**2 / params.omega_m  # detuning shift per photon
     half_kappa_sq = params.kappa**2 / 4.0
+    try:  # a float's ** is libm pow, as square() rounds a scalar, and raises on overflow
+        balance = float(delta_bare) ** 2 + half_kappa_sq
+    except OverflowError:
+        raise ArithmeticError(f"delta_bare**2 overflows at delta_bare={delta_bare!r}") from None
 
     if shift == 0.0:
-        candidates = np.array([e0_sq / (delta_bare**2 + half_kappa_sq)])
+        candidates = np.array([e0_sq / balance])
     else:
         # shift^2 n^3 + 2 d0 shift n^2 + (d0^2 + kappa^2/4) n - E0^2 = 0, made monic
         a2 = 2.0 * delta_bare / shift
-        a1 = (delta_bare**2 + half_kappa_sq) / shift**2
+        a1 = balance / shift**2
         a0 = -e0_sq / shift**2
         roots = _monic_cubic_roots(a2, a1, a0)
         if roots.dtype.kind == "c":  # all-real roots come back as a real array

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -20,3 +21,16 @@ def test_every_all_entry_resolves(module):
 def test_package_exports_every_module_api():
     for module in MODULES[1:]:
         assert set(getattr(module, "__all__", [])) <= set(oment.__all__), module.__name__
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_every_exported_function_carries_its_name_and_a_docstring(module):
+    # a stage bound as ``sigma = np.errstate(...)(_sigma)`` would show help()
+    # the private name
+    functions = {
+        name: value
+        for name in getattr(module, "__all__", [])
+        if inspect.isfunction(value := getattr(module, name))
+    }
+    assert {name: f.__name__ for name, f in functions.items() if f.__name__ != name} == {}
+    assert [name for name, f in functions.items() if not (f.__doc__ or "").strip()] == []

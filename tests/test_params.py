@@ -35,8 +35,9 @@ def test_default_table_values(params):
 
 
 def test_quality_factor_computed_from_fields(params):
-    assert params.q_factor == pytest.approx(3.6e9 / 35e3, rel=1e-14)
-    assert params.q_factor == pytest.approx(1.0286e5, rel=1e-4)
+    q_factor = params.omega_m / params.gamma_m
+    assert q_factor == pytest.approx(3.6e9 / 35e3, rel=1e-14)
+    assert q_factor == pytest.approx(1.0286e5, rel=1e-4)
 
 
 def test_omega_laser(params):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oment import (
+    ConfigError,
     DegenerateRootsWarning,
     default_params,
     drive_amplitude,
@@ -28,7 +29,6 @@ def test_undriven_cavity(params):
     assert state.alpha_s == 0.0
     assert state.x_s == 0.0
     assert state.g_eff == 0.0
-    assert state.p_s == 0.0
     assert state.delta_bare == state.delta_eff
 
 
@@ -44,7 +44,6 @@ def test_operating_point_10mw_blue_sideband(params):
 def test_steady_state_internal_relations(params):
     p10 = replace(params, power=10e-3, beta=0.3)
     state = steady_states(-0.5 * p10.omega_m, p10.power, p10.beta, p10)
-    assert state.p_s == 0.0
     assert state.x_s == 2.0 * (p10.g_m / p10.omega_m) * state.n_s
     assert state.g_eff == p10.g_m * state.alpha_s
     assert state.alpha_s == math.sqrt(state.n_s)
@@ -149,6 +148,29 @@ def test_steady_states_rejects_negative_power(params):
         steady_states(-params.omega_m, -1e-3, 0.0, params)
     with pytest.raises(ValueError, match="power must be >= 0"):
         steady_states(-params.omega_m, np.array([1e-3, -1e-3]), 0.0, params)
+
+
+def test_steady_states_does_not_warn_at_an_overflowing_drive(params):
+    # E0 overflows to inf and g_m = 0 makes 0 * inf: NaN, silently
+    undriven = replace(params, g_m=0.0, power=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = steady_states(-params.omega_m, 1e300, 0.0, undriven)
+    assert math.isinf(state.n_s) and math.isnan(state.g_eff)
+
+
+@pytest.mark.parametrize("delta_bare", [1e200, -1e200, -1e154])
+def test_bare_detuning_overflow_raises_arithmetic_error(params, delta_bare):
+    # the square overflows beyond 1.34e154 rad/s; just below it the cubic's
+    # roots miss their residual tolerance
+    with pytest.raises(ArithmeticError, match="overflows|residual"):
+        from_bare_detuning(delta_bare, params)
+
+
+@pytest.mark.parametrize("delta_bare", [math.nan, math.inf, -math.inf])
+def test_bare_detuning_not_finite_is_a_config_error(params, delta_bare):
+    with pytest.raises(ConfigError, match="delta_bare must be finite"):
+        from_bare_detuning(delta_bare, params)
 
 
 def test_cubic_root_with_a_subnormal_derivative_stays_unpolished():

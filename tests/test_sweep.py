@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 from oment import (
+    FIGURE_NAMES,
     ConfigError,
     Sweep,
     SweepSpec,
@@ -923,3 +924,41 @@ def test_a_point_enters_one_error_state(params, delta_norm, status):
 )
 def test_an_entry_point_enters_one_error_state(params, call):
     assert _errstate_entries(lambda: call(params))[0] == 1
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (oment.linmodel, "routh_conditions"),
+        (oment.linmodel, "spectral_abscissa"),
+        (lyapunov, "solve_stack"),
+        (gaussian, "sigma"),
+        (gaussian, "eta_stack"),
+        (oment.steadystate, "monic_cubic_roots"),
+    ],
+)
+def test_a_private_stage_is_the_body_of_its_public_one(module, name):
+    # one definition each: the pipeline calls the body without its errstate
+    assert getattr(module, "_" + name) is getattr(module, name).__wrapped__
+
+
+def test_the_entry_points_do_not_lean_on_their_error_state(params):
+    # each entry point silences numpy for the whole call, which would also hide
+    # a warning from its own arithmetic; run the undecorated bodies under
+    # numpy's default error state on the presets and a seeded sample of the
+    # benchmark's ranges, with every warning an error
+    rng = np.random.default_rng(1)
+    bistable = rng.uniform([0.7, 0.0, -2.5, 0.0], [30.0, 0.6, 0.5, 3000.0], (240, 4)).tolist()
+    threshold = rng.uniform([1.0, 0.0, -1.2], [10.0, 0.6, -0.3], (60, 3)).tolist()
+    default = dict(divide="warn", over="warn", under="ignore", invalid="warn")
+    with np.errstate(**default), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in FIGURE_NAMES:
+            run_sweep.__wrapped__(figure_preset(name, base=params))
+        for power, beta, bare_norm, n_th in bistable:
+            sample = replace(params, power=power * 1e-3, beta=beta)
+            for state in from_bare_detuning.__wrapped__(bare_norm * sample.omega_m, sample):
+                evaluate_point.__wrapped__(sample, state.delta_eff / sample.omega_m, n_th)
+        for power, beta, delta_norm in threshold:
+            sample = replace(params, power=power * 1e-3, beta=beta)
+            nth_entanglement_threshold.__wrapped__(sample, delta_norm)
