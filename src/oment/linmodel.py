@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .params import PhysicalParams
+from .params import PhysicalParams, check_range
 from .steadystate import SteadyState, square
 
 __all__ = [
@@ -55,19 +55,14 @@ class StabilityReport:
     marginal: bool
 
 
-def _check_beta(beta) -> None:
-    if not np.less(beta, 1.0).all():
-        raise ValueError(f"beta must be < 1, got {beta!r}")
-
-
 def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.0) -> np.ndarray:
     """Raw 4x4 drift matrix for the quadrature ordering (dx_m, dp_m, dI, dphi).
 
     `delta`, `g` and `beta` broadcast against each other; array inputs give
-    a stack of shape ``(..., 4, 4)``.  Raises ``ValueError`` unless every beta
+    a stack of shape ``(..., 4, 4)``.  Raises ``ConfigError`` unless every beta
     is below 1.
     """
-    _check_beta(beta)
+    check_range(beta=beta)
     return _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta)
 
 
@@ -89,11 +84,9 @@ def _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta):
 
 def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
     """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array
-    `n_th`.  Raises ``ValueError`` for a negative n_th."""
-    n_th = np.asarray(n_th)
-    if np.less(n_th, 0).any():
-        raise ValueError("n_th must be >= 0")
-    return _diffusion_matrix(gamma_m, kappa, n_th)
+    `n_th`.  Raises ``ConfigError`` for a negative or NaN n_th."""
+    check_range(n_th=n_th)
+    return _diffusion_matrix(gamma_m, kappa, np.asarray(n_th))
 
 
 def _diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
@@ -169,9 +162,9 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
     batched eigvals gates the stack (:func:`spectral_abscissa`).  A drift
     matrix with an infinite or NaN entry (an overflowed steady state) gets a
     NaN abscissa and is neither stable nor marginal; the others are gated as
-    they are alone.  Raises ``ValueError`` unless every beta is below 1.
+    they are alone.  Raises ``ConfigError`` unless every beta is below 1.
     """
-    _check_beta(steady.beta)
+    check_range(beta=steady.beta)
     return _stability_stack(steady, params)
 
 

@@ -7,6 +7,7 @@ the CLI take ordinary frequencies in Hz and convert on ingestion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ __all__ = [
     "drive_amplitude",
     "load_config",
     "require_finite",
+    "check_range",
     "CONFIG_KEYS",
 ]
 
@@ -38,8 +40,44 @@ def require_finite(**values: float) -> None:
             finite = math.isfinite(value)
         except TypeError:
             raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError(f"{name} must be finite, got an int too large for a float") from None
         if not finite:
             raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+# The domain of the linearized model (Vitali et al., PRL 98, 030405 (2007)):
+# each checked input by name, and the comparison and bound its values satisfy.
+_EPS = float(np.finfo(float).eps)
+_RANGES = {
+    **dict.fromkeys(
+        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "convention_eta_factor",
+         "omega_laser", "n_hi"),
+        (operator.gt, 0),
+    ),
+    **dict.fromkeys(("g_m", "power", "temperature", "n_th"), (operator.ge, 0)),
+    "beta": (operator.lt, 1),  # the restoring force omega_m*(beta - 1) keeps its sign
+    "rel_tol": (operator.ge, _EPS),  # below it a bisection interval stops shrinking
+}
+_SYMBOLS = {operator.gt: ">", operator.ge: ">=", operator.lt: "<"}
+
+
+def check_range(**values) -> None:
+    """Raise :class:`ConfigError` naming the first value outside the range of
+    its name, ``"<name> must be <rule>, got <value>"``.
+
+    Each value is a scalar or an array-like, checked elementwise; NaN is
+    outside every range.  A name without a range raises ``KeyError``.
+    """
+    for name, value in values.items():
+        within, bound = _RANGES[name]
+        if isinstance(value, float) and within(value, bound):
+            continue  # a float in range, without numpy's per-call cost
+        value = np.asarray(value)
+        outside = ~within(value, bound)
+        if outside.any():
+            first = value[outside][0].item()
+            raise ConfigError(f"{name} must be {_SYMBOLS[within]} {bound!r}, got {first!r}")
 
 
 @dataclass(frozen=True)
@@ -80,25 +118,9 @@ class PhysicalParams:
     convention_eta_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
-        positive = {
-            "omega_m": self.omega_m,
-            "gamma_m": self.gamma_m,
-            "kappa": self.kappa,
-            "laser_wavelength": self.laser_wavelength,
-            "convention_eta_factor": self.convention_eta_factor,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        if self.g_m < 0:
-            raise ValueError(f"g_m must be >= 0, got {self.g_m!r}")
-        if self.power < 0:
-            raise ValueError(f"power must be >= 0, got {self.power!r}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
-        if not self.beta < 1.0:
-            raise ValueError(f"beta must be < 1, got {self.beta!r}")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        require_finite(**values)
+        check_range(**values)
 
     @property
     def omega_laser(self) -> float:
@@ -132,20 +154,10 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
 
     The T = 0 limit returns exactly 0.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    if not omega_m > 0:
-        raise ValueError("omega_m must be > 0")
+    check_range(temperature=temperature, omega_m=omega_m)
     if temperature == 0.0:
         return 0.0
     return 1.0 / math.expm1(HBAR * omega_m / (K_B * temperature))
-
-
-def _check_drive(power, kappa: float, omega_laser: float) -> None:
-    if np.less(power, 0).any():
-        raise ValueError("power must be >= 0")
-    if not (kappa > 0 and omega_laser > 0):
-        raise ValueError("kappa and omega_laser must be > 0")
 
 
 @np.errstate(all="ignore")
@@ -155,10 +167,10 @@ def drive_amplitude(power, kappa: float, omega_laser: float):
     Scales as sqrt(P0); zero for an undriven cavity.  Elementwise over an
     array of powers.  A power too large for the product gives an infinite
     amplitude without a warning: the grid point then reads status ``error``.
-    Raises ``ValueError`` for a negative power or a kappa or omega_laser that
-    is not positive.
+    Raises :class:`ConfigError` for a negative power or a kappa or
+    omega_laser that is not positive.
     """
-    _check_drive(power, kappa, omega_laser)
+    check_range(power=power, kappa=kappa, omega_laser=omega_laser)
     return _drive_amplitude(power, kappa, omega_laser)
 
 
@@ -169,31 +181,32 @@ def _drive_amplitude(power, kappa: float, omega_laser: float):
 
 
 # Config file schema: "key = value" lines, '#' comments.  Frequencies in Hz.
-CONFIG_KEYS = (
-    "omega_m_hz",
-    "gamma_m_hz",
-    "g0_hz",
-    "kappa_hz",
-    "kappa_convention",
-    "power_w",
-    "wavelength_m",
-    "temperature_k",
-    "beta",
-    "eta_factor",
-)
+# Each numeric key: the field it sets and the factor from its unit to the field's.
+_TWO_PI = 2.0 * math.pi
+_CONFIG_FIELDS = {
+    "omega_m_hz": ("omega_m", _TWO_PI),
+    "gamma_m_hz": ("gamma_m", _TWO_PI),
+    "g0_hz": ("g_m", _TWO_PI),
+    "kappa_hz": ("kappa", _TWO_PI),
+    "power_w": ("power", 1.0),
+    "wavelength_m": ("laser_wavelength", 1.0),
+    "temperature_k": ("temperature", 1.0),
+    "beta": ("beta", 1.0),
+    "eta_factor": ("convention_eta_factor", 1.0),
+}
+CONFIG_KEYS = (*_CONFIG_FIELDS, "kappa_convention")
 
-_KAPPA_FACTORS = {"two_pi": 2.0 * math.pi, "pi": math.pi}
+_KAPPA_FACTORS = {"two_pi": _TWO_PI, "pi": math.pi}
 
 
-def load_config(path: str | Path, base: PhysicalParams | None = None) -> PhysicalParams:
+def load_config(path: str | Path) -> PhysicalParams:
     """Load parameters from a plain-text ``key = value`` file.
 
-    Unspecified keys keep the values of `base` (the defaults if omitted).
-    `kappa_convention` selects kappa = 2*pi*kappa_hz (``two_pi``, default) or
-    kappa = pi*kappa_hz (``pi``); the other frequencies are plain Hz values
-    multiplied by 2*pi.
+    Unspecified keys keep their default values.  `kappa_convention` selects
+    kappa = 2*pi*kappa_hz (``two_pi``, default) or kappa = pi*kappa_hz
+    (``pi``); the other frequencies are plain Hz values multiplied by 2*pi.
     """
-    params = base if base is not None else default_params()
+    params = default_params()
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -217,34 +230,17 @@ def load_config(path: str | Path, base: PhysicalParams | None = None) -> Physica
         except ValueError as exc:
             raise ConfigError(f"invalid number for {key!r}: {raw[key]!r}") from exc
 
-    two_pi = 2.0 * math.pi
-    updates: dict[str, float] = {}
-    if "omega_m_hz" in raw:
-        updates["omega_m"] = two_pi * as_float("omega_m_hz")
-    if "gamma_m_hz" in raw:
-        updates["gamma_m"] = two_pi * as_float("gamma_m_hz")
-    if "g0_hz" in raw:
-        updates["g_m"] = two_pi * as_float("g0_hz")
-    if "kappa_hz" in raw or "kappa_convention" in raw:
-        convention = raw.get("kappa_convention", "two_pi")
+    updates = {
+        field: factor * as_float(key)
+        for key, (field, factor) in _CONFIG_FIELDS.items()
+        if key in raw
+    }
+    if "kappa_convention" in raw:
+        convention = raw["kappa_convention"]
         if convention not in _KAPPA_FACTORS:
             raise ConfigError(
                 f"kappa_convention must be one of {sorted(_KAPPA_FACTORS)}, got {convention!r}"
             )
-        kappa_hz = as_float("kappa_hz") if "kappa_hz" in raw else params.kappa / two_pi
+        kappa_hz = as_float("kappa_hz") if "kappa_hz" in raw else params.kappa / _TWO_PI
         updates["kappa"] = _KAPPA_FACTORS[convention] * kappa_hz
-    if "power_w" in raw:
-        updates["power"] = as_float("power_w")
-    if "wavelength_m" in raw:
-        updates["laser_wavelength"] = as_float("wavelength_m")
-    if "temperature_k" in raw:
-        updates["temperature"] = as_float("temperature_k")
-    if "beta" in raw:
-        updates["beta"] = as_float("beta")
-    if "eta_factor" in raw:
-        updates["convention_eta_factor"] = as_float("eta_factor")
-
-    try:
-        return replace(params, **updates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(params, **updates)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .params import PhysicalParams, _check_drive, _drive_amplitude, require_finite
+from .params import PhysicalParams, _drive_amplitude, check_range, require_finite
 
 __all__ = [
     "SteadyState",
@@ -92,10 +92,10 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
     `power` (see :func:`~oment.params.drive_amplitude`), and the bare
     detuning is back-computed from the radiation-pressure shift.
     `delta_eff`, `power` and `beta` broadcast against each other; the
-    remaining parameters come from `params`.  Raises ``ValueError`` for a
-    negative power, as :func:`~oment.params.drive_amplitude` does.
+    remaining parameters come from `params`.  Raises ``ConfigError`` for a
+    negative or NaN power.
     """
-    _check_drive(power, params.kappa, params.omega_laser)
+    check_range(power=power)
     return _steady_states(delta_eff, power, beta, params)
 
 
@@ -197,6 +197,5 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
 
 def nonlinearity_from_betaprime(beta_prime: float, x_s: float, omega_m: float) -> float:
     """Dimensionless nonlinearity beta = 3*beta_prime*x_s^2/omega_m^2."""
-    if not omega_m > 0:
-        raise ValueError("omega_m must be > 0")
+    check_range(omega_m=omega_m)
     return 3.0 * beta_prime * x_s**2 / omega_m**2

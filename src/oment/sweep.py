@@ -18,7 +18,14 @@ from . import gaussian
 from .gaussian import EntanglementReport
 from .linmodel import StabilityReport, _diffusion_matrix, _stability_stack
 from .lyapunov import CovarianceMatrix, _solve_stack, residual
-from .params import ConfigError, PhysicalParams, default_params, require_finite, thermal_occupation
+from .params import (
+    ConfigError,
+    PhysicalParams,
+    check_range,
+    default_params,
+    require_finite,
+    thermal_occupation,
+)
 from .steadystate import SteadyState, _steady_states
 
 __all__ = [
@@ -41,7 +48,6 @@ STATUS_MARGINAL = "marginal"
 STATUS_ERROR = "error"
 
 RESIDUAL_LIMIT = 1e-8
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,9 @@ class SweepSpec:
         if self.curves is not None:
             ranges[self.curve_param] = self.curves
         if self.n_th is not None:
-            ranges.setdefault("n_th", (self.n_th,))
-        for name, values in ranges.items():
-            if name == "beta" and max(values) >= 1.0:
-                raise ConfigError("beta values must stay below 1")
-            if name in ("n_th", "power") and min(values) < 0:
-                raise ConfigError(f"{name} values must be >= 0")
+            ranges.setdefault("n_th", self.n_th)
+        ranges.pop("delta_norm", None)  # any finite detuning is in range
+        check_range(**ranges)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -190,11 +193,9 @@ def _operating_groups(op_shape: tuple, shape: tuple) -> np.ndarray:
     The grid has `shape`; the operating points, of `op_shape`, broadcast to
     it, so each repeats along the axes where `op_shape` is 1 (n_th values).
     """
-    op_shape = (1,) * (len(shape) - len(op_shape)) + tuple(op_shape)
-    # the axes an operating point spans first, the axes it repeats along last
-    order = sorted(range(len(shape)), key=lambda axis: op_shape[axis] != shape[axis])
-    index = np.arange(math.prod(shape)).reshape(shape).transpose(order)
-    return index.reshape(math.prod(op_shape), -1)
+    n = math.prod(op_shape)
+    owner = np.broadcast_to(np.arange(n).reshape(op_shape), shape).reshape(-1)
+    return np.argsort(owner, kind="stable").reshape(n, -1)
 
 
 def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
@@ -270,8 +271,8 @@ def evaluate_point(
     if n_th is None:
         n_th = thermal_occupation(params.temperature, params.omega_m)
     require_finite(delta_norm=delta_norm, n_th=n_th)
-    if n_th < 0:
-        raise ConfigError("n_th must be >= 0")
+    if not n_th >= 0.0:  # check_range's rule, compared inline on the hot path
+        check_range(n_th=n_th)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     stack = _evaluate(params, steady, n_th)
     covariance = report = None
@@ -537,10 +538,7 @@ def nth_entanglement_threshold(
     other arguments here; the stages then trust them.
     """
     require_finite(delta_norm=delta_norm, n_hi=n_hi, rel_tol=rel_tol)
-    if not n_hi > 0.0:
-        raise ConfigError(f"n_hi must be > 0, got {n_hi!r}")
-    if not rel_tol >= _EPS:  # below it the interval stops shrinking
-        raise ConfigError(f"rel_tol must be >= {_EPS!r}, got {rel_tol!r}")
+    check_range(n_hi=n_hi, rel_tol=rel_tol)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     a, stability = _stability_stack(steady, params)
     if not stability.spectral_stable or stability.marginal:

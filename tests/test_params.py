@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,17 @@ import pytest
 from oment import (
     ConfigError,
     PhysicalParams,
+    check_range,
     default_params,
+    diffusion_matrix,
     drive_amplitude,
+    evaluate_point,
+    from_bare_detuning,
     load_config,
+    steady_states,
     thermal_occupation,
 )
+from oment import params as params_module
 from oment.constants import HBAR, K_B
 from references import inverse_thermal_occupation
 
@@ -230,3 +237,66 @@ def test_load_config_missing_file(tmp_path):
 def test_validation_rejects_non_finite_fields(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         replace(default_params(), **{field: value})
+
+
+_EPS = float(np.finfo(float).eps)
+# Each checked name: a value just inside its range and one just outside.
+_EDGES = {
+    **dict.fromkeys(
+        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "convention_eta_factor",
+         "omega_laser", "n_hi"),
+        (5e-324, 0.0),
+    ),
+    **dict.fromkeys(("g_m", "power", "temperature", "n_th"), (0.0, -5e-324)),
+    "beta": (math.nextafter(1.0, 0.0), 1.0),
+    "rel_tol": (_EPS, math.nextafter(_EPS, 0.0)),
+}
+
+
+def test_every_range_rule_has_its_edges():
+    assert set(_EDGES) == set(params_module._RANGES)
+    with pytest.raises(KeyError):
+        check_range(delta_norm=-1.0)  # a name without a rule is a programming error
+
+
+@pytest.mark.parametrize("name", sorted(_EDGES))
+def test_range_rule_edges(name):
+    inside, outside = _EDGES[name]
+    check_range(**{name: inside})
+    check_range(**{name: np.full((2, 3), inside)})
+    for bad in (outside, math.nan):
+        with pytest.raises(ConfigError, match=f"^{name} must be [<>]=? [^,]+, got {bad!r}$"):
+            check_range(**{name: bad})
+        array = np.array([[inside, bad], [outside, math.nan]])  # the first offender is named
+        with pytest.raises(ConfigError, match=f"^{name} must be [<>]=? [^,]+, got {bad!r}$"):
+            check_range(**{name: array})
+
+
+def test_a_nan_is_out_of_range_at_every_checked_stage(params):
+    nan = math.nan
+    calls = [
+        lambda: drive_amplitude(nan, params.kappa, params.omega_laser),
+        lambda: drive_amplitude(1e-3, nan, params.omega_laser),
+        lambda: steady_states(-params.omega_m, nan, 0.0, params),
+        lambda: steady_states(-params.omega_m, np.array([1e-3, nan]), 0.0, params),
+        lambda: diffusion_matrix(params.gamma_m, params.kappa, nan),
+        lambda: diffusion_matrix(params.gamma_m, params.kappa, np.array([0.0, nan])),
+        lambda: thermal_occupation(nan, params.omega_m),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=re.escape("must be") + ".*, got nan$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: evaluate_point(default_params(), 10**400), "delta_norm"),
+        (lambda: from_bare_detuning(10**400, default_params()), "delta_bare"),
+        (lambda: replace(default_params(), power=10**400), "power"),
+    ],
+    ids=["evaluate_point", "from_bare_detuning", "PhysicalParams"],
+)
+def test_an_int_beyond_the_float_range_is_a_config_error(call, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        call()

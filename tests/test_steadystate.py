@@ -128,7 +128,9 @@ def test_degenerate_roots_warn_near_fold(params):
     lo, hi = 1e-3, 5e-3  # one root vs three roots
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        states = from_bare_detuning(delta0, replace(params, power=mid))
+        with warnings.catch_warnings():  # the bisection nears the fold; only the end is asserted
+            warnings.simplefilter("ignore", DegenerateRootsWarning)
+            states = from_bare_detuning(delta0, replace(params, power=mid))
         if len(states) == 3:
             hi = mid
             gaps = [
