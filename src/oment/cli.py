@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gaussian import log_negativity_of
+from .gaussian import CM_SCALE, log_negativity_of
 from .linmodel import coupling_threshold_blue, coupling_threshold_red
 from .params import ConfigError, PhysicalParams, default_params, load_config
 from .sweep import (
@@ -85,8 +85,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
     print(f"eta={_fmt(report.eta)}")
     print(f"log_negativity={_fmt(report.log_negativity)}")
     print(f"entangled={'true' if report.entangled else 'false'}")
-    # the unrescaled CM is 2V, so its eta is 2 eta, taken with f = 2
-    raw = float(log_negativity_of(2.0 * report.eta, 2.0))
+    # the unrescaled CM is V / CM_SCALE, so its eta is eta / CM_SCALE
+    raw = float(log_negativity_of(report.eta / CM_SCALE))
     if raw != report.log_negativity:
         print(f"log_negativity_raw_cm={_fmt(raw)}")
     return EXIT_OK

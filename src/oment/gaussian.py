@@ -4,9 +4,10 @@ All formulas act on a covariance matrix in the standard convention where the
 vacuum has variance 1/2 per quadrature.  The covariance matrix solved from
 the quantum Langevin diffusion uses vacuum variance 1, so the pipeline
 rescales it by :data:`CM_SCALE` before calling into this module; the factor
-``f`` in ``E_N = max(0, -ln(f*eta))`` then keeps its textbook value 2 and the
-separability threshold reads ``eta < 1/2``.  The block determinants, eta and
-its cross-check act on whole ``(..., 4, 4)`` stacks at once.
+f = :data:`ETA_FACTOR` in ``E_N = max(0, -ln(f*eta))`` then keeps its
+textbook value 2 and the separability threshold reads ``eta < 1/2``.  The
+block determinants, eta and its cross-check act on whole ``(..., 4, 4)``
+stacks at once.
 
 eta has two routes that share no code.  The closed form takes it from the
 block determinants of V.  The cross-check factors the partial transpose
@@ -28,6 +29,7 @@ from numpy.linalg import _umath_linalg
 __all__ = [
     "EntanglementReport",
     "CM_SCALE",
+    "ETA_FACTOR",
     "sigma",
     "eta_stack",
     "log_negativity_of",
@@ -37,6 +39,8 @@ __all__ = [
 # Rescaling applied to Langevin-convention covariance matrices (vacuum
 # variance 1) to reach the standard convention (vacuum variance 1/2).
 CM_SCALE = 0.5
+# f in E_N = max(0, -ln(f*eta)) for a standard-convention CM.
+ETA_FACTOR = 2.0
 
 _RADICAND_TOL = 1e-10
 _ROUTE_AGREEMENT_TOL = 1e-9
@@ -144,18 +148,18 @@ _sigma = sigma.__wrapped__
 _eta_stack = eta_stack.__wrapped__
 
 
-def log_negativity_of(eta, f: float):
-    """E_N = max(0, -ln(f*eta)), elementwise."""
-    value = -np.log(f * eta)
+def log_negativity_of(eta):
+    """E_N = max(0, -ln(f*eta)) with f = :data:`ETA_FACTOR`, elementwise."""
+    value = -np.log(ETA_FACTOR * eta)
     return np.where(value > 0.0, value, 0.0)
 
 
-def entanglement_report(sig: float, det_v: float, eta: float, f: float) -> EntanglementReport:
+def entanglement_report(sig: float, det_v: float, eta: float) -> EntanglementReport:
     """Report of one CM from its sigma, det V and eta; entangled iff f*eta < 1."""
     return EntanglementReport(
         sigma_v=float(sig),
         det_v=float(det_v),
         eta=float(eta),
-        log_negativity=float(log_negativity_of(eta, f)),
-        entangled=bool(f * eta < 1.0),
+        log_negativity=float(log_negativity_of(eta)),
+        entangled=bool(ETA_FACTOR * eta < 1.0),
     )

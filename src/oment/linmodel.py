@@ -186,29 +186,17 @@ def _stability_stack(steady: SteadyState, params: PhysicalParams):
     )
 
 
-def coupling_threshold_blue(params: PhysicalParams, delta: float | None = None) -> float:
-    """Coupling where s2 crosses zero, G = sqrt(s2(G=0) / (-delta)).
-
-    Defaults to the blue sideband delta = -omega_m.  Requires delta < 0; s2
-    never crosses zero on the red side.
-    """
-    if delta is None:
-        delta = -params.omega_m
-    if not delta < 0:
-        raise ValueError("s2 threshold exists only for delta < 0")
-    s2 = routh_conditions(params.omega_m, params.gamma_m, params.kappa, delta, 0.0)[1]
-    return float(np.sqrt(s2 / (-delta)))
+def coupling_threshold_blue(params: PhysicalParams) -> float:
+    """Coupling where s2 crosses zero at the blue sideband delta = -omega_m,
+    G = sqrt(s2(G=0) / omega_m); s2 never crosses zero on the red side."""
+    omega_m = params.omega_m
+    s2 = routh_conditions(omega_m, params.gamma_m, params.kappa, -omega_m, 0.0)[1]
+    return float(np.sqrt(s2 / omega_m))
 
 
-def coupling_threshold_red(params: PhysicalParams, delta: float | None = None) -> float:
-    """Coupling where s1 crosses zero, G = sqrt(s1(G=0) / (delta omega_m (gamma_m+kappa)^2)).
-
-    Defaults to the red sideband delta = +omega_m.  Requires delta > 0.
-    """
-    if delta is None:
-        delta = params.omega_m
-    if not delta > 0:
-        raise ValueError("s1 threshold exists only for delta > 0")
+def coupling_threshold_red(params: PhysicalParams) -> float:
+    """Coupling where s1 crosses zero at the red sideband delta = +omega_m,
+    G = sqrt(s1(G=0) / (omega_m^2 (gamma_m+kappa)^2))."""
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    s1 = routh_conditions(omega_m, gamma_m, kappa, delta, 0.0)[0]
-    return float(np.sqrt(s1 / (delta * omega_m * (gamma_m + kappa) ** 2)))
+    s1 = routh_conditions(omega_m, gamma_m, kappa, omega_m, 0.0)[0]
+    return float(np.sqrt(s1 / (omega_m * omega_m * (gamma_m + kappa) ** 2)))

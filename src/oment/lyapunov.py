@@ -49,9 +49,9 @@ class CovarianceMatrix:
     """
 
     v: np.ndarray
-    residual: float | None = None
-    condition: float | None = None
-    ill_conditioned: bool = False
+    residual: float
+    condition: float
+    ill_conditioned: bool
 
 
 # Upper-triangle index pairs of a symmetric 4x4 matrix: the 10 unknowns.

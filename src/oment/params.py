@@ -48,16 +48,13 @@ def require_finite(**values: float) -> None:
 
 # The domain of the linearized model (Vitali et al., PRL 98, 030405 (2007)):
 # each checked input by name, and the comparison and bound its values satisfy.
-_EPS = float(np.finfo(float).eps)
 _RANGES = {
     **dict.fromkeys(
-        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "convention_eta_factor",
-         "omega_laser", "n_hi"),
+        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "omega_laser", "n_hi"),
         (operator.gt, 0),
     ),
     **dict.fromkeys(("g_m", "power", "temperature", "n_th"), (operator.ge, 0)),
     "beta": (operator.lt, 1),  # the restoring force omega_m*(beta - 1) keeps its sign
-    "rel_tol": (operator.ge, _EPS),  # below it a bisection interval stops shrinking
 }
 _SYMBOLS = {operator.gt: ">", operator.ge: ">=", operator.lt: "<"}
 
@@ -103,8 +100,6 @@ class PhysicalParams:
     beta : float
         Dimensionless geometrical (softening) nonlinearity.  Must stay below 1
         so the mechanical restoring force omega_m*(beta - 1) keeps its sign.
-    convention_eta_factor : float
-        Factor f in E_N = max(0, -ln(f * eta)).
     """
 
     omega_m: float
@@ -115,7 +110,6 @@ class PhysicalParams:
     laser_wavelength: float
     temperature: float
     beta: float = 0.0
-    convention_eta_factor: float = 2.0
 
     def __post_init__(self) -> None:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -145,7 +139,6 @@ def default_params() -> PhysicalParams:
         laser_wavelength=1.55e-6,
         temperature=0.270,
         beta=0.0,
-        convention_eta_factor=2.0,
     )
 
 
@@ -154,6 +147,7 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
 
     The T = 0 limit returns exactly 0.
     """
+    require_finite(temperature=temperature, omega_m=omega_m)
     check_range(temperature=temperature, omega_m=omega_m)
     if temperature == 0.0:
         return 0.0
@@ -192,21 +186,17 @@ _CONFIG_FIELDS = {
     "wavelength_m": ("laser_wavelength", 1.0),
     "temperature_k": ("temperature", 1.0),
     "beta": ("beta", 1.0),
-    "eta_factor": ("convention_eta_factor", 1.0),
 }
-CONFIG_KEYS = (*_CONFIG_FIELDS, "kappa_convention")
-
-_KAPPA_FACTORS = {"two_pi": _TWO_PI, "pi": math.pi}
+CONFIG_KEYS = tuple(_CONFIG_FIELDS)
 
 
 def load_config(path: str | Path) -> PhysicalParams:
     """Load parameters from a plain-text ``key = value`` file.
 
-    Unspecified keys keep their default values.  `kappa_convention` selects
-    kappa = 2*pi*kappa_hz (``two_pi``, default) or kappa = pi*kappa_hz
-    (``pi``); the other frequencies are plain Hz values multiplied by 2*pi.
+    Unspecified keys keep their default values.  Frequencies are plain Hz
+    values multiplied by 2*pi, so kappa = 2*pi*kappa_hz.  A key given twice
+    is an error.
     """
-    params = default_params()
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -222,25 +212,14 @@ def load_config(path: str | Path) -> PhysicalParams:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-
-    def as_float(key: str) -> float:
-        try:
-            return float(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"invalid number for {key!r}: {raw[key]!r}") from exc
-
-    updates = {
-        field: factor * as_float(key)
-        for key, (field, factor) in _CONFIG_FIELDS.items()
-        if key in raw
-    }
-    if "kappa_convention" in raw:
-        convention = raw["kappa_convention"]
-        if convention not in _KAPPA_FACTORS:
-            raise ConfigError(
-                f"kappa_convention must be one of {sorted(_KAPPA_FACTORS)}, got {convention!r}"
-            )
-        kappa_hz = as_float("kappa_hz") if "kappa_hz" in raw else params.kappa / _TWO_PI
-        updates["kappa"] = _KAPPA_FACTORS[convention] * kappa_hz
-    return replace(params, **updates)
+    updates = {}
+    for key, (field, factor) in _CONFIG_FIELDS.items():
+        if key in raw:
+            try:
+                updates[field] = factor * float(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"invalid number for {key!r}: {raw[key]!r}") from exc
+    return replace(default_params(), **updates)

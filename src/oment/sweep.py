@@ -48,6 +48,7 @@ STATUS_MARGINAL = "marginal"
 STATUS_ERROR = "error"
 
 RESIDUAL_LIMIT = 1e-8
+THRESHOLD_REL_TOL = 1e-3  # the threshold bisection stops at a width <= this * max(lo, 1)
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,8 @@ class SweepSpec:
                 self.curves
             ):
                 raise ConfigError("curve_delta_norms must match curves in length")
+        elif self.curve_delta_norms is not None:
+            raise ConfigError("curve_delta_norms must come with curves")
         ranges = {self.axis: (self.start, self.stop)}
         if self.curves is not None:
             ranges[self.curve_param] = self.curves
@@ -263,8 +266,8 @@ def evaluate_point(
 
     Unstable and marginal points carry a status instead of a report.  The
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
-    with the configured eta factor.  The point runs through the same stacked
-    pipeline as :func:`run_sweep`.  `params` is checked by
+    and eta factor (:data:`gaussian.ETA_FACTOR`).  The point runs through the
+    same stacked pipeline as :func:`run_sweep`.  `params` is checked by
     :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here; the
     stages then trust them.
     """
@@ -284,9 +287,7 @@ def evaluate_point(
             ill_conditioned=bool(stack.ill[0]),
         )
     if stack.reported.size:
-        report = gaussian.entanglement_report(
-            stack.sigma[0], stack.det_v[0], stack.eta[0], params.convention_eta_factor
-        )
+        report = gaussian.entanglement_report(stack.sigma[0], stack.det_v[0], stack.eta[0])
     stability = stack.stability
     return PointResult(
         steady=steady,
@@ -345,7 +346,7 @@ def run_sweep(spec: SweepSpec) -> Sweep:
 
     eta, log_neg = np.full((2, stack.status.size), np.nan)
     eta[stack.reported] = stack.eta
-    log_neg[stack.reported] = gaussian.log_negativity_of(stack.eta, params.convention_eta_factor)
+    log_neg[stack.reported] = gaussian.log_negativity_of(stack.eta)
     curves = np.array(spec.curves if spec.curves is not None else [np.nan], dtype=float)
     stability = stack.stability
     # steady-state and Routh columns vary with fewer parameters than the grid
@@ -498,7 +499,7 @@ _NODES = np.linspace(0.0, 1.0, 5)
 _FIT = np.linalg.inv(np.vander(_NODES, increasing=True))
 
 
-def _predicted_path(quartic: list[float], n_hi: float, lo: float, hi: float, rel_tol: float):
+def _predicted_path(quartic: list[float], n_hi: float, lo: float, hi: float):
     """The midpoints that bisecting [lo, hi] visits if the sign of `quartic` decides each.
 
     `quartic` holds c0..c4 in t = n_th/n_hi of Simon's P = det W - sigma(W)/f^2
@@ -507,7 +508,7 @@ def _predicted_path(quartic: list[float], n_hi: float, lo: float, hi: float, rel
     """
     c0, c1, c2, c3, c4 = quartic
     path = []
-    while hi - lo > rel_tol * max(lo, 1.0):
+    while hi - lo > THRESHOLD_REL_TOL * max(lo, 1.0):
         mid = (lo + hi) / 2.0
         path.append(mid)
         t = mid / n_hi
@@ -523,27 +524,26 @@ def nth_entanglement_threshold(
     params: PhysicalParams,
     delta_norm: float,
     n_hi: float = 8000.0,
-    rel_tol: float = 1e-3,
 ) -> float:
     """Bath occupation where the log-negativity crosses zero, by bisection.
 
     Requires entanglement at n_th = 0 and none at `n_hi`; the threshold is
-    located to relative axis precision `rel_tol`.  Only the diffusion depends
-    on n_th and A V + V A^T = -D is linear in D, so one stability gate and one
-    solve give V(n_th) = V0 + n_th * V1.  Simon's quartic in n_th predicts
+    located to relative axis precision :data:`THRESHOLD_REL_TOL`.  Only the
+    diffusion depends on n_th and A V + V A^T = -D is linear in D, so one
+    stability gate and one solve give V(n_th) = V0 + n_th * V1.  Simon's quartic in n_th predicts
     the bisection's path, and the checks of :func:`evaluate_point` decide 0,
     `n_hi` and every predicted midpoint as one stack; a midpoint off the
     path starts a new prediction from there, checked as one more stack.
     `params` is checked by :class:`~oment.params.PhysicalParams` and the
     other arguments here; the stages then trust them.
     """
-    require_finite(delta_norm=delta_norm, n_hi=n_hi, rel_tol=rel_tol)
-    check_range(n_hi=n_hi, rel_tol=rel_tol)
+    require_finite(delta_norm=delta_norm, n_hi=n_hi)
+    check_range(n_hi=n_hi)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     a, stability = _stability_stack(steady, params)
     if not stability.spectral_stable or stability.marginal:
         return 0.0
-    gamma_m, kappa, f = params.gamma_m, params.kappa, params.convention_eta_factor
+    gamma_m, kappa, f = params.gamma_m, params.kappa, gaussian.ETA_FACTOR
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
     (v0, v1), _, condition, _ = _solve_stack(
@@ -560,19 +560,19 @@ def nth_entanglement_threshold(
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
         ok, _, _, eta = _checked_eta(residual(a, v, _diffusion_matrix(gamma_m, kappa, n)), v)
-        ok[ok] = gaussian.log_negativity_of(eta, f) > 0
+        ok[ok] = gaussian.log_negativity_of(eta) > 0
         return dict(zip(n_th, ok.tolist()))
 
     lo, hi = 0.0, n_hi
-    verdicts = entangled([lo, hi, *_predicted_path(quartic, n_hi, lo, hi, rel_tol)])
+    verdicts = entangled([lo, hi, *_predicted_path(quartic, n_hi, lo, hi)])
     if not verdicts[lo]:
         return 0.0
     if verdicts[hi]:
         raise ConfigError(f"still entangled at n_th = {n_hi}; raise n_hi")
-    while hi - lo > rel_tol * max(lo, 1.0):
+    while hi - lo > THRESHOLD_REL_TOL * max(lo, 1.0):
         mid = (lo + hi) / 2.0
         if mid not in verdicts:
-            verdicts.update(entangled(_predicted_path(quartic, n_hi, lo, hi, rel_tol)))
+            verdicts.update(entangled(_predicted_path(quartic, n_hi, lo, hi)))
         if verdicts[mid]:
             lo = mid
         else:

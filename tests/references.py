@@ -475,11 +475,11 @@ def hurwitz_with_beta(omega_m, gamma_m, kappa, delta, g, beta):
     return np.broadcast_arrays(a1, h2, h3, a4), scales
 
 
-def report_of(v, f: float = 2.0):
+def report_of(v):
     """:class:`oment.EntanglementReport` of one CM, which must be physical."""
     sig, det_v, eta, physical = eta_stack(v)
     assert physical, "not a physical covariance matrix"
-    return entanglement_report(sig, det_v, eta, f)
+    return entanglement_report(sig, det_v, eta)
 
 
 def two_mode_squeezed_cm(r: float) -> np.ndarray:

@@ -24,26 +24,26 @@ SWEEP_FLAGS = ["--axis", "delta_norm", "--start", "-1.1", "--stop", "-0.9", "--c
 
 # Operating points whose `point` and `stability` output is pinned byte for
 # byte in cli_golden.json: ok, unstable, an overflowing steady state, a
-# singular Lyapunov system, and kappa from a `kappa_convention = pi` config.
+# singular Lyapunov system, and kappa = 2*pi*264.5 MHz from a config file.
 GOLDEN_FLAGS = {
     "ok": ["--delta-norm", "-1"],
     "ok-10mW": ["--delta-norm", "-1", "--power-mw", "10"],
     "unstable": ["--delta-norm", "-0.2", "--power-mw", "10"],
     "overflow": ["--delta-norm", "-1", "--power-mw", "1e300"],
     "singular": ["--delta-norm", "0", "--power-mw", "1e253"],
-    "pi-config": ["--config", "{config}", "--delta-norm", "-1"],
+    "half-kappa-config": ["--config", "{config}", "--delta-norm", "-1"],
 }
-PI_CONFIG = "kappa_hz = 529e6\nkappa_convention = pi\n"
+HALF_KAPPA_CONFIG = "kappa_hz = 264.5e6\n"
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 
 def golden_run(command, case, config_dir):
     """Exit code, stdout, stderr and warning texts of ``oment <command>`` at `case`.
 
-    `config_dir` receives the `kappa_convention = pi` config file.
+    `config_dir` receives the half-kappa config file.
     """
-    config = Path(config_dir) / "pi.cfg"
-    config.write_text(PI_CONFIG)
+    config = Path(config_dir) / "half-kappa.cfg"
+    config.write_text(HALF_KAPPA_CONFIG)
     argv = [command, *(flag.format(config=config) for flag in GOLDEN_FLAGS[case])]
     out, err = io.StringIO(), io.StringIO()
     with (
@@ -126,9 +126,9 @@ def test_config_file_and_override(tmp_path, capsys):
     assert float(overridden["n_s"]) == pytest.approx(17646.383905380437, rel=1e-12)
 
 
-def test_config_pi_convention_changes_physics(tmp_path, capsys):
+def test_config_half_kappa_changes_physics(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("kappa_hz = 529e6\nkappa_convention = pi\n")
+    config.write_text("kappa_hz = 264.5e6\n")
     assert main(["stability", "--config", str(config), "--delta-norm", "-1"]) == 0
     values = parsed_lines(capsys.readouterr().out)
     # halving kappa drops the red-sideband threshold well below the default
@@ -140,6 +140,22 @@ def test_bad_config_exits_2(tmp_path, capsys):
     config.write_text("mystery = 12\n")
     assert main(["point", "--config", str(config)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("beta = 0.1\nbeta = 0.2\n", ":2: duplicate key 'beta'"),
+        ("eta_factor = 2\n", ":1: unknown key 'eta_factor'"),
+        ("kappa_convention = pi\n", ":1: unknown key 'kappa_convention'"),
+    ],
+    ids=["duplicate", "eta_factor", "kappa_convention"],
+)
+def test_rejected_config_key_exits_2(tmp_path, capsys, content, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(content)
+    assert main(["point", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {config}{message}\n"
 
 
 def test_bad_beta_exits_2(capsys):
@@ -196,6 +212,16 @@ def test_sweep_bad_curves_exits_2(capsys):
         "sweep", "--axis", "delta_norm", "--start", "-1", "--stop", "0",
         "--count", "3", "--curves", "beta:0,0.3",
     ]) == 2
+
+
+@pytest.mark.parametrize(
+    "curves, message",
+    [("foo=0,1", "curve parameter must be one of"), ("beta=a,b", "invalid curve values")],
+    ids=["unknown-parameter", "non-numeric"],
+)
+def test_sweep_unusable_curves_exits_2(curves, message, capsys):
+    assert main(["sweep", *SWEEP_FLAGS, "--curves", curves]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_duplicate_axis_curves_exits_2(capsys):

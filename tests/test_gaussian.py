@@ -49,7 +49,7 @@ def test_sigma_two_mode_squeezed():
 def test_vacuum_unentangled():
     eta = report_of(VACUUM).eta
     assert eta == pytest.approx(0.5, abs=1e-15)
-    report = report_of(VACUUM, f=2.0)
+    report = report_of(VACUUM)
     assert report.log_negativity == 0.0
     assert not report.entangled
 
@@ -96,11 +96,11 @@ def test_dual_route_agreement():
 def test_local_rotation_invariance():
     rng = np.random.default_rng(123)
     base = two_mode_squeezed_cm(0.7)
-    ref = report_of(base, f=2.0)
+    ref = report_of(base)
     for _ in range(25):
         rot = rotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
         rotated = rot @ base @ rot.T
-        report = report_of(rotated, f=2.0)
+        report = report_of(rotated)
         assert sigma(rotated) == pytest.approx(ref.sigma_v, rel=1e-10)
         assert report.det_v == pytest.approx(ref.det_v, rel=1e-10)
         assert report.eta == pytest.approx(ref.eta, rel=1e-10)
@@ -139,7 +139,7 @@ def test_threshold_behavior_of_log_negativity():
     # their symplectic spectrum is degenerate, so the closed-form eta only
     # carries O(sqrt(eps)) accuracy here
     scales = np.linspace(0.2, 2.0, 37)
-    values = [report_of(s * VACUUM, f=2.0).log_negativity for s in scales]
+    values = [report_of(s * VACUUM).log_negativity for s in scales]
     for s, value in zip(scales, values):
         if s >= 1.0:
             assert value == pytest.approx(0.0, abs=1e-7)
@@ -148,12 +148,12 @@ def test_threshold_behavior_of_log_negativity():
     below = [v for s, v in zip(scales, values) if s < 1.0]
     assert all(a > b for a, b in zip(below, below[1:]))
     # continuity at the threshold
-    assert report_of((1 - 1e-12) * VACUUM, f=2.0).log_negativity < 1e-7
+    assert report_of((1 - 1e-12) * VACUUM).log_negativity < 1e-7
 
 
 def test_entangled_iff_f_eta_below_one():
     for r in (0.0, 0.1, 0.5):
-        report = report_of(two_mode_squeezed_cm(r), f=2.0)
+        report = report_of(two_mode_squeezed_cm(r))
         assert report.entangled == (2.0 * report.eta < 1.0)
         assert report.entangled == (report.log_negativity > 0.0)
 
@@ -189,6 +189,14 @@ def test_non_positive_definite_matrix_leaves_the_stack_alone():
         alone = eta_stack(matrix[None])
         for stacked, single in zip((sig, det_v, eta), alone[:3]):
             assert stacked[index].tobytes() == single[0].tobytes()
+
+
+def test_nested_list_reads_as_its_array():
+    stack = np.array([two_mode_squeezed_cm(0.4), -np.eye(4), 0.7 * np.eye(4)])
+    from_list = eta_stack(stack.tolist())
+    for listed, arrayed in zip(from_list, eta_stack(stack)):
+        assert listed.tobytes() == arrayed.tobytes()
+    assert from_list[3].tolist() == [True, False, True]
 
 
 def test_non_finite_matrix_is_not_physical():
@@ -316,14 +324,15 @@ def test_library_eta_matches_the_eigvals_oracle(r, n, theta, phi, squeeze_1, squ
 def test_cm_scale_composition():
     # Langevin-convention vacuum (variance 1) rescales to the standard vacuum
     raw = np.eye(4)
-    report = report_of(CM_SCALE * raw, f=2.0)
+    report = report_of(CM_SCALE * raw)
     assert report.eta == pytest.approx(0.5, abs=1e-15)
     assert report.log_negativity == 0.0
 
 
-def test_eta_factor_four_equals_literal_composition():
-    # f = 4 on the rescaled CM reproduces f = 2 on the raw one
+def test_raw_composition_reads_eta_over_cm_scale():
+    # E_N of the raw CM is E_N of the rescaled one's eta divided by CM_SCALE
     raw = 3.0 * two_mode_squeezed_cm(0.9)  # arbitrary Langevin-scale CM
-    rescaled = report_of(CM_SCALE * raw, f=4.0)
-    literal = report_of(raw, f=2.0)
-    assert rescaled.log_negativity == pytest.approx(literal.log_negativity, abs=1e-12)
+    rescaled = report_of(CM_SCALE * raw)
+    literal = report_of(raw)
+    from_rescaled = float(gaussian.log_negativity_of(rescaled.eta / CM_SCALE))
+    assert from_rescaled == pytest.approx(literal.log_negativity, abs=1e-12)

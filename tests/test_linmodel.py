@@ -182,26 +182,18 @@ def test_red_threshold_closed_form_vs_bisection(params):
     assert closed == pytest.approx(2.89e7, rel=0.10)
 
 
-def test_threshold_sign_requirements(params):
-    with pytest.raises(ValueError):
-        coupling_threshold_blue(params, delta=params.omega_m)
-    with pytest.raises(ValueError):
-        coupling_threshold_red(params, delta=-params.omega_m)
-
-
-# log10 of omega_m, gamma_m, kappa and |delta| (rad/s), six decades each
-_THRESHOLD_RANGES = ((3.0, 9.0), (-1.0, 5.0), (3.0, 9.0), (3.0, 9.0))
+# log10 of omega_m, gamma_m and kappa (rad/s), six decades each
+_THRESHOLD_RANGES = ((3.0, 9.0), (-1.0, 5.0), (3.0, 9.0))
 
 
 @given(*(st.floats(low, high) for low, high in _THRESHOLD_RANGES))
-def test_thresholds_match_the_closed_forms(log_omega, log_gamma, log_kappa, log_delta):
-    omega, gamma, kappa, delta = (10.0**x for x in (log_omega, log_gamma, log_kappa, log_delta))
+def test_thresholds_match_the_closed_forms(log_omega, log_gamma, log_kappa):
+    # the thresholds sit at the sidebands, delta = -omega_m and +omega_m
+    omega, gamma, kappa = (10.0**x for x in (log_omega, log_gamma, log_kappa))
     params = replace(default_params(), omega_m=omega, gamma_m=gamma, kappa=kappa)
-    assert coupling_threshold_blue(params, -delta) == blue_threshold_closed_form(
-        omega, kappa, -delta
-    )
-    assert coupling_threshold_red(params, delta) == red_threshold_closed_form(
-        omega, gamma, kappa, delta
+    assert coupling_threshold_blue(params) == blue_threshold_closed_form(omega, kappa, -omega)
+    assert coupling_threshold_red(params) == red_threshold_closed_form(
+        omega, gamma, kappa, omega
     )
 
 

@@ -18,6 +18,7 @@ from oment import (
     steady_states,
     thermal_occupation,
 )
+from oment import gaussian
 from oment import params as params_module
 from oment.constants import HBAR, K_B
 from references import inverse_thermal_occupation
@@ -38,7 +39,7 @@ def test_default_table_values(params):
     assert params.temperature == 0.270
     assert params.laser_wavelength == 1.55e-6
     assert params.beta == 0.0
-    assert params.convention_eta_factor == 2.0
+    assert gaussian.ETA_FACTOR == 2.0
 
 
 def test_quality_factor_computed_from_fields(params):
@@ -104,6 +105,14 @@ def test_thermal_occupation_monotones(params):
     omegas = [0.5e10, 1e10, 2e10, 4e10]
     values = [thermal_occupation(0.27, om) for om in omegas]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("field", ["temperature", "omega_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_thermal_occupation_rejects_non_finite_input(params, field, value):
+    arguments = {"temperature": 300.0, "omega_m": params.omega_m, field: value}
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value!r}$"):
+        thermal_occupation(**arguments)
 
 
 def test_thermal_occupation_classical_limit(params):
@@ -177,12 +186,10 @@ def test_load_config_round_trip(tmp_path):
         "gamma_m_hz = 35e3\n"
         "g0_hz = 910e3\n"
         "kappa_hz = 529e6\n"
-        "kappa_convention = two_pi\n"
         "power_w = 10e-3\n"
         "wavelength_m = 1.55e-6\n"
         "temperature_k = 0.270\n"
         "beta = 0.2\n"
-        "eta_factor = 2\n"
     )
     params = load_config(config)
     assert params.omega_m == pytest.approx(2 * math.pi * 3.6e9, rel=1e-14)
@@ -191,11 +198,19 @@ def test_load_config_round_trip(tmp_path):
     assert params.beta == 0.2
 
 
-def test_load_config_pi_convention(tmp_path):
+def test_half_kappa_hz_gives_kappa_pi_times_the_value(tmp_path):
+    # kappa = 2*pi*kappa_hz always; halving kappa_hz gives pi times the value, bit for bit
     config = tmp_path / "params.cfg"
-    config.write_text("kappa_hz = 529e6\nkappa_convention = pi\n")
-    params = load_config(config)
-    assert params.kappa == pytest.approx(math.pi * 529e6, rel=1e-14)
+    for value in (529e6, 1.0, 3.0e-7, 123456.789e3):
+        config.write_text(f"kappa_hz = {value / 2!r}\n")
+        assert load_config(config).kappa == math.pi * value
+
+
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    config = tmp_path / "params.cfg"
+    config.write_text("beta = 0.1\n# a comment\nbeta = 0.2\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(config))}:3: duplicate key 'beta'$"):
+        load_config(config)
 
 
 def test_load_config_partial_keeps_defaults(tmp_path):
@@ -218,6 +233,7 @@ def test_load_config_partial_keeps_defaults(tmp_path):
         "beta = 1.5\n",
         "beta = 1.0\n",
         "power_w = -1e-3\n",
+        "eta_factor = 2\n",
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, content):
@@ -239,17 +255,14 @@ def test_validation_rejects_non_finite_fields(field, value):
         replace(default_params(), **{field: value})
 
 
-_EPS = float(np.finfo(float).eps)
 # Each checked name: a value just inside its range and one just outside.
 _EDGES = {
     **dict.fromkeys(
-        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "convention_eta_factor",
-         "omega_laser", "n_hi"),
+        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "omega_laser", "n_hi"),
         (5e-324, 0.0),
     ),
     **dict.fromkeys(("g_m", "power", "temperature", "n_th"), (0.0, -5e-324)),
     "beta": (math.nextafter(1.0, 0.0), 1.0),
-    "rel_tol": (_EPS, math.nextafter(_EPS, 0.0)),
 }
 
 

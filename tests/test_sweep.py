@@ -1,9 +1,7 @@
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -212,6 +210,7 @@ def test_run_sweep_nth_axis(params):
         dict(axis="n_th", start=-1.0, stop=10.0),
         dict(axis="beta", start=0.0, stop=1.0),
         dict(curves=(0.0, 1.0), curve_param="beta"),
+        dict(axis="n_th", start=0.0, stop=10.0, curve_delta_norms=(1.0,)),
     ],
 )
 def test_sweep_spec_validation(params, overrides):
@@ -633,13 +632,13 @@ def test_nth_threshold_equals_point_by_point_near_product_states(params):
 _PREDICTED_PATH = sweep._predicted_path
 
 
-def _no_prediction(quartic, n_hi, lo, hi, rel_tol):
+def _no_prediction(quartic, n_hi, lo, hi):
     return [(lo + hi) / 2.0]  # plain bisection: one midpoint per stacked check
 
 
-def _wrong_prediction(quartic, n_hi, lo, hi, rel_tol):
+def _wrong_prediction(quartic, n_hi, lo, hi):
     # -P flips every turn: of each predicted path only the first midpoint is visited
-    return _PREDICTED_PATH([-c for c in quartic], n_hi, lo, hi, rel_tol)
+    return _PREDICTED_PATH([-c for c in quartic], n_hi, lo, hi)
 
 
 @pytest.mark.parametrize("predictor", [_no_prediction, _wrong_prediction])
@@ -671,8 +670,8 @@ def test_nth_threshold_verdicts_come_from_the_checks(params, monkeypatch):
     # f*eta = 1: the quartic mispredicts and the checks decide
     log_negativity_of = gaussian.log_negativity_of
 
-    def shifted(eta, f):
-        return log_negativity_of(eta, 1.02 * f)
+    def shifted(eta):
+        return log_negativity_of(1.02 * eta)
 
     monkeypatch.setattr(gaussian, "log_negativity_of", shifted)
     for (p, delta_norm), before in zip(points, unshifted):
@@ -829,8 +828,6 @@ def test_evaluate_point_rejects_negative_occupation(params):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("rel_tol", math.nan),
-        ("rel_tol", math.inf),
         ("n_hi", -5.0),
         ("n_hi", 0.0),
         ("n_hi", math.nan),
@@ -842,30 +839,9 @@ def test_nth_threshold_rejects_bad_arguments(params, field, value):
         nth_entanglement_threshold(replace(params, power=10e-3), -1.0, **{field: value})
 
 
-def test_nth_threshold_rel_tol_below_epsilon_fails_fast():
-    # a tolerance below machine epsilon never satisfies the stop rule, so the
-    # bisection would not end; run it in a child process under a time limit
-    source_root = os.path.dirname(os.path.dirname(oment.__file__))
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    code = (
-        "from oment import ConfigError, default_params, nth_entanglement_threshold\n"
-        "for rel_tol in (-1.0, 0.0, 1e-20):\n"
-        "    try:\n"
-        "        nth_entanglement_threshold(default_params(), -1.0, rel_tol=rel_tol)\n"
-        "    except ConfigError as exc:\n"
-        "        print(exc)\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert len(lines) == 3
-    assert all(line.startswith("rel_tol must be >= ") for line in lines)
+def test_nth_threshold_still_entangled_at_n_hi_names_the_remedy(params):
+    with pytest.raises(ConfigError, match=r"^still entangled at n_th = 1\.0; raise n_hi$"):
+        nth_entanglement_threshold(replace(params, power=10e-3), -1.0, n_hi=1.0)
 
 
 def _refuse(name):
