@@ -63,11 +63,6 @@ def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.
     is below 1.
     """
     check_range(beta=beta)
-    return _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta)
-
-
-def _drift_matrix(omega_m, gamma_m, kappa, delta, g, beta):
-    """:func:`drift_matrix` without its check: it trusts every beta < 1."""
     # the sum carries the broadcast shape of the inputs; scalars have none
     a = np.zeros(getattr(delta + g + beta, "shape", ()) + (4, 4))
     a[..., 0, 1] = omega_m
@@ -86,11 +81,7 @@ def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
     """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array
     `n_th`.  Raises ``ConfigError`` for a negative or NaN n_th."""
     check_range(n_th=n_th)
-    return _diffusion_matrix(gamma_m, kappa, np.asarray(n_th))
-
-
-def _diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
-    """:func:`diffusion_matrix` without its check: it trusts every n_th >= 0."""
+    n_th = np.asarray(n_th)
     d = np.zeros(np.shape(n_th) + (4, 4))
     d[..., 1, 1] = gamma_m * (2.0 * n_th + 1.0)
     d[..., 2, 2] = kappa
@@ -140,11 +131,6 @@ def spectral_abscissa(a: np.ndarray):
     return _umath_linalg.eigvals(a, signature="d->D").real.max(axis=-1)
 
 
-# The undecorated bodies, which the pipeline runs under its entry point's errstate.
-_routh_conditions = routh_conditions.__wrapped__
-_spectral_abscissa = spectral_abscissa.__wrapped__
-
-
 def spectral_verdict(abscissa, marginal_tol: float = 0.0):
     """(stable, marginal), elementwise: stable iff the abscissa is < 0, marginal
     iff stable with abscissa > -marginal_tol."""
@@ -164,15 +150,8 @@ def stability_stack(steady: SteadyState, params: PhysicalParams):
     NaN abscissa and is neither stable nor marginal; the others are gated as
     they are alone.  Raises ``ConfigError`` unless every beta is below 1.
     """
-    check_range(beta=steady.beta)
-    return _stability_stack(steady, params)
-
-
-def _stability_stack(steady: SteadyState, params: PhysicalParams):
-    """:func:`stability_stack` without its check, under the caller's error
-    state: it trusts every beta < 1 and a checked `params`."""
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    a = _drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
+    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
     s1, s2 = _routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
     abscissa = _spectral_abscissa(a)
     stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
@@ -184,6 +163,12 @@ def _stability_stack(steady: SteadyState, params: PhysicalParams):
         spectral_stable=stable,
         marginal=marginal,
     )
+
+
+# The undecorated bodies, which the pipeline runs under its entry point's errstate.
+_routh_conditions = routh_conditions.__wrapped__
+_spectral_abscissa = spectral_abscissa.__wrapped__
+_stability_stack = stability_stack.__wrapped__
 
 
 def coupling_threshold_blue(params: PhysicalParams) -> float:

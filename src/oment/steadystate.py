@@ -95,13 +95,6 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
     remaining parameters come from `params`.  Raises ``ConfigError`` for a
     negative or NaN power.
     """
-    check_range(power=power)
-    return _steady_states(delta_eff, power, beta, params)
-
-
-def _steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState:
-    """:func:`steady_states` without its check, under the caller's error
-    state: it trusts a power >= 0 and a checked `params`."""
     e0 = _drive_amplitude(power, params.kappa, params.omega_laser)
     n_s = square(e0) / (square(delta_eff) + params.kappa**2 / 4.0)
     delta_bare = delta_eff - 2.0 * (params.g_m**2 / params.omega_m) * n_s
@@ -135,7 +128,8 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     return np.where(np.isfinite(step), roots - step, roots)
 
 
-# The undecorated body, which the pipeline runs under its entry point's errstate.
+# The undecorated bodies, which the pipeline runs under its entry point's errstate.
+_steady_states = steady_states.__wrapped__
 _monic_cubic_roots = monic_cubic_roots.__wrapped__
 
 

@@ -16,7 +16,7 @@ from numpy.linalg import _umath_linalg
 
 from . import gaussian
 from .gaussian import EntanglementReport
-from .linmodel import StabilityReport, _diffusion_matrix, _stability_stack
+from .linmodel import StabilityReport, _stability_stack, diffusion_matrix
 from .lyapunov import CovarianceMatrix, _solve_stack, residual
 from .params import (
     ConfigError,
@@ -212,8 +212,7 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     diffusion) pair on its own.  Unstable and marginal operating points skip
     the solve; points whose drift matrix is not finite, whose residual
     exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
-    ``error``.  It trusts its input, which the entry points check, and runs
-    under their error state.
+    ``error``.  It runs under its entry point's error state.
     """
     a, stability = _stability_stack(steady, params)
     abscissa, stable = stability.spectral_abscissa, stability.spectral_stable
@@ -231,7 +230,7 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     a = a.reshape(-1, 4, 4)[solved]
     if shape != op_shape:  # each drift matrix meets the diffusion matrices of its grid points
         a, solved = a[:, None], _operating_groups(op_shape, shape)[solved]
-    d = _diffusion_matrix(params.gamma_m, params.kappa, np.full(shape, n_th).reshape(-1)[solved])
+    d = diffusion_matrix(params.gamma_m, params.kappa, np.full(shape, n_th).reshape(-1)[solved])
     v, res, condition, ill = _solve_stack(a, d)
     solved, v, res = solved.reshape(-1), v.reshape(-1, 4, 4), res.reshape(-1)
     ok, sig, det_v, eta = _checked_eta(res, v)
@@ -268,8 +267,7 @@ def evaluate_point(
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
     and eta factor (:data:`gaussian.ETA_FACTOR`).  The point runs through the
     same stacked pipeline as :func:`run_sweep`.  `params` is checked by
-    :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here; the
-    stages then trust them.
+    :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here.
     """
     if n_th is None:
         n_th = thermal_occupation(params.temperature, params.omega_m)
@@ -335,7 +333,7 @@ def run_sweep(spec: SweepSpec) -> Sweep:
     The grid goes through the pipeline as one stack: every stage that does
     not depend on n_th runs once per operating point, and a point's row does
     not depend on the other points of the grid.  :meth:`SweepSpec.validate`
-    checks every grid value; the stages then trust them.
+    checks every grid value.
     """
     spec.validate()
     values = _grid_values(spec)
@@ -535,7 +533,7 @@ def nth_entanglement_threshold(
     `n_hi` and every predicted midpoint as one stack; a midpoint off the
     path starts a new prediction from there, checked as one more stack.
     `params` is checked by :class:`~oment.params.PhysicalParams` and the
-    other arguments here; the stages then trust them.
+    other arguments here.
     """
     require_finite(delta_norm=delta_norm, n_hi=n_hi)
     check_range(n_hi=n_hi)
@@ -547,7 +545,7 @@ def nth_entanglement_threshold(
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
     (v0, v1), _, condition, _ = _solve_stack(
-        a, np.stack([_diffusion_matrix(gamma_m, kappa, 0.0), step])
+        a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step])
     )
     if not np.isfinite(condition):  # condition not finite: every V is an error, so not entangled
         return 0.0
@@ -559,7 +557,7 @@ def nth_entanglement_threshold(
     def entangled(n_th: list[float]) -> dict[float, bool]:
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
-        ok, _, _, eta = _checked_eta(residual(a, v, _diffusion_matrix(gamma_m, kappa, n)), v)
+        ok, _, _, eta = _checked_eta(residual(a, v, diffusion_matrix(gamma_m, kappa, n)), v)
         ok[ok] = gaussian.log_negativity_of(eta) > 0
         return dict(zip(n_th, ok.tolist()))
 

@@ -148,14 +148,30 @@ def test_bad_config_exits_2(tmp_path, capsys):
         ("beta = 0.1\nbeta = 0.2\n", ":2: duplicate key 'beta'"),
         ("eta_factor = 2\n", ":1: unknown key 'eta_factor'"),
         ("kappa_convention = pi\n", ":1: unknown key 'kappa_convention'"),
+        ("power_w = 1e-3\nbeta = x\n", ":2: invalid number for 'beta': 'x'"),
     ],
-    ids=["duplicate", "eta_factor", "kappa_convention"],
+    ids=["duplicate", "eta_factor", "kappa_convention", "invalid-number"],
 )
 def test_rejected_config_key_exits_2(tmp_path, capsys, content, message):
     config = tmp_path / "run.cfg"
     config.write_text(content)
     assert main(["point", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"config error: {config}{message}\n"
+
+
+def test_an_occupation_beyond_the_float_range_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("omega_m_hz = 1e-320\n")
+    assert main(["point", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error: thermal occupation overflows at ")
+
+
+def test_a_bath_too_cold_for_a_float_reads_as_zero_kelvin(capsys):
+    flags = ["point", "--power-mw", "10", "--temp-k"]
+    assert main([*flags, "0"]) == 0
+    frozen = capsys.readouterr()
+    assert main([*flags, "1e-4"]) == 0
+    assert capsys.readouterr() == frozen
 
 
 def test_bad_beta_exits_2(capsys):

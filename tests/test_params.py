@@ -115,6 +115,26 @@ def test_thermal_occupation_rejects_non_finite_input(params, field, value):
         thermal_occupation(**arguments)
 
 
+def test_a_bath_too_cold_for_a_float_has_no_thermal_phonons(params):
+    # hbar*omega_m/(k_B*T) beyond ~709.78 overflows exp; below ~3.6e-301 K, k_B*T is 0
+    for temperature in (1e-4, 1e-300, 1e-310, 5e-324):
+        assert thermal_occupation(temperature, params.omega_m) == 0.0
+
+
+def test_thermal_occupation_where_k_b_t_underflows():
+    # the ratio is taken in another order, which a tiny omega_m as well keeps finite
+    n = thermal_occupation(1e-310, 1e-320)
+    assert n == pytest.approx(K_B / HBAR * (1e-310 / 1e-320) - 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega_m", [1e-300, 1e-320, 5e-324])
+def test_an_occupation_beyond_the_float_range_is_a_config_error(omega_m):
+    # hbar*omega_m/(k_B*T) underflows to 0, so n_th = 1/expm1(0) has no float value
+    message = f"^thermal occupation overflows at temperature=300.0, omega_m={omega_m!r}$"
+    with pytest.raises(ConfigError, match=message):
+        thermal_occupation(300.0, omega_m)
+
+
 def test_thermal_occupation_classical_limit(params):
     # k_B T >> hbar*omega: agrees with kT/(hbar*omega) - 1/2 to < 1% once n > 50
     for t in (5.0, 50.0, 400.0):
@@ -234,6 +254,7 @@ def test_load_config_partial_keeps_defaults(tmp_path):
         "beta = 1.0\n",
         "power_w = -1e-3\n",
         "eta_factor = 2\n",
+        "beta = x\n",
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, content):

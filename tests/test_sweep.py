@@ -6,7 +6,10 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from importlib import import_module
+from inspect import isfunction
 from pathlib import Path
+from pkgutil import iter_modules
 
 import numpy as np
 import pytest
@@ -38,7 +41,6 @@ from references import (
     nth_threshold_point_by_point,
     records_point_by_point,
     report_of,
-    run_pipeline,
 )
 
 
@@ -727,7 +729,7 @@ def test_nth_threshold_gates_and_solves_once(params, monkeypatch):
 
         return wrapper
 
-    # the pipeline calls the cores of stability_stack, solve_stack and eta_stack
+    # the pipeline calls the bodies of stability_stack, solve_stack and eta_stack
     patched = {
         "stability_stack": "_stability_stack",
         "solve_stack": "_solve_stack",
@@ -844,26 +846,6 @@ def test_nth_threshold_still_entangled_at_n_hi_names_the_remedy(params):
         nth_entanglement_threshold(replace(params, power=10e-3), -1.0, n_hi=1.0)
 
 
-def _refuse(name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"the checked {name} ran on the pipeline")
-
-    return refuse
-
-
-def test_the_pipeline_calls_only_the_unchecked_cores(params, monkeypatch):
-    # the entry points check their input once, then call the stages' cores
-    expected = run_pipeline(params)
-    checked = ("drive_amplitude", "steady_states", "drift_matrix", "diffusion_matrix")
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "oment"]:
-        for name in checked:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, _refuse(name))
-    assert run_pipeline(params) == expected
-    with pytest.raises(AssertionError, match="checked drift_matrix"):
-        oment.linmodel.drift_matrix(1.0, 1.0, 1.0, 0.0, 0.0)
-
-
 def _errstate_entries(call):
     """How many times `call` enters an ``np.errstate``, as a block or a
     decorator, and what it returns."""
@@ -902,20 +884,47 @@ def test_an_entry_point_enters_one_error_state(params, call):
     assert _errstate_entries(lambda: call(params))[0] == 1
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [
-        (oment.linmodel, "routh_conditions"),
-        (oment.linmodel, "spectral_abscissa"),
-        (lyapunov, "solve_stack"),
-        (gaussian, "sigma"),
-        (gaussian, "eta_stack"),
-        (oment.steadystate, "monic_cubic_roots"),
-    ],
-)
+def _private_stages():
+    """(module, name) for every module-level function ``_name`` of oment
+    whose module exports a function ``name``."""
+    modules = (import_module(f"oment.{info.name}") for info in iter_modules(oment.__path__))
+    return [
+        (module, name)
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if isfunction(getattr(module, name)) and isfunction(getattr(module, "_" + name, None))
+    ]
+
+
+def test_the_private_stages_are_found():
+    # the six errstate stages and the three checked ones, at least
+    assert len(_private_stages()) >= 9
+
+
+@pytest.mark.parametrize("module, name", _private_stages())
 def test_a_private_stage_is_the_body_of_its_public_one(module, name):
     # one definition each: the pipeline calls the body without its errstate
     assert getattr(module, "_" + name) is getattr(module, name).__wrapped__
+
+
+@pytest.mark.parametrize(
+    "module, name, arguments",
+    [
+        (oment.params, "drive_amplitude", lambda p: (-1e-3, p.kappa, p.omega_laser)),
+        (oment.steadystate, "steady_states", lambda p: (-p.omega_m, -1e-3, 0.0, p)),
+        (oment.linmodel, "stability_stack", lambda p: (steady_states(-1.0, 0.0, 1.0, p), p)),
+    ],
+    ids=["drive_amplitude", "steady_states", "stability_stack"],
+)
+def test_a_private_stage_checks_its_input_as_its_public_one(params, module, name, arguments):
+    # a negative power or beta = 1: the body raises the public name's ConfigError
+    errors = []
+    for stage in (getattr(module, name), getattr(module, "_" + name)):
+        with pytest.raises(ConfigError) as caught:
+            stage(*arguments(params))
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert errors[0] in ("power must be >= 0, got -0.001", "beta must be < 1, got 1.0")
 
 
 def test_the_entry_points_do_not_lean_on_their_error_state(params):
