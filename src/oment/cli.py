@@ -1,9 +1,11 @@
 """Command-line interface: point, stability, sweep and figure subcommands.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (a point
-that is not ok: unstable, marginal or failing a check; an undecided stability
-verdict; or an ArithmeticError or LinAlgError, such as disagreeing eta
-routes), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
+failure.  Every numerical failure marks its own point: ``point`` exits 3 where
+the status is not ok (unstable, marginal, or error: a failed check, disagreeing
+eta routes, an overflow), ``stability`` where the verdict is undecided, and a
+sweep or figure writes the point's row.  An ArithmeticError or LinAlgError
+would exit 3 too, but the pipeline raises none for input that passes its checks.
 
 The argparse parser is built on the first :func:`main` call and kept, so
 in-process callers (a benchmark, a test suite) share one parser; every call

@@ -14,7 +14,8 @@ block determinants of V.  The cross-check factors the partial transpose
 V~ = L L^T by Cholesky: M = L^T Omega L is antisymmetric with eigenvalues
 +-i nu_1 and +-i nu_2, so nu_1^2 + nu_2^2 = ||M||_F^2 / 2 and
 nu_1 nu_2 = |Pf M| = det L, the product of the diagonal of L.  A matrix that
-has no Cholesky factor is not positive definite, so not a physical CM.  The
+has no Cholesky factor is not positive definite, so not a physical CM, and
+one whose two routes disagree reads non-physical too.  The
 determinants and factors are numpy's LAPACK gufuncs without the ``np.linalg``
 wrappers, so a matrix with no factor reads NaN alone, not the whole stack.
 """
@@ -99,8 +100,8 @@ def _eta_cholesky(v):
     return eta, np.isfinite(p)
 
 
-# a matrix with a NaN or inf entry, no Cholesky factor or overflowing
-# determinants reads non-physical; numpy's warnings on the way say nothing more
+# a NaN or inf entry, no Cholesky factor, overflowing determinants or disagreeing
+# routes: the matrix reads non-physical, and numpy's warnings say nothing more
 @np.errstate(all="ignore")
 def eta_stack(v):
     """Closed-form eta of every matrix of a ``(..., 4, 4)`` stack.
@@ -110,12 +111,11 @@ def eta_stack(v):
     is not positive definite or not finite, or where the radicand is not
     finite (sigma^2 or det V overflows) or lies below -1e-10 * max(1,
     sigma^2): a non-physical CM upstream.  Smaller negative
-    radicands are clamped to zero.  At physical points eta is cross-checked
-    against the Cholesky route of the module docstring; the routes must agree
-    to 1e-9 relative, or ArithmeticError is raised.  A matrix that is not
-    positive definite changes nothing for the others in the stack, and one
-    with a NaN or inf entry, or whose determinants overflow, reads
-    non-physical without a numpy warning.
+    radicands are clamped to zero.  eta is cross-checked against the Cholesky
+    route of the module docstring, and ``physical`` is also False where the
+    routes do not agree to 1e-9 relative (a NaN route never agrees).  Every
+    failed check marks its own matrix and changes nothing for the others in
+    the stack: nothing is raised, and no numpy warning escapes.
     """
     if not isinstance(v, np.ndarray):
         v = np.asarray(v, dtype=float)
@@ -132,14 +132,7 @@ def eta_stack(v):
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)
     floor = np.maximum(eta, _TINY)
     tolerance = _ROUTE_AGREEMENT_TOL * floor + _SQRT_EPS * abs(sig) / floor
-    # written as "not within" so that a NaN from either route disagrees
-    disagree = np.ravel(physical & ~(abs(eta - eta_alt) <= tolerance))
-    if disagree.any():
-        first = np.argmax(disagree)
-        raise ArithmeticError(
-            "symplectic eigenvalue routes disagree: "
-            f"{float(np.ravel(eta)[first])!r} vs {float(np.ravel(eta_alt)[first])!r}"
-        )
+    physical &= abs(eta - eta_alt) <= tolerance  # so a NaN from either route disagrees
     return sig, det_v, eta, physical
 
 

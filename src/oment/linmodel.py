@@ -100,16 +100,16 @@ def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     is the standard quartic Hurwitz form for this system.  Elementwise over
     arrays of `delta` and `g`.
     """
-    hk2 = kappa**2 / 4.0
+    hk2 = square(kappa) / 4.0
     g_sq = square(g)
     s1 = (
         gamma_m
         * kappa
         * (
             (hk2 + square(omega_m - delta)) * (hk2 + square(omega_m + delta))
-            + gamma_m * ((gamma_m + kappa) * (hk2 + square(delta)) + kappa * omega_m**2)
+            + gamma_m * ((gamma_m + kappa) * (hk2 + square(delta)) + kappa * square(omega_m))
         )
-        - delta * omega_m * g_sq * (gamma_m + kappa) ** 2
+        - delta * omega_m * g_sq * square(gamma_m + kappa)
     )
     s2 = omega_m * (square(delta) + hk2) + g_sq * delta
     return s1, s2
@@ -179,9 +179,11 @@ def coupling_threshold_blue(params: PhysicalParams) -> float:
     return float(np.sqrt(s2 / omega_m))
 
 
+@np.errstate(all="ignore")
 def coupling_threshold_red(params: PhysicalParams) -> float:
     """Coupling where s1 crosses zero at the red sideband delta = +omega_m,
-    G = sqrt(s1(G=0) / (omega_m^2 (gamma_m+kappa)^2))."""
+    G = sqrt(s1(G=0) / (omega_m^2 (gamma_m+kappa)^2)), ``inf`` where the
+    denominator underflows to 0 (the IEEE quotient)."""
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
     s1 = routh_conditions(omega_m, gamma_m, kappa, omega_m, 0.0)[0]
-    return float(np.sqrt(s1 / (omega_m * omega_m * (gamma_m + kappa) ** 2)))
+    return float(np.sqrt(np.float64(s1) / (omega_m * omega_m * square(gamma_m + kappa))))

@@ -147,7 +147,7 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
 
     The T = 0 limit returns exactly 0, and so does a bath too cold for
     exp(hbar*omega_m/(k_B*T)) to be a float.  Raises :class:`ConfigError`
-    where n_th is too large for one (a tiny `omega_m`).
+    where n_th is too large for one (a tiny `omega_m` or a huge `temperature`).
     """
     require_finite(temperature=temperature, omega_m=omega_m)
     check_range(temperature=temperature, omega_m=omega_m)
@@ -158,13 +158,16 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
     except ZeroDivisionError:  # k_B*T underflows to 0: divide in another order
         ratio = HBAR / K_B * (omega_m / temperature)
     try:
-        return 1.0 / math.expm1(ratio)
+        occupation = 1.0 / math.expm1(ratio)
     except OverflowError:
         return 0.0
     except ZeroDivisionError:  # the ratio underflows to 0
+        occupation = math.inf
+    if occupation == math.inf:  # or the reciprocal of a subnormal ratio overflows
         raise ConfigError(
             f"thermal occupation overflows at temperature={temperature!r}, omega_m={omega_m!r}"
-        ) from None
+        )
+    return occupation
 
 
 @np.errstate(all="ignore")
@@ -178,7 +181,10 @@ def drive_amplitude(power, kappa: float, omega_laser: float):
     omega_laser that is not positive.
     """
     check_range(power=power, kappa=kappa, omega_laser=omega_laser)
-    return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
+    denominator = 2.0 * HBAR * omega_laser
+    if denominator == 0.0:  # the product underflows to 0: divide in another order
+        return np.sqrt(power * kappa / (2.0 * HBAR) / omega_laser)
+    return np.sqrt(power * kappa / denominator)
 
 
 # The undecorated body, which the pipeline runs under its entry point's errstate.

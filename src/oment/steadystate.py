@@ -41,10 +41,16 @@ def square(x):
 
     Scalar ``x**2`` calls ``pow`` while numpy evaluates ``array**2`` as
     ``x*x``; the two differ in the last bit for about 0.1% of inputs, so
-    every squared grid variable goes through here to keep a point's value
-    independent of the batch it is evaluated in.
+    every square on the pipeline goes through here to keep a point's value
+    independent of the batch it is evaluated in.  A scalar square beyond the
+    float range is ``inf``, as for an array, not a float's ``OverflowError``.
     """
-    return x**2 if isinstance(x, float) else np.float_power(x, 2)
+    if not isinstance(x, float):
+        return np.float_power(x, 2)
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 class DegenerateRootsWarning(UserWarning):
@@ -96,8 +102,8 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
     negative or NaN power.
     """
     e0 = _drive_amplitude(power, params.kappa, params.omega_laser)
-    n_s = square(e0) / (square(delta_eff) + params.kappa**2 / 4.0)
-    delta_bare = delta_eff - 2.0 * (params.g_m**2 / params.omega_m) * n_s
+    n_s = square(e0) / (square(delta_eff) + square(params.kappa) / 4.0)
+    delta_bare = delta_eff - 2.0 * (square(params.g_m) / params.omega_m) * n_s
     return _build(n_s, delta_eff, delta_bare, beta, params)
 
 
@@ -140,40 +146,42 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     Solves the cubic ``|E0|^2 = n*((delta_bare + 2*(g_m^2/omega_m)*n)^2 +
     kappa^2/4)`` for the photon number.  Real non-negative roots are returned
     sorted ascending by ``n_s``; complex or negative roots are discarded, not
-    clamped.  A :class:`DegenerateRootsWarning` is issued when two roots
-    coincide within relative 1e-6.  A `delta_bare` that is not finite raises
-    :class:`~oment.params.ConfigError`, and one whose square overflows, or
-    whose cubic has no root within tolerance, raises ``ArithmeticError``.  It
-    trusts `params`, which :class:`~oment.params.PhysicalParams` checks.
+    clamped.  Where the cubic cannot be made monic within the float range (a
+    coupling too weak, or a detuning too large), its linear balance
+    ``n = |E0|^2/(delta_bare^2 + kappa^2/4)`` is taken instead.  A
+    :class:`DegenerateRootsWarning` is issued when two roots coincide within
+    relative 1e-6.  A `delta_bare` that is not finite raises
+    :class:`~oment.params.ConfigError`, and a root that misses its residual
+    tolerance, or whose residual is NaN (a square beyond the float range),
+    raises ``ArithmeticError``.  It trusts `params`, which
+    :class:`~oment.params.PhysicalParams` checks.
     """
     require_finite(delta_bare=delta_bare)
-    e0_sq = _drive_amplitude(params.power, params.kappa, params.omega_laser) ** 2
-    shift = 2.0 * params.g_m**2 / params.omega_m  # detuning shift per photon
-    half_kappa_sq = params.kappa**2 / 4.0
-    try:  # a float's ** is libm pow, as square() rounds a scalar, and raises on overflow
-        balance = float(delta_bare) ** 2 + half_kappa_sq
-    except OverflowError:
-        raise ArithmeticError(f"delta_bare**2 overflows at delta_bare={delta_bare!r}") from None
+    e0_sq = square(_drive_amplitude(params.power, params.kappa, params.omega_laser))
+    shift = 2.0 * square(params.g_m) / params.omega_m  # detuning shift per photon
+    shift_sq = square(shift)
+    half_kappa_sq = square(params.kappa) / 4.0
+    balance = square(float(delta_bare)) + half_kappa_sq
 
-    if shift == 0.0:
-        candidates = np.array([e0_sq / balance])
-    else:
-        # shift^2 n^3 + 2 d0 shift n^2 + (d0^2 + kappa^2/4) n - E0^2 = 0, made monic
-        a2 = 2.0 * delta_bare / shift
-        a1 = balance / shift**2
-        a0 = -e0_sq / shift**2
+    # shift^2 n^3 + 2 d0 shift n^2 + (d0^2 + kappa^2/4) n - E0^2 = 0, made monic
+    a2 = a1 = a0 = math.inf  # where shift^2 is 0 there is no monic form
+    if shift_sq:
+        a2, a1, a0 = 2.0 * delta_bare / shift, balance / shift_sq, -e0_sq / shift_sq
+    if math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0):
         roots = _monic_cubic_roots(a2, a1, a0)
         if roots.dtype.kind == "c":  # all-real roots come back as a real array
             scale = np.abs(roots).max() + 1.0
             roots = roots[np.abs(roots.imag) <= _IMAG_TOL * (np.abs(roots.real) + scale)].real
         candidates = np.sort(roots[roots >= 0.0])
+    else:  # no monic form within the float range: the linear balance
+        candidates = np.array([e0_sq / balance])
 
     states = []
     for n_s in candidates:
-        residual = abs(n_s * ((delta_bare + shift * n_s) ** 2 + half_kappa_sq) - e0_sq)
-        if residual > _ROOT_RESIDUAL_TOL * max(e0_sq, 1.0):
+        residual = abs(n_s * (square(delta_bare + shift * n_s) + half_kappa_sq) - e0_sq)
+        if not residual <= _ROOT_RESIDUAL_TOL * max(e0_sq, 1.0):  # a NaN residual fails too
             raise ArithmeticError(
-                f"cubic root residual {residual:.3e} exceeds tolerance at n_s={n_s!r}"
+                f"cubic root residual {residual:.3e} exceeds tolerance at n_s={float(n_s)!r}"
             )
         states.append(
             _build(float(n_s), delta_bare + shift * n_s, delta_bare, params.beta, params)

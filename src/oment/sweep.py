@@ -544,11 +544,7 @@ def nth_entanglement_threshold(
     gamma_m, kappa, f = params.gamma_m, params.kappa, gaussian.ETA_FACTOR
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
-    (v0, v1), _, condition, _ = _solve_stack(
-        a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step])
-    )
-    if not np.isfinite(condition):  # condition not finite: every V is an error, so not entangled
-        return 0.0
+    (v0, v1), *_ = _solve_stack(a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step]))
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
     simon = _umath_linalg.det(w, signature="d->d") - gaussian._sigma(w) / f**2 + f**-4

@@ -311,11 +311,13 @@ def test_linalg_error_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["figure", "--name", "fig1a"], ["point", "--delta-norm", "-1"]],
+    "command, code",
+    [(["figure", "--name", "fig1a"], 0), (["point", "--delta-norm", "-1"], 3)],
     ids=["figure", "point"],
 )
-def test_eta_route_disagreement_exits_3(command, monkeypatch, capsys):
+def test_eta_route_disagreement_exits_3(command, code, monkeypatch, capsys):
+    # disagreeing routes mark their own points error: the point exits 3 by
+    # its status, and the figure writes every row
     import numpy as np
 
     from oment import gaussian
@@ -324,10 +326,15 @@ def test_eta_route_disagreement_exits_3(command, monkeypatch, capsys):
         return np.full(v.shape[:-2], 10.0), np.ones(v.shape[:-2], dtype=bool)
 
     monkeypatch.setattr(gaussian, "_eta_cholesky", disagreeing)
-    assert main(command) == 3
+    assert main(command) == code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "numerical failure: symplectic eigenvalue routes disagree" in captured.err
+    assert captured.err == ""
+    if command[0] == "point":
+        assert parsed_lines(captured.out)["status"] == "error"
+    else:
+        statuses = [row.rsplit(",", 1)[1] for row in captured.out.splitlines()[1:]]
+        assert len(statuses) == 201
+        assert "error" in statuses and "ok" not in statuses
 
 
 @pytest.mark.parametrize(
@@ -424,6 +431,53 @@ def test_singular_point_exits_3(capsys):
     assert list(values)[3:] == ["spectral_abscissa", "condition", "residual"]
     assert (values["condition"], values["residual"]) == ("inf", "nan")
     assert "numerical failure" not in captured.err
+
+
+# Inputs that pass every range check but leave the float range on the way:
+# a config line and flags each.  Squares overflow (the detuning, kappa, g0,
+# omega_m), and 2*hbar*omega_laser (a wavelength of 1e300 m) or omega_m^2
+# (omega_m of 1e-170 Hz) underflow to 0.
+BEYOND_THE_FLOAT_RANGE = {
+    "delta-norm-1e160": ("", ["--delta-norm", "1e160"]),
+    "kappa-1e160": ("kappa_hz = 1e160\n", []),
+    "g0-1e160": ("g0_hz = 1e160\n", []),
+    "omega-m-1e160": ("omega_m_hz = 1e160\n", []),
+    "wavelength-1e300": ("wavelength_m = 1e300\n", []),
+    "omega-m-1e-170": ("omega_m_hz = 1e-170\n", []),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        (case, command)
+        for case, (_, flags) in BEYOND_THE_FLOAT_RANGE.items()
+        for command in ("point", "stability", "sweep", "figure")
+        if not (flags and command == "figure")  # a figure takes no detuning
+    ],
+)
+def test_an_input_beyond_the_float_range_exits_by_its_status(case, command, tmp_path, capsys):
+    # no numerical failure escapes: a point exits by its status, stability by
+    # whether its verdict is decided, and every sweep and figure writes its rows
+    text, flags = BEYOND_THE_FLOAT_RANGE[case]
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    extra = {
+        "sweep": ["--axis", "n_th", "--start", "0", "--stop", "100", "--count", "2"],
+        "figure": ["--name", "fig2b"],
+    }.get(command, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        code = main([command, "--config", str(config), *extra, *flags])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "point":
+        assert code == (0 if parsed_lines(captured.out)["status"] == "ok" else 3)
+    elif command == "stability":
+        assert code == (3 if parsed_lines(captured.out)["spectral_abscissa"] == "nan" else 0)
+    else:
+        assert code == 0
+        assert len(captured.out.splitlines()) == (2 if command == "sweep" else 201) + 1
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):

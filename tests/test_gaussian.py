@@ -285,19 +285,9 @@ def test_route_cross_check_catches_mutants(monkeypatch, name, mutant):
     # route only, and an entangled state tells the two apart; a route that
     # breaks down and reads NaN is no agreement either
     v = two_mode_squeezed_cm(0.5)
-    eta_stack(v)
+    assert eta_stack(v)[3]
     monkeypatch.setattr(gaussian, name, mutant)
-    with pytest.raises(ArithmeticError, match="routes disagree"):
-        eta_stack(v)
-
-
-def test_route_disagreement_message_prints_plain_floats(monkeypatch):
-    v = two_mode_squeezed_cm(0.5)
-    eta = float(eta_stack(v)[2])
-    monkeypatch.setattr(gaussian, "_eta_cholesky", _nan_route)
-    with pytest.raises(ArithmeticError) as raised:
-        eta_stack(v)
-    assert str(raised.value) == f"symplectic eigenvalue routes disagree: {eta!r} vs nan"
+    assert not eta_stack(v)[3]
 
 
 @given(

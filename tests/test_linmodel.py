@@ -182,6 +182,19 @@ def test_red_threshold_closed_form_vs_bisection(params):
     assert closed == pytest.approx(2.89e7, rel=0.10)
 
 
+def test_routh_numbers_where_kappa_squared_overflows(params):
+    # kappa^2 is inf, as numpy gives it for an array, not an OverflowError
+    kappa = 2.0 * math.pi * 1e160
+    omega = params.omega_m
+    assert routh_conditions(omega, params.gamma_m, kappa, -omega, 1e9) == (math.inf, math.inf)
+    assert coupling_threshold_blue(replace(params, kappa=kappa)) == math.inf
+
+
+def test_red_threshold_where_omega_m_squared_underflows(params):
+    # omega_m * omega_m underflows to 0, and s1 / 0 is IEEE's inf
+    assert coupling_threshold_red(replace(params, omega_m=2.0 * math.pi * 1e-170)) == math.inf
+
+
 # log10 of omega_m, gamma_m and kappa (rad/s), six decades each
 _THRESHOLD_RANGES = ((3.0, 9.0), (-1.0, 5.0), (3.0, 9.0))
 

@@ -127,12 +127,17 @@ def test_thermal_occupation_where_k_b_t_underflows():
     assert n == pytest.approx(K_B / HBAR * (1e-310 / 1e-320) - 0.5, rel=1e-12)
 
 
-@pytest.mark.parametrize("omega_m", [1e-300, 1e-320, 5e-324])
-def test_an_occupation_beyond_the_float_range_is_a_config_error(omega_m):
-    # hbar*omega_m/(k_B*T) underflows to 0, so n_th = 1/expm1(0) has no float value
-    message = f"^thermal occupation overflows at temperature=300.0, omega_m={omega_m!r}$"
-    with pytest.raises(ConfigError, match=message):
-        thermal_occupation(300.0, omega_m)
+@pytest.mark.parametrize(
+    "temperature, omega_m",
+    [(300.0, 1e-300), (300.0, 1e-320), (300.0, 5e-324), (1e20, 1e-280)],
+    ids=["1e-300", "1e-320", "5e-324", "1e20-1e-280"],
+)
+def test_an_occupation_beyond_the_float_range_is_a_config_error(temperature, omega_m):
+    # hbar*omega_m/(k_B*T) underflows to 0, or to a subnormal whose reciprocal
+    # overflows, so n_th = 1/expm1(ratio) has no float value
+    message = f"thermal occupation overflows at temperature={temperature!r}, omega_m={omega_m!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        thermal_occupation(temperature, omega_m)
 
 
 def test_thermal_occupation_classical_limit(params):
@@ -187,6 +192,17 @@ def test_drive_amplitude_rejects_negative_power(params):
         drive_amplitude(-1e-3, params.kappa, params.omega_laser)
     with pytest.raises(ValueError, match="power must be >= 0"):
         drive_amplitude(np.array([1e-3, -1e-3]), params.kappa, params.omega_laser)
+
+
+def test_drive_amplitude_where_two_hbar_omega_laser_underflows(params):
+    # a wavelength of 1e300 m: 2*hbar*omega_laser underflows to 0, so the
+    # quotient is taken in another order, for a scalar and an array power alike
+    omega_laser = replace(params, laser_wavelength=1e300).omega_laser
+    assert 2.0 * HBAR * omega_laser == 0.0
+    e0 = drive_amplitude(1e-50, params.kappa, omega_laser)
+    log_e0 = 0.5 * (math.log(1e-50 * params.kappa) - math.log(2.0 * HBAR) - math.log(omega_laser))
+    assert e0 == pytest.approx(math.exp(log_e0), rel=1e-12)
+    assert drive_amplitude(np.array([1e-50]), params.kappa, omega_laser)[0] == e0
 
 
 def test_drive_amplitude_closed_form_identity(params):

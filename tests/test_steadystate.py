@@ -15,6 +15,7 @@ from oment import (
     nonlinearity_from_betaprime,
     steady_states,
 )
+from oment.steadystate import square
 
 
 @pytest.fixture
@@ -163,10 +164,38 @@ def test_steady_states_does_not_warn_at_an_overflowing_drive(params):
 
 @pytest.mark.parametrize("delta_bare", [1e200, -1e200, -1e154])
 def test_bare_detuning_overflow_raises_arithmetic_error(params, delta_bare):
-    # the square overflows beyond 1.34e154 rad/s; just below it the cubic's
-    # roots miss their residual tolerance
-    with pytest.raises(ArithmeticError, match="overflows|residual"):
+    # the square overflows beyond 1.34e154 rad/s, and the linear balance's
+    # zero-photon root has a NaN residual; just below it the cubic's roots
+    # miss their residual tolerance
+    with pytest.raises(ArithmeticError, match="^cubic root residual") as raised:
         from_bare_detuning(delta_bare, params)
+    assert type(raised.value) is ArithmeticError
+
+
+@pytest.mark.parametrize("g_m", [1e-150, 1e-73], ids=["shift-squared-underflows", "monic-overflows"])
+def test_bare_detuning_too_weakly_coupled_for_a_monic_cubic_is_linear(params, g_m):
+    # the squared shift per photon underflows to 0, or the monic coefficients
+    # overflow: the root is the linear balance n = E0^2/(delta^2 + kappa^2/4)
+    weak = replace(params, g_m=g_m)
+    (state,) = from_bare_detuning(-params.omega_m, weak)
+    assert state.n_s == steady_states(-params.omega_m, params.power, 0.0, weak).n_s
+
+
+def test_bare_detuning_with_an_overflowing_coupling_fails_its_residual(params):
+    # g_m^2 overflows, so the monic cubic reads n^3 = 0: its zero-photon roots
+    # have a NaN residual, which no tolerance passes
+    message = "^cubic root residual nan exceeds tolerance at n_s=0.0$"
+    with pytest.raises(ArithmeticError, match=message) as raised:
+        from_bare_detuning(-params.omega_m, replace(params, g_m=1e200))
+    assert type(raised.value) is ArithmeticError
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200, 1.35e154])
+def test_square_beyond_the_float_range_is_inf(x):
+    # a float's ** raises OverflowError there; numpy gives inf for an array
+    assert square(x) == math.inf
+    with np.errstate(over="ignore"):
+        assert square(np.array([x]))[0] == math.inf
 
 
 @pytest.mark.parametrize("delta_bare", [math.nan, math.inf, -math.inf])

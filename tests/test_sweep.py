@@ -20,6 +20,8 @@ from numpy.linalg import _umath_linalg
 from oment import (
     FIGURE_NAMES,
     ConfigError,
+    DegenerateRootsWarning,
+    PhysicalParams,
     Sweep,
     SweepSpec,
     default_params,
@@ -32,6 +34,7 @@ from oment import (
 )
 import oment
 from oment import cli, gaussian, lyapunov, sweep
+from oment import params as params_module
 from oment.linmodel import diffusion_matrix, stability_stack
 from oment.lyapunov import IllConditionedWarning, solve_stack
 from oment.steadystate import steady_states
@@ -455,6 +458,65 @@ def test_records_do_not_depend_on_the_batch(spec):
         assert emit(run_sweep(spec), fmt) == emit(records_point_by_point(spec), fmt)
 
 
+def _admitted(name):
+    """Finite floats across the whole float range that the range rule of
+    `name` admits, its bound included where the rule includes it."""
+    within, bound = params_module._RANGES[name]
+    side = "max_value" if within(bound - 1, bound) else "min_value"
+    exclude = "exclude_max" if side == "max_value" else "exclude_min"
+    return st.floats(
+        **{side: bound, exclude: not within(bound, bound)}, allow_nan=False, allow_infinity=False
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    point_params=st.builds(
+        PhysicalParams, **{f.name: _admitted(f.name) for f in fields(PhysicalParams)}
+    ),
+    delta_norm=st.floats(allow_nan=False, allow_infinity=False),
+    n_th=st.none() | st.just(0.0) | _admitted("n_th"),
+)
+def test_a_numerical_failure_marks_its_point_and_raises_nothing(point_params, delta_norm, n_th):
+    # squares that overflow, quotients that underflow, disagreeing routes:
+    # every failure reads as its point's status, and only input errors raise
+    delta_norm += 0.0  # no grid holds -0.0
+    neighbour = float(np.nextafter(delta_norm, -math.inf if delta_norm > 0 else math.inf))
+    start, stop = sorted((delta_norm, neighbour))
+    spec = SweepSpec(
+        axis="delta_norm", start=start, stop=stop, count=2, fixed=point_params, n_th=n_th
+    )
+    index = 0 if start == delta_norm else 1
+    assert spec.grid()[index] == delta_norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        warnings.simplefilter("ignore", DegenerateRootsWarning)
+        try:
+            point = evaluate_point(point_params, delta_norm, n_th)
+        except ConfigError:
+            point = None
+        try:
+            row = run_sweep(spec)
+        except ConfigError:
+            row = None
+        try:
+            nth_entanglement_threshold(point_params, delta_norm)
+        except ConfigError:
+            pass
+        try:
+            from_bare_detuning(delta_norm * point_params.omega_m, point_params)
+        except ConfigError:
+            pass
+        except ArithmeticError as exc:  # its own, not an OverflowError or ZeroDivisionError
+            assert type(exc) is ArithmeticError
+            assert str(exc).startswith("cubic root residual ")
+    assert (point is None) == (row is None)
+    if point is not None:
+        assert row.status[index] == point.status
+        eta = math.nan if point.report is None else point.report.eta
+        assert float.hex(float(row.eta[index])) == float.hex(eta)
+
+
 # Operating points along n_th: ok, unstable, Routh numbers overflowing
 # (unstable), steady state overflowing (error) and a singular 10x10 system
 # (error at every n_th).
@@ -789,9 +851,31 @@ def disagreeing_route(v):
 
 
 def test_nth_threshold_route_disagreement_raises(params, monkeypatch):
+    # disagreeing routes make every checked n_th an error: not entangled
     monkeypatch.setattr(gaussian, "_eta_cholesky", disagreeing_route)
-    with pytest.raises(ArithmeticError, match="routes disagree"):
-        nth_entanglement_threshold(replace(params, power=10e-3), -1.0)
+    assert nth_entanglement_threshold(replace(params, power=10e-3), -1.0) == 0.0
+
+
+def test_one_disagreeing_matrix_marks_only_its_own_row(monkeypatch):
+    # the routes disagree by 0.1% at one CM of fig2b: that row reads error,
+    # and the other 200 rows keep their bytes
+    spec = figure_preset("fig2b")
+    rows = emit(run_sweep(spec)).decode().splitlines()
+    route = gaussian._eta_cholesky
+
+    def one_moved(v):
+        eta, definite = route(v)
+        eta = eta.copy()
+        eta[100] *= 1.001
+        return eta, definite
+
+    monkeypatch.setattr(gaussian, "_eta_cholesky", one_moved)
+    moved = emit(run_sweep(spec)).decode().splitlines()
+    assert len(moved) == len(rows) == 202
+    changed = [i for i, (row, new) in enumerate(zip(rows, moved)) if row != new]
+    assert changed == [101]  # the header comes first
+    assert rows[101].endswith(",ok")
+    assert moved[101] == rows[101].rsplit(",", 3)[0] + ",,,error"
 
 
 def nan_route(v):
@@ -800,9 +884,9 @@ def nan_route(v):
 
 
 def test_nth_threshold_nan_route_raises(params, monkeypatch):
+    # a NaN route agrees with nothing: every checked n_th is an error
     monkeypatch.setattr(gaussian, "_eta_cholesky", nan_route)
-    with pytest.raises(ArithmeticError, match="routes disagree"):
-        nth_entanglement_threshold(replace(params, power=10e-3), -1.0)
+    assert nth_entanglement_threshold(replace(params, power=10e-3), -1.0) == 0.0
 
 
 def test_non_positive_definite_covariance_is_error(params, monkeypatch):
