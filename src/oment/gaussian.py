@@ -95,7 +95,7 @@ def _eta_cholesky(v):
     lower = _umath_linalg.cholesky_lo(v * _FLIP, signature="d->d")
     m = lower.swapaxes(-1, -2) @ (_OMEGA @ lower)
     s = 0.5 * (m * m).sum(axis=(-2, -1))
-    p = lower[..., 0, 0] * lower[..., 1, 1] * lower[..., 2, 2] * lower[..., 3, 3]
+    p = lower.diagonal(0, -2, -1).prod(axis=-1)
     eta = np.sqrt((s - np.sqrt(np.maximum(s * s - 4.0 * p * p, 0.0))) / 2.0)
     return eta, np.isfinite(p)
 
@@ -121,12 +121,13 @@ def eta_stack(v):
         v = np.asarray(v, dtype=float)
     sig = _sigma(v)
     det_v = _umath_linalg.det(v, signature="d->d")
-    radicand = sig * sig - 4.0 * det_v
+    sig_sq = sig * sig
+    radicand = sig_sq - 4.0 * det_v
     inner = (sig - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
     eta = np.sqrt(np.maximum(inner, 0.0))
 
     eta_alt, definite = _eta_cholesky(v)
-    lowest = -_RADICAND_TOL * np.maximum(1.0, sig * sig)  # the most that rounding explains
+    lowest = -_RADICAND_TOL * np.maximum(1.0, sig_sq)  # the most that rounding explains
     physical = definite & np.isfinite(radicand) & (radicand >= lowest)
     # the closed form carries an irreducible O(sqrt(eps)*sigma/eta) error when
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)

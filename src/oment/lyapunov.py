@@ -9,8 +9,9 @@ system S from one batched inverse and the column sums of S and of its
 inverse: within a factor of 10 of the 2-norm condition, and ``inf`` where it
 is not finite (S singular, or the condition beyond the float range).  Solve
 and inverse are numpy's LAPACK gufuncs without the ``np.linalg`` wrappers, so
-a singular system reads NaN alone.  The test suite checks the solve against
-an independent quadrature oracle.
+a singular system reads NaN alone.  The pipeline takes :func:`residual` of
+each solution in its one check step after the solve, ``sweep._checked_eta``.
+The test suite checks the solve against an independent quadrature oracle.
 """
 
 from __future__ import annotations
@@ -107,21 +108,20 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     `a` and `d` have shape ``(..., 4, 4)`` and broadcast against each other,
     so one drift matrix can take a stack of diffusion matrices; the drift
     matrices must already be known to be strictly stable.  Returns ``(v,
-    residual, condition, ill_conditioned)``: `v` and `residual` per pair,
-    `condition` (the 1-norm condition of the 10x10 system) and
+    condition, ill_conditioned)``: `v` per pair (``residual(a, v, d)`` checks
+    it), `condition` (the 1-norm condition of the 10x10 system) and
     `ill_conditioned` per drift matrix, and each pair is solved on its own.
     Each system whose condition exceeds 1e12, or is NaN (a NaN or inf entry
     in its drift matrix), issues an :class:`IllConditionedWarning`,
     attributed to the first caller outside oment; its result is flagged but
-    still returned.  A system whose condition is not finite has its `v` and
-    `residual` read NaN.  No numpy ``RuntimeWarning`` escapes.
+    still returned.  A system whose condition is not finite has its `v` read
+    NaN.  No numpy ``RuntimeWarning`` escapes.
     """
     system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
     condition = _condition(system)
     rhs = -d[..., _UT[0], _UT[1], None]
     solution = _umath_linalg.solve(system, rhs, signature="dd->d")[..., 0]
     v = np.where(np.isfinite(condition)[..., None], solution, np.nan)[..., _SYM]
-    res = residual(a, v, d)
 
     ill = ~(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
     if ill.any():
@@ -132,7 +132,7 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
                 IllConditionedWarning,
                 stacklevel=_user_stacklevel(),
             )
-    return v, res, condition, ill
+    return v, condition, ill
 
 
 # The undecorated body, which the pipeline runs under its entry point's errstate.
@@ -158,7 +158,7 @@ def _norm_1(x):
 def residual(a, v, d):
     """Relative Lyapunov residual ||A V + V A^T + D||_F / max(||D||_F, tiny),
     one value per matrix of a stack."""
-    a, v, d = (np.asarray(m, dtype=float) for m in (a, v, d))
+    a, v, d = (m if isinstance(m, np.ndarray) else np.asarray(m, dtype=float) for m in (a, v, d))
     num = _frobenius(a @ v + v @ a.swapaxes(-1, -2) + d)
     return num / np.maximum(_frobenius(d), _TINY)
 

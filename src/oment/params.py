@@ -71,9 +71,10 @@ def check_range(**values) -> None:
         if isinstance(value, float) and within(value, bound):
             continue  # a float in range, without numpy's per-call cost
         value = np.asarray(value)
-        if within(value, bound).all():
+        mask = within(value, bound)
+        if np.count_nonzero(mask) == mask.size:
             continue
-        first = value[~within(value, bound)][0].item()
+        first = value[~mask][0].item()
         raise ConfigError(f"{name} must be {_SYMBOLS[within]} {bound!r}, got {first!r}")
 
 

@@ -159,10 +159,9 @@ class _Stack:
     """Every stage of the pipeline over a grid of points.
 
     ``stability`` has one entry per operating point, ``status`` one per grid
-    point, flattened.  ``v`` and ``residual`` cover the grid points listed in
-    ``solved``, ``condition`` and ``ill`` their operating points, and the
-    entanglement arrays the points listed in ``reported``: those whose status
-    is ok.
+    point, flattened.  ``v``, ``residual``, the entanglement arrays and
+    ``ok``, which marks those whose status is ok, cover the grid points listed
+    in ``solved``; ``condition`` and ``ill`` cover their operating points.
     """
 
     stability: StabilityReport
@@ -172,7 +171,7 @@ class _Stack:
     residual: np.ndarray
     condition: np.ndarray
     ill: np.ndarray
-    reported: np.ndarray
+    ok: np.ndarray
     sigma: np.ndarray
     det_v: np.ndarray
     eta: np.ndarray
@@ -185,7 +184,7 @@ _NAN_GATE = np.intp(3)  # a numpy integer: a Python int takes numpy's slow scala
 # Covariance and entanglement arrays of a stack in which no point is solved.
 _UNSOLVED = (
     np.empty((0, 4, 4)),
-    *(np.empty(0, dtype) for dtype in (float, float, bool, int, float, float, float)),
+    *(np.empty(0, dtype) for dtype in (float, float, bool, bool, float, float, float)),
 )
 
 
@@ -223,7 +222,7 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     shape = np.broadcast(abscissa, n_th).shape
     if shape != op_shape:
         status = np.broadcast_to(status.reshape(op_shape), shape).flatten()
-    solved = np.flatnonzero(gate == 1)
+    solved = (gate == 1).nonzero()[0]
     if not solved.size:
         return _Stack(stability, status, solved, *_UNSOLVED)
 
@@ -231,28 +230,27 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     if shape != op_shape:  # each drift matrix meets the diffusion matrices of its grid points
         a, solved = a[:, None], _operating_groups(op_shape, shape)[solved]
     d = diffusion_matrix(params.gamma_m, params.kappa, np.full(shape, n_th).reshape(-1)[solved])
-    v, res, condition, ill = _solve_stack(a, d)
-    solved, v, res = solved.reshape(-1), v.reshape(-1, 4, 4), res.reshape(-1)
-    ok, sig, det_v, eta = _checked_eta(res, v)
+    v, condition, ill = _solve_stack(a, d)
+    ok, res, sig, det_v, eta = (x.reshape(-1) for x in _checked_eta(a, v, d))
+    solved = solved.reshape(-1)
     status[solved[~ok]] = STATUS_ERROR
     return _Stack(
-        stability, status, solved, v, res, condition.reshape(-1), ill.reshape(-1),
-        solved[ok], sig, det_v, eta,
+        stability, status, solved, v.reshape(-1, 4, 4), res, condition.reshape(-1),
+        ill.reshape(-1), ok, sig, det_v, eta,
     )
 
 
-def _checked_eta(res: np.ndarray, v: np.ndarray):
-    """The checks after a solve, in order: residual, then a physical CM.
+def _checked_eta(a: np.ndarray, v: np.ndarray, d: np.ndarray):
+    """The one check step after a solve: residual, then a physical CM.
 
-    `res` holds the Lyapunov residual of each covariance matrix of the stack
-    `v`.  Returns ``ok``, False where the residual exceeds
-    :data:`RESIDUAL_LIMIT` or the rescaled CM is non-physical, and sigma,
-    det V and eta of the ok matrices (see :func:`gaussian.eta_stack`).
+    `a`, `v` and `d` are the solve's stacks.  Returns ``(ok, residual,
+    sigma, det V, eta)`` of every matrix of `v`, ``ok`` False where the
+    residual exceeds :data:`RESIDUAL_LIMIT` or the rescaled CM is
+    non-physical (see :func:`gaussian.eta_stack`); each is checked alone.
     """
-    ok = res <= RESIDUAL_LIMIT
-    sig, det_v, eta, physical = gaussian._eta_stack(gaussian.CM_SCALE * v[ok])
-    ok[ok] = physical
-    return ok, sig[physical], det_v[physical], eta[physical]
+    res = residual(a, v, d)
+    sig, det_v, eta, physical = gaussian._eta_stack(gaussian.CM_SCALE * v)
+    return (res <= RESIDUAL_LIMIT) & physical, res, sig, det_v, eta
 
 
 @np.errstate(all="ignore")
@@ -279,13 +277,10 @@ def evaluate_point(
     covariance = report = None
     if stack.solved.size:
         covariance = CovarianceMatrix(
-            v=stack.v[0],
-            residual=float(stack.residual[0]),
-            condition=float(stack.condition[0]),
-            ill_conditioned=bool(stack.ill[0]),
+            stack.v[0], float(stack.residual[0]), float(stack.condition[0]), bool(stack.ill[0])
         )
-    if stack.reported.size:
-        report = gaussian.entanglement_report(stack.sigma[0], stack.det_v[0], stack.eta[0])
+        if stack.ok[0]:
+            report = gaussian.entanglement_report(stack.sigma[0], stack.det_v[0], stack.eta[0])
     stability = stack.stability
     return PointResult(
         steady=steady,
@@ -343,8 +338,9 @@ def run_sweep(spec: SweepSpec) -> Sweep:
     stack = _evaluate(params, steady, values["n_th"])
 
     eta, log_neg = np.full((2, stack.status.size), np.nan)
-    eta[stack.reported] = stack.eta
-    log_neg[stack.reported] = gaussian.log_negativity_of(stack.eta)
+    reported = stack.solved[stack.ok]
+    eta[reported] = stack.eta[stack.ok]
+    log_neg[reported] = gaussian.log_negativity_of(eta[reported])
     curves = np.array(spec.curves if spec.curves is not None else [np.nan], dtype=float)
     stability = stack.stability
     # steady-state and Routh columns vary with fewer parameters than the grid
@@ -507,7 +503,7 @@ def _predicted_path(quartic: list[float], n_hi: float, lo: float, hi: float):
     c0, c1, c2, c3, c4 = quartic
     path = []
     while hi - lo > THRESHOLD_REL_TOL * max(lo, 1.0):
-        mid = (lo + hi) / 2.0
+        mid = lo / 2.0 + hi / 2.0  # (lo + hi) / 2.0 without overflowing
         path.append(mid)
         t = mid / n_hi
         if c0 + t * (c1 + t * (c2 + t * (c3 + t * c4))) < 0.0:
@@ -544,7 +540,7 @@ def nth_entanglement_threshold(
     gamma_m, kappa, f = params.gamma_m, params.kappa, gaussian.ETA_FACTOR
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
-    (v0, v1), *_ = _solve_stack(a, np.stack([diffusion_matrix(gamma_m, kappa, 0.0), step]))
+    (v0, v1), *_ = _solve_stack(a, np.array([diffusion_matrix(gamma_m, kappa, 0.0), step]))
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
     simon = _umath_linalg.det(w, signature="d->d") - gaussian._sigma(w) / f**2 + f**-4
@@ -553,8 +549,8 @@ def nth_entanglement_threshold(
     def entangled(n_th: list[float]) -> dict[float, bool]:
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
-        ok, _, _, eta = _checked_eta(residual(a, v, diffusion_matrix(gamma_m, kappa, n)), v)
-        ok[ok] = gaussian.log_negativity_of(eta) > 0
+        ok, *_, eta = _checked_eta(a, v, diffusion_matrix(gamma_m, kappa, n))
+        ok &= gaussian.log_negativity_of(eta) > 0
         return dict(zip(n_th, ok.tolist()))
 
     lo, hi = 0.0, n_hi
@@ -564,11 +560,11 @@ def nth_entanglement_threshold(
     if verdicts[hi]:
         raise ConfigError(f"still entangled at n_th = {n_hi}; raise n_hi")
     while hi - lo > THRESHOLD_REL_TOL * max(lo, 1.0):
-        mid = (lo + hi) / 2.0
+        mid = lo / 2.0 + hi / 2.0
         if mid not in verdicts:
             verdicts.update(entangled(_predicted_path(quartic, n_hi, lo, hi)))
         if verdicts[mid]:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
+    return lo / 2.0 + hi / 2.0

@@ -39,9 +39,16 @@ def random_stable_pair(rng, margin=0.7):
     return a, b @ b.T
 
 
+def solved_with_residual(a, d):
+    """solve_stack's ``(v, condition, ill)`` with ``residual(a, v, d)`` after `v`."""
+    v, condition, ill = solve_stack(a, d)
+    return v, residual(a, v, d), condition, ill
+
+
 def test_identity_case():
     # a single pair is a stack of one: every result is 0-d
-    v, res, condition, ill = solve_stack(-np.eye(4), np.eye(4))
+    v, condition, ill = solve_stack(-np.eye(4), np.eye(4))
+    res = residual(-np.eye(4), v, np.eye(4))
     assert np.allclose(v, 0.5 * np.eye(4), atol=1e-15)
     assert np.shape(res) == np.shape(condition) == np.shape(ill) == ()
     assert res < 1e-14
@@ -73,16 +80,16 @@ def test_stacked_solve_matches_single_solves():
     rng = np.random.default_rng(43)
     pairs = [random_stable_pair(rng) for _ in range(12)]
     a_stack, d_stack = (np.array(matrices) for matrices in zip(*pairs))
-    v, res, condition, ill = solve_stack(a_stack, d_stack)
+    v, res, condition, ill = solved_with_residual(a_stack, d_stack)
     for k, (a, d) in enumerate(pairs):
-        single = solve_stack(a, d)
+        single = solved_with_residual(a, d)
         assert np.array_equal(v[k], single[0])
         assert (res[k], condition[k], ill[k]) == single[1:]
     # one drift matrix broadcasts against a stack of diffusion matrices
-    v, res, condition, ill = solve_stack(a_stack[0], d_stack)
+    v, res, condition, ill = solved_with_residual(a_stack[0], d_stack)
     assert v.shape == d_stack.shape and np.shape(condition) == ()
     for k, d in enumerate(d_stack):
-        single = solve_stack(a_stack[0], d)
+        single = solved_with_residual(a_stack[0], d)
         assert np.array_equal(v[k], single[0])
         assert res[k] == single[1]
         assert condition == single[2]
@@ -103,18 +110,18 @@ def test_singular_system_marks_only_its_own_pair():
     pairs[3] = (singular_drift(), pairs[3][1])
     a_stack, d_stack = (np.array(matrices) for matrices in zip(*pairs))
     with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
-        v, res, condition, ill = solve_stack(a_stack, d_stack)
+        v, res, condition, ill = solved_with_residual(a_stack, d_stack)
     assert len(caught) == 1
     assert np.isnan(v[3]).all() and np.isnan(res[3])
     assert condition[3] == np.inf and ill[3]
     for k, (a, d) in enumerate(pairs):
         if k != 3:
-            single = solve_stack(a, d)
+            single = solved_with_residual(a, d)
             assert np.array_equal(v[k], single[0])
             assert (res[k], condition[k], ill[k]) == single[1:]
     # the broadcast form: one singular drift matrix, a stack of diffusion matrices
     with pytest.warns(IllConditionedWarning):
-        v, res, condition, ill = solve_stack(singular_drift(), d_stack[:2])
+        v, res, condition, ill = solved_with_residual(singular_drift(), d_stack[:2])
     assert v.shape == (2, 4, 4) and np.isnan(v).all() and np.isnan(res).all()
     assert condition == np.inf and ill
 
@@ -127,7 +134,7 @@ def beyond_float_range_drift():
 @pytest.mark.parametrize("drift", [singular_drift, beyond_float_range_drift])
 def test_non_finite_condition_is_flagged(drift):
     with pytest.warns(IllConditionedWarning, match="inf exceeds"):
-        v, res, condition, ill = solve_stack(drift(), np.eye(4))
+        v, res, condition, ill = solved_with_residual(drift(), np.eye(4))
     assert np.isnan(v).all() and np.isnan(res)
     assert condition == math.inf and ill
 
@@ -138,7 +145,7 @@ def test_condition_within_a_factor_of_ten_of_the_two_norm(seed, margin):
     a, d = random_stable_pair(np.random.default_rng(seed), margin)
     singular_values = np.linalg.svd((a.reshape(16) @ _SYSTEM).reshape(10, 10), compute_uv=False)
     two_norm = singular_values[0] / singular_values[-1]
-    condition = solve_stack(a, d)[2]
+    condition = solve_stack(a, d)[1]
     assert two_norm / 10 <= condition <= 10 * two_norm
 
 
@@ -161,7 +168,7 @@ def stable_drift_stack(rng, shape, margin):
 def test_condition_matches_numpy_cond(seed, shape, margin):
     rng = np.random.default_rng(seed)
     a = stable_drift_stack(rng, shape, margin)
-    condition = solve_stack(a, np.eye(4))[2]
+    condition = solve_stack(a, np.eye(4))[1]
     assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1))
     assert np.shape(condition) == shape
 
@@ -171,11 +178,11 @@ def test_condition_of_a_broadcast_drift_matches_numpy_cond(seed, k, m):
     rng = np.random.default_rng(seed)
     # one drift matrix against a stack of diffusion matrices, as in the n_th threshold search
     a = stable_drift_stack(rng, (), 0.7)
-    condition = solve_stack(a, np.stack([np.eye(4)] * m))[2]
+    condition = solve_stack(a, np.stack([np.eye(4)] * m))[1]
     assert np.shape(condition) == () and condition == np.linalg.cond(systems_of(a), 1)
     # one drift matrix per row against a row of m diffusion matrices, as in a sweep
     a = stable_drift_stack(rng, (k, 1), 0.7)
-    condition = solve_stack(a, np.broadcast_to(np.eye(4), (k, m, 4, 4)))[2]
+    condition = solve_stack(a, np.broadcast_to(np.eye(4), (k, m, 4, 4)))[1]
     assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1))
 
 
@@ -186,7 +193,7 @@ def test_condition_of_a_stack_with_non_finite_members_matches_numpy_cond(members
     a = stable_drift_stack(rng, (2 + len(members),), 0.7)
     a[1 : 1 + len(members)] = [drift() for drift in members]
     with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
-        condition = solve_stack(a, np.eye(4))[2]
+        condition = solve_stack(a, np.eye(4))[1]
     assert len(caught) == len(members)
     assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1))
     assert np.isinf(condition[1 : 1 + len(members)]).all()
@@ -218,11 +225,11 @@ def test_regular_stack_takes_one_inverse_and_no_cond(monkeypatch):
 
 def test_singular_stack_takes_one_inverse_and_reads_inf(monkeypatch):
     a = np.stack([-np.eye(4), singular_drift()])
-    alone = solve_stack(-np.eye(4), np.eye(4))
+    alone = solved_with_residual(-np.eye(4), np.eye(4))
     calls = record_gufunc_calls(monkeypatch, ["inv"])
     counts = count_calls(monkeypatch, np.linalg, ("cond",))
     with pytest.warns(IllConditionedWarning, match="inf exceeds"):
-        v, res, condition, ill = solve_stack(a, np.eye(4))
+        v, res, condition, ill = solved_with_residual(a, np.eye(4))
     assert len(calls["inv"]) == 1 and counts == {"cond": 0}
     assert condition[1] == np.inf and ill.tolist() == [False, True]
     for stacked, single in zip((v, res, condition, ill), alone):
@@ -241,7 +248,7 @@ def test_nan_inverse_reads_inf_unless_the_system_has_a_nan_entry(monkeypatch):
 
     monkeypatch.setattr(_umath_linalg, "inv", failing_second)
     with pytest.warns(IllConditionedWarning) as caught:
-        condition = solve_stack(a, np.eye(4))[2]
+        condition = solve_stack(a, np.eye(4))[1]
     # np.linalg.cond takes the same (patched) inverse, so this is its rule
     assert np.array_equal(condition, np.linalg.cond(systems_of(a), 1), equal_nan=True)
     assert condition[1] == np.inf and np.isnan(condition[2])
@@ -254,13 +261,16 @@ def test_nan_inverse_reads_inf_unless_the_system_has_a_nan_entry(monkeypatch):
 def test_drift_with_a_non_finite_entry_is_flagged_ill_conditioned(entry):
     a = -np.eye(4)
     a[2, 1] = entry
+    a = np.stack([-np.eye(4), a])
     with pytest.warns(IllConditionedWarning, match="nan is not finite") as caught:
-        v, res, condition, ill = solve_stack(np.stack([-np.eye(4), a]), np.eye(4))
+        v, condition, ill = solve_stack(a, np.eye(4))
     # one warning, and no numpy RuntimeWarning on the way
     assert [w.category for w in caught] == [IllConditionedWarning]
+    with np.errstate(invalid="ignore"):  # inf * 0 in A V: the residual reads NaN
+        res = residual(a, v, np.eye(4))
     assert np.isnan(condition[1]) and ill.tolist() == [False, True]
     assert np.isnan(v[1]).all() and np.isnan(res[1])
-    alone = solve_stack(-np.eye(4), np.eye(4))
+    alone = solved_with_residual(-np.eye(4), np.eye(4))
     for stacked, single in zip((v, res, condition, ill), alone):
         assert stacked[0].tobytes() == single.tobytes()
 
@@ -273,7 +283,7 @@ def test_rejects_unstable_drift():
 def test_ill_conditioned_flagged_but_returned():
     a = np.diag([-1e-13, -1.0, -1.0, -1.0])
     with pytest.warns(IllConditionedWarning):
-        v, _, condition, ill = solve_stack(a, np.eye(4))
+        v, condition, ill = solve_stack(a, np.eye(4))
     assert ill
     assert condition > 1e12
     assert v[0, 0] == pytest.approx(0.5e13, rel=1e-6)
@@ -404,7 +414,8 @@ def test_oracle_matches_solver_at_high_power_operating_point():
     drift, _ = stability_stack(state, params)
     n_th = thermal_occupation(params.temperature, params.omega_m)
     diffusion = diffusion_matrix(params.gamma_m, params.kappa, n_th)
-    direct, direct_residual, _, _ = solve_stack(drift, diffusion)
+    direct = solve_stack(drift, diffusion)[0]
+    direct_residual = residual(drift, direct, diffusion)
     quadrature = lyapunov_oracle(drift, diffusion, tol=1e-7)
     rel = np.linalg.norm(direct - quadrature.v) / np.linalg.norm(direct)
     assert rel < 1e-6

@@ -697,7 +697,7 @@ _PREDICTED_PATH = sweep._predicted_path
 
 
 def _no_prediction(quartic, n_hi, lo, hi):
-    return [(lo + hi) / 2.0]  # plain bisection: one midpoint per stacked check
+    return [lo / 2.0 + hi / 2.0]  # plain bisection: one midpoint per stacked check
 
 
 def _wrong_prediction(quartic, n_hi, lo, hi):
@@ -797,13 +797,18 @@ def test_nth_threshold_gates_and_solves_once(params, monkeypatch):
         "solve_stack": "_solve_stack",
         "evaluate_point": "evaluate_point",
         "_checked_eta": "_checked_eta",
+        "residual": "residual",
     }
     for name, attribute in patched.items():
         monkeypatch.setattr(sweep, attribute, counted(name, getattr(sweep, attribute)))
     monkeypatch.setattr(gaussian, "_eta_stack", counted("eta_stack", gaussian._eta_stack))
-    # the predicted path is right here, so one stacked check decides every midpoint
+    monkeypatch.setattr(lyapunov, "residual", counted("residual", lyapunov.residual))
+    # the predicted path is right here, so one stacked check decides every
+    # midpoint, and the solve of V0 and V1 takes no residual of its own
     assert nth_entanglement_threshold(replace(params, power=10e-3), -1.0) > 0.0
-    assert calls == {"stability_stack": 1, "solve_stack": 1, "_checked_eta": 1, "eta_stack": 1}
+    assert calls == {
+        "stability_stack": 1, "solve_stack": 1, "_checked_eta": 1, "eta_stack": 1, "residual": 1
+    }
     calls.clear()
     assert nth_entanglement_threshold(replace(params, power=1e-3), 1.0) == 0.0
     assert calls == {"stability_stack": 1}
@@ -877,6 +882,27 @@ def test_one_disagreeing_matrix_marks_only_its_own_row(monkeypatch):
     assert rows[101].endswith(",ok")
     assert moved[101] == rows[101].rsplit(",", 3)[0] + ",,,error"
 
+    # the check step itself, unpatched: ok, residual 1e-6, NaN, indefinite and
+    # route-disagreeing CMs in one stack each get the values and the verdict
+    # they get alone.  With A = -I the residual of V against D = 2V is 0, so
+    # only the named check fails.
+    monkeypatch.undo()
+    v0 = evaluate_point(replace(default_params(), power=10e-3), -1.0).covariance.v
+    skewed = v0.copy()
+    skewed[0, 2] *= 1.01  # the closed form reads the upper triangle, Cholesky the lower
+    v = np.array([v0, v0, np.full((4, 4), np.nan), -v0, skewed])
+    d = 2.0 * v
+    d[1] *= 1.0 + 1e-6
+    a = np.broadcast_to(-np.eye(4), v.shape)
+    with np.errstate(all="ignore"):
+        stacked = sweep._checked_eta(a, v, d)
+        alone = [sweep._checked_eta(a[k], v[k], d[k]) for k in range(len(v))]
+    ok, res = stacked[:2]
+    assert ok.tolist() == [True, False, False, False, False]
+    assert res[1] > sweep.RESIDUAL_LIMIT >= max(res[[0, 3, 4]])
+    for k, single in enumerate(alone):
+        assert [value[k].tobytes() for value in stacked] == [value.tobytes() for value in single]
+
 
 def nan_route(v):
     """A Cholesky route of eta that calls every matrix positive definite and reads NaN."""
@@ -896,11 +922,12 @@ def test_non_positive_definite_covariance_is_error(params, monkeypatch):
     def negated(a, d):
         # -V has the block determinants of V, so sigma, det V and eta stay
         # as they were; with a zero residual only its definiteness tells
-        v, res, condition, ill = solve_stack(a, d)
-        return -v, np.zeros_like(res), condition, ill
+        v, condition, ill = solve_stack(a, d)
+        return -v, condition, ill
 
     solve_stack = sweep._solve_stack
     monkeypatch.setattr(sweep, "_solve_stack", negated)
+    monkeypatch.setattr(sweep, "residual", lambda a, v, d: np.zeros(v.shape[:-2]))
     point = evaluate_point(p10, -1.0)
     assert point.status == "error"
     assert point.report is None
@@ -923,6 +950,18 @@ def test_evaluate_point_rejects_negative_occupation(params):
 def test_nth_threshold_rejects_bad_arguments(params, field, value):
     with pytest.raises(ConfigError, match=f"^{field} must"):
         nth_entanglement_threshold(replace(params, power=10e-3), -1.0, **{field: value})
+
+
+def test_nth_threshold_midpoints_do_not_overflow(params):
+    # with n_hi = 1.7e308, lo + hi passes the float range: the bisection
+    # halves lo and hi before it adds them, and returns at once
+    p10 = replace(params, power=10e-3)
+    assert nth_entanglement_threshold(replace(p10, gamma_m=1e-300), -1.0, n_hi=1.7e308) == (
+        8.985595703124997e307
+    )
+    assert nth_entanglement_threshold(replace(p10, gamma_m=1e-290), -1.0, n_hi=1.7e308) == (
+        1.3891110484109957e298
+    )
 
 
 def test_nth_threshold_still_entangled_at_n_hi_names_the_remedy(params):
