@@ -12,6 +12,7 @@ drift matrices and one batched eigvals: numpy's LAPACK gufunc, called as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +123,10 @@ def spectral_abscissa(a: np.ndarray):
     A matrix with an infinite or NaN entry is kept from LAPACK and reads NaN;
     the others get the bits they get alone.
     """
-    if not np.isfinite(a).all():
+    finite = np.isfinite(a)
+    if np.count_nonzero(finite) != finite.size:
         a = np.asarray(a, dtype=float)
-        finite = np.isfinite(a).all(axis=(-2, -1))
+        finite = finite.all(axis=(-2, -1))
         abscissa = np.full(finite.shape, np.nan)
         abscissa[finite] = _spectral_abscissa(a[finite])
         return abscissa
@@ -171,19 +173,43 @@ _spectral_abscissa = spectral_abscissa.__wrapped__
 _stability_stack = stability_stack.__wrapped__
 
 
+def _homogeneous(threshold, params: PhysicalParams) -> float:
+    """`threshold`, a coupling of degree 1 in omega_m, gamma_m and kappa, at
+    the rates of `params`; where that is not finite (a square beyond the float
+    range), at the rates divided by 2**e, the largest in [0.5, 1), times 2**e.
+    Only there: libm's ``pow`` (:func:`~oment.steadystate.square`) is not
+    exactly homogeneous, so a scaled square can differ in its last bit."""
+    rates = (params.omega_m, params.gamma_m, params.kappa)
+    g = threshold(*rates)
+    if math.isfinite(g):
+        return float(g)
+    e = math.frexp(max(rates))[1]
+    return float(np.ldexp(threshold(*(math.ldexp(rate, -e) for rate in rates)), e))
+
+
+def _blue(omega_m, gamma_m, kappa):
+    s2 = _routh_conditions(omega_m, gamma_m, kappa, -omega_m, 0.0)[1]
+    return np.sqrt(np.float64(s2) / omega_m)
+
+
+def _red(omega_m, gamma_m, kappa):
+    s1 = _routh_conditions(omega_m, gamma_m, kappa, omega_m, 0.0)[0]
+    return np.sqrt(np.float64(s1) / (omega_m * omega_m * square(gamma_m + kappa)))
+
+
+@np.errstate(all="ignore")
 def coupling_threshold_blue(params: PhysicalParams) -> float:
     """Coupling where s2 crosses zero at the blue sideband delta = -omega_m,
-    G = sqrt(s2(G=0) / omega_m); s2 never crosses zero on the red side."""
-    omega_m = params.omega_m
-    s2 = routh_conditions(omega_m, params.gamma_m, params.kappa, -omega_m, 0.0)[1]
-    return float(np.sqrt(s2 / omega_m))
+    G = sqrt(s2(G=0) / omega_m); s2 never crosses zero on the red side.
+    Where a square of a rate overflows, taken at scaled rates (see
+    :func:`_homogeneous`)."""
+    return _homogeneous(_blue, params)
 
 
 @np.errstate(all="ignore")
 def coupling_threshold_red(params: PhysicalParams) -> float:
     """Coupling where s1 crosses zero at the red sideband delta = +omega_m,
     G = sqrt(s1(G=0) / (omega_m^2 (gamma_m+kappa)^2)), ``inf`` where the
-    denominator underflows to 0 (the IEEE quotient)."""
-    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    s1 = routh_conditions(omega_m, gamma_m, kappa, omega_m, 0.0)[0]
-    return float(np.sqrt(np.float64(s1) / (omega_m * omega_m * square(gamma_m + kappa))))
+    denominator underflows to 0 (the IEEE quotient).  Where a square of a
+    rate overflows, taken at scaled rates (see :func:`_homogeneous`)."""
+    return _homogeneous(_red, params)

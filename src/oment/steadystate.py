@@ -127,11 +127,17 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
         ]
     )
     roots = _umath_linalg.eigvals(companion, signature="d->D")
-    if not roots.imag.any():
-        roots = roots.real
-    poly = ((roots + a2) * roots + a1) * roots + a0
-    step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
-    return np.where(np.isfinite(step), roots - step, roots)
+    if roots.imag.any():
+        poly = ((roots + a2) * roots + a1) * roots + a0
+        step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
+        return np.where(np.isfinite(step), roots - step, roots)
+    polished = []  # all real: the same steps on floats, without numpy's per-call cost
+    for x in roots.real.tolist():
+        poly = ((x + a2) * x + a1) * x + a0
+        slope = (3.0 * x + 2.0 * a2) * x + a1
+        step = poly / slope if slope else math.nan  # numpy's x / 0 is not finite either
+        polished.append(x - step if math.isfinite(step) else x)
+    return np.array(polished)
 
 
 # The undecorated bodies, which the pipeline runs under its entry point's errstate.

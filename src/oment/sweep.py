@@ -1,7 +1,8 @@
 """Parameter sweeps with stability gating, figure presets and flat-file output.
 
 A sweep evaluates its whole grid as array stacks in one pass through the
-pipeline; a single point is a stack of one through the same code.
+pipeline; a single point runs 0-d, on its own 4x4 matrices, through the same
+stages.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from numpy.linalg import _umath_linalg
 from . import gaussian
 from .gaussian import EntanglementReport
 from .linmodel import StabilityReport, _stability_stack, diffusion_matrix
-from .lyapunov import CovarianceMatrix, _solve_stack, residual
+from .lyapunov import CovarianceMatrix, _residual, _solve_stack
 from .params import (
     ConfigError,
     PhysicalParams,
@@ -208,10 +209,12 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     supplies everything that does not vary between points.  Only the
     diffusion depends on n_th, so the gate and the Lyapunov systems run once
     per operating point and the solve once per grid point, each (drift,
-    diffusion) pair on its own.  Unstable and marginal operating points skip
-    the solve; points whose drift matrix is not finite, whose residual
-    exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
-    ``error``.  It runs under its entry point's error state.
+    diffusion) pair on its own.  A single point runs 0-d: its 4x4 drift and
+    diffusion go to the solve and the check step as they are, and only the
+    fields of the returned stack get length 1.  Unstable and marginal
+    operating points skip the solve; points whose drift matrix is not finite,
+    whose residual exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical
+    get status ``error``.  It runs under its entry point's error state.
     """
     a, stability = _stability_stack(steady, params)
     abscissa, stable = stability.spectral_abscissa, stability.spectral_stable
@@ -226,10 +229,12 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     if not solved.size:
         return _Stack(stability, status, solved, *_UNSOLVED)
 
-    a = a.reshape(-1, 4, 4)[solved]
-    if shape != op_shape:  # each drift matrix meets the diffusion matrices of its grid points
-        a, solved = a[:, None], _operating_groups(op_shape, shape)[solved]
-    d = diffusion_matrix(params.gamma_m, params.kappa, np.full(shape, n_th).reshape(-1)[solved])
+    if shape:  # a grid: gather the drift matrices and n_th of its solved points
+        a = a.reshape(-1, 4, 4)[solved]
+        if shape != op_shape:  # each drift matrix meets the diffusion matrices of its grid points
+            a, solved = a[:, None], _operating_groups(op_shape, shape)[solved]
+        n_th = np.full(shape, n_th).reshape(-1)[solved]
+    d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
     v, condition, ill = _solve_stack(a, d)
     ok, res, sig, det_v, eta = (x.reshape(-1) for x in _checked_eta(a, v, d))
     solved = solved.reshape(-1)
@@ -248,7 +253,7 @@ def _checked_eta(a: np.ndarray, v: np.ndarray, d: np.ndarray):
     residual exceeds :data:`RESIDUAL_LIMIT` or the rescaled CM is
     non-physical (see :func:`gaussian.eta_stack`); each is checked alone.
     """
-    res = residual(a, v, d)
+    res = _residual(a, v, d)
     sig, det_v, eta, physical = gaussian._eta_stack(gaussian.CM_SCALE * v)
     return (res <= RESIDUAL_LIMIT) & physical, res, sig, det_v, eta
 
@@ -263,8 +268,8 @@ def evaluate_point(
 
     Unstable and marginal points carry a status instead of a report.  The
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
-    and eta factor (:data:`gaussian.ETA_FACTOR`).  The point runs through the
-    same stacked pipeline as :func:`run_sweep`.  `params` is checked by
+    and eta factor (:data:`gaussian.ETA_FACTOR`).  The point runs 0-d through
+    the same stages and checks as :func:`run_sweep`.  `params` is checked by
     :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here.
     """
     if n_th is None:

@@ -23,6 +23,11 @@
   are the coupling thresholds with the Routh-Hurwitz brackets written out, as
   the library computed them before it took them from
   :func:`oment.routh_conditions`; the library must give the same bits.
+* :func:`threshold_in_fractions` is a coupling threshold in exact rational
+  arithmetic, rounded at the end, where a float square of a rate overflows.
+* :func:`cubic_roots_array_polish` is :func:`oment.monic_cubic_roots` with
+  its Newton polish on numpy arrays for all-real roots too, as the library
+  polished them before it took Python floats there; it must give the same bits.
 * :func:`hurwitz_with_beta` is the Routh-Hurwitz test of the drift's
   characteristic quartic with the nonlinearity beta in it, which
   :func:`oment.routh_conditions` (written for beta = 0) leaves out.
@@ -40,6 +45,7 @@
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -436,6 +442,33 @@ def red_threshold_closed_form(omega_m, gamma_m, kappa, delta):
     return float(
         np.sqrt(gamma_m * kappa * bracket / (delta * omega_m * (gamma_m + kappa) ** 2))
     )
+
+
+def threshold_in_fractions(omega_m, gamma_m, kappa, delta):
+    """The blue (delta < 0) or red (delta > 0) coupling threshold with every
+    step exact: (G/kappa)^2 as a fraction, rounded once, then sqrt and times kappa."""
+    w, g, k, d = map(Fraction, (omega_m, gamma_m, kappa, delta))
+    hk2 = k * k / 4
+    if d < 0:
+        g_sq = w * (d * d + hk2) / -d
+    else:
+        bracket = (hk2 + (w - d) ** 2) * (hk2 + (w + d) ** 2) + g * (
+            (g + k) * (hk2 + d * d) + k * w * w
+        )
+        g_sq = g * k * bracket / (d * w * (g + k) ** 2)
+    return kappa * math.sqrt(g_sq / (k * k))
+
+
+def cubic_roots_array_polish(a2, a1, a0):
+    """Roots of x^3 + a2 x^2 + a1 x + a0: the companion matrix's eigvals,
+    real where all are real, each with one Newton step on arrays where the
+    step is finite."""
+    companion = np.array([[0.0, 0.0, -a0], [1.0, 0.0, -a1], [0.0, 1.0, -a2]])
+    roots = np.linalg.eigvals(companion)
+    with np.errstate(all="ignore"):
+        poly = ((roots + a2) * roots + a1) * roots + a0
+        step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
+        return np.where(np.isfinite(step), roots - step, roots)
 
 
 def characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta):

@@ -4,12 +4,15 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from oment import default_params
 from oment.cli import build_parser, main
 from oment.lyapunov import IllConditionedWarning
+from references import threshold_in_fractions
 
 
 def parsed_lines(text):
@@ -478,6 +481,19 @@ def test_an_input_beyond_the_float_range_exits_by_its_status(case, command, tmp_
     else:
         assert code == 0
         assert len(captured.out.splitlines()) == (2 if command == "sweep" else 201) + 1
+
+
+def test_coupling_thresholds_where_kappa_squared_overflows(tmp_path, capsys):
+    # kappa^2 overflows, and s1 and s2 with it, but both thresholds are finite
+    config = tmp_path / "run.cfg"
+    config.write_text("kappa_hz = 1e160\n")
+    assert main(["stability", "--config", str(config)]) == 0
+    lines = parsed_lines(capsys.readouterr().out)
+    assert (lines["s1"], lines["s2"]) == ("nan", "inf")
+    params = replace(default_params(), kappa=2.0 * math.pi * 1e160)
+    for name, delta in (("blue", -params.omega_m), ("red", params.omega_m)):
+        exact = threshold_in_fractions(params.omega_m, params.gamma_m, params.kappa, delta)
+        assert float(lines[f"g_threshold_{name}"]) == pytest.approx(exact, rel=1e-15)
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):

@@ -29,6 +29,7 @@ from references import (
     hurwitz_with_beta,
     record_gufunc_calls,
     red_threshold_closed_form,
+    threshold_in_fractions,
 )
 
 
@@ -183,11 +184,15 @@ def test_red_threshold_closed_form_vs_bisection(params):
 
 
 def test_routh_numbers_where_kappa_squared_overflows(params):
-    # kappa^2 is inf, as numpy gives it for an array, not an OverflowError
+    # kappa^2 is inf, as numpy gives it for an array, not an OverflowError;
+    # the thresholds, about kappa/2 and 8e232, are finite all the same
     kappa = 2.0 * math.pi * 1e160
-    omega = params.omega_m
-    assert routh_conditions(omega, params.gamma_m, kappa, -omega, 1e9) == (math.inf, math.inf)
-    assert coupling_threshold_blue(replace(params, kappa=kappa)) == math.inf
+    omega, gamma = params.omega_m, params.gamma_m
+    assert routh_conditions(omega, gamma, kappa, -omega, 1e9) == (math.inf, math.inf)
+    wide = replace(params, kappa=kappa)
+    for threshold, delta in ((coupling_threshold_blue, -omega), (coupling_threshold_red, omega)):
+        exact = threshold_in_fractions(omega, gamma, kappa, delta)
+        assert threshold(wide) == pytest.approx(exact, rel=1e-15)
 
 
 def test_red_threshold_where_omega_m_squared_underflows(params):

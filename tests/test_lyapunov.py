@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -266,13 +267,25 @@ def test_drift_with_a_non_finite_entry_is_flagged_ill_conditioned(entry):
         v, condition, ill = solve_stack(a, np.eye(4))
     # one warning, and no numpy RuntimeWarning on the way
     assert [w.category for w in caught] == [IllConditionedWarning]
-    with np.errstate(invalid="ignore"):  # inf * 0 in A V: the residual reads NaN
-        res = residual(a, v, np.eye(4))
+    res = residual(a, v, np.eye(4))  # inf * 0 in A V: the residual reads NaN
     assert np.isnan(condition[1]) and ill.tolist() == [False, True]
     assert np.isnan(v[1]).all() and np.isnan(res[1])
     alone = solved_with_residual(-np.eye(4), np.eye(4))
     for stacked, single in zip((v, res, condition, ill), alone):
         assert stacked[0].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_residual_warns_nothing_at_a_non_finite_drift(entry):
+    # a solve, then its residual: inf * 0 in A V reads NaN without a numpy warning
+    a = -np.eye(4)
+    a[0, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        v = solve_stack(a, np.eye(4))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(residual(a, v, np.eye(4)))
 
 
 def test_rejects_unstable_drift():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oment import (
     ConfigError,
@@ -16,6 +18,7 @@ from oment import (
     steady_states,
 )
 from oment.steadystate import square
+from references import cubic_roots_array_polish
 
 
 @pytest.fixture
@@ -226,6 +229,39 @@ def test_monic_cubic_roots_recovers_chosen_roots():
         recovered = np.sort(monic_cubic_roots(a2, a1, a0).real)
         scale = np.max(np.abs(chosen)) + 1.0
         assert np.allclose(recovered, chosen, atol=1e-7 * scale)
+
+
+def _coefficients(roots):
+    """a2, a1, a0 of the monic cubic with these three roots."""
+    r0, r1, r2 = roots
+    return -(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -r0 * r1 * r2
+
+
+@st.composite
+def _near_degenerate_roots(draw):
+    """A root and two more within a few thousand ulps of it."""
+    root = draw(st.floats(-1e50, 1e50))
+    offsets = draw(st.lists(st.integers(-3000, 3000), min_size=2, max_size=2))
+    return [root, *(root + k * math.ulp(root) for k in offsets)]
+
+
+_COEFFICIENT = st.floats(-1e100, 1e100)
+
+
+# at a triple root 0, or a double one, the slope is 0 and the step NaN: the root stays
+@example(coefficients=(0.0, 0.0, 0.0))
+@example(coefficients=(-3.0, 0.0, 0.0))
+@example(coefficients=(-6.0, 11.0, -6.0))
+@given(
+    coefficients=st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT)
+    | st.lists(st.floats(-1e50, 1e50), min_size=3, max_size=3).map(_coefficients)
+    | _near_degenerate_roots().map(_coefficients)
+)
+def test_the_float_polish_gives_the_bits_of_the_array_polish(coefficients):
+    # all-real roots are polished on Python floats, complex ones on arrays
+    roots = monic_cubic_roots(*coefficients)
+    expected = cubic_roots_array_polish(*coefficients)
+    assert roots.dtype == expected.dtype and roots.tobytes() == expected.tobytes()
 
 
 def test_monic_cubic_roots_complex_pair():

@@ -553,6 +553,65 @@ def test_nth_grids_match_point_by_point(params, overrides, statuses):
     assert set(swept.status) == statuses
 
 
+# (power, beta, delta_norm, n_th): ok, ok, unstable, error from an overflowing
+# steady state (no solve) and error from a singular 10x10 system (solved)
+_MIXED_POINTS = (
+    (10e-3, 0.6, -0.5, 100.0),
+    (0.7e-3, 0.0, -1.0, 0.0),
+    (10e-3, 0.2, 0.5, 100.0),
+    (1e300, 0.0, -1.0, 0.0),
+    (1e253, 0.0, 0.0, 0.0),
+)
+_BENCH_POINTS = st.tuples(
+    st.floats(0.7e-3, 30e-3), st.floats(0.0, 0.6), st.floats(-2.5, 0.5), st.floats(0.0, 3000.0)
+)
+_DIAGNOSTICS = ("v", "residual", "condition", "ill", "ok", "sigma", "det_v", "eta")
+
+
+def floats_bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_point_equals_its_row_in_a_stack(data):
+    # a single point runs 0-d on its own (4, 4) matrices: its status and every
+    # diagnostic must be the bytes of its row in a stack of several points
+    extra = data.draw(st.lists(_BENCH_POINTS, max_size=3))
+    points = data.draw(st.permutations(_MIXED_POINTS + tuple(extra)))
+    params = default_params()
+    power, beta, delta_norm, n_th = map(np.array, zip(*points))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        stack = sweep._evaluate(
+            params, steady_states(delta_norm * params.omega_m, power, beta, params), n_th
+        )
+        for index, (p, b, d, n) in enumerate(points):
+            alone = replace(params, power=p, beta=b)
+            point = evaluate_point(alone, d, n)
+            single = sweep._evaluate(alone, steady_states(d * alone.omega_m, p, b, alone), n)
+            assert point.status == single.status[0] == stack.status[index]
+            row = (stack.solved == index).nonzero()[0]
+            assert row.size == single.solved.size == (point.covariance is not None)
+            if not row.size:
+                continue
+            for name in _DIAGNOSTICS:
+                assert getattr(single, name).tobytes() == getattr(stack, name)[row].tobytes()
+            # and what evaluate_point reports of them, as float64 bytes
+            covariance, report, k = point.covariance, point.report, row[0]
+            assert covariance.v.tobytes() == stack.v[k].tobytes()
+            diagnostics = covariance.residual, covariance.condition, covariance.ill_conditioned
+            assert floats_bytes(*diagnostics) == floats_bytes(
+                stack.residual[k], stack.condition[k], stack.ill[k]
+            )
+            assert (report is not None) == stack.ok[k]
+            if report is not None:
+                assert floats_bytes(report.sigma_v, report.det_v, report.eta) == floats_bytes(
+                    stack.sigma[k], stack.det_v[k], stack.eta[k]
+                )
+    assert {"ok", "unstable", "error"} <= set(stack.status)
+
+
 def _count_operating_points(monkeypatch):
     """Drift matrices gated, systems conditioned (inverted) and pairs solved, per call."""
     counts = {"gated": [], "conditioned": [], "solved": []}
@@ -791,18 +850,18 @@ def test_nth_threshold_gates_and_solves_once(params, monkeypatch):
 
         return wrapper
 
-    # the pipeline calls the bodies of stability_stack, solve_stack and eta_stack
+    # the pipeline calls the bodies of stability_stack, solve_stack, residual and eta_stack
     patched = {
         "stability_stack": "_stability_stack",
         "solve_stack": "_solve_stack",
         "evaluate_point": "evaluate_point",
         "_checked_eta": "_checked_eta",
-        "residual": "residual",
+        "residual": "_residual",
     }
     for name, attribute in patched.items():
         monkeypatch.setattr(sweep, attribute, counted(name, getattr(sweep, attribute)))
     monkeypatch.setattr(gaussian, "_eta_stack", counted("eta_stack", gaussian._eta_stack))
-    monkeypatch.setattr(lyapunov, "residual", counted("residual", lyapunov.residual))
+    monkeypatch.setattr(lyapunov, "_residual", counted("residual", lyapunov._residual))
     # the predicted path is right here, so one stacked check decides every
     # midpoint, and the solve of V0 and V1 takes no residual of its own
     assert nth_entanglement_threshold(replace(params, power=10e-3), -1.0) > 0.0
@@ -927,7 +986,7 @@ def test_non_positive_definite_covariance_is_error(params, monkeypatch):
 
     solve_stack = sweep._solve_stack
     monkeypatch.setattr(sweep, "_solve_stack", negated)
-    monkeypatch.setattr(sweep, "residual", lambda a, v, d: np.zeros(v.shape[:-2]))
+    monkeypatch.setattr(sweep, "_residual", lambda a, v, d: np.zeros(v.shape[:-2]))
     point = evaluate_point(p10, -1.0)
     assert point.status == "error"
     assert point.report is None
@@ -1020,8 +1079,8 @@ def _private_stages():
 
 
 def test_the_private_stages_are_found():
-    # the six errstate stages and the three checked ones, at least
-    assert len(_private_stages()) >= 9
+    # the seven errstate stages and the three checked ones, at least
+    assert len(_private_stages()) >= 10
 
 
 @pytest.mark.parametrize("module, name", _private_stages())
