@@ -121,10 +121,10 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     condition = _condition(system)
     rhs = -d[..., _UT[0], _UT[1], None]
     solution = _umath_linalg.solve(system, rhs, signature="dd->d")[..., 0]
-    v = np.where(np.isfinite(condition)[..., None], solution, np.nan)[..., _SYM]
 
     ill = ~(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
-    if ill.any():
+    if ill.any():  # every condition that is not finite is ill, so only here is a v masked
+        solution = np.where(np.isfinite(condition)[..., None], solution, np.nan)
         for value in np.atleast_1d(condition)[np.atleast_1d(ill)]:
             reason = "is not finite" if np.isnan(value) else f"exceeds {CONDITION_LIMIT:.0e}"
             warnings.warn(
@@ -132,7 +132,7 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
                 IllConditionedWarning,
                 stacklevel=_user_stacklevel(),
             )
-    return v, condition, ill
+    return solution[..., _SYM], condition, ill
 
 
 # The undecorated body, which the pipeline runs under its entry point's errstate.

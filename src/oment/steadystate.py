@@ -152,14 +152,15 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     Solves the cubic ``|E0|^2 = n*((delta_bare + 2*(g_m^2/omega_m)*n)^2 +
     kappa^2/4)`` for the photon number.  Real non-negative roots are returned
     sorted ascending by ``n_s``; complex or negative roots are discarded, not
-    clamped.  Where the cubic cannot be made monic within the float range (a
-    coupling too weak, or a detuning too large), its linear balance
-    ``n = |E0|^2/(delta_bare^2 + kappa^2/4)`` is taken instead.  A
-    :class:`DegenerateRootsWarning` is issued when two roots coincide within
-    relative 1e-6.  A `delta_bare` that is not finite raises
-    :class:`~oment.params.ConfigError`, and a root that misses its residual
-    tolerance, or whose residual is NaN (a square beyond the float range),
-    raises ``ArithmeticError``.  It trusts `params`, which
+    clamped.  Each state's ``n_s`` is a Python float, and so is its
+    ``delta_eff`` for a float `delta_bare`.  Where the cubic cannot be made
+    monic within the float range (a coupling too weak, or a detuning too
+    large), its linear balance ``n = |E0|^2/(delta_bare^2 + kappa^2/4)`` is
+    taken instead.  A :class:`DegenerateRootsWarning` is issued when two
+    roots coincide within relative 1e-6.  A `delta_bare` that is not finite
+    raises :class:`~oment.params.ConfigError`, and a root that misses its
+    residual tolerance, or whose residual is NaN (a square beyond the float
+    range), raises ``ArithmeticError``.  It trusts `params`, which
     :class:`~oment.params.PhysicalParams` checks.
     """
     require_finite(delta_bare=delta_bare)
@@ -178,20 +179,18 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
         if roots.dtype.kind == "c":  # all-real roots come back as a real array
             scale = np.abs(roots).max() + 1.0
             roots = roots[np.abs(roots.imag) <= _IMAG_TOL * (np.abs(roots.real) + scale)].real
-        candidates = np.sort(roots[roots >= 0.0])
+        candidates = sorted(x for x in roots.tolist() if x >= 0.0)
     else:  # no monic form within the float range: the linear balance
-        candidates = np.array([e0_sq / balance])
+        candidates = [float(e0_sq / balance)]
 
     states = []
     for n_s in candidates:
         residual = abs(n_s * (square(delta_bare + shift * n_s) + half_kappa_sq) - e0_sq)
         if not residual <= _ROOT_RESIDUAL_TOL * max(e0_sq, 1.0):  # a NaN residual fails too
             raise ArithmeticError(
-                f"cubic root residual {residual:.3e} exceeds tolerance at n_s={float(n_s)!r}"
+                f"cubic root residual {residual:.3e} exceeds tolerance at n_s={n_s!r}"
             )
-        states.append(
-            _build(float(n_s), delta_bare + shift * n_s, delta_bare, params.beta, params)
-        )
+        states.append(_build(n_s, delta_bare + shift * n_s, delta_bare, params.beta, params))
 
     for low, high in zip(states, states[1:]):
         if high.n_s - low.n_s <= _DEGENERATE_TOL * max(high.n_s, 1e-300):

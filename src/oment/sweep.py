@@ -1,8 +1,8 @@
 """Parameter sweeps with stability gating, figure presets and flat-file output.
 
 A sweep evaluates its whole grid as array stacks in one pass through the
-pipeline; a single point runs 0-d, on its own 4x4 matrices, through the same
-stages.
+pipeline; a single point calls the same stages itself, 0-d, on its own 4x4
+matrices.
 """
 
 from __future__ import annotations
@@ -153,9 +153,7 @@ class PointResult:
     status: str
 
 
-# not frozen: a frozen dataclass sets each of its fields through
-# object.__setattr__, and a single point builds one _Stack per call
-@dataclass
+@dataclass(frozen=True)
 class _Stack:
     """Every stage of the pipeline over a grid of points.
 
@@ -180,8 +178,18 @@ class _Stack:
 
 # Gate outcome by stable + marginal + 3 * (abscissa is NaN); a NaN abscissa is
 # neither stable nor marginal, so each of the four outcomes has its own index.
+# Only outcome 1, stable and not marginal, is solved.
 _GATE_STATUS = np.array([STATUS_UNSTABLE, STATUS_OK, STATUS_MARGINAL, STATUS_ERROR])
 _NAN_GATE = np.intp(3)  # a numpy integer: a Python int takes numpy's slow scalar path
+
+
+def _gate(report: StabilityReport):
+    """Gate outcome of each operating point of `report`, and its status."""
+    abscissa = report.spectral_abscissa
+    gate = _NAN_GATE * np.isnan(abscissa) + report.spectral_stable + report.marginal
+    return gate, _GATE_STATUS[gate]
+
+
 # Covariance and entanglement arrays of a stack in which no point is solved.
 _UNSOLVED = (
     np.empty((0, 4, 4)),
@@ -205,35 +213,27 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     """Stability gate -> covariance -> entanglement at every point of a grid.
 
     The fields of `steady` hold one operating point each and broadcast
-    against `n_th` to the grid, or are scalars for a single point; `params`
-    supplies everything that does not vary between points.  Only the
+    against `n_th` to the grid; `params` supplies the rest.  Only the
     diffusion depends on n_th, so the gate and the Lyapunov systems run once
     per operating point and the solve once per grid point, each (drift,
-    diffusion) pair on its own.  A single point runs 0-d: its 4x4 drift and
-    diffusion go to the solve and the check step as they are, and only the
-    fields of the returned stack get length 1.  Unstable and marginal
-    operating points skip the solve; points whose drift matrix is not finite,
-    whose residual exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical
-    get status ``error``.  It runs under its entry point's error state.
+    diffusion) pair on its own.  Unstable and marginal operating points skip
+    the solve; points whose drift matrix is not finite, whose residual
+    exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
+    ``error``.  It runs under its entry point's error state.
     """
     a, stability = _stability_stack(steady, params)
-    abscissa, stable = stability.spectral_abscissa, stability.spectral_stable
-    op_shape = abscissa.shape
-    gate = (_NAN_GATE * np.isnan(abscissa) + stable + stability.marginal).reshape(-1)
-    status = _GATE_STATUS[gate]
+    gate, status = _gate(stability)
     # an n_th axis or n_th curves: an operating point spans several grid points
-    shape = np.broadcast(abscissa, n_th).shape
-    if shape != op_shape:
-        status = np.broadcast_to(status.reshape(op_shape), shape).flatten()
-    solved = (gate == 1).nonzero()[0]
+    shape = np.broadcast(gate, n_th).shape
+    status = np.broadcast_to(status, shape).flatten()
+    solved = np.flatnonzero(gate == 1)
     if not solved.size:
         return _Stack(stability, status, solved, *_UNSOLVED)
 
-    if shape:  # a grid: gather the drift matrices and n_th of its solved points
-        a = a.reshape(-1, 4, 4)[solved]
-        if shape != op_shape:  # each drift matrix meets the diffusion matrices of its grid points
-            a, solved = a[:, None], _operating_groups(op_shape, shape)[solved]
-        n_th = np.full(shape, n_th).reshape(-1)[solved]
+    a = a.reshape(-1, 4, 4)[solved]
+    if shape != gate.shape:  # each drift matrix meets the diffusion matrices of its grid points
+        a, solved = a[:, None], _operating_groups(gate.shape, shape)[solved]
+    n_th = np.full(shape, n_th).reshape(-1)[solved]
     d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
     v, condition, ill = _solve_stack(a, d)
     ok, res, sig, det_v, eta = (x.reshape(-1) for x in _checked_eta(a, v, d))
@@ -268,8 +268,8 @@ def evaluate_point(
 
     Unstable and marginal points carry a status instead of a report.  The
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
-    and eta factor (:data:`gaussian.ETA_FACTOR`).  The point runs 0-d through
-    the same stages and checks as :func:`run_sweep`.  `params` is checked by
+    and eta factor (:data:`gaussian.ETA_FACTOR`).  The point calls the stages
+    and checks of :func:`run_sweep` itself, 0-d.  `params` is checked by
     :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here.
     """
     if n_th is None:
@@ -278,15 +278,16 @@ def evaluate_point(
     if not n_th >= 0.0:  # check_range's rule, compared inline on the hot path
         check_range(n_th=n_th)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
-    stack = _evaluate(params, steady, n_th)
+    a, stability = _stability_stack(steady, params)
+    gate, status = _gate(stability)
     covariance = report = None
-    if stack.solved.size:
-        covariance = CovarianceMatrix(
-            stack.v[0], float(stack.residual[0]), float(stack.condition[0]), bool(stack.ill[0])
-        )
-        if stack.ok[0]:
-            report = gaussian.entanglement_report(stack.sigma[0], stack.det_v[0], stack.eta[0])
-    stability = stack.stability
+    if gate == 1:
+        d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
+        v, condition, ill = _solve_stack(a, d)
+        ok, res, sig, det_v, eta = _checked_eta(a, v, d)
+        covariance = CovarianceMatrix(v, float(res), float(condition), bool(ill))
+        report = gaussian.entanglement_report(sig, det_v, eta) if ok else None
+        status = STATUS_OK if ok else STATUS_ERROR
     return PointResult(
         steady=steady,
         stability=StabilityReport(
@@ -299,7 +300,7 @@ def evaluate_point(
         ),
         covariance=covariance,
         report=report,
-        status=str(stack.status[0]),
+        status=str(status),
     )
 
 
@@ -555,7 +556,7 @@ def nth_entanglement_threshold(
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
         ok, *_, eta = _checked_eta(a, v, diffusion_matrix(gamma_m, kappa, n))
-        ok &= gaussian.log_negativity_of(eta) > 0
+        ok &= f * eta < 1.0  # entangled, by the rule of gaussian.entanglement_report
         return dict(zip(n_th, ok.tolist()))
 
     lo, hi = 0.0, n_hi

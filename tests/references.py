@@ -24,7 +24,12 @@
   the library computed them before it took them from
   :func:`oment.routh_conditions`; the library must give the same bits.
 * :func:`threshold_in_fractions` is a coupling threshold in exact rational
-  arithmetic, rounded at the end, where a float square of a rate overflows.
+  arithmetic, rounded at the end, where a float square of a rate overflows
+  or underflows.
+* :func:`bare_states_array_path` is the photon numbers and effective
+  detunings of :func:`oment.from_bare_detuning`, selected and sorted on numpy
+  arrays as the library did before it kept the roots as Python floats; the
+  library must give the same bits.
 * :func:`cubic_roots_array_polish` is :func:`oment.monic_cubic_roots` with
   its Newton polish on numpy arrays for all-real roots too, as the library
   polished them before it took Python floats there; it must give the same bits.
@@ -42,6 +47,7 @@
   :func:`run_pipeline` runs every entry point of the pipeline once.
 """
 
+import decimal
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -52,15 +58,18 @@ from numpy.linalg import _umath_linalg
 
 from oment import (
     Sweep,
+    drive_amplitude,
     entanglement_report,
     eta_stack,
     evaluate_point,
     figure_preset,
     from_bare_detuning,
+    monic_cubic_roots,
     nth_entanglement_threshold,
     residual,
     run_sweep,
     spectral_abscissa,
+    square,
 )
 from oment.constants import HBAR, K_B
 
@@ -446,7 +455,9 @@ def red_threshold_closed_form(omega_m, gamma_m, kappa, delta):
 
 def threshold_in_fractions(omega_m, gamma_m, kappa, delta):
     """The blue (delta < 0) or red (delta > 0) coupling threshold with every
-    step exact: (G/kappa)^2 as a fraction, rounded once, then sqrt and times kappa."""
+    step exact: G^2 as a fraction, its square root to 60 digits, then rounded
+    once to a float.  No step makes a float of G^2, which can lie beyond the
+    float range where G does not."""
     w, g, k, d = map(Fraction, (omega_m, gamma_m, kappa, delta))
     hk2 = k * k / 4
     if d < 0:
@@ -456,7 +467,31 @@ def threshold_in_fractions(omega_m, gamma_m, kappa, delta):
             (g + k) * (hk2 + d * d) + k * w * w
         )
         g_sq = g * k * bracket / (d * w * (g + k) ** 2)
-    return kappa * math.sqrt(g_sq / (k * k))
+    with decimal.localcontext(prec=60):
+        return float((decimal.Decimal(g_sq.numerator) / g_sq.denominator).sqrt())
+
+
+@np.errstate(all="ignore")  # the monic coefficients may overflow, as in the library
+def bare_states_array_path(delta_bare, params):
+    """(n_s, delta_eff) of every physical root of the bare-detuning cubic,
+    ascending: the non-negative real roots sorted as an array, each
+    effective detuning from the root as a numpy float."""
+    e0_sq = square(drive_amplitude(params.power, params.kappa, params.omega_laser))
+    shift = 2.0 * square(params.g_m) / params.omega_m
+    shift_sq = square(shift)
+    balance = square(float(delta_bare)) + square(params.kappa) / 4.0
+    a2 = a1 = a0 = math.inf
+    if shift_sq:
+        a2, a1, a0 = 2.0 * delta_bare / shift, balance / shift_sq, -e0_sq / shift_sq
+    if math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0):
+        roots = monic_cubic_roots(a2, a1, a0)
+        if roots.dtype.kind == "c":
+            scale = np.abs(roots).max() + 1.0
+            roots = roots[np.abs(roots.imag) <= 1e-8 * (np.abs(roots.real) + scale)].real
+        candidates = np.sort(roots[roots >= 0.0])
+    else:
+        candidates = np.array([e0_sq / balance])
+    return [(float(n_s), delta_bare + shift * n_s) for n_s in candidates]
 
 
 def cubic_roots_array_polish(a2, a1, a0):

@@ -496,6 +496,40 @@ def test_coupling_thresholds_where_kappa_squared_overflows(tmp_path, capsys):
         assert float(lines[f"g_threshold_{name}"]) == pytest.approx(exact, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "kappa_hz, name", [(None, "red"), (1e160, "blue")], ids=["red", "blue-wide-kappa"]
+)
+def test_coupling_threshold_where_omega_m_squared_underflows(tmp_path, capsys, kappa_hz, name):
+    # omega_m^2 underflows to 0; with kappa_hz = 1e160, omega_m is also 1e-330
+    # times kappa.  The threshold is finite all the same, and exact.
+    config = tmp_path / "run.cfg"
+    wide = "" if kappa_hz is None else f"kappa_hz = {kappa_hz}\n"
+    config.write_text("omega_m_hz = 1e-170\n" + wide)
+    assert main(["stability", "--config", str(config)]) == 0
+    lines = parsed_lines(capsys.readouterr().out)
+    params = default_params()
+    omega = 2.0 * math.pi * 1e-170
+    kappa = params.kappa if kappa_hz is None else 2.0 * math.pi * kappa_hz
+    delta = omega if name == "red" else -omega
+    exact = threshold_in_fractions(omega, params.gamma_m, kappa, delta)
+    assert float(lines[f"g_threshold_{name}"]) == pytest.approx(exact, rel=1e-15)
+
+
+
+@pytest.mark.parametrize("hz, code", [(1e-100, 0), (1e-200, 3)])
+def test_coupling_thresholds_at_tiny_rates(tmp_path, capsys, hz, code):
+    # every rate tiny: s1 and the red denominator underflow to 0 (and s2 at
+    # 1e-200 Hz, where the drift overflows), yet both thresholds are exact
+    config = tmp_path / "run.cfg"
+    config.write_text(f"omega_m_hz = {hz}\ngamma_m_hz = {hz}\nkappa_hz = {hz}\n")
+    assert main(["stability", "--config", str(config)]) == code
+    lines = parsed_lines(capsys.readouterr().out)
+    rate = 2.0 * math.pi * hz
+    for name, delta in (("blue", -rate), ("red", rate)):
+        exact = threshold_in_fractions(rate, rate, rate, delta)
+        assert float(lines[f"g_threshold_{name}"]) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__

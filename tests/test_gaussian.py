@@ -326,3 +326,19 @@ def test_raw_composition_reads_eta_over_cm_scale():
     literal = report_of(raw)
     from_rescaled = float(gaussian.log_negativity_of(rescaled.eta / CM_SCALE))
     assert from_rescaled == pytest.approx(literal.log_negativity, abs=1e-12)
+
+
+def test_the_two_entanglement_rules_agree_at_the_edges():
+    # f*eta < 1 (entanglement_report, the threshold's checks) and E_N > 0
+    # (log_negativity_of, the sweep's column): f*eta at 1 - ulp, 1, 1 + ulp,
+    # 0, a subnormal and NaN
+    targets = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 0.0, 1e-323, math.nan]
+    eta = np.array(targets) / gaussian.ETA_FACTOR
+    f_eta = gaussian.ETA_FACTOR * eta
+    assert f_eta.tobytes() == np.array(targets).tobytes()  # each edge is hit exactly
+    by_factor = f_eta < 1.0
+    assert by_factor.tolist() == [True, False, False, True, True, False]
+    with np.errstate(divide="ignore"):  # log(0), as under the pipeline's error state
+        assert (gaussian.log_negativity_of(eta) > 0.0).tolist() == by_factor.tolist()
+        reports = [gaussian.entanglement_report(1.0, 1.0, value) for value in eta.tolist()]
+    assert [report.entangled for report in reports] == by_factor.tolist()

@@ -196,8 +196,37 @@ def test_routh_numbers_where_kappa_squared_overflows(params):
 
 
 def test_red_threshold_where_omega_m_squared_underflows(params):
-    # omega_m * omega_m underflows to 0, and s1 / 0 is IEEE's inf
-    assert coupling_threshold_red(replace(params, omega_m=2.0 * math.pi * 1e-170)) == math.inf
+    # omega_m * omega_m underflows to 0, so s1 / 0 is inf; sqrt(s1) / omega_m
+    # / (gamma_m + kappa) is finite, and (G/kappa)^2 ~ 1e352 is not
+    omega = 2.0 * math.pi * 1e-170
+    threshold = coupling_threshold_red(replace(params, omega_m=omega))
+    assert threshold == 3.5757416935455026e185
+    assert threshold == threshold_in_fractions(omega, params.gamma_m, params.kappa, omega)
+
+
+def test_blue_threshold_where_scaled_omega_m_would_underflow(params):
+    # kappa^2 overflows, and omega_m is 1e-330 times kappa: scaled so that kappa
+    # lies in [0.5, 1), omega_m would underflow to 0 and the threshold read NaN
+    omega, kappa = 2.0 * math.pi * 1e-170, 2.0 * math.pi * 1e160
+    threshold = coupling_threshold_blue(replace(params, omega_m=omega, kappa=kappa))
+    exact = threshold_in_fractions(omega, params.gamma_m, kappa, -omega)
+    assert threshold == pytest.approx(exact, rel=1e-15)
+
+
+
+@pytest.mark.parametrize(
+    "omega_hz, gamma_hz, kappa_hz",
+    [(1e-100, 1e-100, 1e-100), (1e-200, 1e-200, 1e-200), (1e-170, 1e-65, 1e-50)],
+    ids=["s1-and-denominator-underflow", "s1-and-s2-underflow", "s1-subnormal"],
+)
+def test_thresholds_at_tiny_rates(params, omega_hz, gamma_hz, kappa_hz):
+    # s1 (~rate^6) and omega_m^2 (gamma_m+kappa)^2 underflow to 0 or lose digits,
+    # and at 1e-200 Hz s2 does too; the rescaled rates give the exact values
+    omega, gamma, kappa = (2.0 * math.pi * hz for hz in (omega_hz, gamma_hz, kappa_hz))
+    tiny = replace(params, omega_m=omega, gamma_m=gamma, kappa=kappa)
+    for threshold, delta in ((coupling_threshold_blue, -omega), (coupling_threshold_red, omega)):
+        exact = threshold_in_fractions(omega, gamma, kappa, delta)
+        assert threshold(tiny) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 # log10 of omega_m, gamma_m and kappa (rad/s), six decades each

@@ -18,7 +18,7 @@ from oment import (
     steady_states,
 )
 from oment.steadystate import square
-from references import cubic_roots_array_polish
+from references import bare_states_array_path, cubic_roots_array_polish
 
 
 @pytest.fixture
@@ -147,6 +147,55 @@ def test_degenerate_roots_warn_near_fold(params):
     with pytest.warns(DegenerateRootsWarning) as caught:
         from_bare_detuning(delta0, replace(params, power=hi))
     assert {w.filename for w in caught} == {__file__}  # the caller's line
+
+
+def assert_bare_states_are_the_array_path(delta_bare, params):
+    """from_bare_detuning's states are the roots of the array path, as Python
+    floats of the same bits, in the same order; returns how many there are."""
+    with warnings.catch_warnings():  # a sample near the fold warns; only the bits count
+        warnings.simplefilter("ignore", DegenerateRootsWarning)
+        states = from_bare_detuning(delta_bare, params)
+    assert all(type(s.n_s) is float and type(s.delta_eff) is float for s in states)
+    assert [(s.n_s.hex(), s.delta_eff.hex()) for s in states] == [
+        (n_s.hex(), float(delta_eff).hex())
+        for n_s, delta_eff in bare_states_array_path(delta_bare, params)
+    ]
+    return len(states)
+
+
+# the bistable benchmark's ranges: 0.7-30 mW, beta 0-0.6, bare delta/omega_m -2.5..0.5
+@given(
+    power=st.floats(0.7e-3, 30e-3), beta=st.floats(0.0, 0.6), bare_norm=st.floats(-2.5, 0.5)
+)
+@example(power=10e-3, beta=0.0, bare_norm=0.0)  # one root
+@example(power=10e-3, beta=0.6, bare_norm=-1.0)  # three roots
+def test_bare_states_are_python_floats_of_the_array_path(power, beta, bare_norm):
+    params = replace(default_params(), power=power, beta=beta)
+    assert_bare_states_are_the_array_path(bare_norm * params.omega_m, params)
+
+
+def test_bare_states_near_the_fold_are_python_floats_of_the_array_path(params):
+    # bisect the bare detuning at 10 mW to the fold where two branches merge
+    p10 = replace(params, power=10e-3)
+    lo, hi = -0.63 * p10.omega_m, -0.59 * p10.omega_m  # three roots vs one root
+    counts = set()
+    for _ in range(60):
+        mid = lo / 2.0 + hi / 2.0
+        count = assert_bare_states_are_the_array_path(mid, p10)
+        counts.add(count)
+        if count == 3:
+            lo = mid
+        else:
+            hi = mid
+    assert counts == {1, 3}
+    with pytest.warns(DegenerateRootsWarning):  # lo is within rounding of the fold
+        from_bare_detuning(lo, p10)
+
+
+@pytest.mark.parametrize("g_m", [1e-150, 1e-73], ids=["shift-squared-underflows", "monic-overflows"])
+def test_linear_balance_state_is_python_floats_of_the_array_path(params, g_m):
+    weak = replace(params, g_m=g_m)
+    assert assert_bare_states_are_the_array_path(-params.omega_m, weak) == 1
 
 
 def test_steady_states_rejects_negative_power(params):

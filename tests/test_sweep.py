@@ -565,7 +565,6 @@ _MIXED_POINTS = (
 _BENCH_POINTS = st.tuples(
     st.floats(0.7e-3, 30e-3), st.floats(0.0, 0.6), st.floats(-2.5, 0.5), st.floats(0.0, 3000.0)
 )
-_DIAGNOSTICS = ("v", "residual", "condition", "ill", "ok", "sigma", "det_v", "eta")
 
 
 def floats_bytes(*values):
@@ -576,7 +575,7 @@ def floats_bytes(*values):
 @given(data=st.data())
 def test_a_point_equals_its_row_in_a_stack(data):
     # a single point runs 0-d on its own (4, 4) matrices: its status and every
-    # diagnostic must be the bytes of its row in a stack of several points
+    # diagnostic it reports must be the bytes of its row in a stack of several points
     extra = data.draw(st.lists(_BENCH_POINTS, max_size=3))
     points = data.draw(st.permutations(_MIXED_POINTS + tuple(extra)))
     params = default_params()
@@ -589,15 +588,12 @@ def test_a_point_equals_its_row_in_a_stack(data):
         for index, (p, b, d, n) in enumerate(points):
             alone = replace(params, power=p, beta=b)
             point = evaluate_point(alone, d, n)
-            single = sweep._evaluate(alone, steady_states(d * alone.omega_m, p, b, alone), n)
-            assert point.status == single.status[0] == stack.status[index]
+            assert point.status == stack.status[index]
             row = (stack.solved == index).nonzero()[0]
-            assert row.size == single.solved.size == (point.covariance is not None)
+            assert row.size == (point.covariance is not None)
             if not row.size:
                 continue
-            for name in _DIAGNOSTICS:
-                assert getattr(single, name).tobytes() == getattr(stack, name)[row].tobytes()
-            # and what evaluate_point reports of them, as float64 bytes
+            # v, residual, condition, ill, ok, sigma, det V and eta, as float64 bytes
             covariance, report, k = point.covariance, point.report, row[0]
             assert covariance.v.tobytes() == stack.v[k].tobytes()
             diagnostics = covariance.residual, covariance.condition, covariance.ill_conditioned
@@ -651,6 +647,18 @@ def test_sweep_gates_and_conditions_once_per_operating_point(params, monkeypatch
     # no repeated operating points: the same work as one point per grid value
     run_sweep(figure_preset("fig1b"))
     assert counts["gated"] == [201] and counts["solved"] == [(counts["conditioned"][0],)]
+
+
+def test_a_point_does_one_points_work(params, monkeypatch):
+    counts = _count_operating_points(monkeypatch)
+    # an ok point: one drift matrix gated, one system conditioned, one pair solved
+    assert evaluate_point(params, -1.0, 100.0).status == "ok"
+    assert counts == {"gated": [1], "conditioned": [1], "solved": [()]}
+    for values in counts.values():
+        values.clear()
+    # an unstable point: gated, and nothing conditioned or solved
+    assert evaluate_point(replace(params, power=10e-3, beta=0.2), 0.5, 100.0).status == "unstable"
+    assert counts == {"gated": [1], "conditioned": [], "solved": []}
 
 
 def test_singular_operating_point_warns_once(params):
@@ -791,12 +799,13 @@ def test_nth_threshold_verdicts_come_from_the_checks(params, monkeypatch):
     unshifted = [nth_entanglement_threshold(p, delta_norm) for p, delta_norm in points]
     # the checks now draw the line at f*eta = 1/1.02, Simon's quartic still at
     # f*eta = 1: the quartic mispredicts and the checks decide
-    log_negativity_of = gaussian.log_negativity_of
+    eta_stack = gaussian._eta_stack
 
-    def shifted(eta):
-        return log_negativity_of(1.02 * eta)
+    def shifted(v):
+        sig, det_v, eta, physical = eta_stack(v)
+        return sig, det_v, 1.02 * eta, physical
 
-    monkeypatch.setattr(gaussian, "log_negativity_of", shifted)
+    monkeypatch.setattr(gaussian, "_eta_stack", shifted)
     for (p, delta_norm), before in zip(points, unshifted):
         threshold = nth_entanglement_threshold(p, delta_norm)
         assert threshold == nth_threshold_point_by_point(p, delta_norm) < before
