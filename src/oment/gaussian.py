@@ -15,9 +15,8 @@ V~ = L L^T by Cholesky: M = L^T Omega L is antisymmetric with eigenvalues
 +-i nu_1 and +-i nu_2, so nu_1^2 + nu_2^2 = ||M||_F^2 / 2 and
 nu_1 nu_2 = |Pf M| = det L, the product of the diagonal of L.  A matrix that
 has no Cholesky factor is not positive definite, so not a physical CM, and
-one whose two routes disagree reads non-physical too.  The
-determinants and factors are numpy's LAPACK gufuncs without the ``np.linalg``
-wrappers, so a matrix with no factor reads NaN alone, not the whole stack.
+one whose two routes disagree reads non-physical too.  The determinants and
+factors come from :mod:`oment._lapack`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+from . import _lapack
 
 __all__ = [
     "EntanglementReport",
@@ -81,7 +81,7 @@ class EntanglementReport:
 def sigma(v):
     """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per
     matrix of a stack."""
-    d = _umath_linalg.det(v[..., _ROWS, _COLS], signature="d->d")
+    d = _lapack.det(v[..., _ROWS, _COLS])
     return d[..., 0] + d[..., 1] - 2.0 * d[..., 2]
 
 
@@ -92,7 +92,7 @@ def _eta_cholesky(v):
     One that is not has a NaN factor and so a NaN product p of its diagonal;
     the others are factored as they are alone.  Runs under the caller's errstate.
     """
-    lower = _umath_linalg.cholesky_lo(v * _FLIP, signature="d->d")
+    lower = _lapack.cholesky_lo(v * _FLIP)
     m = lower.swapaxes(-1, -2) @ (_OMEGA @ lower)
     s = 0.5 * (m * m).sum(axis=(-2, -1))
     p = lower.diagonal(0, -2, -1).prod(axis=-1)
@@ -120,7 +120,7 @@ def eta_stack(v):
     if not isinstance(v, np.ndarray):
         v = np.asarray(v, dtype=float)
     sig = _sigma(v)
-    det_v = _umath_linalg.det(v, signature="d->d")
+    det_v = _lapack.det(v)
     sig_sq = sig * sig
     radicand = sig_sq - 4.0 * det_v
     inner = (sig - np.sqrt(np.maximum(radicand, 0.0))) / 2.0

@@ -6,8 +6,7 @@ by two independent routes: the closed-form quartic Routh-Hurwitz conditions
 actual drift matrix, which includes ``beta`` and is the gating check for the
 covariance solve.  The builders and both routes are elementwise, so a whole
 grid, or a single point, is gated by :func:`stability_stack` with one stack of
-drift matrices and one batched eigvals: numpy's LAPACK gufunc, called as
-``np.linalg.eigvals`` calls it but without its wrapper.
+drift matrices and one batched eigvals from :mod:`oment._lapack`.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
+from . import _lapack
 from .params import PhysicalParams, check_range
 from .steadystate import SteadyState, square
 
@@ -130,7 +129,7 @@ def spectral_abscissa(a: np.ndarray):
         abscissa = np.full(finite.shape, np.nan)
         abscissa[finite] = _spectral_abscissa(a[finite])
         return abscissa
-    return _umath_linalg.eigvals(a, signature="d->D").real.max(axis=-1)
+    return _lapack.eigvals(a).real.max(axis=-1)
 
 
 def spectral_verdict(abscissa, marginal_tol: float = 0.0):

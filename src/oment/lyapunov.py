@@ -8,9 +8,8 @@ The condition diagnostic is the 1-norm condition ||S||_1 ||S^-1||_1 of each
 system S from one batched inverse and the column sums of S and of its
 inverse: within a factor of 10 of the 2-norm condition, and ``inf`` where it
 is not finite (S singular, or the condition beyond the float range).  Solve
-and inverse are numpy's LAPACK gufuncs without the ``np.linalg`` wrappers, so
-a singular system reads NaN alone.  The pipeline takes :func:`residual` of
-each solution in its one check step after the solve, ``sweep._checked_eta``.
+and inverse come from :mod:`oment._lapack`.  The pipeline's one check step
+after the solve, ``sweep._checked_eta``, takes :func:`residual` of each solution.
 The test suite checks the solve against an independent quadrature oracle.
 """
 
@@ -22,7 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+from . import _lapack
 
 __all__ = [
     "CovarianceMatrix",
@@ -120,7 +120,7 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
     condition = _condition(system)
     rhs = -d[..., _UT[0], _UT[1], None]
-    solution = _umath_linalg.solve(system, rhs, signature="dd->d")[..., 0]
+    solution = _lapack.solve(system, rhs)[..., 0]
 
     ill = ~(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
     if ill.any():  # every condition that is not finite is ill, so only here is a v masked
@@ -143,7 +143,7 @@ def _condition(system):
     """1-norm condition ||S||_1 ||S^-1||_1 of each system of a stack, as
     ``np.linalg.cond(system, 1)`` gives it: ``inf`` for a singular system
     unless it has a NaN entry."""
-    condition = _norm_1(system) * _norm_1(_umath_linalg.inv(system, signature="d->d"))
+    condition = _norm_1(system) * _norm_1(_lapack.inv(system))
     nan = np.isnan(condition)
     if nan.any():
         return np.where(nan & ~np.isnan(system).any(axis=(-2, -1)), np.inf, condition)

@@ -212,8 +212,9 @@ def load_config(path: str | Path) -> PhysicalParams:
     """Load parameters from a plain-text ``key = value`` file.
 
     Unspecified keys keep their default values.  Frequencies are plain Hz
-    values multiplied by 2*pi, so kappa = 2*pi*kappa_hz.  A key given twice
-    is an error.
+    values multiplied by 2*pi, so kappa = 2*pi*kappa_hz.  A key given twice,
+    or a value that is not finite or outside its field's range, is an error
+    that names the file, line and key.
     """
     raw: dict[str, tuple[int, str]] = {}
     try:
@@ -238,8 +239,13 @@ def load_config(path: str | Path) -> PhysicalParams:
         if key in raw:
             lineno, value = raw[key]
             try:
-                updates[field] = factor * float(value)
+                number = float(value)
             except ValueError as exc:
                 message = f"{path}:{lineno}: invalid number for {key!r}: {value!r}"
                 raise ConfigError(message) from exc
+            within, bound = _RANGES[field]  # the factor is positive, so the rule holds unscaled
+            if not (within(number, bound) and math.isfinite(number)):
+                rule = "finite" if within(number, bound) else f"{_SYMBOLS[within]} {bound!r}"
+                raise ConfigError(f"{path}:{lineno}: {key} must be {rule}, got {number!r}")
+            updates[field] = factor * number
     return replace(default_params(), **updates)

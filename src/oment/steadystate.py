@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
+from . import _lapack
 from .params import PhysicalParams, _drive_amplitude, check_range, require_finite
 
 __all__ = [
@@ -126,7 +126,7 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
             [0.0, 1.0, -a2],
         ]
     )
-    roots = _umath_linalg.eigvals(companion, signature="d->D")
+    roots = _lapack.eigvals(companion)
     if roots.imag.any():
         poly = ((roots + a2) * roots + a1) * roots + a0
         step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)

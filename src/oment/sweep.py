@@ -13,9 +13,8 @@ from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from . import gaussian
+from . import _lapack, gaussian
 from .gaussian import EntanglementReport
 from .linmodel import StabilityReport, _stability_stack, diffusion_matrix
 from .lyapunov import CovarianceMatrix, _residual, _solve_stack
@@ -90,6 +89,9 @@ class SweepSpec:
                 require_finite(**{name: value})
         if not self.start < self.stop:
             raise ConfigError("start must be < stop")
+        span = float(self.stop) - float(self.start)
+        if not math.isfinite(span):  # np.linspace steps by it
+            raise ConfigError(f"stop - start must be finite, got {span!r}")
         if not isinstance(self.count, (int, np.integer)):
             raise ConfigError(f"count must be an integer, got {self.count!r}")
         if self.count < 2:
@@ -190,13 +192,6 @@ def _gate(report: StabilityReport):
     return gate, _GATE_STATUS[gate]
 
 
-# Covariance and entanglement arrays of a stack in which no point is solved.
-_UNSOLVED = (
-    np.empty((0, 4, 4)),
-    *(np.empty(0, dtype) for dtype in (float, float, bool, bool, float, float, float)),
-)
-
-
 def _operating_groups(op_shape: tuple, shape: tuple) -> np.ndarray:
     """Flat grid indices by operating point: row i holds the grid points of
     operating point i, in grid order.
@@ -227,9 +222,6 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     shape = np.broadcast(gate, n_th).shape
     status = np.broadcast_to(status, shape).flatten()
     solved = np.flatnonzero(gate == 1)
-    if not solved.size:
-        return _Stack(stability, status, solved, *_UNSOLVED)
-
     a = a.reshape(-1, 4, 4)[solved]
     if shape != gate.shape:  # each drift matrix meets the diffusion matrices of its grid points
         a, solved = a[:, None], _operating_groups(gate.shape, shape)[solved]
@@ -549,7 +541,7 @@ def nth_entanglement_threshold(
     (v0, v1), *_ = _solve_stack(a, np.array([diffusion_matrix(gamma_m, kappa, 0.0), step]))
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
-    simon = _umath_linalg.det(w, signature="d->d") - gaussian._sigma(w) / f**2 + f**-4
+    simon = _lapack.det(w) - gaussian._sigma(w) / f**2 + f**-4
     quartic = (_FIT @ simon).tolist()
 
     def entangled(n_th: list[float]) -> dict[float, bool]:

@@ -191,10 +191,12 @@ def test_bad_beta_exits_2(capsys):
         ["sweep", "--axis", "power", "--start", "-1", "--stop", "1", "--count", "3"],
         ["sweep", "--axis", "delta_norm", "--start", "-1", "--stop", "0", "--nth", "-1"],
         ["sweep", "--axis", "delta_norm", "--start", "-1", "--stop", "0", "--curves", "beta=0,1"],
+        # stop - start overflows; argparse takes "-1e308" after a space for an option
+        ["sweep", "--axis=delta_norm", "--start=-1e308", "--stop=1e308", "--count=3"],
     ],
     ids=[
         "point-power", "point-nth", "stability-power", "stability-beta",
-        "sweep-power-axis", "sweep-nth", "sweep-beta-curves",
+        "sweep-power-axis", "sweep-nth", "sweep-beta-curves", "sweep-span",
     ],
 )
 def test_out_of_range_input_exits_2(argv, capsys):

@@ -1,12 +1,14 @@
 """oment calls numpy's LAPACK gufuncs without the ``np.linalg`` wrappers.
 
 ``numpy.linalg._umath_linalg`` is private, so these tests pin what oment
-relies on: each call, as oment makes it, gives the bits of the public
-wrapper; a singular member of a stack, or one that is not positive definite,
-reads NaN while the others keep their bits; and no wrapper runs on the
-pipeline's path.  A numpy release that changes the private module fails
-here.
+relies on: each call, as ``oment._lapack`` makes it, gives the bits of the
+public wrapper; a singular member of a stack, or one that is not positive
+definite, reads NaN while the others keep their bits; no wrapper runs on the
+pipeline's path; and no other module of oment calls the private module.  A
+numpy release that changes it fails here.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
-from oment import default_params, monic_cubic_roots
+import oment
+from oment import _lapack, default_params, monic_cubic_roots
 from references import STACK_SHAPES, record_gufunc_calls, run_pipeline
 
 # Each gufunc with the signature oment passes it, and the public wrapper
@@ -29,12 +32,12 @@ WRAPPERS = {
 SIZES = (2, 3, 4, 10)
 
 
-def direct(name, signature, *args):
-    """The gufunc call as oment makes it, under ``np.errstate(all="ignore")``;
+def direct(name, *args):
+    """The gufunc call of ``oment._lapack``, under ``np.errstate(all="ignore")``;
     an all-real eigvals result is made real, the wrapper's rule that
     ``monic_cubic_roots`` keeps."""
     with np.errstate(all="ignore"):
-        out = getattr(_umath_linalg, name)(*args, signature=signature)
+        out = getattr(_lapack, name)(*args)
     if name == "eigvals" and not out.imag.any():
         out = out.real
     return out
@@ -68,7 +71,7 @@ def random_inputs(name, seed, shape, n, symmetric):
 )
 def test_gufunc_gives_the_bits_of_its_wrapper(seed, call, shape, n, symmetric):
     args = random_inputs(call[0], seed, shape, n, symmetric)
-    assert_same_bits(direct(*call, *args), WRAPPERS[call](*args))
+    assert_same_bits(direct(call[0], *args), WRAPPERS[call](*args))
 
 
 @given(roots=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3), real=st.booleans())
@@ -124,7 +127,7 @@ def test_a_failing_member_reads_nan_and_the_others_keep_their_bits(seed, name, k
     args = random_inputs(name, seed, (k,), n, False)
     args[0][bad] = failing_member(name, n)
     signature = "dd->d" if name == "solve" else "d->d"
-    out = direct(name, signature, *args)
+    out = direct(name, *args)
     assert np.isnan(out[bad]).all()
     others = [j for j in range(k) if j != bad]
     expected = WRAPPERS[name, signature](*(x[others] for x in args))
@@ -145,7 +148,7 @@ def test_oment_calls_each_gufunc_as_its_wrapper_does(params, monkeypatch):
         for args, kwargs in recorded:
             assert kwargs.keys() == {"signature"}
             wrapper = WRAPPERS[name, kwargs["signature"]]
-            assert_same_bits(direct(name, kwargs["signature"], *args), wrapper(*args))
+            assert_same_bits(direct(name, *args), wrapper(*args))
 
 
 def test_no_linalg_wrapper_runs_on_the_pipeline(params, monkeypatch):
@@ -157,3 +160,9 @@ def test_no_linalg_wrapper_runs_on_the_pipeline(params, monkeypatch):
     for name in ("eigvals", "inv", "solve", "det", "cholesky", "cond"):
         monkeypatch.setattr(np.linalg, name, refuse)
     assert run_pipeline(params) == expected
+
+
+def test_only_the_lapack_module_calls_the_private_gufuncs():
+    sources = {path.name: path.read_text() for path in Path(oment.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "_umath_linalg" in text] == ["_lapack.py"]
+    assert [name for name, text in sources.items() if "signature=" in text] == ["_lapack.py"]

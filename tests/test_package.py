@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,14 @@ def test_every_exported_function_carries_its_name_and_a_docstring(module):
     }
     assert {name: f.__name__ for name, f in functions.items() if f.__name__ != name} == {}
     assert [name for name, f in functions.items() if not (f.__doc__ or "").strip()] == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

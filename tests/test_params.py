@@ -259,6 +259,16 @@ def test_load_config_partial_keeps_defaults(tmp_path):
     assert params.temperature == defaults.temperature
 
 
+# A value outside its field's range is named by file, line and key, as written.
+_RANGE_ERRORS = {
+    "beta = 1.5\n": "params.cfg:1: beta must be < 1, got 1.5$",
+    "beta = 1.0\n": "params.cfg:1: beta must be < 1, got 1.0$",
+    "power_w = -1e-3\n": "params.cfg:1: power_w must be >= 0, got -0.001$",
+    "kappa_hz = -5\n": "params.cfg:1: kappa_hz must be > 0, got -5.0$",
+    "kappa_hz = inf\n": "params.cfg:1: kappa_hz must be finite, got inf$",
+}
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -271,12 +281,14 @@ def test_load_config_partial_keeps_defaults(tmp_path):
         "power_w = -1e-3\n",
         "eta_factor = 2\n",
         "beta = x\n",
+        "kappa_hz = -5\n",
+        "kappa_hz = inf\n",
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, content):
     config = tmp_path / "params.cfg"
     config.write_text(content)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=_RANGE_ERRORS.get(content)):
         load_config(config)
 
 

@@ -216,6 +216,7 @@ def test_run_sweep_nth_axis(params):
         dict(axis="beta", start=0.0, stop=1.0),
         dict(curves=(0.0, 1.0), curve_param="beta"),
         dict(axis="n_th", start=0.0, stop=10.0, curve_delta_norms=(1.0,)),
+        dict(start=-1e308, stop=1e308, count=3),
     ],
 )
 def test_sweep_spec_validation(params, overrides):
@@ -233,6 +234,7 @@ def test_sweep_spec_validation(params, overrides):
         (dict(delta_norm=None), "delta_norm"),
         (dict(n_th="5"), "n_th"),
         (dict(curves=("x",)), "curves"),
+        (dict(start=-1e308, stop=1e308, count=3), "stop - start"),
     ],
 )
 def test_sweep_spec_errors_name_the_field(params, overrides, field):
@@ -541,6 +543,9 @@ _EDGE_DELTA_NORMS = (-1.0, 1.0, -1.0, -1.0, 0.0)
         (dict(axis="power", start=0.0, stop=1e300, count=5, curve_param="n_th",
               curves=(0.0, 100.0)),
          {"ok", "error"}),
+        # nothing solved: an all-unstable grid, with and without an n_th axis
+        (dict(axis="n_th", start=0.0, stop=3000.0, count=9, delta_norm=1.0), {"unstable"}),
+        (dict(start=0.8, stop=1.2), {"unstable"}),
     ],
 )
 def test_nth_grids_match_point_by_point(params, overrides, statuses):
