@@ -1,9 +1,9 @@
 """Stationary continuous-variable entanglement of a driven optomechanical
 cavity with geometrical (Duffing-type softening) nonlinearity.
 
-Pipeline: classical steady state -> linearized drift/diffusion matrices ->
-Routh-Hurwitz and spectral stability -> Lyapunov covariance matrix ->
-logarithmic negativity; plus detuning/nonlinearity/occupation sweeps and a
+Pipeline: classical steady state -> Routh-Hurwitz stability of the drift's
+characteristic quartic -> linearized drift/diffusion matrices -> Lyapunov
+covariance matrix -> logarithmic negativity; plus detuning/nonlinearity/occupation sweeps and a
 CLI reproducing the reference figure data.
 
 Each stage has one entry point, an elementwise or stacked function that takes

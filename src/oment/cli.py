@@ -22,8 +22,14 @@ from dataclasses import replace
 import numpy as np
 
 from .gaussian import CM_SCALE, log_negativity_of
-from .linmodel import coupling_threshold_blue, coupling_threshold_red
+from .linmodel import (
+    coupling_threshold_blue,
+    coupling_threshold_red,
+    drift_matrix,
+    spectral_abscissa,
+)
 from .params import ConfigError, PhysicalParams, default_params, load_config
+from .steadystate import SteadyState
 from .sweep import (
     FIGURE_NAMES,
     STATUS_OK,
@@ -69,6 +75,13 @@ def _params_from_args(args: argparse.Namespace) -> tuple[PhysicalParams, float |
     return params, getattr(args, "nth", None)
 
 
+def _abscissa(params: PhysicalParams, steady: SteadyState) -> float:
+    """Spectral abscissa of the point's drift matrix, NaN where that is not finite."""
+    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
+    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
+    return float(spectral_abscissa(a))
+
+
 def _cmd_point(args: argparse.Namespace) -> int:
     params, nth = _params_from_args(args)
     point = evaluate_point(params, args.delta_norm, nth)
@@ -76,7 +89,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     print(f"n_s={_fmt(point.steady.n_s)}")
     print(f"g_eff={_fmt(point.steady.g_eff)}")
     if point.status != STATUS_OK:
-        print(f"spectral_abscissa={_fmt(point.stability.spectral_abscissa)}")
+        print(f"spectral_abscissa={_fmt(_abscissa(params, point.steady))}")
         if point.covariance is not None:  # solved, then failed a check: say which
             print(f"condition={_fmt(point.covariance.condition)}")
             print(f"residual={_fmt(point.covariance.residual)}")
@@ -98,16 +111,17 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     params, nth = _params_from_args(args)
     point = evaluate_point(params, args.delta_norm, nth)
     stability = point.stability
+    abscissa = _abscissa(params, point.steady)
     print(f"s1={_fmt(stability.s1)}")
     print(f"s2={_fmt(stability.s2)}")
     print(f"routh_stable={'true' if stability.routh_stable else 'false'}")
-    print(f"spectral_abscissa={_fmt(stability.spectral_abscissa)}")
+    print(f"spectral_abscissa={_fmt(abscissa)}")
     print(f"spectral_stable={'true' if stability.spectral_stable else 'false'}")
     print(f"g_eff={_fmt(point.steady.g_eff)}")
     print(f"g_threshold_blue={_fmt(coupling_threshold_blue(params))}")
     print(f"g_threshold_red={_fmt(coupling_threshold_red(params))}")
     # a NaN abscissa: the steady state overflowed and stability is undecided
-    return EXIT_NUMERICAL if np.isnan(stability.spectral_abscissa) else EXIT_OK
+    return EXIT_NUMERICAL if np.isnan(abscissa) else EXIT_OK
 
 
 def _parse_curves(text: str) -> tuple[str, tuple[float, ...]]:

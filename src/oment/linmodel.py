@@ -1,12 +1,21 @@
 """Linearized fluctuation dynamics: drift matrix, diffusion matrix, stability.
 
-Quadrature ordering is ``u = (dx_m, dp_m, dI, dphi)``.  Stability is decided
-by two independent routes: the closed-form quartic Routh-Hurwitz conditions
-``s1``/``s2`` (written for ``beta = 0``) and the spectral abscissa of the
-actual drift matrix, which includes ``beta`` and is the gating check for the
-covariance solve.  The builders and both routes are elementwise, so a whole
-grid, or a single point, is gated by :func:`stability_stack` with one stack of
-drift matrices and one batched eigvals from :mod:`oment._lapack`.
+Quadrature ordering is ``u = (dx_m, dp_m, dI, dphi)``.  The stability gate of
+the covariance solve is the Routh-Hurwitz test (DeJesus & Kaufman, PRA 35,
+5288 (1987)) of the drift's characteristic quartic, nonlinearity beta included,
+
+    p(s) = (s^2 + gamma_m s + omega_m^2 (1 - beta)) ((s + kappa/2)^2 + Delta^2)
+           + omega_m Delta G^2:
+
+a point is stable where p is Hurwitz, and marginal where p(z - eps), with
+eps = MARGINAL_ABSCISSA_FACTOR * kappa, is not (a root lies within eps of the
+imaginary axis).  The test is elementwise arithmetic with no LAPACK call, so
+:func:`stability_stack` gates a whole grid, or a single point on Python
+floats, without building a drift matrix; the pipeline builds one only for a
+point that passes.  The closed-form conditions ``s1``/``s2``, written for
+``beta = 0``, are reported alongside.  :func:`spectral_abscissa`, the largest
+real part of the drift's eigenvalues from one batched eigvals of
+:mod:`oment._lapack`, is what ``oment stability`` prints.
 """
 
 from __future__ import annotations
@@ -27,32 +36,36 @@ __all__ = [
     "diffusion_matrix",
     "routh_conditions",
     "spectral_abscissa",
-    "spectral_verdict",
     "stability_stack",
     "coupling_threshold_blue",
     "coupling_threshold_red",
 ]
 
-# Points with spectral abscissa in (-MARGINAL_ABSCISSA_FACTOR*kappa, 0) are
-# flagged marginal and excluded from the covariance solve, where V diverges.
+# Stable points with a root of real part in [-MARGINAL_ABSCISSA_FACTOR*kappa, 0)
+# are flagged marginal and excluded from the covariance solve, where V diverges.
 MARGINAL_ABSCISSA_FACTOR = 1e-6
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Both stability verdicts, of one point or of a stack of points.
+    """Stability of one point or of a stack of points.
 
-    ``routh_stable`` iff s1 > 0 and s2 > 0; ``spectral_stable`` iff the
-    spectral abscissa is strictly negative; ``marginal`` marks stable points
-    too close to the boundary for a reliable covariance solve.
+    ``routh_stable`` iff s1 > 0 and s2 > 0, the closed form for beta = 0.
+    ``spectral_stable`` is the quartic gate's verdict: every root of the
+    drift's characteristic quartic, beta included, has a negative real part.
+    ``marginal`` marks stable points with a root within
+    ``MARGINAL_ABSCISSA_FACTOR * kappa`` of the imaginary axis, too close to
+    the boundary for a reliable covariance solve.  ``undecided`` marks points
+    where a quartic coefficient or Hurwitz determinant is not finite (an
+    overflowed steady state); they are neither stable nor marginal.
     """
 
     s1: float
     s2: float
     routh_stable: bool
-    spectral_abscissa: float
     spectral_stable: bool
     marginal: bool
+    undecided: bool
 
 
 def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.0) -> np.ndarray:
@@ -90,7 +103,7 @@ def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
 
 
 # a huge coupling overflows s1, and a larger one s2, to +-inf (NaN at delta
-# = 0): the Routh verdict reads unstable and the spectral gate sets the status
+# = 0): the Routh verdict reads unstable and the quartic gate sets the status
 @np.errstate(all="ignore")
 def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     """The two nontrivial Routh-Hurwitz conditions (s1, s2) for beta = 0.
@@ -120,55 +133,75 @@ def spectral_abscissa(a: np.ndarray):
     """Largest real part of the eigenvalues of A; one per matrix of a stack.
 
     A matrix with an infinite or NaN entry is kept from LAPACK and reads NaN;
-    the others get the bits they get alone.
+    the others get the bits they get alone.  The pipeline does not call it:
+    the quartic gate of :func:`stability_stack` decides stability.
     """
-    finite = np.isfinite(a)
-    if np.count_nonzero(finite) != finite.size:
-        a = np.asarray(a, dtype=float)
-        finite = finite.all(axis=(-2, -1))
-        abscissa = np.full(finite.shape, np.nan)
-        abscissa[finite] = _spectral_abscissa(a[finite])
-        return abscissa
-    return _lapack.eigvals(a).real.max(axis=-1)
+    a = np.asarray(a, dtype=float)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    abscissa = np.full(finite.shape, np.nan)
+    abscissa[finite] = _lapack.eigvals(a[finite]).real.max(axis=-1)
+    return abscissa
 
 
-def spectral_verdict(abscissa, marginal_tol: float = 0.0):
-    """(stable, marginal), elementwise: stable iff the abscissa is < 0, marginal
-    iff stable with abscissa > -marginal_tol."""
-    stable = abscissa < 0.0
-    return stable, stable & (abscissa > -marginal_tol)
+def _hurwitz(omega_m, gamma_m, kappa, delta, g, beta, shift):
+    """Whether q(z) = p(z - shift) is Hurwitz, and its determinant h3; elementwise.
+
+    q(z) = (z^2 + b1 z + b0)(z^2 + c1 z + c0) + omega_m delta g^2 has the
+    coefficients a1 = b1 + c1, a2 = b0 + c0 + b1 c1, a3 = b1 c0 + b0 c1 and
+    a4 = b0 c0 + omega_m delta g^2, and is Hurwitz iff a1, h2 = a1 a2 - a3,
+    h3 = a3 h2 - a1^2 a4 and a4 are all positive.  A coefficient or
+    determinant that is not finite leaves h3 not finite, so h3 alone tells
+    where the test is undecided.  Squares are products, so a point on floats
+    gets the bits of its entry in an array.
+    """
+    b1 = gamma_m - 2.0 * shift
+    b0 = shift * shift - gamma_m * shift + omega_m * omega_m * (1.0 - beta)
+    c1 = kappa - 2.0 * shift
+    half = kappa / 2.0 - shift
+    c0 = half * half + delta * delta
+    a1 = b1 + c1
+    a2 = b0 + c0 + b1 * c1
+    a3 = b1 * c0 + b0 * c1
+    a4 = b0 * c0 + omega_m * delta * (g * g)
+    h2 = a1 * a2 - a3
+    h3 = a3 * h2 - a1 * a1 * a4
+    return (a1 > 0.0) & (h2 > 0.0) & (h3 > 0.0) & (a4 > 0.0), h3
 
 
 @np.errstate(all="ignore")
-def stability_stack(steady: SteadyState, params: PhysicalParams):
-    """Drift matrices and both stability routes at every point of `steady`.
+def stability_stack(steady: SteadyState, params: PhysicalParams) -> StabilityReport:
+    """Both stability verdicts at every point of `steady`, as a :class:`StabilityReport`.
 
-    Returns the drift stack and a :class:`StabilityReport` of arrays.  The
-    spectral route uses the full drift matrix including beta and gates the
-    covariance solve; the Routh-Hurwitz numbers are reported verbatim.  One
-    batched eigvals gates the stack (:func:`spectral_abscissa`).  A drift
-    matrix with an infinite or NaN entry (an overflowed steady state) gets a
-    NaN abscissa and is neither stable nor marginal; the others are gated as
-    they are alone.  Raises ``ConfigError`` unless every beta is below 1.
+    The quartic gate (see the module docstring) decides ``spectral_stable``,
+    ``marginal`` and ``undecided`` from the fields of `steady` and the rates
+    of `params`, with no drift matrix and no LAPACK call; the Routh-Hurwitz
+    numbers s1, s2 are reported verbatim.  Each point is decided alone, on
+    the types it is given: Python floats give Python floats and bools.
+    Raises ``ConfigError`` unless every beta is below 1.
     """
+    check_range(beta=steady.beta)
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
-    s1, s2 = _routh_conditions(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff)
-    abscissa = _spectral_abscissa(a)
-    stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
-    return a, StabilityReport(
+    delta, g, beta = steady.delta_eff, steady.g_eff, steady.beta
+    s1, s2 = _routh_conditions(omega_m, gamma_m, kappa, delta, g)
+    hurwitz, h3 = _hurwitz(omega_m, gamma_m, kappa, delta, g, beta, 0.0)
+    clear, h3_clear = _hurwitz(
+        omega_m, gamma_m, kappa, delta, g, beta, MARGINAL_ABSCISSA_FACTOR * kappa
+    )
+    decided = (abs(h3) < math.inf) & (abs(h3_clear) < math.inf)
+    stable = hurwitz & decided
+    # x ^ True is "not x" for a bool and an array alike (~True is -2)
+    return StabilityReport(
         s1=s1,
         s2=s2,
         routh_stable=(s1 > 0) & (s2 > 0),
-        spectral_abscissa=abscissa,
         spectral_stable=stable,
-        marginal=marginal,
+        marginal=stable & (clear ^ True),
+        undecided=decided ^ True,
     )
 
 
 # The undecorated bodies, which the pipeline runs under its entry point's errstate.
 _routh_conditions = routh_conditions.__wrapped__
-_spectral_abscissa = spectral_abscissa.__wrapped__
 _stability_stack = stability_stack.__wrapped__
 
 

@@ -213,8 +213,9 @@ def load_config(path: str | Path) -> PhysicalParams:
 
     Unspecified keys keep their default values.  Frequencies are plain Hz
     values multiplied by 2*pi, so kappa = 2*pi*kappa_hz.  A key given twice,
-    or a value that is not finite or outside its field's range, is an error
-    that names the file, line and key.
+    or a value that is not finite, outside its field's range or finite only
+    before that conversion (``kappa_hz = 1e308``), is an error that names the
+    file, line and key.
     """
     raw: dict[str, tuple[int, str]] = {}
     try:
@@ -248,4 +249,8 @@ def load_config(path: str | Path) -> PhysicalParams:
                 rule = "finite" if within(number, bound) else f"{_SYMBOLS[within]} {bound!r}"
                 raise ConfigError(f"{path}:{lineno}: {key} must be {rule}, got {number!r}")
             updates[field] = factor * number
+            if not math.isfinite(updates[field]):
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} = {value} overflows {field} = {factor!r} * {key}"
+                )
     return replace(default_params(), **updates)

@@ -78,7 +78,9 @@ class SteadyState:
 
 
 def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadyState:
-    alpha_s = np.sqrt(n_s)
+    # math.sqrt is correctly rounded, as np.sqrt is: a point on floats keeps
+    # its row's bits without numpy's per-call cost
+    alpha_s = math.sqrt(n_s) if isinstance(n_s, float) else np.sqrt(n_s)
     return SteadyState(
         n_s=n_s,
         alpha_s=alpha_s,

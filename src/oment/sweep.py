@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _lapack, gaussian
 from .gaussian import EntanglementReport
-from .linmodel import StabilityReport, _stability_stack, diffusion_matrix
+from .linmodel import StabilityReport, _stability_stack, diffusion_matrix, drift_matrix
 from .lyapunov import CovarianceMatrix, _residual, _solve_stack
 from .params import (
     ConfigError,
@@ -125,8 +125,9 @@ class SweepSpec:
 class Sweep:
     """Figure data as columns, one entry per grid point, curves outer.
 
-    The fields are the output columns of :func:`emit`, in order.  ``curve``
-    is NaN without curves; ``eta`` and ``log_negativity`` are NaN exactly
+    The fields are the output columns of :func:`emit`, in order.
+    ``spectral_stable`` is the quartic gate's verdict, beta included, and
+    ``routh_stable`` the beta = 0 closed form.  ``curve`` is NaN without curves; ``eta`` and ``log_negativity`` are NaN exactly
     where the status is not ok (an ok point has passed the residual check,
     so neither is NaN there).
     """
@@ -178,18 +179,22 @@ class _Stack:
     eta: np.ndarray
 
 
-# Gate outcome by stable + marginal + 3 * (abscissa is NaN); a NaN abscissa is
+# Gate outcome by 3 * undecided + stable + marginal; an undecided point is
 # neither stable nor marginal, so each of the four outcomes has its own index.
 # Only outcome 1, stable and not marginal, is solved.
 _GATE_STATUS = np.array([STATUS_UNSTABLE, STATUS_OK, STATUS_MARGINAL, STATUS_ERROR])
-_NAN_GATE = np.intp(3)  # a numpy integer: a Python int takes numpy's slow scalar path
 
 
 def _gate(report: StabilityReport):
     """Gate outcome of each operating point of `report`, and its status."""
-    abscissa = report.spectral_abscissa
-    gate = _NAN_GATE * np.isnan(abscissa) + report.spectral_stable + report.marginal
+    # the int first: numpy adds two bool arrays as a logical or
+    gate = 3 * report.undecided + report.spectral_stable + report.marginal
     return gate, _GATE_STATUS[gate]
+
+
+def _drift(params: PhysicalParams, delta_eff, g_eff, beta) -> np.ndarray:
+    """Drift matrices of the points that pass the gate, elementwise."""
+    return drift_matrix(params.omega_m, params.gamma_m, params.kappa, delta_eff, g_eff, beta)
 
 
 def _operating_groups(op_shape: tuple, shape: tuple) -> np.ndarray:
@@ -211,18 +216,21 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     against `n_th` to the grid; `params` supplies the rest.  Only the
     diffusion depends on n_th, so the gate and the Lyapunov systems run once
     per operating point and the solve once per grid point, each (drift,
-    diffusion) pair on its own.  Unstable and marginal operating points skip
-    the solve; points whose drift matrix is not finite, whose residual
-    exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical get status
-    ``error``.  It runs under its entry point's error state.
+    diffusion) pair on its own.  Only the operating points that pass the gate
+    get a drift matrix and a solve; undecided points, and points whose
+    residual exceeds :data:`RESIDUAL_LIMIT` or whose CM is non-physical, get
+    status ``error``.  It runs under its entry point's error state.
     """
-    a, stability = _stability_stack(steady, params)
+    stability = _stability_stack(steady, params)
     gate, status = _gate(stability)
     # an n_th axis or n_th curves: an operating point spans several grid points
     shape = np.broadcast(gate, n_th).shape
     status = np.broadcast_to(status, shape).flatten()
     solved = np.flatnonzero(gate == 1)
-    a = a.reshape(-1, 4, 4)[solved]
+    a = _drift(params, *(
+        np.broadcast_to(x, gate.shape).reshape(-1)[solved]
+        for x in (steady.delta_eff, steady.g_eff, steady.beta)
+    ))
     if shape != gate.shape:  # each drift matrix meets the diffusion matrices of its grid points
         a, solved = a[:, None], _operating_groups(gate.shape, shape)[solved]
     n_th = np.full(shape, n_th).reshape(-1)[solved]
@@ -270,10 +278,11 @@ def evaluate_point(
     if not n_th >= 0.0:  # check_range's rule, compared inline on the hot path
         check_range(n_th=n_th)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
-    a, stability = _stability_stack(steady, params)
+    stability = _stability_stack(steady, params)
     gate, status = _gate(stability)
     covariance = report = None
     if gate == 1:
+        a = _drift(params, steady.delta_eff, steady.g_eff, steady.beta)
         d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
         v, condition, ill = _solve_stack(a, d)
         ok, res, sig, det_v, eta = _checked_eta(a, v, d)
@@ -286,9 +295,9 @@ def evaluate_point(
             s1=float(stability.s1),
             s2=float(stability.s2),
             routh_stable=bool(stability.routh_stable),
-            spectral_abscissa=float(stability.spectral_abscissa),
             spectral_stable=bool(stability.spectral_stable),
             marginal=bool(stability.marginal),
+            undecided=bool(stability.undecided),
         ),
         covariance=covariance,
         report=report,
@@ -532,9 +541,10 @@ def nth_entanglement_threshold(
     require_finite(delta_norm=delta_norm, n_hi=n_hi)
     check_range(n_hi=n_hi)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
-    a, stability = _stability_stack(steady, params)
+    stability = _stability_stack(steady, params)
     if not stability.spectral_stable or stability.marginal:
         return 0.0
+    a = _drift(params, steady.delta_eff, steady.g_eff, steady.beta)
     gamma_m, kappa, f = params.gamma_m, params.kappa, gaussian.ETA_FACTOR
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)

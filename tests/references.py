@@ -35,7 +35,13 @@
   polished them before it took Python floats there; it must give the same bits.
 * :func:`hurwitz_with_beta` is the Routh-Hurwitz test of the drift's
   characteristic quartic with the nonlinearity beta in it, which
-  :func:`oment.routh_conditions` (written for beta = 0) leaves out.
+  :func:`oment.routh_conditions` (written for beta = 0) leaves out, and
+  :func:`hurwitz_in_fractions` takes its determinants in exact rational
+  arithmetic on the same float inputs.
+* :func:`spectral_verdict` and :func:`gate_by_eigvals` are the stability gate
+  as the library took it before it tested the quartic: the spectral
+  abscissa of the drift matrix from ``eigvals``, the oracle the quartic gate
+  is checked against.
 * :func:`report_of` is the entanglement report of one covariance matrix,
   through the stacked :func:`oment.eta_stack`, for a matrix that must be
   physical.
@@ -57,8 +63,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from oment import (
+    MARGINAL_ABSCISSA_FACTOR,
     Sweep,
     drive_amplitude,
+    drift_matrix,
     entanglement_report,
     eta_stack,
     evaluate_point,
@@ -506,41 +514,79 @@ def cubic_roots_array_polish(a2, a1, a0):
         return np.where(np.isfinite(step), roots - step, roots)
 
 
-def characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta):
+def _shifted_factors(omega_m, gamma_m, kappa, delta, beta, shift):
+    """b1, b0, c1, c0 of q(z) = p(z - shift) = (z^2 + b1 z + b0)(z^2 + c1 z + c0)
+    + omega_m delta g^2.  Integer constants only, so Fractions stay exact."""
+    b1 = gamma_m - 2 * shift
+    b0 = omega_m**2 * (1 - beta) + shift * (shift - gamma_m)
+    c1 = kappa - 2 * shift
+    c0 = (kappa / 2 - shift) ** 2 + delta**2
+    return b1, b0, c1, c0
+
+
+def characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta, shift=0):
     """Coefficients a1..a4 of the drift's characteristic polynomial s^4 + a1 s^3 + ... + a4,
 
     p(s) = (s^2 + gamma_m s + omega_m^2 (1 - beta)) ((s + kappa/2)^2 + delta^2)
     + omega_m delta g^2: only the mechanical omega_m^2 takes the factor
-    (1 - beta), the coupling term keeps omega_m.  Elementwise.
+    (1 - beta), the coupling term keeps omega_m.  With `shift`, those of
+    p(z - shift), which is Hurwitz iff every root of p has a real part below
+    -shift.  Elementwise, on floats, arrays or Fractions.
     """
-    w = omega_m**2 * (1.0 - beta)
-    c = kappa**2 / 4.0 + delta**2
-    return (
-        kappa + gamma_m,
-        c + gamma_m * kappa + w,
-        gamma_m * c + w * kappa,
-        w * c + omega_m * delta * g**2,
-    )
+    b1, b0, c1, c0 = _shifted_factors(omega_m, gamma_m, kappa, delta, beta, shift)
+    return b1 + c1, b0 + c0 + b1 * c1, b1 * c0 + b0 * c1, b0 * c0 + omega_m * delta * g**2
 
 
-def hurwitz_with_beta(omega_m, gamma_m, kappa, delta, g, beta):
+def hurwitz_determinants(omega_m, gamma_m, kappa, delta, g, beta, shift=0):
+    """[h1, h2, h3, h4] of :func:`characteristic_quartic`: h1 = a1,
+    h2 = a1 a2 - a3, h3 = a3 h2 - a1^2 a4 and h4 = a4.  The polynomial is
+    Hurwitz iff all four are positive."""
+    a1, a2, a3, a4 = characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta, shift)
+    h2 = a1 * a2 - a3
+    return [a1, h2, a3 * h2 - a1**2 * a4, a4]
+
+
+def hurwitz_in_fractions(omega_m, gamma_m, kappa, delta, g, beta, shift=0):
+    """:func:`hurwitz_determinants` in exact rational arithmetic on the float
+    inputs, as Fractions: their signs are the exact verdict."""
+    return hurwitz_determinants(*map(Fraction, (omega_m, gamma_m, kappa, delta, g, beta, shift)))
+
+
+def hurwitz_with_beta(omega_m, gamma_m, kappa, delta, g, beta, shift=0):
     """The Hurwitz determinants [h1, h2, h3, h4] of :func:`characteristic_quartic`
     and their scales, as arrays of the broadcast shape of the inputs.
 
-    The drift is stable iff all four are positive:
-    h1 = a1, h2 = a1 a2 - a3, h3 = a3 h2 - a1^2 a4 and h4 = a4.  A scale is
-    the sum of the magnitudes of the terms of its determinant, so
-    ``abs(h) < 1e-6 * scale`` marks a point too close to the boundary to tell.
+    The drift is stable iff all four are positive (see
+    :func:`hurwitz_determinants`).  A scale is the sum of the magnitudes of
+    the terms of its determinant, so ``abs(h) < 1e-6 * scale`` marks a point
+    too close to the boundary to tell.
     """
-    a1, a2, a3, a4 = characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta)
-    h2 = a1 * a2 - a3
-    h2_scale = a1 * a2 + abs(a3)
-    w_c = omega_m**2 * (1.0 - beta) * (kappa**2 / 4.0 + delta**2)
-    a4_scale = w_c + omega_m * abs(delta) * g**2
-    h3 = a3 * h2 - a1**2 * a4
+    h = hurwitz_determinants(omega_m, gamma_m, kappa, delta, g, beta, shift)
+    a1, a2, a3, _ = characteristic_quartic(omega_m, gamma_m, kappa, delta, g, beta, shift)
+    b1, b0, c1, c0 = _shifted_factors(omega_m, gamma_m, kappa, delta, beta, shift)
+    h2_scale = abs(a1 * a2) + abs(a3)
+    a4_scale = abs(b0 * c0) + omega_m * abs(delta) * g**2
     h3_scale = abs(a3) * h2_scale + a1**2 * a4_scale
-    scales = np.broadcast_arrays(a1, h2_scale, h3_scale, a4_scale)
-    return np.broadcast_arrays(a1, h2, h3, a4), scales
+    scales = np.broadcast_arrays(abs(h[0]), h2_scale, h3_scale, a4_scale)
+    return np.broadcast_arrays(*h), scales
+
+
+def spectral_verdict(abscissa, marginal_tol: float = 0.0):
+    """(stable, marginal), elementwise: stable iff the abscissa is < 0, marginal
+    iff stable with abscissa > -marginal_tol."""
+    stable = abscissa < 0.0
+    return stable, stable & (abscissa > -marginal_tol)
+
+
+def gate_by_eigvals(params, steady):
+    """Gate outcome of each point of `steady` by the spectral abscissa of its
+    drift matrix, as ``sweep._gate`` numbers it: 0 unstable, 1 ok,
+    2 marginal, 3 error (a NaN abscissa)."""
+    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
+    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
+    abscissa = spectral_abscissa(a)
+    stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
+    return 3 * np.isnan(abscissa) + stable + marginal
 
 
 def report_of(v):

@@ -145,6 +145,15 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["kappa_hz", "omega_m_hz"])
+def test_a_config_value_whose_conversion_overflows_exits_2(key, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = 1e308\n")
+    assert main(["point", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}:1: {key} = 1e308 overflows ")
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -354,7 +363,8 @@ def test_workers_flag_is_rejected(command, capsys):
 
 @pytest.mark.parametrize("delta_norm, s1", [("-0.5", "inf"), ("0.5", "-inf")])
 def test_overflowing_routh_numbers_stay_quiet(delta_norm, s1, capsys):
-    # s1 overflows for a finite steady state; the row says so without a warning
+    # s1 overflows for a finite steady state; the row says so without a
+    # warning.  The quartic gate's h3 overflows there too: undecided, error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([
@@ -365,7 +375,7 @@ def test_overflowing_routh_numbers_stay_quiet(delta_norm, s1, capsys):
     assert captured.err == ""
     rows = [row.split(",") for row in captured.out.splitlines()[2:]]
     assert len(rows) == 4
-    assert all(row[4] == s1 and row[-1] == "unstable" for row in rows)
+    assert all(row[4] == s1 and row[-1] == "error" for row in rows)
 
 
 def test_overflowing_grid_point_is_local_error(capsys):

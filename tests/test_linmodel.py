@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oment import (
     MARGINAL_ABSCISSA_FACTOR,
+    SteadyState,
     coupling_threshold_blue,
     coupling_threshold_red,
     default_params,
@@ -16,19 +17,23 @@ from oment import (
     drift_matrix,
     evaluate_point,
     figure_preset,
+    nth_entanglement_threshold,
     routh_conditions,
     run_sweep,
     spectral_abscissa,
-    spectral_verdict,
     stability_stack,
     steady_states,
 )
+from oment import sweep
 from references import (
     blue_threshold_closed_form,
     characteristic_quartic,
+    gate_by_eigvals,
+    hurwitz_in_fractions,
     hurwitz_with_beta,
     record_gufunc_calls,
     red_threshold_closed_form,
+    spectral_verdict,
     threshold_in_fractions,
 )
 
@@ -75,7 +80,7 @@ def test_stability_stack_rejects_beta_at_one(params):
 def test_build_drift_from_operating_point(params):
     p10 = replace(params, power=10e-3)
     state = steady_states(-p10.omega_m, p10.power, p10.beta, p10)
-    a, _ = stability_stack(state, p10)
+    a = drift_matrix(p10.omega_m, p10.gamma_m, p10.kappa, state.delta_eff, state.g_eff, p10.beta)
     assert a[1, 2] == a[3, 0] == state.g_eff
     assert state.g_eff == pytest.approx(2870781258.3105435, rel=1e-12)
     assert a[2, 3] == -state.delta_eff
@@ -316,6 +321,14 @@ def test_characteristic_quartic_is_that_of_the_drift(params):
         np.testing.assert_allclose(quartic, expected, rtol=1e-9, atol=0.0)
 
 
+def rates(log_omega, log_gamma, log_kappa, delta_norm, log_g):
+    """(omega_m, gamma_m, kappa, delta, g) of a point given as in
+    :func:`routh_agrees_with_spectral`."""
+    omega = 10.0**log_omega
+    gamma, kappa, g = omega * 10.0**log_gamma, omega * 10.0**log_kappa, omega * 10.0**log_g
+    return omega, gamma, kappa, delta_norm * omega, g
+
+
 def hurwitz_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g, beta):
     """The beta-aware Hurwitz verdict against the spectral one, or None near the
     boundary: a point with a Hurwitz determinant within 1e-6 of its scale, or
@@ -326,9 +339,7 @@ def hurwitz_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, lo
     beta = 1 the determinants can sit far from 0 while LAPACK's abscissa
     still errs by more than its own size.
     """
-    omega = 10.0**log_omega
-    gamma, kappa, g = omega * 10.0**log_gamma, omega * 10.0**log_kappa, omega * 10.0**log_g
-    delta = delta_norm * omega
+    omega, gamma, kappa, delta, g = rates(log_omega, log_gamma, log_kappa, delta_norm, log_g)
     h, scale = hurwitz_with_beta(omega, gamma, kappa, delta, g, beta)
     if any(abs(x) < 1e-6 * s for x, s in zip(h, scale)):
         return None
@@ -349,6 +360,39 @@ _NEAR_BETA_ONE = dict(
 
 def test_hurwitz_comparison_sets_aside_an_abscissa_in_the_marginal_band():
     assert hurwitz_agrees_with_spectral(**_NEAR_BETA_ONE) is None
+
+
+def test_the_gate_reads_marginal_near_beta_one_as_exact_arithmetic_does():
+    # the eigvals gate read this point unstable; exact arithmetic on the same
+    # floats puts its slowest root inside the marginal band, as the gate does
+    beta = _NEAR_BETA_ONE["beta"]
+    omega, gamma, kappa, delta, g = rates(
+        **{key: value for key, value in _NEAR_BETA_ONE.items() if key != "beta"}
+    )
+    params = replace(default_params(), omega_m=omega, gamma_m=gamma, kappa=kappa)
+    # the gate reads only the detuning, the coupling and beta of a steady state
+    steady = SteadyState(math.nan, math.nan, math.nan, delta, math.nan, g, beta)
+    report = stability_stack(steady, params)
+    assert (report.spectral_stable, report.marginal, report.undecided) == (True, True, False)
+    assert sweep._gate(report)[1] == "marginal"
+    eps = MARGINAL_ABSCISSA_FACTOR * kappa
+    assert all(h > 0 for h in hurwitz_in_fractions(omega, gamma, kappa, delta, g, beta))
+    shifted = hurwitz_in_fractions(omega, gamma, kappa, delta, g, beta, eps)
+    assert not all(h > 0 for h in shifted)
+
+
+@given(st.floats(0.7, 30.0), st.floats(0.0, 0.6), st.floats(-2.5, 1.5))
+def test_the_quartic_gate_matches_the_eigvals_oracle(power_mw, beta, delta_norm):
+    # the benchmark workloads' ranges, wherever every Hurwitz determinant of
+    # p(s) and of p(z - eps) is clear of zero by 1e-6 of its scale
+    params = replace(default_params(), power=power_mw * 1e-3, beta=beta)
+    steady = steady_states(delta_norm * params.omega_m, params.power, beta, params)
+    omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
+    for shift in (0.0, MARGINAL_ABSCISSA_FACTOR * kappa):
+        h, scale = hurwitz_with_beta(omega, gamma, kappa, steady.delta_eff, steady.g_eff, beta, shift)
+        assume(all(abs(x) >= 1e-6 * s for x, s in zip(h, scale)))
+    gate, _ = sweep._gate(stability_stack(steady, params))
+    assert gate == gate_by_eigvals(params, steady)
 
 
 @given(*(st.floats(low, high) for low, high in _RANGES), st.floats(0.0, 1.0, exclude_max=True))
@@ -383,7 +427,7 @@ def test_fig2a_rows_where_the_beta_zero_routh_numbers_miss_the_instability():
 def test_routh_hurwitz_verdict_matches_signs(params):
     p10 = replace(params, power=10e-3)
     state = steady_states(-0.2 * p10.omega_m, p10.power, p10.beta, p10)
-    _, report = stability_stack(state, p10)
+    report = stability_stack(state, p10)
     assert report.routh_stable == (report.s1 > 0 and report.s2 > 0)
 
 
@@ -393,26 +437,33 @@ def gate_stack(params, powers):
     return stability_stack(steady_states(-0.5 * params.omega_m, powers, 0.2, params), params)
 
 
-def test_finite_drift_stack_takes_one_eigvals(params, monkeypatch):
+def test_no_eigvals_on_the_sweep_point_or_threshold_path(params, monkeypatch):
     calls = record_gufunc_calls(monkeypatch, ["eigvals"])
-    gate_stack(params, [1e-3, 5e-3, 10e-3])
-    assert [args[0].shape for args, _ in calls["eigvals"]] == [(3, 4, 4)]
+    p10 = replace(params, power=10e-3)
+    fig2a = run_sweep(figure_preset("fig2a"))
+    assert {"ok", "unstable"} <= set(fig2a.status.tolist())
+    assert evaluate_point(p10, -1.0).status == "ok"
+    assert evaluate_point(p10, -0.2).status == "unstable"
+    assert nth_entanglement_threshold(p10, -1.0) > 0.0
+    assert calls["eigvals"] == []
+    spectral_abscissa(-np.eye(4))  # the recorder sees an eigvals call
+    assert len(calls["eigvals"]) == 1
 
 
-def test_gate_of_a_stack_with_an_overflowed_drift_matrix(params, monkeypatch):
-    # 1e300 W overflows the drive amplitude, so that drift matrix holds inf entries
+def test_gate_of_a_stack_with_an_overflowed_drift_matrix(params):
+    # 1e300 W overflows the drive amplitude, so that drift matrix holds inf
+    # entries and that quartic is not finite: undecided, alone in the stack
     powers = [10e-3, 1e300, 3e-3]
-    calls = record_gufunc_calls(monkeypatch, ["eigvals"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, report = gate_stack(params, powers)
-        alone = [gate_stack(params, power)[1] for power in powers]
-    assert not np.isfinite(a[1]).all()
-    # LAPACK never sees a matrix with an inf entry; the finite ones go in one call
-    matrices = [args[0] for args, _ in calls["eigvals"]]
-    assert matrices[0].shape == (2, 4, 4) and all(np.isfinite(m).all() for m in matrices)
-    assert np.isnan(report.spectral_abscissa).tolist() == [False, True, False]
+        report = gate_stack(params, powers)
+        alone = [gate_stack(params, power) for power in powers]
+    steady = steady_states(-0.5 * params.omega_m, 1e300, 0.2, params)
+    omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
+    assert not np.isfinite(drift_matrix(omega, gamma, kappa, steady.delta_eff, steady.g_eff)).all()
+    assert report.undecided.tolist() == [False, True, False]
     assert report.spectral_stable.tolist()[1] is False and report.marginal.tolist()[1] is False
     for k in (0, 2):
-        assert report.spectral_abscissa[k].tobytes() == alone[k].spectral_abscissa.tobytes()
-        assert report.spectral_stable[k] == alone[k].spectral_stable
+        for name in ("s1", "s2", "routh_stable", "spectral_stable", "marginal", "undecided"):
+            value, single = getattr(report, name)[k], np.asarray(getattr(alone[k], name))
+            assert (value.dtype, value.tobytes()) == (single.dtype, single.tobytes())

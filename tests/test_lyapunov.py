@@ -12,6 +12,7 @@ from oment import (
     IllConditionedWarning,
     default_params,
     diffusion_matrix,
+    drift_matrix,
     residual,
     stability_stack,
     steady_states,
@@ -100,9 +101,11 @@ def singular_drift():
     # stable (abscissa -1.1e5), but its entries span so many orders of
     # magnitude that the LU of the 10x10 system finds an exact zero pivot
     params = default_params()
-    a, stability = stability_stack(steady_states(0.0, 1e250, params.beta, params), params)
+    steady = steady_states(0.0, 1e250, params.beta, params)
+    stability = stability_stack(steady, params)
     assert stability.spectral_stable and not stability.marginal
-    return a
+    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
+    return drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, params.beta)
 
 
 def test_singular_system_marks_only_its_own_pair():
@@ -424,7 +427,9 @@ def test_oracle_matches_solver_random_pairs():
 def test_oracle_matches_solver_at_high_power_operating_point():
     params = replace(default_params(), power=10e-3)
     state = steady_states(-params.omega_m, params.power, params.beta, params)
-    drift, _ = stability_stack(state, params)
+    drift = drift_matrix(
+        params.omega_m, params.gamma_m, params.kappa, state.delta_eff, state.g_eff, params.beta
+    )
     n_th = thermal_occupation(params.temperature, params.omega_m)
     diffusion = diffusion_matrix(params.gamma_m, params.kappa, n_th)
     direct = solve_stack(drift, diffusion)[0]

@@ -292,6 +292,16 @@ def test_load_config_rejects_bad_input(tmp_path, content):
         load_config(config)
 
 
+@pytest.mark.parametrize("key, field", [("kappa_hz", "kappa"), ("omega_m_hz", "omega_m")])
+def test_load_config_rejects_a_value_whose_conversion_overflows(tmp_path, key, field):
+    # 1e308 Hz is a finite float, but 2*pi*1e308 rad/s is not
+    config = tmp_path / "params.cfg"
+    config.write_text(f"power_w = 1e-3\n{key} = 1e308\n")
+    message = f"^{re.escape(str(config))}:2: {key} = 1e308 overflows {field} = "
+    with pytest.raises(ConfigError, match=message):
+        load_config(config)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
