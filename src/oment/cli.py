@@ -120,7 +120,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     print(f"g_eff={_fmt(point.steady.g_eff)}")
     print(f"g_threshold_blue={_fmt(coupling_threshold_blue(params))}")
     print(f"g_threshold_red={_fmt(coupling_threshold_red(params))}")
-    # a NaN abscissa: the steady state overflowed and stability is undecided
+    # a NaN abscissa: the detuning left the float range and stability is undecided
     return EXIT_NUMERICAL if np.isnan(abscissa) else EXIT_OK
 
 

@@ -56,8 +56,8 @@ class StabilityReport:
     ``marginal`` marks stable points with a root within
     ``MARGINAL_ABSCISSA_FACTOR * kappa`` of the imaginary axis, too close to
     the boundary for a reliable covariance solve.  ``undecided`` marks points
-    where a quartic coefficient or Hurwitz determinant is not finite (an
-    overflowed steady state); they are neither stable nor marginal.
+    where a quartic coefficient or Hurwitz determinant is not finite (a
+    detuning beyond the float range); they are neither stable nor marginal.
     """
 
     s1: float
@@ -205,53 +205,17 @@ _routh_conditions = routh_conditions.__wrapped__
 _stability_stack = stability_stack.__wrapped__
 
 
-def _homogeneous(threshold, params: PhysicalParams) -> float:
-    """`threshold`, a coupling of degree 1 in omega_m, gamma_m and kappa, at
-    the rates of `params`; where that is not finite or is 0 (a square beyond
-    the float range, or a product of tiny rates lost to underflow; positive
-    rates have a positive threshold), at the rates divided by 2**e, the
-    largest in [2**99, 2**100), times 2**e: a rate down to 1e-337 times the
-    largest stays a normal float there.  The direct value stands where the
-    scaled one is not finite or 0 as well (rates further apart than the float
-    range).  Only there: libm's ``pow`` (:func:`~oment.steadystate.square`)
-    is not exactly homogeneous, so a scaled square can differ in its last bit."""
-    rates = (params.omega_m, params.gamma_m, params.kappa)
-    g = threshold(*rates)
-    if math.isfinite(g) and g != 0.0:
-        return float(g)
-    e = math.frexp(max(rates))[1] - 100
-    scaled = float(np.ldexp(threshold(*(math.ldexp(rate, -e) for rate in rates)), e))
-    return float(g) if math.isnan(scaled) else scaled
-
-
-def _blue(omega_m, gamma_m, kappa):
-    s2 = _routh_conditions(omega_m, gamma_m, kappa, -omega_m, 0.0)[1]
-    return np.sqrt(np.float64(s2) / omega_m)
-
-
-def _red(omega_m, gamma_m, kappa):
-    s1 = np.float64(_routh_conditions(omega_m, gamma_m, kappa, omega_m, 0.0)[0])
-    g = np.sqrt(s1 / (omega_m * omega_m * square(gamma_m + kappa)))
-    # omega_m^2 underflows; a subnormal or lost s1 is left to the rescaling
-    if not np.isfinite(g) and s1 >= np.finfo(float).tiny:
-        g = np.sqrt(s1) / omega_m / (gamma_m + kappa)
-    return g
-
-
-@np.errstate(all="ignore")
 def coupling_threshold_blue(params: PhysicalParams) -> float:
     """Coupling where s2 crosses zero at the blue sideband delta = -omega_m,
-    G = sqrt(s2(G=0) / omega_m); s2 never crosses zero on the red side.
-    Where a square of a rate overflows, or tiny rates make that read 0,
-    taken at scaled rates (see :func:`_homogeneous`)."""
-    return _homogeneous(_blue, params)
+    G = sqrt(s2(G=0) / omega_m); s2 never crosses zero on the red side."""
+    omega_m = params.omega_m
+    s2 = _routh_conditions(omega_m, params.gamma_m, params.kappa, -omega_m, 0.0)[1]
+    return math.sqrt(s2 / omega_m)
 
 
-@np.errstate(all="ignore")
 def coupling_threshold_red(params: PhysicalParams) -> float:
     """Coupling where s1 crosses zero at the red sideband delta = +omega_m,
-    G = sqrt(s1(G=0) / (omega_m^2 (gamma_m+kappa)^2)).  Where that quotient
-    is not finite (the denominator underflows to 0) and s1(G=0) is a normal
-    float, G = sqrt(s1(G=0)) / omega_m / (gamma_m+kappa); where it is still
-    not finite, or 0, taken at scaled rates (see :func:`_homogeneous`)."""
-    return _homogeneous(_red, params)
+    G = sqrt(s1(G=0) / (omega_m^2 (gamma_m+kappa)^2))."""
+    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
+    s1 = _routh_conditions(omega_m, gamma_m, kappa, omega_m, 0.0)[0]
+    return math.sqrt(s1 / (omega_m * omega_m * square(gamma_m + kappa)))

@@ -46,36 +46,68 @@ def require_finite(**values: float) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
+_TWO_PI = 2.0 * math.pi
+
+
+def _between(low: float, high: float) -> tuple:
+    return operator.ge, low, operator.le, high
+
+
 # The domain of the linearized model (Vitali et al., PRL 98, 030405 (2007)):
-# each checked input by name, and the comparison and bound its values satisfy.
+# each checked input by name, and the comparisons its values pass against a
+# lower and an upper bound.  The rates, power, wavelength and temperature lie
+# in a box many decades around published optomechanical systems (suspended
+# mirrors near 1 Hz to GHz photonic crystals), inside which no stage leaves
+# the float range.  The detuning is any finite number and has no rule.
 _RANGES = {
-    **dict.fromkeys(
-        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "omega_laser", "n_hi"),
-        (operator.gt, 0),
-    ),
-    **dict.fromkeys(("g_m", "power", "temperature", "n_th"), (operator.ge, 0)),
-    "beta": (operator.lt, 1),  # the restoring force omega_m*(beta - 1) keeps its sign
+    "omega_m": _between(_TWO_PI * 0.1, _TWO_PI * 1e12),
+    "gamma_m": _between(_TWO_PI * 1e-9, _TWO_PI * 1e12),
+    "g_m": _between(0.0, _TWO_PI * 1e12),
+    "kappa": _between(_TWO_PI * 0.1, _TWO_PI * 1e15),
+    "power": _between(0.0, 1e3),
+    "laser_wavelength": _between(1e-9, 10.0),
+    # PhysicalParams.omega_laser, 2*pi*c/lambda, at the wavelength's bounds
+    "omega_laser": _between(_TWO_PI * C_LIGHT / 10.0, _TWO_PI * C_LIGHT / 1e-9),
+    "temperature": _between(0.0, 1e4),
+    "n_th": (operator.ge, 0, operator.le, math.inf),
+    "n_hi": (operator.gt, 0, operator.le, math.inf),
+    # the restoring force omega_m*(beta - 1) keeps its sign
+    "beta": (operator.ge, -math.inf, operator.lt, 1),
 }
 _SYMBOLS = {operator.gt: ">", operator.ge: ">=", operator.lt: "<"}
+
+
+def _rule(name: str, per: float = 1.0) -> str:
+    """The range of `name` as text, its bounds divided by `per` (the factor
+    from a config key's unit to the field's)."""
+    above, low, below, high = _RANGES[name]
+    if per != 1.0:
+        low, high = low / per, high / per
+    if high == math.inf:
+        return f"{_SYMBOLS[above]} {low!r}"
+    if low == -math.inf:
+        return f"{_SYMBOLS[below]} {high!r}"
+    return f"in [{low!r}, {high!r}]"  # every two-sided range is closed
 
 
 def check_range(**values) -> None:
     """Raise :class:`ConfigError` naming the first value outside the range of
     its name, ``"<name> must be <rule>, got <value>"``.
 
-    Each value is a scalar or an array-like, checked elementwise; NaN is
-    outside every range.  A name without a range raises ``KeyError``.
+    Each value is a scalar or an array-like, checked elementwise against both
+    bounds of its range; NaN is outside every range.  A name without a range
+    raises ``KeyError``.
     """
     for name, value in values.items():
-        within, bound = _RANGES[name]
-        if isinstance(value, float) and within(value, bound):
+        above, low, below, high = _RANGES[name]
+        if isinstance(value, float) and above(value, low) and below(value, high):
             continue  # a float in range, without numpy's per-call cost
         value = np.asarray(value)
-        mask = within(value, bound)
+        mask = above(value, low) & below(value, high)
         if np.count_nonzero(mask) == mask.size:
             continue
         first = value[~mask][0].item()
-        raise ConfigError(f"{name} must be {_SYMBOLS[within]} {bound!r}, got {first!r}")
+        raise ConfigError(f"{name} must be {_rule(name)}, got {first!r}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +179,8 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
     """Mean thermal phonon number n_th = 1/(exp(hbar*omega_m/(k_B*T)) - 1).
 
     The T = 0 limit returns exactly 0, and so does a bath too cold for
-    exp(hbar*omega_m/(k_B*T)) to be a float.  Raises :class:`ConfigError`
-    where n_th is too large for one (a tiny `omega_m` or a huge `temperature`).
+    exp(hbar*omega_m/(k_B*T)) to be a float.  Over the range of both inputs
+    the exponent is at least about 5e-16, so n_th is a float.
     """
     require_finite(temperature=temperature, omega_m=omega_m)
     check_range(temperature=temperature, omega_m=omega_m)
@@ -156,19 +188,12 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
         return 0.0
     try:
         ratio = HBAR * omega_m / (K_B * temperature)
-    except ZeroDivisionError:  # k_B*T underflows to 0: divide in another order
+    except ZeroDivisionError:  # k_B*T underflows to 0 below about 3.6e-301 K
         ratio = HBAR / K_B * (omega_m / temperature)
     try:
-        occupation = 1.0 / math.expm1(ratio)
+        return 1.0 / math.expm1(ratio)
     except OverflowError:
         return 0.0
-    except ZeroDivisionError:  # the ratio underflows to 0
-        occupation = math.inf
-    if occupation == math.inf:  # or the reciprocal of a subnormal ratio overflows
-        raise ConfigError(
-            f"thermal occupation overflows at temperature={temperature!r}, omega_m={omega_m!r}"
-        )
-    return occupation
 
 
 @np.errstate(all="ignore")
@@ -176,16 +201,11 @@ def drive_amplitude(power, kappa: float, omega_laser: float):
     """Drive amplitude |E0| = sqrt(P0 * kappa / (2 * hbar * omega_laser)) (1/s).
 
     Scales as sqrt(P0); zero for an undriven cavity.  Elementwise over an
-    array of powers.  A power too large for the product gives an infinite
-    amplitude without a warning: the grid point then reads status ``error``.
-    Raises :class:`ConfigError` for a negative power or a kappa or
-    omega_laser that is not positive.
+    array of powers.  Raises :class:`ConfigError` for a power, kappa or
+    omega_laser outside its range.
     """
     check_range(power=power, kappa=kappa, omega_laser=omega_laser)
-    denominator = 2.0 * HBAR * omega_laser
-    if denominator == 0.0:  # the product underflows to 0: divide in another order
-        return np.sqrt(power * kappa / (2.0 * HBAR) / omega_laser)
-    return np.sqrt(power * kappa / denominator)
+    return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
 
 
 # The undecorated body, which the pipeline runs under its entry point's errstate.
@@ -194,7 +214,6 @@ _drive_amplitude = drive_amplitude.__wrapped__
 
 # Config file schema: "key = value" lines, '#' comments.  Frequencies in Hz.
 # Each numeric key: the field it sets and the factor from its unit to the field's.
-_TWO_PI = 2.0 * math.pi
 _CONFIG_FIELDS = {
     "omega_m_hz": ("omega_m", _TWO_PI),
     "gamma_m_hz": ("gamma_m", _TWO_PI),
@@ -213,9 +232,9 @@ def load_config(path: str | Path) -> PhysicalParams:
 
     Unspecified keys keep their default values.  Frequencies are plain Hz
     values multiplied by 2*pi, so kappa = 2*pi*kappa_hz.  A key given twice,
-    or a value that is not finite, outside its field's range or finite only
-    before that conversion (``kappa_hz = 1e308``), is an error that names the
-    file, line and key.
+    or a value that is not finite or whose field is outside its range, is an
+    error that names the file, line and key, with the range in the key's unit
+    and the value as written.
     """
     raw: dict[str, tuple[int, str]] = {}
     try:
@@ -244,13 +263,10 @@ def load_config(path: str | Path) -> PhysicalParams:
             except ValueError as exc:
                 message = f"{path}:{lineno}: invalid number for {key!r}: {value!r}"
                 raise ConfigError(message) from exc
-            within, bound = _RANGES[field]  # the factor is positive, so the rule holds unscaled
-            if not (within(number, bound) and math.isfinite(number)):
-                rule = "finite" if within(number, bound) else f"{_SYMBOLS[within]} {bound!r}"
-                raise ConfigError(f"{path}:{lineno}: {key} must be {rule}, got {number!r}")
-            updates[field] = factor * number
-            if not math.isfinite(updates[field]):
-                raise ConfigError(
-                    f"{path}:{lineno}: {key} = {value} overflows {field} = {factor!r} * {key}"
-                )
+            converted = factor * number
+            above, low, below, high = _RANGES[field]
+            if not (above(converted, low) and below(converted, high)):
+                rule = _rule(field, factor) if math.isfinite(number) else "finite"
+                raise ConfigError(f"{path}:{lineno}: {key} must be {rule}, got {value}")
+            updates[field] = converted
     return replace(default_params(), **updates)

@@ -275,6 +275,7 @@ def evaluate_point(
     if n_th is None:
         n_th = thermal_occupation(params.temperature, params.omega_m)
     require_finite(delta_norm=delta_norm, n_th=n_th)
+    delta_norm, n_th = float(delta_norm), float(n_th)  # so the report holds Python scalars
     if not n_th >= 0.0:  # check_range's rule, compared inline on the hot path
         check_range(n_th=n_th)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
@@ -291,14 +292,7 @@ def evaluate_point(
         status = STATUS_OK if ok else STATUS_ERROR
     return PointResult(
         steady=steady,
-        stability=StabilityReport(
-            s1=float(stability.s1),
-            s2=float(stability.s2),
-            routh_stable=bool(stability.routh_stable),
-            spectral_stable=bool(stability.spectral_stable),
-            marginal=bool(stability.marginal),
-            undecided=bool(stability.undecided),
-        ),
+        stability=stability,
         covariance=covariance,
         report=report,
         status=str(status),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oment import default_params
+from oment import default_params, routh_conditions
 from oment.cli import build_parser, main
 from oment.lyapunov import IllConditionedWarning
 from references import threshold_in_fractions
@@ -26,14 +26,15 @@ def parsed_lines(text):
 SWEEP_FLAGS = ["--axis", "delta_norm", "--start", "-1.1", "--stop", "-0.9", "--count", "2"]
 
 # Operating points whose `point` and `stability` output is pinned byte for
-# byte in cli_golden.json: ok, unstable, an overflowing steady state, a
-# singular Lyapunov system, and kappa = 2*pi*264.5 MHz from a config file.
+# byte in cli_golden.json: ok, unstable, a power that would overflow the
+# steady state (rejected at the boundary), a Lyapunov system singular to
+# working precision, and kappa = 2*pi*264.5 MHz from a config file.
 GOLDEN_FLAGS = {
     "ok": ["--delta-norm", "-1"],
     "ok-10mW": ["--delta-norm", "-1", "--power-mw", "10"],
     "unstable": ["--delta-norm", "-0.2", "--power-mw", "10"],
     "overflow": ["--delta-norm", "-1", "--power-mw", "1e300"],
-    "singular": ["--delta-norm", "0", "--power-mw", "1e253"],
+    "singular": ["--delta-norm", "0", "--power-mw", "100", "--beta", "0.99"],
     "half-kappa-config": ["--config", "{config}", "--delta-norm", "-1"],
 }
 HALF_KAPPA_CONFIG = "kappa_hz = 264.5e6\n"
@@ -147,11 +148,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["kappa_hz", "omega_m_hz"])
 def test_a_config_value_whose_conversion_overflows_exits_2(key, tmp_path, capsys):
+    # 2*pi*1e308 is not a float; 1e308 Hz is out of range, named in Hz as written
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = 1e308\n")
     assert main(["point", "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {config}:1: {key} = 1e308 overflows ")
+    high = {"kappa_hz": 1e15, "omega_m_hz": 1e12}[key]
+    rule = f"in [0.1, {high!r}]"
+    assert capsys.readouterr().err == f"config error: {config}:1: {key} must be {rule}, got 1e308\n"
 
 
 @pytest.mark.parametrize(
@@ -172,10 +175,13 @@ def test_rejected_config_key_exits_2(tmp_path, capsys, content, message):
 
 
 def test_an_occupation_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # n_th would overflow at omega_m = 2*pi*1e-320 rad/s: that omega_m is out of range
     config = tmp_path / "run.cfg"
     config.write_text("omega_m_hz = 1e-320\n")
     assert main(["point", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith("config error: thermal occupation overflows at ")
+    assert capsys.readouterr().err == (
+        f"config error: {config}:1: omega_m_hz must be in [0.1, 1000000000000.0], got 1e-320\n"
+    )
 
 
 def test_a_bath_too_cold_for_a_float_reads_as_zero_kelvin(capsys):
@@ -363,73 +369,95 @@ def test_workers_flag_is_rejected(command, capsys):
 
 @pytest.mark.parametrize("delta_norm, s1", [("-0.5", "inf"), ("0.5", "-inf")])
 def test_overflowing_routh_numbers_stay_quiet(delta_norm, s1, capsys):
-    # s1 overflows for a finite steady state; the row says so without a
-    # warning.  The quartic gate's h3 overflows there too: undecided, error
+    # a power sweep to 1e250 W gave couplings that overflow s1 for a finite
+    # steady state; such a power is out of range, and the sweep exits 2
+    assert main([
+        "sweep", "--axis", "power", "--start", "0", "--stop", "1e250", "--count", "5",
+        "--delta-norm", delta_norm,
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "config error: power must be in [0.0, 1000.0], got 1e+250\n"
+    )
+    # a coupling that large still overflows s1, and s2 to the other sign, without a warning
+    params = default_params()
+    omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([
-            "sweep", "--axis", "power", "--start", "0", "--stop", "1e250", "--count", "5",
-            "--delta-norm", delta_norm,
-        ]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    rows = [row.split(",") for row in captured.out.splitlines()[2:]]
-    assert len(rows) == 4
-    assert all(row[4] == s1 and row[-1] == "error" for row in rows)
+        numbers = routh_conditions(omega, gamma, kappa, float(delta_norm) * omega, 1e160)
+    assert numbers == (float(s1), -float(s1))
 
 
 def test_overflowing_grid_point_is_local_error(capsys):
-    # the row status reports the overflow: no warning, so none may escape the sweep
+    # detunings whose squares overflow: the rows report it (s1 = inf, status
+    # error) with no warning, so none may escape the sweep, and the in-range
+    # row keeps its bits
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([
-            "sweep", "--axis", "power", "--start", "0", "--stop", "1e300", "--count", "3",
-            "--delta-norm", "1",
-        ]) == 0
+        assert main(["sweep", "--axis", "delta_norm", "--start", "0", "--stop", "1e160",
+                     "--count", "3"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     rows = captured.out.splitlines()
-    assert main([
-        "sweep", "--axis", "power", "--start", "0", "--stop", "1e-3", "--count", "2",
-        "--delta-norm", "1",
-    ]) == 0
+    assert main(
+        ["sweep", "--axis", "delta_norm", "--start", "0", "--stop", "1", "--count", "2"]
+    ) == 0
     alone = capsys.readouterr().out.splitlines()
     assert rows[:2] == alone[:2]
-    assert [row.rsplit(",", 1)[1] for row in rows[2:]] == ["error", "error"]
+    s1_and_status = [(row.split(",")[4], row.rsplit(",", 1)[1]) for row in rows[2:]]
+    assert s1_and_status == [("inf", "error")] * 2
+    # a power that would overflow the steady state is out of range
+    assert main(
+        ["sweep", "--axis", "power", "--start", "0", "--stop", "1e300", "--count", "3"]
+    ) == 2
+    assert capsys.readouterr().err.startswith("config error: power must be in ")
 
 
 def test_overflowing_curve_leaves_other_curve_unchanged(capsys):
-    sweep = ["sweep", "--axis", "delta_norm", "--start", "-1.2", "--stop", "-0.8", "--count", "5"]
-    assert main(sweep + ["--curves", "power=0.01,1e300"]) == 0
+    # a curve whose detuning squares to inf reads error; the other keeps its bits
+    sweep = ["sweep", "--axis", "power", "--start", "1e-3", "--stop", "1e-2", "--count", "5"]
+    assert main(sweep + ["--curves", "delta_norm=-1,1e160"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert main(sweep + ["--curves", "power=0.01"]) == 0
+    assert main(sweep + ["--curves", "delta_norm=-1"]) == 0
     assert rows[:6] == capsys.readouterr().out.splitlines()
-    assert all(row.endswith(",false,false,,,error") for row in rows[6:])
+    assert all(row.endswith(",inf,inf,true,false,,,error") for row in rows[6:])
     assert len(rows) == 11
+    # a power curve that would overflow the steady state is out of range
+    assert main(sweep[:2] + ["delta_norm", *sweep[3:], "--curves", "power=0.01,1e300"]) == 2
+    assert capsys.readouterr().err.startswith("config error: power must be in ")
 
 
 def test_overflowing_point_exits_3(capsys):
-    assert main(["point", "--delta-norm", "-1", "--power-mw", "1e300"]) == 3
+    # delta_norm = 1e308 is finite, but the detuning 1e308 * omega_m is not:
+    # the point reads error, and its drift matrix's abscissa NaN
+    assert main(["point", "--delta-norm", "1e308"]) == 3
     values = parsed_lines(capsys.readouterr().out)
     assert values["status"] == "error"
     assert list(values) == ["status", "n_s", "g_eff", "spectral_abscissa"]
-    assert main(["stability", "--delta-norm", "-1", "--power-mw", "1e300"]) == 3
+    assert main(["stability", "--delta-norm", "1e308"]) == 3
     assert parsed_lines(capsys.readouterr().out)["spectral_abscissa"] == "nan"
+    # a power that would overflow the steady state is out of range
+    assert main(["point", "--delta-norm", "-1", "--power-mw", "1e300"]) == 2
+    assert capsys.readouterr().err.startswith("config error: power must be in ")
+
+
+# 100 mW at beta = 0.99 and delta = 0: stable, but the 10x10 system is
+# singular to working precision (condition 2.4e14, residual 1.7e-5)
+ILL_CONDITIONED = ["--delta-norm", "0", "--beta", "0.99"]
 
 
 def test_singular_grid_point_is_local_error(capsys):
-    # stable points whose 10x10 system is singular: each row reads error, the
-    # sweep goes on, and the finite power-0 row keeps its bits
-    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+    # stable points whose 10x10 system is singular to working precision: each
+    # row reads error, the sweep goes on, and the power-0 row keeps its bits
+    with pytest.warns(IllConditionedWarning, match="exceeds 1e[+]12$") as caught:
         assert main([
-            "sweep", "--axis", "power", "--start", "0", "--stop", "1e250", "--count", "5",
-            "--delta-norm", "0",
+            "sweep", "--axis", "power", "--start", "0", "--stop", "0.1", "--count", "5",
+            *ILL_CONDITIONED,
         ]) == 0
     assert len(caught) == 4
     rows = capsys.readouterr().out.splitlines()
     assert main([
         "sweep", "--axis", "power", "--start", "0", "--stop", "1e-3", "--count", "2",
-        "--delta-norm", "0",
+        *ILL_CONDITIONED,
     ]) == 0
     alone = capsys.readouterr().out.splitlines()
     assert rows[:2] == alone[:2]
@@ -437,21 +465,25 @@ def test_singular_grid_point_is_local_error(capsys):
 
 
 def test_singular_point_exits_3(capsys):
-    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
-        assert main(["point", "--delta-norm", "0", "--power-mw", "1e253"]) == 3
+    with pytest.warns(IllConditionedWarning, match="2.386e[+]14 exceeds"):
+        assert main(["point", "--power-mw", "100", *ILL_CONDITIONED]) == 3
     captured = capsys.readouterr()
     values = parsed_lines(captured.out)
     assert values["status"] == "error"
     # the point was solved, so its diagnostics say why it reads error
     assert list(values)[3:] == ["spectral_abscissa", "condition", "residual"]
-    assert (values["condition"], values["residual"]) == ("inf", "nan")
+    assert (values["condition"], values["residual"]) == (
+        "238579092751154.53", "1.7056241729408941e-05"
+    )
     assert "numerical failure" not in captured.err
 
 
-# Inputs that pass every range check but leave the float range on the way:
-# a config line and flags each.  Squares overflow (the detuning, kappa, g0,
-# omega_m), and 2*hbar*omega_laser (a wavelength of 1e300 m) or omega_m^2
-# (omega_m of 1e-170 Hz) underflow to 0.
+# Inputs whose squares or quotients leave the float range on the way: a
+# config line and flags each.  The detuning has no bound, so its squares
+# overflow and the point exits by its status.  The others are out of range
+# and exit 2: a kappa, g0 or omega_m of 1e160 Hz would overflow their
+# squares, and a wavelength of 1e300 m (2*hbar*omega_laser) or an omega_m of
+# 1e-170 Hz (omega_m^2) would underflow to 0.
 BEYOND_THE_FLOAT_RANGE = {
     "delta-norm-1e160": ("", ["--delta-norm", "1e160"]),
     "kappa-1e160": ("kappa_hz = 1e160\n", []),
@@ -473,7 +505,8 @@ BEYOND_THE_FLOAT_RANGE = {
 )
 def test_an_input_beyond_the_float_range_exits_by_its_status(case, command, tmp_path, capsys):
     # no numerical failure escapes: a point exits by its status, stability by
-    # whether its verdict is decided, and every sweep and figure writes its rows
+    # whether its verdict is decided, and every sweep and figure writes its
+    # rows; an input out of range exits 2, named with its file, line and key
     text, flags = BEYOND_THE_FLOAT_RANGE[case]
     config = tmp_path / "run.cfg"
     config.write_text(text)
@@ -485,6 +518,11 @@ def test_an_input_beyond_the_float_range_exits_by_its_status(case, command, tmp_
         warnings.simplefilter("ignore", IllConditionedWarning)
         code = main([command, "--config", str(config), *extra, *flags])
     captured = capsys.readouterr()
+    if text:
+        key = text.partition(" = ")[0]
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"config error: {config}:1: {key} must be in [")
+        return
     assert captured.err == ""
     if command == "point":
         assert code == (0 if parsed_lines(captured.out)["status"] == "ok" else 3)
@@ -496,49 +534,59 @@ def test_an_input_beyond_the_float_range_exits_by_its_status(case, command, tmp_
 
 
 def test_coupling_thresholds_where_kappa_squared_overflows(tmp_path, capsys):
-    # kappa^2 overflows, and s1 and s2 with it, but both thresholds are finite
+    # kappa^2 would overflow at kappa_hz = 1e160, which is out of range
     config = tmp_path / "run.cfg"
     config.write_text("kappa_hz = 1e160\n")
+    assert main(["stability", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}:1: kappa_hz must be in ")
+    # at the widest cavity in range, s1, s2 and both thresholds are finite and exact
+    config.write_text("kappa_hz = 1e15\n")
     assert main(["stability", "--config", str(config)]) == 0
     lines = parsed_lines(capsys.readouterr().out)
-    assert (lines["s1"], lines["s2"]) == ("nan", "inf")
-    params = replace(default_params(), kappa=2.0 * math.pi * 1e160)
+    assert math.isfinite(float(lines["s1"])) and math.isfinite(float(lines["s2"]))
+    params = replace(default_params(), kappa=2.0 * math.pi * 1e15)
     for name, delta in (("blue", -params.omega_m), ("red", params.omega_m)):
         exact = threshold_in_fractions(params.omega_m, params.gamma_m, params.kappa, delta)
         assert float(lines[f"g_threshold_{name}"]) == pytest.approx(exact, rel=1e-15)
 
 
 @pytest.mark.parametrize(
-    "kappa_hz, name", [(None, "red"), (1e160, "blue")], ids=["red", "blue-wide-kappa"]
+    "kappa_hz, name", [(None, "red"), (1e15, "blue")], ids=["red", "blue-wide-kappa"]
 )
 def test_coupling_threshold_where_omega_m_squared_underflows(tmp_path, capsys, kappa_hz, name):
-    # omega_m^2 underflows to 0; with kappa_hz = 1e160, omega_m is also 1e-330
-    # times kappa.  The threshold is finite all the same, and exact.
+    # omega_m^2 would underflow to 0 at omega_m_hz = 1e-170, which is out of range
     config = tmp_path / "run.cfg"
     wide = "" if kappa_hz is None else f"kappa_hz = {kappa_hz}\n"
     config.write_text("omega_m_hz = 1e-170\n" + wide)
+    assert main(["stability", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}:1: omega_m_hz must be in ")
+    # the slowest mirror in range, alone or in the widest cavity: the threshold is exact
+    config.write_text("omega_m_hz = 0.1\n" + wide)
     assert main(["stability", "--config", str(config)]) == 0
     lines = parsed_lines(capsys.readouterr().out)
     params = default_params()
-    omega = 2.0 * math.pi * 1e-170
+    omega = 2.0 * math.pi * 0.1
     kappa = params.kappa if kappa_hz is None else 2.0 * math.pi * kappa_hz
     delta = omega if name == "red" else -omega
     exact = threshold_in_fractions(omega, params.gamma_m, kappa, delta)
     assert float(lines[f"g_threshold_{name}"]) == pytest.approx(exact, rel=1e-15)
 
 
-
-@pytest.mark.parametrize("hz, code", [(1e-100, 0), (1e-200, 3)])
-def test_coupling_thresholds_at_tiny_rates(tmp_path, capsys, hz, code):
-    # every rate tiny: s1 and the red denominator underflow to 0 (and s2 at
-    # 1e-200 Hz, where the drift overflows), yet both thresholds are exact
+@pytest.mark.parametrize("hz", [1e-100, 1e-200])
+def test_coupling_thresholds_at_tiny_rates(tmp_path, capsys, hz):
+    # every rate so small that s1 and the red denominator underflow: out of
+    # range, and omega_m_hz, on the first line, is named
     config = tmp_path / "run.cfg"
     config.write_text(f"omega_m_hz = {hz}\ngamma_m_hz = {hz}\nkappa_hz = {hz}\n")
-    assert main(["stability", "--config", str(config)]) == code
+    assert main(["stability", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}:1: omega_m_hz must be in ")
+    # the smallest rates in range: both thresholds exact
+    config.write_text("omega_m_hz = 0.1\ngamma_m_hz = 1e-9\nkappa_hz = 0.1\n")
+    assert main(["stability", "--config", str(config)]) == 0
     lines = parsed_lines(capsys.readouterr().out)
-    rate = 2.0 * math.pi * hz
-    for name, delta in (("blue", -rate), ("red", rate)):
-        exact = threshold_in_fractions(rate, rate, rate, delta)
+    omega, gamma, kappa = (2.0 * math.pi * x for x in (0.1, 1e-9, 0.1))
+    for name, delta in (("blue", -omega), ("red", omega)):
+        exact = threshold_in_fractions(omega, gamma, kappa, delta)
         assert float(lines[f"g_threshold_{name}"]) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 

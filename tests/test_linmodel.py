@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oment import (
     MARGINAL_ABSCISSA_FACTOR,
+    ConfigError,
     SteadyState,
     coupling_threshold_blue,
     coupling_threshold_red,
@@ -188,35 +189,54 @@ def test_red_threshold_closed_form_vs_bisection(params):
     assert closed == pytest.approx(2.89e7, rel=0.10)
 
 
+# The corners of the rates' box (rad/s): omega_m/2pi in [0.1 Hz, 1 THz],
+# gamma_m/2pi in [1e-9 Hz, 1 THz] and kappa/2pi in [0.1 Hz, 1e15 Hz].
+_TWO_PI = 2.0 * math.pi
+_LOWEST = dict(omega_m=_TWO_PI * 0.1, gamma_m=_TWO_PI * 1e-9, kappa=_TWO_PI * 0.1)
+_HIGHEST = dict(omega_m=_TWO_PI * 1e12, gamma_m=_TWO_PI * 1e12, kappa=_TWO_PI * 1e15)
+
+
+def assert_thresholds_exact(params):
+    """Both coupling thresholds of `params` within 1e-15 of the exact ones."""
+    omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
+    for threshold, delta in ((coupling_threshold_blue, -omega), (coupling_threshold_red, omega)):
+        exact = threshold_in_fractions(omega, gamma, kappa, delta)
+        assert threshold(params) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
 def test_routh_numbers_where_kappa_squared_overflows(params):
-    # kappa^2 is inf, as numpy gives it for an array, not an OverflowError;
-    # the thresholds, about kappa/2 and 8e232, are finite all the same
+    # kappa^2 is inf, as numpy gives it for an array, not an OverflowError
     kappa = 2.0 * math.pi * 1e160
     omega, gamma = params.omega_m, params.gamma_m
     assert routh_conditions(omega, gamma, kappa, -omega, 1e9) == (math.inf, math.inf)
-    wide = replace(params, kappa=kappa)
-    for threshold, delta in ((coupling_threshold_blue, -omega), (coupling_threshold_red, omega)):
-        exact = threshold_in_fractions(omega, gamma, kappa, delta)
-        assert threshold(wide) == pytest.approx(exact, rel=1e-15)
+    # such a kappa is out of range; at the widest cavity in range nothing
+    # overflows and both thresholds are exact
+    message = r"^kappa must be in \[.*\], got 6\.283185307179587e\+160$"
+    with pytest.raises(ConfigError, match=message):
+        replace(params, kappa=kappa)
+    assert_thresholds_exact(replace(params, kappa=_HIGHEST["kappa"]))
 
 
 def test_red_threshold_where_omega_m_squared_underflows(params):
-    # omega_m * omega_m underflows to 0, so s1 / 0 is inf; sqrt(s1) / omega_m
-    # / (gamma_m + kappa) is finite, and (G/kappa)^2 ~ 1e352 is not
-    omega = 2.0 * math.pi * 1e-170
-    threshold = coupling_threshold_red(replace(params, omega_m=omega))
-    assert threshold == 3.5757416935455026e185
-    assert threshold == threshold_in_fractions(omega, params.gamma_m, params.kappa, omega)
+    # an omega_m whose square underflows (1e-170 Hz) is out of range; at the
+    # slowest mirror in range omega_m^2 is a normal float and the threshold exact
+    with pytest.raises(ConfigError, match=r"^omega_m must be in \[.*\], got 6\.283"):
+        replace(params, omega_m=2.0 * math.pi * 1e-170)
+    slowest = replace(params, omega_m=_LOWEST["omega_m"])
+    assert coupling_threshold_red(slowest) == pytest.approx(
+        threshold_in_fractions(slowest.omega_m, params.gamma_m, params.kappa, slowest.omega_m),
+        rel=1e-15,
+    )
 
 
 def test_blue_threshold_where_scaled_omega_m_would_underflow(params):
-    # kappa^2 overflows, and omega_m is 1e-330 times kappa: scaled so that kappa
-    # lies in [0.5, 1), omega_m would underflow to 0 and the threshold read NaN
-    omega, kappa = 2.0 * math.pi * 1e-170, 2.0 * math.pi * 1e160
-    threshold = coupling_threshold_blue(replace(params, omega_m=omega, kappa=kappa))
-    exact = threshold_in_fractions(omega, params.gamma_m, kappa, -omega)
-    assert threshold == pytest.approx(exact, rel=1e-15)
-
+    # omega_m 1e-330 times kappa lies outside the box; its extreme ratio in
+    # range, the slowest mirror in the widest cavity, gives exact thresholds
+    with pytest.raises(ConfigError, match="^omega_m must be in "):
+        replace(params, omega_m=2.0 * math.pi * 1e-170, kappa=2.0 * math.pi * 1e160)
+    assert_thresholds_exact(
+        replace(params, omega_m=_LOWEST["omega_m"], kappa=_HIGHEST["kappa"])
+    )
 
 
 @pytest.mark.parametrize(
@@ -225,13 +245,13 @@ def test_blue_threshold_where_scaled_omega_m_would_underflow(params):
     ids=["s1-and-denominator-underflow", "s1-and-s2-underflow", "s1-subnormal"],
 )
 def test_thresholds_at_tiny_rates(params, omega_hz, gamma_hz, kappa_hz):
-    # s1 (~rate^6) and omega_m^2 (gamma_m+kappa)^2 underflow to 0 or lose digits,
-    # and at 1e-200 Hz s2 does too; the rescaled rates give the exact values
+    # rates whose s1 (~rate^6) underflows are out of range: omega_m is named first
     omega, gamma, kappa = (2.0 * math.pi * hz for hz in (omega_hz, gamma_hz, kappa_hz))
-    tiny = replace(params, omega_m=omega, gamma_m=gamma, kappa=kappa)
-    for threshold, delta in ((coupling_threshold_blue, -omega), (coupling_threshold_red, omega)):
-        exact = threshold_in_fractions(omega, gamma, kappa, delta)
-        assert threshold(tiny) == pytest.approx(exact, rel=1e-15, abs=0.0)
+    with pytest.raises(ConfigError, match="^omega_m must be in "):
+        replace(params, omega_m=omega, gamma_m=gamma, kappa=kappa)
+    # the smallest rates in range keep s1 and omega_m^2 (gamma_m+kappa)^2
+    # normal floats, and both thresholds exact
+    assert_thresholds_exact(replace(params, **_LOWEST))
 
 
 # log10 of omega_m, gamma_m and kappa (rad/s), six decades each
@@ -431,10 +451,12 @@ def test_routh_hurwitz_verdict_matches_signs(params):
     assert report.routh_stable == (report.s1 > 0 and report.s2 > 0)
 
 
-def gate_stack(params, powers):
-    """stability_stack at -0.5 omega_m and beta = 0.2, one point per power."""
-    powers = np.asarray(powers, dtype=float)
-    return stability_stack(steady_states(-0.5 * params.omega_m, powers, 0.2, params), params)
+def gate_stack(params, delta_norms):
+    """stability_stack at 10 mW and beta = 0.2, one point per detuning."""
+    # as evaluate_point takes it: 1e308 * omega_m is inf, with no numpy warning
+    delta = np.array([delta_norm * params.omega_m for delta_norm in np.ravel(delta_norms).tolist()])
+    steady = steady_states(delta.reshape(np.shape(delta_norms)), 10e-3, 0.2, params)
+    return stability_stack(steady, params)
 
 
 def test_no_eigvals_on_the_sweep_point_or_threshold_path(params, monkeypatch):
@@ -451,14 +473,15 @@ def test_no_eigvals_on_the_sweep_point_or_threshold_path(params, monkeypatch):
 
 
 def test_gate_of_a_stack_with_an_overflowed_drift_matrix(params):
-    # 1e300 W overflows the drive amplitude, so that drift matrix holds inf
-    # entries and that quartic is not finite: undecided, alone in the stack
-    powers = [10e-3, 1e300, 3e-3]
+    # a detuning beyond the float range (delta_norm = 1e308, times omega_m)
+    # puts inf entries in that drift matrix and makes that quartic not
+    # finite: undecided, alone in the stack
+    delta_norms = [-0.5, 1e308, -0.3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = gate_stack(params, powers)
-        alone = [gate_stack(params, power) for power in powers]
-    steady = steady_states(-0.5 * params.omega_m, 1e300, 0.2, params)
+        report = gate_stack(params, delta_norms)
+        alone = [gate_stack(params, delta_norm) for delta_norm in delta_norms]
+    steady = steady_states(1e308 * params.omega_m, 10e-3, 0.2, params)
     omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
     assert not np.isfinite(drift_matrix(omega, gamma, kappa, steady.delta_eff, steady.g_eff)).all()
     assert report.undecided.tolist() == [False, True, False]

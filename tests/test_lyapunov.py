@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 from oment import (
+    MARGINAL_ABSCISSA_FACTOR,
     IllConditionedWarning,
     default_params,
     diffusion_matrix,
     drift_matrix,
     residual,
-    stability_stack,
+    spectral_abscissa,
     steady_states,
     thermal_occupation,
 )
@@ -30,6 +31,7 @@ from references import (
     matrix_stack,
     record_gufunc_calls,
     residual_by_norm,
+    spectral_verdict,
 )
 
 
@@ -98,14 +100,17 @@ def test_stacked_solve_matches_single_solves():
 
 
 def singular_drift():
-    # stable (abscissa -1.1e5), but its entries span so many orders of
-    # magnitude that the LU of the 10x10 system finds an exact zero pivot
+    # the drift of the default rates at delta = 0 with g = 3.9e136 rad/s, the
+    # coupling that 1e250 W would give (a power far outside the parameter box,
+    # so built here as a bare matrix): stable (abscissa -1.1e5), but its
+    # entries span so many orders of magnitude that the LU of the 10x10
+    # system finds an exact zero pivot
     params = default_params()
-    steady = steady_states(0.0, 1e250, params.beta, params)
-    stability = stability_stack(steady, params)
-    assert stability.spectral_stable and not stability.marginal
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    return drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, params.beta)
+    a = drift_matrix(omega_m, gamma_m, kappa, 0.0, 3.917833463362832e136, params.beta)
+    stable, marginal = spectral_verdict(spectral_abscissa(a), MARGINAL_ABSCISSA_FACTOR * kappa)
+    assert stable and not marginal
+    return a
 
 
 def test_singular_system_marks_only_its_own_pair():

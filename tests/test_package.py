@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import math
+import operator
 import pkgutil
 import re
 from pathlib import Path
@@ -7,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import oment
+from oment import params
+from oment.constants import C_LIGHT
 
 MODULES = [oment] + [
     importlib.import_module(f"oment.{info.name}") for info in pkgutil.iter_modules(oment.__path__)
@@ -47,3 +51,34 @@ def test_readme_python_blocks_run_in_order():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _readme_range(text, unit):
+    """The (above, low, below, high) rule of a README range cell, in the
+    field's unit: Hz become rad/s."""
+    per_hz = 2.0 * math.pi if unit == "Hz" else 1.0
+    if closed := re.fullmatch(r"\[(\S+), (\S+)\]", text):
+        low, high = (per_hz * float(bound) for bound in closed.groups())
+        return operator.ge, low, operator.le, high
+    symbol, bound = text.split()
+    return {
+        ">=": (operator.ge, float(bound), operator.le, math.inf),
+        ">": (operator.gt, float(bound), operator.le, math.inf),
+        "<": (operator.ge, -math.inf, operator.lt, float(bound)),
+    }[symbol]
+
+
+def test_readme_range_table_is_the_code_table():
+    row = r"^\| `(\w+)` \|[^|]+\|([^|]+)\|([^|]*)\|$"
+    rows = re.findall(row, README.read_text(), re.MULTILINE)
+    table = {name: (cell.strip(), unit.strip()) for name, cell, unit in rows}
+    assert set(table) == set(params._RANGES)
+    # omega_laser is 2*pi*c/lambda, so its bounds are the wavelength's, swapped
+    _, shortest, _, longest = _readme_range(*table.pop("laser_wavelength"))
+    assert table.pop("omega_laser")[0] == "2πc/λ over the wavelength's range"
+    assert params._RANGES["laser_wavelength"] == (operator.ge, shortest, operator.le, longest)
+    slowest, fastest = (2.0 * math.pi * C_LIGHT / wavelength for wavelength in (longest, shortest))
+    assert params._RANGES["omega_laser"] == (operator.ge, slowest, operator.le, fastest)
+    assert {name: _readme_range(*cell) for name, cell in table.items()} == {
+        name: params._RANGES[name] for name in table
+    }

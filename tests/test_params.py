@@ -122,9 +122,14 @@ def test_a_bath_too_cold_for_a_float_has_no_thermal_phonons(params):
 
 
 def test_thermal_occupation_where_k_b_t_underflows():
-    # the ratio is taken in another order, which a tiny omega_m as well keeps finite
-    n = thermal_occupation(1e-310, 1e-320)
-    assert n == pytest.approx(K_B / HBAR * (1e-310 / 1e-320) - 0.5, rel=1e-12)
+    # below about 3.6e-301 K, k_B*T is 0 and the ratio is taken in another
+    # order; at the smallest omega_m in range that ratio still overflows exp
+    lowest = 2.0 * math.pi * 0.1
+    assert K_B * 1e-310 == 0.0
+    assert thermal_occupation(1e-310, lowest) == 0.0
+    # a tiny omega_m, which would keep the reordered ratio finite, is out of range
+    with pytest.raises(ConfigError, match=r"^omega_m must be in \[0\.6283185307179586, "):
+        thermal_occupation(1e-310, 1e-320)
 
 
 @pytest.mark.parametrize(
@@ -133,11 +138,20 @@ def test_thermal_occupation_where_k_b_t_underflows():
     ids=["1e-300", "1e-320", "5e-324", "1e20-1e-280"],
 )
 def test_an_occupation_beyond_the_float_range_is_a_config_error(temperature, omega_m):
-    # hbar*omega_m/(k_B*T) underflows to 0, or to a subnormal whose reciprocal
-    # overflows, so n_th = 1/expm1(ratio) has no float value
-    message = f"thermal occupation overflows at temperature={temperature!r}, omega_m={omega_m!r}"
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+    # hbar*omega_m/(k_B*T) would underflow to 0, or to a subnormal whose
+    # reciprocal overflows; such an omega_m or temperature is out of range
+    name, value = ("temperature", temperature) if temperature > 1e4 else ("omega_m", omega_m)
+    message = rf"^{name} must be in \[.*\], got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
         thermal_occupation(temperature, omega_m)
+
+
+def test_the_smallest_thermal_exponent_in_range_gives_a_float():
+    # the smallest omega_m at the largest temperature: the exponent is about
+    # 4.8e-16, so n_th is about 2.1e15 and the classical kT/(hbar*omega_m)
+    omega_m, temperature = 2.0 * math.pi * 0.1, 1e4
+    n = thermal_occupation(temperature, omega_m)
+    assert n == pytest.approx(K_B * temperature / (HBAR * omega_m) - 0.5, rel=1e-12)
 
 
 def test_thermal_occupation_classical_limit(params):
@@ -188,21 +202,30 @@ def test_drive_amplitude_sqrt_scaling(params):
 
 
 def test_drive_amplitude_rejects_negative_power(params):
-    with pytest.raises(ValueError, match="power must be >= 0"):
+    with pytest.raises(ValueError, match=r"power must be in \[0\.0, 1000\.0\]"):
         drive_amplitude(-1e-3, params.kappa, params.omega_laser)
-    with pytest.raises(ValueError, match="power must be >= 0"):
+    with pytest.raises(ValueError, match=r"power must be in \[0\.0, 1000\.0\]"):
         drive_amplitude(np.array([1e-3, -1e-3]), params.kappa, params.omega_laser)
 
 
 def test_drive_amplitude_where_two_hbar_omega_laser_underflows(params):
-    # a wavelength of 1e300 m: 2*hbar*omega_laser underflows to 0, so the
-    # quotient is taken in another order, for a scalar and an array power alike
-    omega_laser = replace(params, laser_wavelength=1e300).omega_laser
+    # a wavelength of 1e300 m would underflow 2*hbar*omega_laser to 0: it is
+    # out of range, and so is its omega_laser
+    with pytest.raises(ConfigError, match=r"^laser_wavelength must be in \[1e-09, 10\.0\]"):
+        replace(params, laser_wavelength=1e300)
+    omega_laser = 2.0 * math.pi * 299792458.0 / 1e300
     assert 2.0 * HBAR * omega_laser == 0.0
-    e0 = drive_amplitude(1e-50, params.kappa, omega_laser)
-    log_e0 = 0.5 * (math.log(1e-50 * params.kappa) - math.log(2.0 * HBAR) - math.log(omega_laser))
-    assert e0 == pytest.approx(math.exp(log_e0), rel=1e-12)
-    assert drive_amplitude(np.array([1e-50]), params.kappa, omega_laser)[0] == e0
+    with pytest.raises(ConfigError, match=r"^omega_laser must be in \["):
+        drive_amplitude(1e-50, params.kappa, omega_laser)
+    # the longest wavelength in range, with the extreme powers and kappas:
+    # every amplitude is finite, for a scalar and an array power alike
+    omega_laser = replace(params, laser_wavelength=10.0).omega_laser
+    for power in (1e-50, 1e3):
+        for kappa in (2.0 * math.pi * 0.1, 2.0 * math.pi * 1e15):
+            e0 = drive_amplitude(power, kappa, omega_laser)
+            log_e0 = 0.5 * (math.log(power * kappa) - math.log(2.0 * HBAR) - math.log(omega_laser))
+            assert e0 == pytest.approx(math.exp(log_e0), rel=1e-12)
+            assert drive_amplitude(np.array([power]), kappa, omega_laser)[0] == e0
 
 
 def test_drive_amplitude_closed_form_identity(params):
@@ -237,7 +260,7 @@ def test_load_config_round_trip(tmp_path):
 def test_half_kappa_hz_gives_kappa_pi_times_the_value(tmp_path):
     # kappa = 2*pi*kappa_hz always; halving kappa_hz gives pi times the value, bit for bit
     config = tmp_path / "params.cfg"
-    for value in (529e6, 1.0, 3.0e-7, 123456.789e3):
+    for value in (529e6, 1.0, 0.3, 123456.789e3):
         config.write_text(f"kappa_hz = {value / 2!r}\n")
         assert load_config(config).kappa == math.pi * value
 
@@ -259,12 +282,13 @@ def test_load_config_partial_keeps_defaults(tmp_path):
     assert params.temperature == defaults.temperature
 
 
-# A value outside its field's range is named by file, line and key, as written.
+# A value outside its field's range is named by file, line and key, with the
+# range in the key's unit and the value as written.
 _RANGE_ERRORS = {
     "beta = 1.5\n": "params.cfg:1: beta must be < 1, got 1.5$",
     "beta = 1.0\n": "params.cfg:1: beta must be < 1, got 1.0$",
-    "power_w = -1e-3\n": "params.cfg:1: power_w must be >= 0, got -0.001$",
-    "kappa_hz = -5\n": "params.cfg:1: kappa_hz must be > 0, got -5.0$",
+    "power_w = -1e-3\n": r"params.cfg:1: power_w must be in \[0.0, 1000.0\], got -1e-3$",
+    "kappa_hz = -5\n": r"params.cfg:1: kappa_hz must be in \[0.1, 1000000000000000.0\], got -5$",
     "kappa_hz = inf\n": "params.cfg:1: kappa_hz must be finite, got inf$",
 }
 
@@ -294,12 +318,42 @@ def test_load_config_rejects_bad_input(tmp_path, content):
 
 @pytest.mark.parametrize("key, field", [("kappa_hz", "kappa"), ("omega_m_hz", "omega_m")])
 def test_load_config_rejects_a_value_whose_conversion_overflows(tmp_path, key, field):
-    # 1e308 Hz is a finite float, but 2*pi*1e308 rad/s is not
+    # 1e308 Hz is a finite float, but 2*pi*1e308 rad/s is not: it is out of
+    # range, named in Hz and as written
     config = tmp_path / "params.cfg"
     config.write_text(f"power_w = 1e-3\n{key} = 1e308\n")
-    message = f"^{re.escape(str(config))}:2: {key} = 1e308 overflows {field} = "
-    with pytest.raises(ConfigError, match=message):
+    high = {"kappa": 1e15, "omega_m": 1e12}[field]
+    message = f"{config}:2: {key} must be in [0.1, {high!r}], got 1e308"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_config(config)
+
+
+# Each config key with a bounded field: its range in the key's unit.
+_CONFIG_BOXES = {
+    "omega_m_hz": (0.1, 1e12),
+    "gamma_m_hz": (1e-9, 1e12),
+    "g0_hz": (0.0, 1e12),
+    "kappa_hz": (0.1, 1e15),
+    "power_w": (0.0, 1e3),
+    "wavelength_m": (1e-9, 10.0),
+    "temperature_k": (0.0, 1e4),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_BOXES))
+def test_load_config_admits_its_edges_in_the_keys_unit(tmp_path, key):
+    config = tmp_path / "params.cfg"
+    low, high = _CONFIG_BOXES[key]
+    field, factor = params_module._CONFIG_FIELDS[key]
+    # just outside in the key's unit; a rate 1 ulp out in Hz can round back in rad/s
+    below = low * (1.0 - 1e-12) if low else -5e-324
+    for inside, outside in ((low, below), (high, high * (1.0 + 1e-12))):
+        config.write_text(f"{key} = {inside!r}\n")
+        assert getattr(load_config(config), field) == factor * inside
+        config.write_text(f"beta = 0\n{key} = {outside!r}\n")
+        message = f"{config}:2: {key} must be in [{low!r}, {high!r}], got {outside!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(config)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -314,14 +368,26 @@ def test_validation_rejects_non_finite_fields(field, value):
         replace(default_params(), **{field: value})
 
 
-# Each checked name: a value just inside its range and one just outside.
+def _box(low, high):
+    """Both edges of [low, high]: each bound and the next float outside it."""
+    return [(low, math.nextafter(low, -math.inf)), (high, math.nextafter(high, math.inf))]
+
+
+_TWO_PI = 2.0 * math.pi
+_C = 299792458.0
+# Each checked name: its edges, as a value just inside its range and one just outside.
 _EDGES = {
-    **dict.fromkeys(
-        ("omega_m", "gamma_m", "kappa", "laser_wavelength", "omega_laser", "n_hi"),
-        (5e-324, 0.0),
-    ),
-    **dict.fromkeys(("g_m", "power", "temperature", "n_th"), (0.0, -5e-324)),
-    "beta": (math.nextafter(1.0, 0.0), 1.0),
+    "omega_m": _box(_TWO_PI * 0.1, _TWO_PI * 1e12),
+    "gamma_m": _box(_TWO_PI * 1e-9, _TWO_PI * 1e12),
+    "g_m": _box(0.0, _TWO_PI * 1e12),
+    "kappa": _box(_TWO_PI * 0.1, _TWO_PI * 1e15),
+    "power": _box(0.0, 1e3),
+    "laser_wavelength": _box(1e-9, 10.0),
+    "omega_laser": _box(_TWO_PI * _C / 10.0, _TWO_PI * _C / 1e-9),
+    "temperature": _box(0.0, 1e4),
+    "n_th": [(0.0, -5e-324)],
+    "n_hi": [(5e-324, 0.0)],
+    "beta": [(math.nextafter(1.0, 0.0), 1.0)],
 }
 
 
@@ -333,15 +399,24 @@ def test_every_range_rule_has_its_edges():
 
 @pytest.mark.parametrize("name", sorted(_EDGES))
 def test_range_rule_edges(name):
-    inside, outside = _EDGES[name]
-    check_range(**{name: inside})
-    check_range(**{name: np.full((2, 3), inside)})
-    for bad in (outside, math.nan):
-        with pytest.raises(ConfigError, match=f"^{name} must be [<>]=? [^,]+, got {bad!r}$"):
-            check_range(**{name: bad})
-        array = np.array([[inside, bad], [outside, math.nan]])  # the first offender is named
-        with pytest.raises(ConfigError, match=f"^{name} must be [<>]=? [^,]+, got {bad!r}$"):
-            check_range(**{name: array})
+    rule = r"(in \[[^]]+\]|[<>]=? [^,]+)"
+    for inside, outside in _EDGES[name]:
+        check_range(**{name: inside})
+        check_range(**{name: np.full((2, 3), inside)})
+        for bad in (outside, math.nan):
+            message = f"^{name} must be {rule}, got {re.escape(repr(bad))}$"
+            with pytest.raises(ConfigError, match=message):
+                check_range(**{name: bad})
+            array = np.array([[inside, bad], [outside, math.nan]])  # the first offender is named
+            with pytest.raises(ConfigError, match=message):
+                check_range(**{name: array})
+
+
+def test_the_wavelength_edges_give_the_omega_laser_edges(params):
+    # omega_laser is 2*pi*c/lambda, so each wavelength in range gives one in range
+    wavelengths, omega_lasers = _EDGES["laser_wavelength"], _EDGES["omega_laser"][::-1]
+    for (wavelength, _), (omega_laser, _) in zip(wavelengths, omega_lasers):
+        assert replace(params, laser_wavelength=wavelength).omega_laser == omega_laser
 
 
 def test_a_nan_is_out_of_range_at_every_checked_stage(params):

@@ -199,19 +199,29 @@ def test_linear_balance_state_is_python_floats_of_the_array_path(params, g_m):
 
 
 def test_steady_states_rejects_negative_power(params):
-    with pytest.raises(ValueError, match="power must be >= 0"):
+    with pytest.raises(ValueError, match=r"power must be in \[0\.0, 1000\.0\]"):
         steady_states(-params.omega_m, -1e-3, 0.0, params)
-    with pytest.raises(ValueError, match="power must be >= 0"):
+    with pytest.raises(ValueError, match=r"power must be in \[0\.0, 1000\.0\]"):
         steady_states(-params.omega_m, np.array([1e-3, -1e-3]), 0.0, params)
 
 
 def test_steady_states_does_not_warn_at_an_overflowing_drive(params):
-    # E0 overflows to inf and g_m = 0 makes 0 * inf: NaN, silently
-    undriven = replace(params, g_m=0.0, power=1e300)
+    # a drive that overflows E0 (1e300 W) is out of range, at the boundary
+    # and at the stage
+    with pytest.raises(ConfigError, match=r"^power must be in \[0\.0, 1000\.0\], got 1e\+300$"):
+        replace(params, g_m=0.0, power=1e300)
+    with pytest.raises(ConfigError, match="^power must be in "):
+        steady_states(-params.omega_m, 1e300, 0.0, params)
+    # the strongest drive in range (1 kW, the widest cavity, the longest
+    # wavelength) is finite; a detuning beyond the float range gives no photons
+    strongest = replace(
+        params, g_m=0.0, power=1e3, kappa=2.0 * math.pi * 1e15, laser_wavelength=10.0
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = steady_states(-params.omega_m, 1e300, 0.0, undriven)
-    assert math.isinf(state.n_s) and math.isnan(state.g_eff)
+        state = steady_states(np.array([-params.omega_m, math.inf]), 1e3, 0.0, strongest)
+    assert np.isfinite(state.n_s).all() and state.n_s[1] == 0.0
+    assert (state.g_eff == 0.0).all() and math.isinf(state.delta_bare[1])
 
 
 @pytest.mark.parametrize("delta_bare", [1e200, -1e200, -1e154])
@@ -234,11 +244,14 @@ def test_bare_detuning_too_weakly_coupled_for_a_monic_cubic_is_linear(params, g_
 
 
 def test_bare_detuning_with_an_overflowing_coupling_fails_its_residual(params):
-    # g_m^2 overflows, so the monic cubic reads n^3 = 0: its zero-photon roots
-    # have a NaN residual, which no tolerance passes
+    # a coupling whose square overflows (g_m = 1e200 rad/s) is out of range
+    with pytest.raises(ConfigError, match=r"^g_m must be in \[0\.0, .*\], got 1e\+200$"):
+        replace(params, g_m=1e200)
+    # a zero-photon root with a NaN residual, which no tolerance passes, is
+    # still reached by a bare detuning whose square overflows
     message = "^cubic root residual nan exceeds tolerance at n_s=0.0$"
     with pytest.raises(ArithmeticError, match=message) as raised:
-        from_bare_detuning(-params.omega_m, replace(params, g_m=1e200))
+        from_bare_detuning(1e200, params)
     assert type(raised.value) is ArithmeticError
 
 

@@ -24,6 +24,8 @@ from oment import (
     PhysicalParams,
     Sweep,
     SweepSpec,
+    coupling_threshold_blue,
+    coupling_threshold_red,
     default_params,
     emit,
     evaluate_point,
@@ -461,14 +463,15 @@ def test_records_do_not_depend_on_the_batch(spec):
 
 
 def _admitted(name):
-    """Finite floats across the whole float range that the range rule of
-    `name` admits, its bound included where the rule includes it."""
-    within, bound = params_module._RANGES[name]
-    side = "max_value" if within(bound - 1, bound) else "min_value"
-    exclude = "exclude_max" if side == "max_value" else "exclude_min"
-    return st.floats(
-        **{side: bound, exclude: not within(bound, bound)}, allow_nan=False, allow_infinity=False
-    )
+    """Finite floats that the range rule of `name` admits, each bound included
+    where the rule includes it."""
+    above, low, below, high = params_module._RANGES[name]
+    bounds = {}
+    if low > -math.inf:
+        bounds.update(min_value=low, exclude_min=not above(low, low))
+    if high < math.inf:
+        bounds.update(max_value=high, exclude_max=not below(high, high))
+    return st.floats(**bounds, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=300, deadline=None)
@@ -519,11 +522,78 @@ def test_a_numerical_failure_marks_its_point_and_raises_nothing(point_params, de
         assert float.hex(float(row.eta[index])) == float.hex(eta)
 
 
-# Operating points along n_th: ok, unstable, Routh numbers overflowing
-# (unstable), steady state overflowing (error) and a singular 10x10 system
+# A positive floor for the log-uniform draws of the fields whose range starts
+# at 0: a coupling of 1 nHz, a picowatt and a microkelvin.
+_FLOORS = {"g_m": 2.0 * math.pi * 1e-9, "power": 1e-12, "temperature": 1e-6}
+_BOXED = ("omega_m", "gamma_m", "g_m", "kappa", "power", "laser_wavelength", "temperature")
+
+
+def _in_the_box(name):
+    """Log-uniform floats over the range of `name` (above its floor where the
+    range starts at 0), or one of its corners: each bound, and the floor."""
+    _, low, _, high = params_module._RANGES[name]
+    floor = _FLOORS.get(name, low)
+    log_uniform = st.floats(math.log(floor), math.log(high)).map(
+        lambda x: min(max(math.exp(x), floor), high)
+    )
+    return st.sampled_from(sorted({low, floor, high})) | log_uniform
+
+
+def _box_corner(side):
+    """PhysicalParams with every boxed field at its lower (0) or upper (1) bound."""
+    return PhysicalParams(
+        **{name: params_module._RANGES[name][1 + 2 * side] for name in _BOXED}, beta=0.99 * side
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    point_params=st.builds(
+        PhysicalParams,
+        **{name: _in_the_box(name) for name in _BOXED},
+        beta=st.sampled_from([0.0, 0.99]) | st.floats(0.0, 0.99),
+    ),
+    delta_norm=st.sampled_from([-3.0, 0.0, 1.0]) | st.floats(-3.0, 1.0),
+)
+@example(point_params=_box_corner(0), delta_norm=-3.0)
+@example(point_params=_box_corner(1), delta_norm=1.0)
+def test_every_stage_stays_finite_over_the_parameter_box(point_params, delta_norm):
+    # inside the box no stage leaves the float range: no exception, no
+    # warning but the ill-conditioned solve's own, a decided gate, and finite
+    # steady states, Routh numbers and coupling thresholds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        point = evaluate_point(point_params, delta_norm)
+        thresholds = (coupling_threshold_blue(point_params), coupling_threshold_red(point_params))
+    stability = point.stability
+    assert not stability.undecided
+    numbers = (point.steady.n_s, point.steady.g_eff, stability.s1, stability.s2, *thresholds)
+    assert all(math.isfinite(x) for x in numbers)
+    assert min(thresholds) > 0.0
+
+
+@pytest.mark.parametrize("delta_norm", [-1.0, 0.5, 1e160], ids=["ok", "unstable", "undecided"])
+def test_a_points_stability_fields_are_python_scalars(params, delta_norm):
+    # a numpy scalar detuning and bath occupation give the fields, and the
+    # values, of Python floats
+    p = replace(params, power=10e-3, beta=0.2)
+    alone = evaluate_point(p, delta_norm, 100.0)
+    for kind in (float, np.float64):
+        point = evaluate_point(p, kind(delta_norm), kind(100.0))
+        stability = point.stability
+        assert [type(getattr(stability, f.name)) for f in fields(stability)] == (
+            [float, float, bool, bool, bool, bool]
+        )
+        assert (point.status, point.steady) == (alone.status, alone.steady)
+        assert stability == alone.stability
+
+
+# Operating points along n_th, at beta = 0.99: ok, unstable, a detuning whose
+# square overflows (undecided: error) and an ill-conditioned 10x10 system
 # (error at every n_th).
-_EDGE_POWERS = (10e-3, 1e-3, 1e250, 1e300, 1e250)
-_EDGE_DELTA_NORMS = (-1.0, 1.0, -1.0, -1.0, 0.0)
+_EDGE_POWERS = (1e-3, 1e-3, 1e-3, 0.1)
+_EDGE_DELTA_NORMS = (-1.0, 1.0, 1e160, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -531,17 +601,17 @@ _EDGE_DELTA_NORMS = (-1.0, 1.0, -1.0, -1.0, 0.0)
     [
         # n_th axis, one operating point per curve
         (dict(axis="n_th", start=0.0, stop=3000.0, count=9, curve_param="power",
-              curves=_EDGE_POWERS, curve_delta_norms=_EDGE_DELTA_NORMS),
+              curves=_EDGE_POWERS, curve_delta_norms=_EDGE_DELTA_NORMS,
+              fixed=replace(default_params(), beta=0.99)),
          {"ok", "unstable", "error"}),
         (dict(axis="n_th", start=0.0, stop=3000.0, count=9), {"ok"}),
         # n_th curves, one operating point per grid value
         (dict(start=-1.5, stop=0.5, count=9, curve_param="n_th", curves=(0.0, 100.0, 2500.0)),
          {"ok", "unstable"}),
-        (dict(axis="power", start=0.0, stop=1e250, count=5, delta_norm=0.0, curve_param="n_th",
-              curves=(0.0, 100.0, 2500.0)),
+        (dict(axis="power", start=0.0, stop=0.1, count=5, delta_norm=0.0, curve_param="n_th",
+              curves=(0.0, 100.0, 2500.0), fixed=replace(default_params(), beta=0.99)),
          {"ok", "error"}),
-        (dict(axis="power", start=0.0, stop=1e300, count=5, curve_param="n_th",
-              curves=(0.0, 100.0)),
+        (dict(start=-1.0, stop=1e160, count=5, curve_param="n_th", curves=(0.0, 100.0)),
          {"ok", "error"}),
         # nothing solved: an all-unstable grid, with and without an n_th axis
         (dict(axis="n_th", start=0.0, stop=3000.0, count=9, delta_norm=1.0), {"unstable"}),
@@ -550,7 +620,7 @@ _EDGE_DELTA_NORMS = (-1.0, 1.0, -1.0, -1.0, 0.0)
 )
 def test_nth_grids_match_point_by_point(params, overrides, statuses):
     spec = small_spec(params, **overrides)
-    with warnings.catch_warnings():  # the singular operating points warn
+    with warnings.catch_warnings():  # the ill-conditioned operating points warn
         warnings.simplefilter("ignore", IllConditionedWarning)
         swept, by_point = run_sweep(spec), records_point_by_point(spec)
     for fmt in ("csv", "jsonl"):
@@ -558,14 +628,15 @@ def test_nth_grids_match_point_by_point(params, overrides, statuses):
     assert set(swept.status) == statuses
 
 
-# (power, beta, delta_norm, n_th): ok, ok, unstable, error from an overflowing
-# steady state (no solve) and error from a singular 10x10 system (solved)
+# (power, beta, delta_norm, n_th): ok, ok, unstable, error from a detuning
+# whose square overflows (undecided, no solve) and error from an
+# ill-conditioned 10x10 system (solved)
 _MIXED_POINTS = (
     (10e-3, 0.6, -0.5, 100.0),
     (0.7e-3, 0.0, -1.0, 0.0),
     (10e-3, 0.2, 0.5, 100.0),
-    (1e300, 0.0, -1.0, 0.0),
-    (1e253, 0.0, 0.0, 0.0),
+    (10e-3, 0.0, 1e160, 0.0),
+    (0.1, 0.99, 0.0, 0.0),
 )
 _BENCH_POINTS = st.tuples(
     st.floats(0.7e-3, 30e-3), st.floats(0.0, 0.6), st.floats(-2.5, 0.5), st.floats(0.0, 3000.0)
@@ -667,36 +738,43 @@ def test_a_point_does_one_points_work(params, monkeypatch):
 
 
 def test_singular_operating_point_warns_once(params):
-    # three n_th curves; four powers give a singular system, each warns once
-    spec = small_spec(params, axis="power", start=0.0, stop=1e250, count=5, delta_norm=0.0,
-                      curve_param="n_th", curves=(0.0, 100.0, 1000.0))
-    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+    # three n_th curves; at beta = 0.99 and delta = 0, four powers give an
+    # ill-conditioned system (condition 8e12 to 2.4e14), each warns once
+    spec = small_spec(params, axis="power", start=0.0, stop=0.1, count=5, delta_norm=0.0,
+                      curve_param="n_th", curves=(0.0, 100.0, 1000.0),
+                      fixed=replace(params, beta=0.99))
+    with pytest.warns(IllConditionedWarning, match="exceeds 1e[+]12$") as caught:
         result = run_sweep(spec)
     assert len(caught) == 4
     assert (result.status.reshape(3, 5)[:, 1:] == "error").all()
 
 
 def _singular_drift_and_diffusion(params):
-    steady = steady_states(0.0, 1e250, params.beta, params)
+    steady = steady_states(0.0, 0.1, 0.99, params)
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, params.beta)
+    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, 0.99)
     return a, diffusion_matrix(params.gamma_m, params.kappa, 0.0)
+
+
+# 100 mW at beta = 0.99 and delta = 0: stable, with a condition of 2.4e14
+_ILL = dict(power=0.1, beta=0.99)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda params: run_sweep(small_spec(
-            params, axis="power", start=0.0, stop=1e250, count=5, delta_norm=0.0
+            params, axis="power", start=0.0, stop=0.1, count=5, delta_norm=0.0,
+            fixed=replace(params, beta=0.99),
         )),
-        lambda params: evaluate_point(replace(params, power=1e250), 0.0),
-        lambda params: nth_entanglement_threshold(replace(params, power=1e250), 0.0),
+        lambda params: evaluate_point(replace(params, **_ILL), 0.0),
+        lambda params: nth_entanglement_threshold(replace(params, **_ILL), 0.0),
         lambda params: solve_stack(*_singular_drift_and_diffusion(params)),
     ],
     ids=["run_sweep", "evaluate_point", "nth_entanglement_threshold", "solve_stack"],
 )
 def test_ill_conditioned_warning_names_the_callers_line(params, call):
-    with pytest.warns(IllConditionedWarning, match="inf exceeds") as caught:
+    with pytest.warns(IllConditionedWarning, match="exceeds 1e[+]12$") as caught:
         call(params)
     assert {w.filename for w in caught} == {__file__}
 
@@ -916,11 +994,12 @@ def test_nth_threshold_error_status_is_not_entangled(params, monkeypatch):
 
 
 def test_nth_threshold_singular_system_is_not_entangled(params):
-    # stable at 1e250 W and delta = 0, but the 10x10 system is singular
-    singular = replace(params, power=1e250)
-    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
+    # stable at 100 mW, beta = 0.99 and delta = 0, but the 10x10 system is
+    # singular to working precision (condition 2.4e14)
+    singular = replace(params, **_ILL)
+    with pytest.warns(IllConditionedWarning, match="2.386e[+]14 exceeds"):
         assert evaluate_point(singular, 0.0).status == "error"
-    with pytest.warns(IllConditionedWarning, match="inf exceeds"):
+    with pytest.warns(IllConditionedWarning, match="2.386e[+]14 exceeds"):
         assert nth_entanglement_threshold(singular, 0.0) == 0.0
 
 
@@ -1027,15 +1106,17 @@ def test_nth_threshold_rejects_bad_arguments(params, field, value):
 
 
 def test_nth_threshold_midpoints_do_not_overflow(params):
-    # with n_hi = 1.7e308, lo + hi passes the float range: the bisection
-    # halves lo and hi before it adds them, and returns at once
-    p10 = replace(params, power=10e-3)
-    assert nth_entanglement_threshold(replace(p10, gamma_m=1e-300), -1.0, n_hi=1.7e308) == (
-        8.985595703124997e307
-    )
-    assert nth_entanglement_threshold(replace(p10, gamma_m=1e-290), -1.0, n_hi=1.7e308) == (
-        1.3891110484109957e298
-    )
+    # n_hi = 1.7e308 is in range: the bisection halves lo and hi before it
+    # adds them, so about a thousand midpoints stay finite on the way down to
+    # the threshold at the smallest gamma_m, 2.2e16, which a search from a
+    # near n_hi finds too
+    p10 = replace(params, power=10e-3, gamma_m=2.0 * math.pi * 1e-9)
+    wide = nth_entanglement_threshold(p10, -1.0, n_hi=1.7e308)
+    assert wide == pytest.approx(nth_entanglement_threshold(p10, -1.0, n_hi=1e20), rel=2e-3)
+    # damping rates whose thresholds would near the float maximum are out of range
+    for gamma_m in (1e-300, 1e-290):
+        with pytest.raises(ConfigError, match=f"^gamma_m must be in .*, got {gamma_m!r}$"):
+            replace(p10, gamma_m=gamma_m)
 
 
 def test_nth_threshold_still_entangled_at_n_hi_names_the_remedy(params):
@@ -1121,7 +1202,7 @@ def test_a_private_stage_checks_its_input_as_its_public_one(params, module, name
             stage(*arguments(params))
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
-    assert errors[0] in ("power must be >= 0, got -0.001", "beta must be < 1, got 1.0")
+    assert errors[0] in ("power must be in [0.0, 1000.0], got -0.001", "beta must be < 1, got 1.0")
 
 
 def test_the_entry_points_do_not_lean_on_their_error_state(params):
