@@ -66,7 +66,7 @@ _ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
 _COLS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EntanglementReport:
     """Entanglement figures of one covariance matrix."""
 
@@ -151,9 +151,9 @@ def log_negativity_of(eta):
 def entanglement_report(sig: float, det_v: float, eta: float) -> EntanglementReport:
     """Report of one CM from its sigma, det V and eta; entangled iff f*eta < 1."""
     return EntanglementReport(
-        sigma_v=float(sig),
-        det_v=float(det_v),
-        eta=float(eta),
-        log_negativity=float(log_negativity_of(eta)),
-        entangled=bool(ETA_FACTOR * eta < 1.0),
+        float(sig),
+        float(det_v),
+        float(eta),
+        float(log_negativity_of(eta)),
+        bool(ETA_FACTOR * eta < 1.0),
     )

@@ -46,7 +46,7 @@ __all__ = [
 MARGINAL_ABSCISSA_FACTOR = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StabilityReport:
     """Stability of one point or of a stack of points.
 
@@ -191,12 +191,7 @@ def stability_stack(steady: SteadyState, params: PhysicalParams) -> StabilityRep
     stable = hurwitz & decided
     # x ^ True is "not x" for a bool and an array alike (~True is -2)
     return StabilityReport(
-        s1=s1,
-        s2=s2,
-        routh_stable=(s1 > 0) & (s2 > 0),
-        spectral_stable=stable,
-        marginal=stable & (clear ^ True),
-        undecided=decided ^ True,
+        s1, s2, (s1 > 0) & (s2 > 0), stable, stable & (clear ^ True), decided ^ True
     )
 
 

@@ -39,7 +39,7 @@ class IllConditionedWarning(RuntimeWarning):
     """The 10x10 Lyapunov system is ill conditioned; result returned, flagged."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CovarianceMatrix:
     """Symmetric 4x4 stationary covariance matrix with solver diagnostics.
 

@@ -114,6 +114,8 @@ def check_range(**values) -> None:
 class PhysicalParams:
     """Operating parameters of the driven optomechanical cavity.
 
+    Every field is checked as given and then stored as a Python float.
+
     Attributes
     ----------
     omega_m : float
@@ -148,6 +150,9 @@ class PhysicalParams:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         require_finite(**values)
         check_range(**values)
+        for name, value in values.items():
+            if type(value) is not float:  # a numpy scalar or an int: every stage gets floats
+                object.__setattr__(self, name, float(value))
 
     @property
     def omega_laser(self) -> float:

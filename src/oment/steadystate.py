@@ -57,7 +57,7 @@ class DegenerateRootsWarning(UserWarning):
     """Two photon-number roots coincide within relative 1e-6 (fold point)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SteadyState:
     """One classical operating point.
 
@@ -81,15 +81,8 @@ def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadySt
     # math.sqrt is correctly rounded, as np.sqrt is: a point on floats keeps
     # its row's bits without numpy's per-call cost
     alpha_s = math.sqrt(n_s) if isinstance(n_s, float) else np.sqrt(n_s)
-    return SteadyState(
-        n_s=n_s,
-        alpha_s=alpha_s,
-        x_s=2.0 * (params.g_m / params.omega_m) * n_s,
-        delta_eff=delta_eff,
-        delta_bare=delta_bare,
-        g_eff=params.g_m * alpha_s,
-        beta=beta,
-    )
+    x_s = 2.0 * (params.g_m / params.omega_m) * n_s
+    return SteadyState(n_s, alpha_s, x_s, delta_eff, delta_bare, params.g_m * alpha_s, beta)
 
 
 @np.errstate(all="ignore")

@@ -145,7 +145,7 @@ class Sweep:
     status: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PointResult:
     """Full evaluation of one operating point."""
 
@@ -290,13 +290,7 @@ def evaluate_point(
         covariance = CovarianceMatrix(v, float(res), float(condition), bool(ill))
         report = gaussian.entanglement_report(sig, det_v, eta) if ok else None
         status = STATUS_OK if ok else STATUS_ERROR
-    return PointResult(
-        steady=steady,
-        stability=stability,
-        covariance=covariance,
-        report=report,
-        status=str(status),
-    )
+    return PointResult(steady, stability, covariance, report, str(status))
 
 
 def _grid_values(spec: SweepSpec) -> dict[str, np.ndarray]:

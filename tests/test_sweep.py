@@ -573,20 +573,74 @@ def test_every_stage_stays_finite_over_the_parameter_box(point_params, delta_nor
     assert min(thresholds) > 0.0
 
 
+_RATES = ("omega_m", "gamma_m", "g_m", "kappa")
+
+
 @pytest.mark.parametrize("delta_norm", [-1.0, 0.5, 1e160], ids=["ok", "unstable", "undecided"])
 def test_a_points_stability_fields_are_python_scalars(params, delta_norm):
-    # a numpy scalar detuning and bath occupation give the fields, and the
-    # values, of Python floats
+    # numpy scalar parameters, int-valued rates, and a numpy scalar detuning
+    # and bath occupation give the fields, and the values, of Python floats
     p = replace(params, power=10e-3, beta=0.2)
+    p = replace(p, **{name: float(round(getattr(p, name))) for name in _RATES})
     alone = evaluate_point(p, delta_norm, 100.0)
-    for kind in (float, np.float64):
-        point = evaluate_point(p, kind(delta_norm), kind(100.0))
-        stability = point.stability
-        assert [type(getattr(stability, f.name)) for f in fields(stability)] == (
-            [float, float, bool, bool, bool, bool]
-        )
-        assert (point.status, point.steady) == (alone.status, alone.steady)
-        assert stability == alone.stability
+    numpy_params = replace(p, **{f.name: np.float64(getattr(p, f.name)) for f in fields(p)})
+    int_params = replace(p, **{name: int(getattr(p, name)) for name in _RATES})
+    for point_params in (p, numpy_params, int_params):
+        assert point_params == p
+        assert {type(getattr(point_params, f.name)) for f in fields(p)} == {float}
+        for kind in (float, np.float64):
+            point = evaluate_point(point_params, kind(delta_norm), kind(100.0))
+            stability = point.stability
+            assert [type(getattr(stability, f.name)) for f in fields(stability)] == (
+                [float, float, bool, bool, bool, bool]
+            )
+            assert (point.status, point.steady) == (alone.status, alone.steady)
+            assert stability == alone.stability
+            assert point.report == alone.report
+            if point.report is not None:
+                assert [type(getattr(point.report, f.name)) for f in fields(point.report)] == (
+                    [float, float, float, float, bool]
+                )
+
+
+# Each per-point result record and its field names, in order.
+_RECORD_FIELDS = {
+    oment.SteadyState: ("n_s", "alpha_s", "x_s", "delta_eff", "delta_bare", "g_eff", "beta"),
+    oment.StabilityReport: (
+        "s1", "s2", "routh_stable", "spectral_stable", "marginal", "undecided",
+    ),
+    oment.CovarianceMatrix: ("v", "residual", "condition", "ill_conditioned"),
+    oment.EntanglementReport: ("sigma_v", "det_v", "eta", "log_negativity", "entangled"),
+    oment.PointResult: ("steady", "stability", "covariance", "report", "status"),
+}
+
+
+def test_the_result_records_keep_their_dataclass_api(params):
+    # fields in order, replace, == and repr on real results: an ok point, an
+    # unstable one and a bare-detuning state; each record is slotted
+    p = replace(params, power=10e-3, beta=0.2)
+    ok, unstable = evaluate_point(p, -1.0, 100.0), evaluate_point(p, 0.5, 100.0)
+    assert (ok.status, unstable.status) == ("ok", "unstable")
+    state = from_bare_detuning(-1.0 * p.omega_m, p)[0]
+    records = [
+        ok, ok.steady, ok.stability, ok.covariance, ok.report,
+        unstable, unstable.steady, unstable.stability, state,
+    ]
+    assert {type(record) for record in records} == set(_RECORD_FIELDS)
+    for record in records:
+        names = _RECORD_FIELDS[type(record)]
+        assert tuple(f.name for f in fields(record)) == names
+        assert not hasattr(record, "__dict__")
+        copy = replace(record)
+        assert copy is not record
+        assert copy == record
+        *rest, last = names
+        body = ", ".join(f"{name}={getattr(record, name)!r}" for name in names)
+        assert repr(record) == f"{type(record).__name__}({body})"
+        changed = replace(record, **{last: "changed"})
+        assert changed != record
+        assert getattr(changed, last) == "changed"
+        assert all(getattr(changed, name) is getattr(record, name) for name in rest)
 
 
 # Operating points along n_th, at beta = 0.99: ok, unstable, a detuning whose
