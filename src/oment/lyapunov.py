@@ -10,7 +10,8 @@ inverse: within a factor of 10 of the 2-norm condition, and ``inf`` where it
 is not finite (S singular, or the condition beyond the float range).  Solve
 and inverse come from :mod:`oment._lapack`.  The pipeline's one check step
 after the solve, ``sweep._checked_eta``, takes :func:`residual` of each solution.
-The test suite checks the solve against an independent quadrature oracle.
+The test suite checks the solve against an independent exact oracle: the same
+equation solved in rational arithmetic on the float inputs.
 """
 
 from __future__ import annotations

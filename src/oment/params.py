@@ -210,7 +210,10 @@ def drive_amplitude(power, kappa: float, omega_laser: float):
     omega_laser outside its range.
     """
     check_range(power=power, kappa=kappa, omega_laser=omega_laser)
-    return np.sqrt(power * kappa / (2.0 * HBAR * omega_laser))
+    e0_sq = power * kappa / (2.0 * HBAR * omega_laser)
+    # math.sqrt is correctly rounded, as np.sqrt is: a float power gives a
+    # Python float, with the bits of its row in an array of powers
+    return math.sqrt(e0_sq) if isinstance(e0_sq, float) else np.sqrt(e0_sq)
 
 
 # The undecorated body, which the pipeline runs under its entry point's errstate.

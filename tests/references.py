@@ -1,7 +1,8 @@
 """Reference implementations the library is checked against.
 
 * :func:`records_point_by_point` is the per-point sweep loop that the stacked
-  sweep replaced; a sweep must reproduce its columns byte for byte.
+  sweep replaced, over the points of :func:`grid_points`; a sweep must
+  reproduce its columns byte for byte.
 * :func:`emit_cell_by_cell` is the serializer that formatted every cell on
   its own; :func:`oment.emit` must write the same bytes.
 * :func:`nth_threshold_point_by_point` is the thermal-threshold bisection
@@ -9,9 +10,11 @@
   stacked search must return the same float.
 * :func:`lyapunov_system_loop` builds the 10x10 Lyapunov system column by
   column, as the solver did before it used a coefficient tensor.
-* :func:`lyapunov_oracle` integrates V = int_0^inf exp(A s) D exp(A^T s) ds by
-  adaptive Simpson quadrature with an explicit tail bound, so it shares no
-  code path with the linear solve of :func:`oment.solve_stack`.
+* :func:`lyapunov_exact` solves A V + V A^T = -D and :func:`eta_exact` takes
+  eta in exact rational arithmetic on the float inputs, sharing no code with
+  :func:`oment.solve_stack` or :func:`oment.eta_stack`;
+  :func:`relative_error` measures a float matrix against an exact one, and
+  :func:`drift_and_diffusion` gives a solve's inputs at a steady state.
 * :func:`eta_spectrum` takes eta from a general ``eigvals`` of Omega V~, the
   spectral route that :func:`oment.eta_stack` cross-checked against before it
   used a Cholesky factor; it shares no code with either library route.
@@ -33,15 +36,19 @@
 * :func:`cubic_roots_array_polish` is :func:`oment.monic_cubic_roots` with
   its Newton polish on numpy arrays for all-real roots too, as the library
   polished them before it took Python floats there; it must give the same bits.
-* :func:`hurwitz_with_beta` is the Routh-Hurwitz test of the drift's
-  characteristic quartic with the nonlinearity beta in it, which
-  :func:`oment.routh_conditions` (written for beta = 0) leaves out, and
-  :func:`hurwitz_in_fractions` takes its determinants in exact rational
-  arithmetic on the same float inputs.
+* :func:`characteristic_quartic` is the drift's characteristic quartic with
+  the nonlinearity beta in it, which :func:`oment.routh_conditions` (written
+  for beta = 0) leaves out, and :func:`hurwitz_determinants` its Routh-Hurwitz
+  test; :func:`hurwitz_with_beta` adds the scale of each determinant and
+  :func:`hurwitz_in_fractions` takes them in exact rational arithmetic on the
+  same float inputs.
+* :func:`routh_agrees_with_spectral` compares the beta = 0 Routh-Hurwitz
+  verdict with the spectral one at the :func:`rates` of a point drawn from
+  :data:`RATE_RANGES`.
 * :func:`spectral_verdict` and :func:`gate_by_eigvals` are the stability gate
   as the library took it before it tested the quartic: the spectral
   abscissa of the drift matrix from ``eigvals``, the oracle the quartic gate
-  is checked against.
+  is checked against.  :func:`gate_exact` is the gate's exact verdict.
 * :func:`report_of` is the entanglement report of one covariance matrix,
   through the stacked :func:`oment.eta_stack`, for a matrix that must be
   physical.
@@ -56,7 +63,8 @@
 import decimal
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import operator
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -71,45 +79,25 @@ from oment import (
     eta_stack,
     evaluate_point,
     figure_preset,
+    diffusion_matrix,
     from_bare_detuning,
     monic_cubic_roots,
     nth_entanglement_threshold,
-    residual,
+    routh_conditions,
     run_sweep,
     spectral_abscissa,
     square,
+    thermal_occupation,
 )
 from oment.constants import HBAR, K_B
 
-_MIN_HORIZON_DECAY = 10.0  # horizon must cover at least 10 decay times
 
-
-class HorizonTooShortError(ValueError):
-    """The quadrature horizon leaves a tail estimate above tolerance."""
-
-
-class UnstableDriftError(ValueError):
-    """The drift matrix has a non-negative spectral abscissa."""
-
-
-@dataclass
-class Quadrature:
-    """Covariance matrix from the oracle, its residual and its tail bound."""
-
-    v: np.ndarray
-    residual: float
-    tail_bound: float
-
-
-def records_point_by_point(spec):
-    """The :class:`oment.Sweep` of `spec`, one `evaluate_point` call per grid point.
-
-    This is the per-point loop that the stacked sweep replaced, kept as the
-    reference the sweep must reproduce byte for byte.
-    """
+def grid_points(spec):
+    """``(axis value, curve, params, delta_norm, n_th)`` of every grid point of
+    `spec`, curves outer, with `n_th` None where the spec leaves it to the
+    bath temperature."""
     spec.validate()
     curves = spec.curves if spec.curves is not None else (None,)
-    rows = []
     for index, curve in enumerate(curves):
         for axis_value in spec.grid():
             values = {
@@ -124,23 +112,34 @@ def records_point_by_point(spec):
                 values[spec.curve_param] = curve
             values[spec.axis] = axis_value
             params = replace(spec.fixed, beta=values["beta"], power=values["power"])
-            point = evaluate_point(params, values["delta_norm"], values["n_th"])
-            ok = point.status == "ok"
-            rows.append(
-                (
-                    axis_value,
-                    math.nan if curve is None else curve,
-                    point.steady.n_s,
-                    point.steady.g_eff,
-                    point.stability.s1,
-                    point.stability.s2,
-                    point.stability.routh_stable,
-                    point.stability.spectral_stable,
-                    point.report.eta if ok else math.nan,
-                    point.report.log_negativity if ok else math.nan,
-                    point.status,
-                )
+            yield axis_value, curve, params, values["delta_norm"], values["n_th"]
+
+
+def records_point_by_point(spec):
+    """The :class:`oment.Sweep` of `spec`, one `evaluate_point` call per grid point.
+
+    This is the per-point loop that the stacked sweep replaced, kept as the
+    reference the sweep must reproduce byte for byte.
+    """
+    rows = []
+    for axis_value, curve, params, delta_norm, n_th in grid_points(spec):
+        point = evaluate_point(params, delta_norm, n_th)
+        ok = point.status == "ok"
+        rows.append(
+            (
+                axis_value,
+                math.nan if curve is None else curve,
+                point.steady.n_s,
+                point.steady.g_eff,
+                point.stability.s1,
+                point.stability.s2,
+                point.stability.routh_stable,
+                point.stability.spectral_stable,
+                point.report.eta if ok else math.nan,
+                point.report.log_negativity if ok else math.nan,
+                point.status,
             )
+        )
     return Sweep(*map(np.array, zip(*rows)))
 
 
@@ -220,173 +219,92 @@ def lyapunov_system_loop(a: np.ndarray) -> np.ndarray:
     return system
 
 
-# Scaling-and-squaring matrix exponential with a fixed [13/13] Pade
-# approximant (theta_13 = 5.372), kept self-contained so the oracle shares
-# nothing with the linear-solve route.
-_PADE13_B = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
-)
-_THETA13 = 5.371920351148152
+# The unknowns V_ij, i <= j, of the symmetric Lyapunov equation; V_ij and V_ji
+# are the same unknown.
+_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]
+_UNKNOWN = {pair: k for k, (i, j) in enumerate(_UPPER) for pair in ((i, j), (j, i))}
 
 
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(M) by scaling-and-squaring with the order-13 Pade approximant."""
-    m = np.asarray(m, dtype=float)
-    norm = np.linalg.norm(m, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > _THETA13 else 0
-    scaled = m / (2.0**squarings)
+def lyapunov_exact(a, d):
+    """V of A V + V A^T = -D in exact rational arithmetic on the float inputs,
+    as a 4x4 nested list of Fractions.  The system must be regular (a stable
+    drift's is).
 
-    b = _PADE13_B
-    eye = np.eye(m.shape[0])
-    m2 = scaled @ scaled
-    m4 = m2 @ m2
-    m6 = m4 @ m2
-    u = scaled @ (
-        m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
-        + b[7] * m6
-        + b[5] * m4
-        + b[3] * m2
-        + b[1] * eye
-    )
-    v = (
-        m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
-        + b[6] * m6
-        + b[4] * m4
-        + b[2] * m2
-        + b[0] * eye
-    )
-    result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def _decay_envelope(a: np.ndarray, abscissa: float, horizon: float) -> float:
-    """Prefactor C with ||exp(A t)||_F <= C * exp(abscissa * t), fit on samples."""
-    times = np.linspace(0.0, horizon, 9)
-    c = 1.0
-    for t in times:
-        growth = np.linalg.norm(matrix_exponential(a * t)) * np.exp(-abscissa * t)
-        c = max(c, float(growth))
-    return c
-
-
-def _tail_bound(c: float, d_norm: float, abscissa: float, horizon: float) -> float:
-    """Bound on ||int_T^inf exp(A s) D exp(A^T s) ds||_F from the decay fit."""
-    return c * c * d_norm * np.exp(2.0 * abscissa * horizon) / (2.0 * abs(abscissa))
-
-
-def _adaptive_simpson(f, lo: float, hi: float, abs_tol: float, max_depth: int = 48) -> np.ndarray:
-    """Matrix-valued adaptive Simpson with Frobenius-norm error control."""
-
-    def simpson(fa, fm, fb, width):
-        return width / 6.0 * (fa + 4.0 * fm + fb)
-
-    total = np.zeros_like(f(lo))
-    mid = (lo + hi) / 2.0
-    stack = [(lo, mid, hi, f(lo), f(mid), f(hi), 0)]
-    while stack:
-        x0, x1, x2, f0, f1, f2, depth = stack.pop()
-        width = x2 - x0
-        coarse = simpson(f0, f1, f2, width)
-        xl, xr = (x0 + x1) / 2.0, (x1 + x2) / 2.0
-        fl, fr = f(xl), f(xr)
-        fine = simpson(f0, fl, f1, width / 2.0) + simpson(f1, fr, f2, width / 2.0)
-        err = np.linalg.norm(fine - coarse) / 15.0
-        if err <= abs_tol * width / (hi - lo) or depth >= max_depth:
-            if depth >= max_depth and err > abs_tol * width / (hi - lo):
-                raise ArithmeticError("adaptive Simpson failed to converge")
-            total = total + fine + (fine - coarse) / 15.0
-        else:
-            stack.append((x0, xl, x1, f0, fl, f1, depth + 1))
-            stack.append((x1, xr, x2, f1, fr, f2, depth + 1))
-    return total
-
-
-def lyapunov_oracle(a, d, horizon: float | None = None, tol: float = 1e-8) -> Quadrature:
-    """Stationary covariance by direct quadrature of exp(A s) D exp(A^T s).
-
-    Parameters
-    ----------
-    a, d : array-like or wrapper
-        Drift and diffusion matrices; A must be strictly stable.
-    horizon : float, optional
-        Upper integration limit (s).  Must cover at least 10 decay times of
-        the slowest mode; when omitted it is extended automatically until the
-        estimated truncation tail drops below `tol` relative to the result.
-    tol : float
-        Relative Frobenius tolerance for both quadrature and tail.
-
-    Raises
-    ------
-    UnstableDriftError
-        If the spectral abscissa of A is non-negative.
-    HorizonTooShortError
-        If an explicit horizon leaves the tail estimate above `tol`.
+    Row (r, c), r <= c, of the 10x10 system is sum_k A_rk V_kc + V_rk A_ck =
+    -D_rc, written from the equation rather than taken from the library's
+    coefficient tensor.  Scaled to integers, it is solved by fraction-free
+    Gauss-Jordan elimination, whose divisions are exact, and the solution is
+    checked to satisfy every equation exactly.
     """
-    a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
-    abscissa = spectral_abscissa(a)
-    if abscissa >= 0.0:
-        raise UnstableDriftError("drift matrix is not strictly stable")
+    a, d = ([[Fraction(x) for x in row] for row in m] for m in (a, d))
+    system = []
+    for r, c in _UPPER:
+        row = [Fraction(0)] * 10 + [-d[r][c]]
+        for k in range(4):
+            row[_UNKNOWN[k, c]] += a[r][k]
+            row[_UNKNOWN[r, k]] += a[c][k]
+        system.append(row)
+    # the denominator of a float is a power of 2, so the largest is a multiple of all
+    scale = max(x.denominator for row in system for x in row)
+    system = [[int(x * scale) for x in row] for row in system]
+    rows, pivot = list(system), 1
+    for p in range(10):
+        k = next(i for i in range(p, 10) if rows[i][p])
+        rows[p], rows[k] = rows[k], rows[p]
+        lead = rows[p]
+        rows = [
+            row if row is lead else [(lead[p] * x - row[p] * y) // pivot for x, y in zip(row, lead)]
+            for row in rows
+        ]
+        pivot = lead[p]
+    # every diagonal entry is now the pivot, so unknown k is rows[k][10] / pivot
+    numerators = [row[10] for row in rows]
+    assert all(sum(map(operator.mul, row, numerators)) == row[10] * pivot for row in system)
+    return [[Fraction(numerators[_UNKNOWN[i, j]], pivot) for j in range(4)] for i in range(4)]
 
-    d_norm = float(np.linalg.norm(d))
-    decay_time = 1.0 / abs(abscissa)
-    min_horizon = _MIN_HORIZON_DECAY * decay_time
-    auto = horizon is None
-    if auto:
-        envelope = _decay_envelope(a, abscissa, min_horizon)
-        # size the horizon so the a-priori tail sits well under tolerance
-        target = tol / 10.0 * d_norm * decay_time / 2.0
-        horizon = max(
-            min_horizon,
-            float(np.log(max(_tail_bound(envelope, d_norm, abscissa, 0.0) / target, 1.0)))
-            * decay_time
-            / 2.0,
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row; exact on Fractions."""
+    if len(m) == 1:
+        return m[0][0]
+    minors = ([row[:j] + row[j + 1 :] for row in m[1:]] for j in range(len(m)))
+    return sum((-1) ** j * x * _det(minor) for j, (x, minor) in enumerate(zip(m[0], minors)))
+
+
+def eta_exact(v):
+    """eta of the CM `v`, a 4x4 of floats or Fractions that must be physical:
+    sigma and det V exact, the square roots to 80 digits, rounded once to a float.
+
+    eta^2 = (sigma - sqrt(sigma^2 - 4 det V))/2 is taken as
+    2 det V / (sigma + sqrt(sigma^2 - 4 det V)), which cancels no digits.
+    """
+    v = [[Fraction(x) for x in row] for row in v]
+    corners = ((0, 0), (2, 2), (0, 2))  # of the blocks V_m, V_cav and V_corr
+    m, cav, corr = (_det([row[c : c + 2] for row in v[r : r + 2]]) for r, c in corners)
+    sig, det_v = m + cav - 2 * corr, _det(v)
+    with decimal.localcontext(prec=80):
+        sig, det_v, radicand = (
+            decimal.Decimal(q.numerator) / q.denominator
+            for q in (sig, det_v, sig * sig - 4 * det_v)
         )
-    elif horizon < min_horizon:
-        raise HorizonTooShortError(
-            f"horizon {horizon:.3e} s is below {_MIN_HORIZON_DECAY} decay times "
-            f"({min_horizon:.3e} s)"
-        )
-    else:
-        envelope = _decay_envelope(a, abscissa, min_horizon)
+        return float((2 * det_v / (sig + radicand.sqrt())).sqrt())
 
-    def integrand(t: float) -> np.ndarray:
-        m = matrix_exponential(a * t)
-        return m @ d @ m.T
 
-    for attempt in range(4):
-        # first a coarse pass to scale the absolute tolerance, then the real one
-        rough = _adaptive_simpson(integrand, 0.0, horizon, 1e-3 * d_norm * decay_time)
-        abs_tol = tol * max(float(np.linalg.norm(rough)), np.finfo(float).tiny)
-        v = _adaptive_simpson(integrand, 0.0, horizon, abs_tol)
-        v = (v + v.T) / 2.0
-        v_norm = max(float(np.linalg.norm(v)), np.finfo(float).tiny)
-        tail = _tail_bound(envelope, d_norm, abscissa, horizon)
-        if tail <= tol * v_norm:
-            break
-        if not auto:
-            raise HorizonTooShortError(
-                f"tail estimate {tail:.3e} exceeds tol*||V|| = {tol * v_norm:.3e}"
-            )
-        horizon *= 2.0
-    else:
-        raise HorizonTooShortError("tail estimate did not converge under horizon doubling")
+def relative_error(v, exact):
+    """Largest entry error of the float matrix `v` over the largest entry of
+    the Fraction matrix `exact`, taken exactly and rounded once."""
+    pairs = [(Fraction(x), e) for row, exact_row in zip(v, exact) for x, e in zip(row, exact_row)]
+    return float(max(abs(x - e) for x, e in pairs) / max(abs(e) for _, e in pairs))
 
-    return Quadrature(v=v, residual=float(residual(a, v, d)), tail_bound=float(tail))
+
+def drift_and_diffusion(params, steady, n_th=None):
+    """The drift and diffusion matrices that the points of `steady` are solved
+    from, with `n_th` None taken from the bath temperature of `params`."""
+    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
+    if n_th is None:
+        n_th = thermal_occupation(params.temperature, omega_m)
+    drift = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, steady.beta)
+    return drift, diffusion_matrix(gamma_m, kappa, n_th)
 
 
 # Symplectic form for two modes in (x1, p1, x2, p2) ordering.
@@ -571,6 +489,37 @@ def hurwitz_with_beta(omega_m, gamma_m, kappa, delta, g, beta, shift=0):
     return np.broadcast_arrays(*h), scales
 
 
+# The ranges of a random point of :func:`rates`
+RATE_RANGES = ((6, 10), (-6, -1), (-3, 0.3), (-2.0, 2.0), (-4, 0.3))
+
+
+def rates(log_omega, log_gamma, log_kappa, delta_norm, log_g):
+    """(omega_m, gamma_m, kappa, delta, g) of a point given as log10 of omega_m,
+    log10 of gamma_m, kappa and g in units of omega_m, and delta in units of
+    omega_m."""
+    omega = 10.0**log_omega
+    gamma, kappa, g = omega * 10.0**log_gamma, omega * 10.0**log_kappa, omega * 10.0**log_g
+    return omega, gamma, kappa, delta_norm * omega, g
+
+
+def routh_agrees_with_spectral(*point):
+    """Routh-Hurwitz and spectral verdict at beta = 0 at the :func:`rates` of
+    `point`, or None near the boundary: a point whose s1 or s2 is within 1e-6
+    of its own scale is too close to the boundary to tell."""
+    omega, gamma, kappa, delta, g = rates(*point)
+    s1, s2 = routh_conditions(omega, gamma, kappa, delta, g)
+    hk2 = kappa**2 / 4
+    s1_scale = gamma * kappa * (
+        (hk2 + (omega - delta) ** 2) * (hk2 + (omega + delta) ** 2)
+        + gamma * ((gamma + kappa) * (hk2 + delta**2) + kappa * omega**2)
+    ) + abs(delta) * omega * g**2 * (gamma + kappa) ** 2
+    s2_scale = omega * (delta**2 + hk2) + g**2 * abs(delta)
+    if abs(s1) < 1e-6 * s1_scale or abs(s2) < 1e-6 * s2_scale:
+        return None
+    a = drift_matrix(omega, gamma, kappa, delta, g, 0.0)
+    return (s1 > 0 and s2 > 0) == (spectral_abscissa(a) < 0)
+
+
 def spectral_verdict(abscissa, marginal_tol: float = 0.0):
     """(stable, marginal), elementwise: stable iff the abscissa is < 0, marginal
     iff stable with abscissa > -marginal_tol."""
@@ -587,6 +536,19 @@ def gate_by_eigvals(params, steady):
     abscissa = spectral_abscissa(a)
     stable, marginal = spectral_verdict(abscissa, MARGINAL_ABSCISSA_FACTOR * kappa)
     return 3 * np.isnan(abscissa) + stable + marginal
+
+
+def gate_exact(params, steady):
+    """Gate outcome of one point of `steady`, numbered as :func:`gate_by_eigvals`
+    numbers it, from the signs of :func:`hurwitz_in_fractions`: the exact
+    verdict on the same float inputs."""
+    rates = (params.omega_m, params.gamma_m, params.kappa)
+    args = (*rates, steady.delta_eff, steady.g_eff, steady.beta)
+    stable, clear = (
+        all(h > 0 for h in hurwitz_in_fractions(*args, shift))
+        for shift in (0, MARGINAL_ABSCISSA_FACTOR * params.kappa)
+    )
+    return stable + (stable and not clear)
 
 
 def report_of(v):

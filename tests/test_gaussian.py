@@ -10,6 +10,7 @@ from oment import CM_SCALE, eta_stack, gaussian, sigma
 from references import (
     MATRIX_LAYOUTS,
     STACK_SHAPES,
+    eta_exact,
     eta_spectrum,
     matrix_stack,
     record_gufunc_calls,
@@ -49,6 +50,7 @@ def test_sigma_two_mode_squeezed():
 def test_vacuum_unentangled():
     eta = report_of(VACUUM).eta
     assert eta == pytest.approx(0.5, abs=1e-15)
+    assert eta_exact(VACUUM) == 0.5
     report = report_of(VACUUM)
     assert report.log_negativity == 0.0
     assert not report.entangled
@@ -59,6 +61,8 @@ def test_two_mode_squeezed_closed_forms():
         v = two_mode_squeezed_cm(r)
         eta = report_of(v).eta
         assert eta == pytest.approx(math.exp(-2 * r) / 2.0, rel=1e-12)
+        # the exact eta of the rounded entries: 8.9e-16 off exp(-2r)/2 at r = 1
+        assert eta_exact(v) == pytest.approx(math.exp(-2 * r) / 2.0, rel=1e-14)
         report = report_of(v)
         assert report.log_negativity == pytest.approx(2.0 * r, abs=1e-12)
         assert report.entangled

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 import oment
-from oment import _lapack, default_params, monic_cubic_roots
+from oment import _lapack, monic_cubic_roots
 from references import STACK_SHAPES, record_gufunc_calls, run_pipeline
 
 # Each gufunc with the signature oment passes it, and the public wrapper
@@ -132,11 +132,6 @@ def test_a_failing_member_reads_nan_and_the_others_keep_their_bits(seed, name, k
     others = [j for j in range(k) if j != bad]
     expected = WRAPPERS[name, signature](*(x[others] for x in args))
     assert_same_bits(out[others], expected)
-
-
-@pytest.fixture
-def params():
-    return default_params()
 
 
 def test_oment_calls_each_gufunc_as_its_wrapper_does(params, monkeypatch):

@@ -30,18 +30,16 @@ from references import (
     blue_threshold_closed_form,
     characteristic_quartic,
     gate_by_eigvals,
-    hurwitz_in_fractions,
+    gate_exact,
+    RATE_RANGES,
     hurwitz_with_beta,
+    rates,
     record_gufunc_calls,
     red_threshold_closed_form,
+    routh_agrees_with_spectral,
     spectral_verdict,
     threshold_in_fractions,
 )
-
-
-@pytest.fixture
-def params():
-    return default_params()
 
 
 def test_drift_entries(params):
@@ -287,43 +285,17 @@ def test_spectral_marginal_band():
     assert not marginal
 
 
-def routh_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g):
-    """Routh-Hurwitz and spectral verdict at beta = 0, or None near the boundary.
-
-    The point is log10 of omega_m, log10 of gamma, kappa and g in units of
-    omega_m, and delta in units of omega_m; a point whose s1 or s2 is within
-    1e-6 of its own scale is too close to the boundary to tell.
-    """
-    omega = 10.0**log_omega
-    gamma, kappa, g = omega * 10.0**log_gamma, omega * 10.0**log_kappa, omega * 10.0**log_g
-    delta = delta_norm * omega
-    s1, s2 = routh_conditions(omega, gamma, kappa, delta, g)
-    hk2 = kappa**2 / 4
-    s1_scale = gamma * kappa * (
-        (hk2 + (omega - delta) ** 2) * (hk2 + (omega + delta) ** 2)
-        + gamma * ((gamma + kappa) * (hk2 + delta**2) + kappa * omega**2)
-    ) + abs(delta) * omega * g**2 * (gamma + kappa) ** 2
-    s2_scale = omega * (delta**2 + hk2) + g**2 * abs(delta)
-    if abs(s1) < 1e-6 * s1_scale or abs(s2) < 1e-6 * s2_scale:
-        return None
-    a = drift_matrix(omega, gamma, kappa, delta, g, 0.0)
-    return (s1 > 0 and s2 > 0) == (spectral_abscissa(a) < 0)
-
-
-_RANGES = ((6, 10), (-6, -1), (-3, 0.3), (-2.0, 2.0), (-4, 0.3))
-
-
 def test_routh_and_spectral_agree_on_random_points(params):
     rng = np.random.default_rng(2024)
     verdicts = [
-        routh_agrees_with_spectral(*(rng.uniform(low, high) for low, high in _RANGES))
+        routh_agrees_with_spectral(*(rng.uniform(low, high) for low, high in RATE_RANGES))
         for _ in range(300)
     ]
     assert False not in verdicts
     assert verdicts.count(True) > 250
 
 
-@given(*(st.floats(low, high) for low, high in _RANGES))
+@given(*(st.floats(low, high) for low, high in RATE_RANGES))
 def test_routh_and_spectral_agree_at_beta_zero(log_omega, log_gamma, log_kappa, delta_norm, log_g):
     verdict = routh_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g)
     assume(verdict is not None)
@@ -341,20 +313,12 @@ def test_characteristic_quartic_is_that_of_the_drift(params):
         np.testing.assert_allclose(quartic, expected, rtol=1e-9, atol=0.0)
 
 
-def rates(log_omega, log_gamma, log_kappa, delta_norm, log_g):
-    """(omega_m, gamma_m, kappa, delta, g) of a point given as in
-    :func:`routh_agrees_with_spectral`."""
-    omega = 10.0**log_omega
-    gamma, kappa, g = omega * 10.0**log_gamma, omega * 10.0**log_kappa, omega * 10.0**log_g
-    return omega, gamma, kappa, delta_norm * omega, g
-
-
 def hurwitz_agrees_with_spectral(log_omega, log_gamma, log_kappa, delta_norm, log_g, beta):
     """The beta-aware Hurwitz verdict against the spectral one, or None near the
     boundary: a point with a Hurwitz determinant within 1e-6 of its scale, or
     with a computed abscissa within MARGINAL_ABSCISSA_FACTOR * kappa of 0.
 
-    The point is given as in :func:`routh_agrees_with_spectral`.  The second
+    The point is given as :func:`references.rates` takes it.  The second
     band is the marginal band the pipeline never solves, mirrored: near
     beta = 1 the determinants can sit far from 0 while LAPACK's abscissa
     still errs by more than its own size.
@@ -395,10 +359,7 @@ def test_the_gate_reads_marginal_near_beta_one_as_exact_arithmetic_does():
     report = stability_stack(steady, params)
     assert (report.spectral_stable, report.marginal, report.undecided) == (True, True, False)
     assert sweep._gate(report)[1] == "marginal"
-    eps = MARGINAL_ABSCISSA_FACTOR * kappa
-    assert all(h > 0 for h in hurwitz_in_fractions(omega, gamma, kappa, delta, g, beta))
-    shifted = hurwitz_in_fractions(omega, gamma, kappa, delta, g, beta, eps)
-    assert not all(h > 0 for h in shifted)
+    assert gate_exact(params, steady) == 2
 
 
 @given(st.floats(0.7, 30.0), st.floats(0.0, 0.6), st.floats(-2.5, 1.5))
@@ -415,7 +376,7 @@ def test_the_quartic_gate_matches_the_eigvals_oracle(power_mw, beta, delta_norm)
     assert gate == gate_by_eigvals(params, steady)
 
 
-@given(*(st.floats(low, high) for low, high in _RANGES), st.floats(0.0, 1.0, exclude_max=True))
+@given(*(st.floats(low, high) for low, high in RATE_RANGES), st.floats(0.0, 1.0, exclude_max=True))
 @example(**_NEAR_BETA_ONE)
 def test_beta_aware_hurwitz_and_spectral_agree(
     log_omega, log_gamma, log_kappa, delta_norm, log_g, beta

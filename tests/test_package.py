@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oment
+import references
 from oment import params
 from oment.constants import C_LIGHT
 
@@ -82,3 +83,17 @@ def test_readme_range_table_is_the_code_table():
     assert {name: _readme_range(*cell) for name, cell in table.items()} == {
         name: params._RANGES[name] for name in table
     }
+
+
+def test_the_reference_inventory_names_every_reference():
+    # the docstring of references.py names each public function the module
+    # defines, and nothing else but functions of oment
+    named = set(re.findall(r":func:`([\w.]+)`", references.__doc__))
+    local = {name for name in named if "." not in name}
+    defined = {
+        name for name, value in vars(references).items()
+        if inspect.isfunction(value) and value.__module__ == "references" and name[0] != "_"
+    }
+    assert local == defined
+    for name in named - local:
+        assert name.startswith("oment.") and pkgutil.resolve_name(name), name

@@ -24,11 +24,6 @@ from oment.constants import HBAR, K_B
 from references import inverse_thermal_occupation
 
 
-@pytest.fixture
-def params():
-    return default_params()
-
-
 def test_default_table_values(params):
     two_pi = 2.0 * math.pi
     assert params.omega_m == pytest.approx(two_pi * 3.6e9, rel=1e-14)

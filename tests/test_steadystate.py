@@ -21,11 +21,6 @@ from oment.steadystate import square
 from references import bare_states_array_path, cubic_roots_array_polish
 
 
-@pytest.fixture
-def params():
-    return default_params()
-
-
 def test_undriven_cavity(params):
     undriven = replace(params, power=0.0)
     state = steady_states(-undriven.omega_m, undriven.power, undriven.beta, undriven)

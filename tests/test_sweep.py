@@ -6,6 +6,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from fractions import Fraction
 from importlib import import_module
 from inspect import isfunction
 from pathlib import Path
@@ -37,21 +38,21 @@ from oment import (
 import oment
 from oment import cli, gaussian, lyapunov, sweep
 from oment import params as params_module
-from oment.linmodel import diffusion_matrix, drift_matrix
 from oment.lyapunov import IllConditionedWarning, solve_stack
 from oment.steadystate import steady_states
 from oment.sweep import AXES, CSV_HEADER
 from references import (
+    drift_and_diffusion,
     emit_cell_by_cell,
+    eta_exact,
+    gate_exact,
+    grid_points,
+    lyapunov_exact,
     nth_threshold_point_by_point,
     records_point_by_point,
+    relative_error,
     report_of,
 )
-
-
-@pytest.fixture
-def params():
-    return default_params()
 
 
 def small_spec(params, **overrides):
@@ -594,6 +595,7 @@ def test_a_points_stability_fields_are_python_scalars(params, delta_norm):
             assert [type(getattr(stability, f.name)) for f in fields(stability)] == (
                 [float, float, bool, bool, bool, bool]
             )
+            assert {type(getattr(point.steady, f.name)) for f in fields(point.steady)} == {float}
             assert (point.status, point.steady) == (alone.status, alone.steady)
             assert stability == alone.stability
             assert point.report == alone.report
@@ -804,10 +806,7 @@ def test_singular_operating_point_warns_once(params):
 
 
 def _singular_drift_and_diffusion(params):
-    steady = steady_states(0.0, 0.1, 0.99, params)
-    omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
-    a = drift_matrix(omega_m, gamma_m, kappa, steady.delta_eff, steady.g_eff, 0.99)
-    return a, diffusion_matrix(params.gamma_m, params.kappa, 0.0)
+    return drift_and_diffusion(params, steady_states(0.0, 0.1, 0.99, params), 0.0)
 
 
 # 100 mW at beta = 0.99 and delta = 0: stable, with a condition of 2.4e14
@@ -1029,6 +1028,73 @@ def test_undriven_cavity_is_separable(params):
     undriven = replace(params, power=0.0)  # g_eff = 0: a product state
     assert not evaluate_point(undriven, -0.5, 0.0).report.entangled
     assert nth_entanglement_threshold(undriven, -0.5) == 0.0
+
+
+# The (V, eta) bounds of each preset: the largest power of ten at or below 100
+# times its worst measured error.  The eta errors above 1e-14 (up to 4.2e-11)
+# come from the delta_norm = 0 end of fig1a, fig1b and fig2a, where eta is 0.87
+# to 25 (E_N = 0) and the closed form loses digits, from the library's V too.
+_EXACT_BOUNDS = {
+    "fig1a": (1e-10, 1e-9),  # worst 1.8e-12, 1.4e-11
+    "fig1b": (1e-11, 1e-9),  # worst 7.1e-13, 2.3e-11
+    "fig2a": (1e-11, 1e-9),  # worst 4.4e-13, 4.2e-11
+    "fig2b": (1e-13, 1e-14),  # worst 2.8e-15, 7.5e-16
+    "fig3": (1e-13, 1e-13),  # worst 1.0e-15, 1.3e-15
+}
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_preset_points_match_the_exact_oracle(name):
+    # 16 grid points spread evenly over the preset, both ends included: each
+    # gate reads the exact verdict, and each solved point has V (largest entry
+    # error over largest entry) and eta within the preset's bounds
+    v_bound, eta_bound = _EXACT_BOUNDS[name]
+    points = list(grid_points(figure_preset(name)))
+    solved = 0
+    for index in np.linspace(0, len(points) - 1, 16).round().astype(int):
+        _, _, point_params, delta_norm, n_th = points[index]
+        point = evaluate_point(point_params, delta_norm, n_th)
+        gate = gate_exact(point_params, point.steady)
+        assert sweep._gate(point.stability)[0] == gate
+        if gate == 1:
+            assert point.status == "ok"
+            solved += 1
+            v = lyapunov_exact(*drift_and_diffusion(point_params, point.steady, n_th))
+            assert relative_error(point.covariance.v, v) < v_bound
+            eta = eta_exact([[Fraction(gaussian.CM_SCALE) * x for x in row] for row in v])
+            assert abs(point.report.eta - eta) < eta_bound * eta
+    assert solved >= 13
+
+
+# A point inside the parameter box whose residual ||A V + V A^T + D|| / ||D||
+# reads 5.8e-8, above RESIDUAL_LIMIT, at a condition of 1.95e10
+_CORRECT_SOLVE_READ_AS_ERROR = (
+    PhysicalParams(omega_m=94610541705.32724, gamma_m=20.927470283345123, g_m=364307206.21712756,
+                   kappa=153.61885203963735, power=438.30242671649125,
+                   laser_wavelength=2.662643159323741e-07, temperature=25.280578708946983,
+                   beta=0.1163989382530616),
+    0.12414038888676959,
+)
+
+
+def test_the_solve_that_reads_error_is_exact():
+    point = evaluate_point(*_CORRECT_SOLVE_READ_AS_ERROR)
+    assert point.status == "error" and point.covariance.residual > sweep.RESIDUAL_LIMIT
+    a, d = drift_and_diffusion(_CORRECT_SOLVE_READ_AS_ERROR[0], point.steady)
+    v = point.covariance.v
+    assert relative_error(v, lyapunov_exact(a, d)) < 1e-14  # measured 1.5e-16
+    # Higham's backward error ||A V + V A^T + D|| / (2 ||A|| ||V|| + ||D||), measured 6.3e-18
+    norm = np.linalg.norm
+    assert norm(a @ v + v @ a.T + d) / (2 * norm(a) * norm(v) + norm(d)) < 1e-16
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the residual divides by ||D|| alone, so rounding of order eps ||A|| ||V|| / ||D|| "
+    "reads as a failed solve",
+)
+def test_a_correct_solve_reads_ok():
+    assert evaluate_point(*_CORRECT_SOLVE_READ_AS_ERROR).status == "ok"
 
 
 def test_nth_threshold_warns_once_per_call(params, monkeypatch):
