@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
 failure.  Every numerical failure marks its own point: ``point`` exits 3 where
 the status is not ok (unstable, marginal, or error: a failed check, disagreeing
-eta routes, an overflow), ``stability`` where the verdict is undecided, and a
-sweep or figure writes the point's row.  An ArithmeticError or LinAlgError
-would exit 3 too, but the pipeline raises none for input that passes its checks.
+eta routes, an overflow), ``stability`` where the quartic gate's verdict is
+undecided (where ``point`` reads error for an overflow), and a sweep or figure
+writes the point's row.  An ArithmeticError or LinAlgError would exit 3 too,
+but the pipeline raises none for input that passes its checks.
 
 The argparse parser is built on the first :func:`main` call and kept, so
 in-process callers (a benchmark, a test suite) share one parser; every call
@@ -120,8 +121,9 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     print(f"g_eff={_fmt(point.steady.g_eff)}")
     print(f"g_threshold_blue={_fmt(coupling_threshold_blue(params))}")
     print(f"g_threshold_red={_fmt(coupling_threshold_red(params))}")
-    # a NaN abscissa: the detuning left the float range and stability is undecided
-    return EXIT_NUMERICAL if np.isnan(abscissa) else EXIT_OK
+    # the quartic gate's verdict, as `point` reads it: a coefficient or
+    # Hurwitz determinant beyond the float range leaves it undecided
+    return EXIT_NUMERICAL if stability.undecided else EXIT_OK
 
 
 def _parse_curves(text: str) -> tuple[str, tuple[float, ...]]:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
+from ._elementwise import isfinite, item, maximum, sqrt, where_positive
 
 __all__ = [
     "EntanglementReport",
@@ -45,8 +46,8 @@ ETA_FACTOR = 2.0
 
 _RADICAND_TOL = 1e-10
 _ROUTE_AGREEMENT_TOL = 1e-9
-_TINY = np.finfo(float).tiny
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 # Symplectic form for two modes in (x1, p1, x2, p2) ordering.
 _OMEGA = np.array(
@@ -80,9 +81,9 @@ class EntanglementReport:
 @np.errstate(all="ignore")
 def sigma(v):
     """Block combination sigma(V) = det V_m + det V_cav - 2 det V_corr, per
-    matrix of a stack."""
+    matrix of a stack; a Python float for a single matrix."""
     d = _lapack.det(v[..., _ROWS, _COLS])
-    return d[..., 0] + d[..., 1] - 2.0 * d[..., 2]
+    return item(d[..., 0]) + item(d[..., 1]) - 2.0 * item(d[..., 2])
 
 
 def _eta_cholesky(v):
@@ -94,10 +95,10 @@ def _eta_cholesky(v):
     """
     lower = _lapack.cholesky_lo(v * _FLIP)
     m = lower.swapaxes(-1, -2) @ (_OMEGA @ lower)
-    s = 0.5 * (m * m).sum(axis=(-2, -1))
-    p = lower.diagonal(0, -2, -1).prod(axis=-1)
-    eta = np.sqrt((s - np.sqrt(np.maximum(s * s - 4.0 * p * p, 0.0))) / 2.0)
-    return eta, np.isfinite(p)
+    s = 0.5 * item((m * m).sum(axis=(-2, -1)))
+    p = item(lower.diagonal(0, -2, -1).prod(axis=-1))
+    eta = sqrt((s - sqrt(maximum(s * s - 4.0 * p * p, 0.0))) / 2.0)
+    return eta, isfinite(p)
 
 
 # a NaN or inf entry, no Cholesky factor, overflowing determinants or disagreeing
@@ -115,23 +116,24 @@ def eta_stack(v):
     route of the module docstring, and ``physical`` is also False where the
     routes do not agree to 1e-9 relative (a NaN route never agrees).  Every
     failed check marks its own matrix and changes nothing for the others in
-    the stack: nothing is raised, and no numpy warning escapes.
+    the stack: nothing is raised, and no numpy warning escapes.  For a single
+    ``(4, 4)`` matrix the four results are Python floats and a bool.
     """
     if not isinstance(v, np.ndarray):
         v = np.asarray(v, dtype=float)
     sig = _sigma(v)
-    det_v = _lapack.det(v)
+    det_v = item(_lapack.det(v))
     sig_sq = sig * sig
     radicand = sig_sq - 4.0 * det_v
-    inner = (sig - np.sqrt(np.maximum(radicand, 0.0))) / 2.0
-    eta = np.sqrt(np.maximum(inner, 0.0))
+    inner = (sig - sqrt(maximum(radicand, 0.0))) / 2.0
+    eta = sqrt(maximum(inner, 0.0))
 
     eta_alt, definite = _eta_cholesky(v)
-    lowest = -_RADICAND_TOL * np.maximum(1.0, sig_sq)  # the most that rounding explains
-    physical = definite & np.isfinite(radicand) & (radicand >= lowest)
+    lowest = -_RADICAND_TOL * maximum(1.0, sig_sq)  # the most that rounding explains
+    physical = definite & isfinite(radicand) & (radicand >= lowest)
     # the closed form carries an irreducible O(sqrt(eps)*sigma/eta) error when
     # the two symplectic eigenvalues are nearly degenerate (radicand ~ 0)
-    floor = np.maximum(eta, _TINY)
+    floor = maximum(eta, _TINY)
     tolerance = _ROUTE_AGREEMENT_TOL * floor + _SQRT_EPS * abs(sig) / floor
     physical &= abs(eta - eta_alt) <= tolerance  # so a NaN from either route disagrees
     return sig, det_v, eta, physical
@@ -143,9 +145,9 @@ _eta_stack = eta_stack.__wrapped__
 
 
 def log_negativity_of(eta):
-    """E_N = max(0, -ln(f*eta)) with f = :data:`ETA_FACTOR`, elementwise."""
-    value = -np.log(ETA_FACTOR * eta)
-    return np.where(value > 0.0, value, 0.0)
+    """E_N = max(0, -ln(f*eta)) with f = :data:`ETA_FACTOR`, elementwise; a
+    Python float for a float."""
+    return where_positive(-item(np.log(ETA_FACTOR * eta)))
 
 
 def entanglement_report(sig: float, det_v: float, eta: float) -> EntanglementReport:

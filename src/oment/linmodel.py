@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
+from ._elementwise import square
 from .params import PhysicalParams, check_range
-from .steadystate import SteadyState, square
+from .steadystate import SteadyState
 
 __all__ = [
     "StabilityReport",
@@ -94,7 +95,8 @@ def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
     """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array
     `n_th`.  Raises ``ConfigError`` for a negative or NaN n_th."""
     check_range(n_th=n_th)
-    n_th = np.asarray(n_th)
+    if not isinstance(n_th, float):  # a float takes the same steps without numpy's per-call cost
+        n_th = np.asarray(n_th)
     d = np.zeros(np.shape(n_th) + (4, 4))
     d[..., 1, 1] = gamma_m * (2.0 * n_th + 1.0)
     d[..., 2, 2] = kappa
@@ -102,8 +104,10 @@ def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
     return d
 
 
-# a huge coupling overflows s1, and a larger one s2, to +-inf (NaN at delta
-# = 0): the Routh verdict reads unstable and the quartic gate sets the status
+# a huge detuning or coupling overflows s1, and a larger one s2, to +-inf
+# (NaN at delta = 0).  +inf passes its condition, so such a point can read
+# Routh stable (s1 = inf at delta = +-1e70 omega_m); the quartic gate, which
+# sets the status, reads it undecided.
 @np.errstate(all="ignore")
 def routh_conditions(omega_m: float, gamma_m: float, kappa: float, delta, g):
     """The two nontrivial Routh-Hurwitz conditions (s1, s2) for beta = 0.

@@ -16,6 +16,7 @@ equation solved in rational arithmetic on the float inputs.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
+from ._elementwise import any_true, invert, item, maximum, sqrt
 
 __all__ = [
     "CovarianceMatrix",
@@ -33,7 +35,7 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 class IllConditionedWarning(RuntimeWarning):
@@ -116,15 +118,16 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     in its drift matrix), issues an :class:`IllConditionedWarning`,
     attributed to the first caller outside oment; its result is flagged but
     still returned.  A system whose condition is not finite has its `v` read
-    NaN.  No numpy ``RuntimeWarning`` escapes.
+    NaN.  No numpy ``RuntimeWarning`` escapes.  For a single drift matrix
+    `condition` is a Python float and `ill_conditioned` a bool.
     """
     system = (a.reshape(-1, 16) @ _SYSTEM).reshape(a.shape[:-2] + (10, 10))
     condition = _condition(system)
     rhs = -d[..., _UT[0], _UT[1], None]
     solution = _lapack.solve(system, rhs)[..., 0]
 
-    ill = ~(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
-    if ill.any():  # every condition that is not finite is ill, so only here is a v masked
+    ill = invert(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
+    if any_true(ill):  # every condition that is not finite is ill, so only here is a v masked
         solution = np.where(np.isfinite(condition)[..., None], solution, np.nan)
         for value in np.atleast_1d(condition)[np.atleast_1d(ill)]:
             reason = "is not finite" if np.isnan(value) else f"exceeds {CONDITION_LIMIT:.0e}"
@@ -144,7 +147,9 @@ def _condition(system):
     """1-norm condition ||S||_1 ||S^-1||_1 of each system of a stack, as
     ``np.linalg.cond(system, 1)`` gives it: ``inf`` for a singular system
     unless it has a NaN entry."""
-    condition = _norm_1(system) * _norm_1(_lapack.inv(system))
+    condition = item(_norm_1(system)) * item(_norm_1(_lapack.inv(system)))
+    if isinstance(condition, float):  # one system
+        return math.inf if condition != condition and not np.isnan(system).any() else condition
     nan = np.isnan(condition)
     if nan.any():
         return np.where(nan & ~np.isnan(system).any(axis=(-2, -1)), np.inf, condition)
@@ -159,10 +164,11 @@ def _norm_1(x):
 @np.errstate(all="ignore")  # an inf or NaN entry reads a NaN residual on its own
 def residual(a, v, d):
     """Relative Lyapunov residual ||A V + V A^T + D||_F / max(||D||_F, tiny),
-    one value per matrix of a stack.  No numpy ``RuntimeWarning`` escapes."""
+    one value per matrix of a stack, a Python float for a single matrix.  No
+    numpy ``RuntimeWarning`` escapes."""
     a, v, d = (m if isinstance(m, np.ndarray) else np.asarray(m, dtype=float) for m in (a, v, d))
     num = _frobenius(a @ v + v @ a.swapaxes(-1, -2) + d)
-    return num / np.maximum(_frobenius(d), _TINY)
+    return num / maximum(_frobenius(d), _TINY)
 
 
 # The undecorated body, which the pipeline runs under its entry point's errstate.
@@ -170,4 +176,4 @@ _residual = residual.__wrapped__
 
 
 def _frobenius(x):
-    return np.sqrt((x * x).sum(axis=(-2, -1)))
+    return sqrt(item((x * x).sum(axis=(-2, -1))))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._elementwise import sqrt
 from .constants import C_LIGHT, HBAR, K_B
 
 __all__ = [
@@ -210,10 +211,7 @@ def drive_amplitude(power, kappa: float, omega_laser: float):
     omega_laser outside its range.
     """
     check_range(power=power, kappa=kappa, omega_laser=omega_laser)
-    e0_sq = power * kappa / (2.0 * HBAR * omega_laser)
-    # math.sqrt is correctly rounded, as np.sqrt is: a float power gives a
-    # Python float, with the bits of its row in an array of powers
-    return math.sqrt(e0_sq) if isinstance(e0_sq, float) else np.sqrt(e0_sq)
+    return sqrt(power * kappa / (2.0 * HBAR * omega_laser))
 
 
 # The undecorated body, which the pipeline runs under its entry point's errstate.

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
+from ._elementwise import sqrt, square
 from .params import PhysicalParams, _drive_amplitude, check_range, require_finite
 
 __all__ = [
@@ -34,23 +35,6 @@ __all__ = [
 _ROOT_RESIDUAL_TOL = 1e-9
 _IMAG_TOL = 1e-8
 _DEGENERATE_TOL = 1e-6
-
-
-def square(x):
-    """x**2, rounded as libm ``pow`` rounds it, for scalars and arrays alike.
-
-    Scalar ``x**2`` calls ``pow`` while numpy evaluates ``array**2`` as
-    ``x*x``; the two differ in the last bit for about 0.1% of inputs, so
-    every square on the pipeline goes through here to keep a point's value
-    independent of the batch it is evaluated in.  A scalar square beyond the
-    float range is ``inf``, as for an array, not a float's ``OverflowError``.
-    """
-    if not isinstance(x, float):
-        return np.float_power(x, 2)
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 class DegenerateRootsWarning(UserWarning):
@@ -78,9 +62,7 @@ class SteadyState:
 
 
 def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadyState:
-    # math.sqrt is correctly rounded, as np.sqrt is: a point on floats keeps
-    # its row's bits without numpy's per-call cost
-    alpha_s = math.sqrt(n_s) if isinstance(n_s, float) else np.sqrt(n_s)
+    alpha_s = sqrt(n_s)
     x_s = 2.0 * (params.g_m / params.omega_m) * n_s
     return SteadyState(n_s, alpha_s, x_s, delta_eff, delta_bare, params.g_m * alpha_s, beta)
 
@@ -102,6 +84,35 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
     return _build(n_s, delta_eff, delta_bare, beta, params)
 
 
+# The undecorated body, which the pipeline runs under its entry point's errstate.
+_steady_states = steady_states.__wrapped__
+
+
+def _cubic_roots(a2: float, a1: float, a0: float):
+    """Roots of x^3 + a2*x^2 + a1*x + a0 as :func:`monic_cubic_roots` gives
+    them, for finite coefficients: a list of Python floats where all are
+    real, else numpy's complex array.  Runs under the caller's errstate."""
+    companion = np.array(
+        [
+            [0.0, 0.0, -a0],
+            [1.0, 0.0, -a1],
+            [0.0, 1.0, -a2],
+        ]
+    )
+    roots = _lapack.eigvals(companion)
+    if any(roots.imag.tolist()):  # complex products stay numpy's, which fuse multiply-adds
+        poly = ((roots + a2) * roots + a1) * roots + a0
+        step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
+        return np.where(np.isfinite(step), roots - step, roots)
+    polished = []  # all real: the same steps on floats, without numpy's per-call cost
+    for x in roots.real.tolist():
+        poly = ((x + a2) * x + a1) * x + a0
+        slope = (3.0 * x + 2.0 * a2) * x + a1
+        step = poly / slope if slope else math.nan  # numpy's x / 0 is not finite either
+        polished.append(x - step if math.isfinite(step) else x)
+    return polished
+
+
 @np.errstate(all="ignore")
 def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     """All roots of x^3 + a2*x^2 + a1*x + a0 via companion-matrix eigenvalues.
@@ -114,30 +125,19 @@ def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     """
     if not (math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0)):  # kept from LAPACK
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    companion = np.array(
-        [
-            [0.0, 0.0, -a0],
-            [1.0, 0.0, -a1],
-            [0.0, 1.0, -a2],
-        ]
-    )
-    roots = _lapack.eigvals(companion)
-    if roots.imag.any():
-        poly = ((roots + a2) * roots + a1) * roots + a0
-        step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
-        return np.where(np.isfinite(step), roots - step, roots)
-    polished = []  # all real: the same steps on floats, without numpy's per-call cost
-    for x in roots.real.tolist():
-        poly = ((x + a2) * x + a1) * x + a0
-        slope = (3.0 * x + 2.0 * a2) * x + a1
-        step = poly / slope if slope else math.nan  # numpy's x / 0 is not finite either
-        polished.append(x - step if math.isfinite(step) else x)
-    return np.array(polished)
+    return np.asarray(_cubic_roots(a2, a1, a0))
 
 
-# The undecorated bodies, which the pipeline runs under its entry point's errstate.
-_steady_states = steady_states.__wrapped__
-_monic_cubic_roots = monic_cubic_roots.__wrapped__
+def _real_roots(roots: np.ndarray) -> list[float]:
+    """Real parts of the entries of the complex array `roots` that lie
+    within relative 1e-8 of the real axis, as Python floats.
+
+    The scale is taken on the array: numpy's complex ``abs`` is its own
+    hypot, which differs from libm's ``hypot`` (a Python complex's ``abs``)
+    in the last bit for about a third of complexes whose parts are of one size.
+    """
+    scale = np.abs(roots).max().item() + 1.0
+    return [z.real for z in roots.tolist() if abs(z.imag) <= _IMAG_TOL * (abs(z.real) + scale)]
 
 
 @np.errstate(all="ignore")
@@ -170,11 +170,10 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     if shift_sq:
         a2, a1, a0 = 2.0 * delta_bare / shift, balance / shift_sq, -e0_sq / shift_sq
     if math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0):
-        roots = _monic_cubic_roots(a2, a1, a0)
-        if roots.dtype.kind == "c":  # all-real roots come back as a real array
-            scale = np.abs(roots).max() + 1.0
-            roots = roots[np.abs(roots.imag) <= _IMAG_TOL * (np.abs(roots.real) + scale)].real
-        candidates = sorted(x for x in roots.tolist() if x >= 0.0)
+        roots = _cubic_roots(a2, a1, a0)
+        if isinstance(roots, np.ndarray):  # a complex pair
+            roots = _real_roots(roots)
+        candidates = sorted(x for x in roots if x >= 0.0)
     else:  # no monic form within the float range: the linear balance
         candidates = [float(e0_sq / balance)]
 

@@ -127,9 +127,10 @@ class Sweep:
 
     The fields are the output columns of :func:`emit`, in order.
     ``spectral_stable`` is the quartic gate's verdict, beta included, and
-    ``routh_stable`` the beta = 0 closed form.  ``curve`` is NaN without curves; ``eta`` and ``log_negativity`` are NaN exactly
-    where the status is not ok (an ok point has passed the residual check,
-    so neither is NaN there).
+    ``routh_stable`` the beta = 0 closed form.  ``curve`` is NaN without
+    curves; ``eta`` and ``log_negativity`` are NaN exactly where the status
+    is not ok (an ok point has passed the residual check, so neither is NaN
+    there).
     """
 
     axis: np.ndarray
@@ -269,7 +270,8 @@ def evaluate_point(
     Unstable and marginal points carry a status instead of a report.  The
     `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
     and eta factor (:data:`gaussian.ETA_FACTOR`).  The point calls the stages
-    and checks of :func:`run_sweep` itself, 0-d.  `params` is checked by
+    and checks of :func:`run_sweep` itself, on Python scalars wherever a
+    stage's result is 0-d.  `params` is checked by
     :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here.
     """
     if n_th is None:
@@ -287,7 +289,7 @@ def evaluate_point(
         d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
         v, condition, ill = _solve_stack(a, d)
         ok, res, sig, det_v, eta = _checked_eta(a, v, d)
-        covariance = CovarianceMatrix(v, float(res), float(condition), bool(ill))
+        covariance = CovarianceMatrix(v, res, condition, ill)
         report = gaussian.entanglement_report(sig, det_v, eta) if ok else None
         status = STATUS_OK if ok else STATUS_ERROR
     return PointResult(steady, stability, covariance, report, str(status))

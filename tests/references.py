@@ -36,6 +36,9 @@
 * :func:`cubic_roots_array_polish` is :func:`oment.monic_cubic_roots` with
   its Newton polish on numpy arrays for all-real roots too, as the library
   polished them before it took Python floats there; it must give the same bits.
+  :func:`real_roots_array_filter` keeps the near-real roots of a complex
+  root array on numpy arrays, as :func:`oment.from_bare_detuning` did before
+  it filtered Python complexes; the library must keep the same floats.
 * :func:`characteristic_quartic` is the drift's characteristic quartic with
   the nonlinearity beta in it, which :func:`oment.routh_conditions` (written
   for beta = 0) leaves out, and :func:`hurwitz_determinants` its Routh-Hurwitz
@@ -412,8 +415,7 @@ def bare_states_array_path(delta_bare, params):
     if math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0):
         roots = monic_cubic_roots(a2, a1, a0)
         if roots.dtype.kind == "c":
-            scale = np.abs(roots).max() + 1.0
-            roots = roots[np.abs(roots.imag) <= 1e-8 * (np.abs(roots.real) + scale)].real
+            roots = real_roots_array_filter(roots)
         candidates = np.sort(roots[roots >= 0.0])
     else:
         candidates = np.array([e0_sq / balance])
@@ -430,6 +432,13 @@ def cubic_roots_array_polish(a2, a1, a0):
         poly = ((roots + a2) * roots + a1) * roots + a0
         step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
         return np.where(np.isfinite(step), roots - step, roots)
+
+
+def real_roots_array_filter(roots):
+    """Real parts of the entries of the complex array `roots` within relative
+    1e-8 of the real axis, selected and taken on arrays."""
+    scale = np.abs(roots).max() + 1.0
+    return roots[np.abs(roots.imag) <= 1e-8 * (np.abs(roots.real) + scale)].real
 
 
 def _shifted_factors(omega_m, gamma_m, kappa, delta, beta, shift):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from oment import default_params, routh_conditions
+from oment import default_params, evaluate_point, load_config, routh_conditions
 from oment.cli import build_parser, main
 from oment.lyapunov import IllConditionedWarning
 from references import threshold_in_fractions
@@ -440,6 +440,19 @@ def test_overflowing_point_exits_3(capsys):
     assert capsys.readouterr().err.startswith("config error: power must be in ")
 
 
+@pytest.mark.parametrize("delta_norm", ["1e70", "-1e70"])
+def test_point_and_stability_agree_where_the_gate_is_undecided(capsys, delta_norm):
+    # the detuning is finite and so is the drift matrix's abscissa, but the
+    # quartic gate's h3 overflows: point reads error, and stability, whose
+    # s1 overflows to +inf and so reads Routh stable, exits 3 as well
+    assert main(["point", f"--delta-norm={delta_norm}"]) == 3
+    assert parsed_lines(capsys.readouterr().out)["status"] == "error"
+    assert main(["stability", f"--delta-norm={delta_norm}"]) == 3
+    values = parsed_lines(capsys.readouterr().out)
+    assert values["s1"] == "inf" and values["routh_stable"] == "true"
+    assert values["spectral_stable"] == "false" and values["spectral_abscissa"] == "0"
+
+
 # 100 mW at beta = 0.99 and delta = 0: stable, but the 10x10 system is
 # singular to working precision (condition 2.4e14, residual 1.7e-5)
 ILL_CONDITIONED = ["--delta-norm", "0", "--beta", "0.99"]
@@ -526,8 +539,9 @@ def test_an_input_beyond_the_float_range_exits_by_its_status(case, command, tmp_
     assert captured.err == ""
     if command == "point":
         assert code == (0 if parsed_lines(captured.out)["status"] == "ok" else 3)
-    elif command == "stability":
-        assert code == (3 if parsed_lines(captured.out)["spectral_abscissa"] == "nan" else 0)
+    elif command == "stability":  # the points that point reads error for an overflow
+        point = evaluate_point(load_config(config), float(flags[-1]))
+        assert code == (3 if point.stability.undecided else 0)
     else:
         assert code == 0
         assert len(captured.out.splitlines()) == (2 if command == "sweep" else 201) + 1

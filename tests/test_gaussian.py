@@ -68,6 +68,22 @@ def test_two_mode_squeezed_closed_forms():
         assert report.entangled
 
 
+def test_a_single_matrix_reads_python_scalars_with_the_bits_of_its_row():
+    stack = np.array([two_mode_squeezed_cm(0.4), VACUUM, -np.eye(4), np.full((4, 4), np.nan)])
+    stacked = eta_stack(stack)
+    etas = [math.nan, 0.0, -0.0, 1e-300, 0.25, 0.5, 3.0, math.inf]
+    with np.errstate(all="ignore"):
+        log_negs = gaussian.log_negativity_of(np.array(etas))
+        for k, matrix in enumerate(stack):
+            alone = eta_stack(matrix)
+            assert tuple(map(type, alone)) == (float, float, float, bool)
+            assert [np.asarray(x).tobytes() for x in alone] == [x[k].tobytes() for x in stacked]
+            assert type(sigma(matrix)) is float
+        for eta, row in zip(etas, log_negs):
+            alone = gaussian.log_negativity_of(eta)
+            assert type(alone) is float and np.float64(alone).tobytes() == row.tobytes()
+
+
 def test_two_mode_squeezed_half_value():
     eta = report_of(two_mode_squeezed_cm(0.5)).eta
     assert eta == pytest.approx(0.18393972058572117, rel=1e-12)
@@ -246,9 +262,9 @@ def test_overflowing_radicand_is_not_physical(huge, radicand):
     with np.errstate(over="ignore", invalid="ignore"):
         assert str(sig[1] * sig[1] - 4.0 * det_v[1]) == radicand
     assert physical.tolist() == [True, False]
-    alone = eta_stack(identity)
+    alone = eta_stack(identity)  # Python floats and a bool: numpy stores them with these bytes
     for stacked, single in zip((sig, det_v, eta, physical), alone):
-        assert stacked[0].tobytes() == single.tobytes()
+        assert stacked[0].tobytes() == np.asarray(single).tobytes()
 
 
 @given(

@@ -5,9 +5,12 @@ relies on: each call, as ``oment._lapack`` makes it, gives the bits of the
 public wrapper; a singular member of a stack, or one that is not positive
 definite, reads NaN while the others keep their bits; no wrapper runs on the
 pipeline's path; and no other module of oment calls the private module.  A
-numpy release that changes it fails here.
+numpy release that changes it fails here.  A single point's LAPACK calls are
+counted too, so that one added to its path fails here.
 """
 
+from dataclasses import replace
+from inspect import isfunction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 import oment
-from oment import _lapack, monic_cubic_roots
+from oment import _lapack, evaluate_point, from_bare_detuning, monic_cubic_roots
 from references import STACK_SHAPES, record_gufunc_calls, run_pipeline
 
 # Each gufunc with the signature oment passes it, and the public wrapper
@@ -161,3 +164,46 @@ def test_only_the_lapack_module_calls_the_private_gufuncs():
     sources = {path.name: path.read_text() for path in Path(oment.__file__).parent.glob("*.py")}
     assert [name for name, text in sources.items() if "_umath_linalg" in text] == ["_lapack.py"]
     assert [name for name, text in sources.items() if "signature=" in text] == ["_lapack.py"]
+
+
+def count_lapack_calls(monkeypatch):
+    """Patch every function of ``oment._lapack``, which oment looks up on the
+    module at call time, to count its calls; returns ``{name: count}``."""
+    counts = {}
+    for name, original in vars(_lapack).items():
+        if isfunction(original) and original.__module__ == _lapack.__name__:
+            counts[name] = 0
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(_lapack, name, counted)
+    return counts
+
+
+NO_CALLS = dict.fromkeys(["det", "eigvals", "inv", "solve", "cholesky_lo"], 0)
+
+
+def test_a_single_point_keeps_its_lapack_budget(params, monkeypatch):
+    # an ok point: one inverse for the condition, one solve, the three block
+    # determinants and det V, and one Cholesky factor; an unstable point none.
+    # A LAPACK call added to the single-point path fails here.
+    counts = count_lapack_calls(monkeypatch)
+    assert counts == NO_CALLS
+    ok = replace(params, power=10e-3, beta=0.6)
+    assert evaluate_point(ok, -0.5).status == "ok"
+    assert counts == NO_CALLS | {"inv": 1, "solve": 1, "det": 2, "cholesky_lo": 1}
+    counts.update(NO_CALLS)
+    assert evaluate_point(replace(params, power=10e-3), -0.2).status == "unstable"
+    assert counts == NO_CALLS
+
+
+@pytest.mark.parametrize("delta_norm, branches", [(-0.75, 1), (-2.5, 3)])
+def test_a_bare_detuning_takes_one_eigvals(params, monkeypatch, delta_norm, branches):
+    # a complex root pair, then three real roots: the cubic's companion
+    # matrix is the only LAPACK call
+    counts = count_lapack_calls(monkeypatch)
+    bistable = replace(params, power=20e-3, beta=0.3)
+    assert len(from_bare_detuning(delta_norm * params.omega_m, bistable)) == branches
+    assert counts == NO_CALLS | {"eigvals": 1}

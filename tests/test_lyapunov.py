@@ -47,12 +47,12 @@ def solved_with_residual(a, d):
 
 
 def test_identity_case():
-    # a single pair is a stack of one: every result is 0-d
+    # a single pair is a stack of one: every 0-d result is a Python scalar
     v, condition, ill = solve_stack(-np.eye(4), np.eye(4))
     res = residual(-np.eye(4), v, np.eye(4))
     assert np.allclose(v, 0.5 * np.eye(4), atol=1e-15)
     assert lyapunov_exact(-np.eye(4), np.eye(4)) == (0.5 * np.eye(4)).tolist()
-    assert np.shape(res) == np.shape(condition) == np.shape(ill) == ()
+    assert (type(res), type(condition), type(ill)) == (float, float, bool)
     assert res < 1e-14
     assert not ill
 
@@ -239,8 +239,8 @@ def test_singular_stack_takes_one_inverse_and_reads_inf(monkeypatch):
         v, res, condition, ill = solved_with_residual(a, np.eye(4))
     assert len(calls["inv"]) == 1 and counts == {"cond": 0}
     assert condition[1] == np.inf and ill.tolist() == [False, True]
-    for stacked, single in zip((v, res, condition, ill), alone):
-        assert stacked[0].tobytes() == single.tobytes()
+    for stacked, single in zip((v, res, condition, ill), alone):  # alone: Python scalars but v
+        assert stacked[0].tobytes() == np.asarray(single).tobytes()
 
 
 def test_nan_inverse_reads_inf_unless_the_system_has_a_nan_entry(monkeypatch):
@@ -277,8 +277,8 @@ def test_drift_with_a_non_finite_entry_is_flagged_ill_conditioned(entry):
     assert np.isnan(condition[1]) and ill.tolist() == [False, True]
     assert np.isnan(v[1]).all() and np.isnan(res[1])
     alone = solved_with_residual(-np.eye(4), np.eye(4))
-    for stacked, single in zip((v, res, condition, ill), alone):
-        assert stacked[0].tobytes() == single.tobytes()
+    for stacked, single in zip((v, res, condition, ill), alone):  # alone: Python scalars but v
+        assert stacked[0].tobytes() == np.asarray(single).tobytes()
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf])

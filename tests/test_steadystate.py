@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oment import (
@@ -16,9 +16,10 @@ from oment import (
     monic_cubic_roots,
     nonlinearity_from_betaprime,
     steady_states,
+    steadystate,
 )
 from oment.steadystate import square
-from references import bare_states_array_path, cubic_roots_array_polish
+from references import bare_states_array_path, cubic_roots_array_polish, real_roots_array_filter
 
 
 def test_undriven_cavity(params):
@@ -319,6 +320,28 @@ def test_the_float_polish_gives_the_bits_of_the_array_polish(coefficients):
     roots = monic_cubic_roots(*coefficients)
     expected = cubic_roots_array_polish(*coefficients)
     assert roots.dtype == expected.dtype and roots.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _cubics_with_a_complex_pair(draw):
+    """a2, a1, a0 of (x - r)(x - z)(x - conj z), z = u + iv, with v from 1e-12
+    to 10 times |u| + 1: some pairs lie within the filter's tolerance of the
+    real axis, most do not."""
+    r, u = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    v = (abs(u) + 1.0) * 10.0 ** draw(st.floats(-12.0, 1.0))
+    modulus = u * u + v * v
+    return -(r + 2.0 * u), 2.0 * r * u + modulus, -r * modulus
+
+
+@example(coefficients=(-2.0, 1.0, -2.0))  # (x - 2)(x^2 + 1)
+@given(coefficients=_cubics_with_a_complex_pair())
+def test_the_float_filter_keeps_the_roots_of_the_array_filter(coefficients):
+    with np.errstate(all="ignore"):
+        roots = steadystate._cubic_roots(*coefficients)
+    assume(isinstance(roots, np.ndarray))  # eigvals found the pair
+    kept = steadystate._real_roots(roots)
+    assert all(type(x) is float for x in kept)
+    assert [x.hex() for x in kept] == [x.hex() for x in real_roots_array_filter(roots).tolist()]
 
 
 def test_monic_cubic_roots_complex_pair():

@@ -1173,8 +1173,10 @@ def test_one_disagreeing_matrix_marks_only_its_own_row(monkeypatch):
     ok, res = stacked[:2]
     assert ok.tolist() == [True, False, False, False, False]
     assert res[1] > sweep.RESIDUAL_LIMIT >= max(res[[0, 3, 4]])
-    for k, single in enumerate(alone):
-        assert [value[k].tobytes() for value in stacked] == [value.tobytes() for value in single]
+    for k, single in enumerate(alone):  # Python floats and bools alone
+        assert [value[k].tobytes() for value in stacked] == [
+            np.asarray(value).tobytes() for value in single
+        ]
 
 
 def nan_route(v):
@@ -1295,8 +1297,8 @@ def _private_stages():
 
 
 def test_the_private_stages_are_found():
-    # the six errstate stages and the three checked ones, at least
-    assert len(_private_stages()) >= 9
+    # the five errstate stages and the three checked ones, at least
+    assert len(_private_stages()) >= 8
 
 
 @pytest.mark.parametrize("module, name", _private_stages())
