@@ -23,23 +23,12 @@ from dataclasses import replace
 import numpy as np
 
 from .gaussian import CM_SCALE, log_negativity_of
-from .linmodel import (
-    coupling_threshold_blue,
-    coupling_threshold_red,
-    drift_matrix,
-    spectral_abscissa,
-)
+from .linmodel import coupling_threshold_blue, coupling_threshold_red, drift_matrix
+from .linmodel import spectral_abscissa
 from .params import ConfigError, PhysicalParams, default_params, load_config
 from .steadystate import SteadyState
-from .sweep import (
-    FIGURE_NAMES,
-    STATUS_OK,
-    SweepSpec,
-    emit,
-    evaluate_point,
-    figure_preset,
-    run_sweep,
-)
+from .sweep import FIGURE_NAMES, STATUS_OK, SweepSpec, emit, evaluate_point, figure_preset
+from .sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,15 +143,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.curves:
         curve_param, curves = _parse_curves(args.curves)
     spec = SweepSpec(
-        axis=args.axis,
-        start=args.start,
-        stop=args.stop,
-        count=args.count,
-        fixed=params,
-        delta_norm=args.delta_norm,
-        n_th=nth,
-        curve_param=curve_param,
-        curves=curves,
+        axis=args.axis, start=args.start, stop=args.stop, count=args.count, fixed=params,
+        delta_norm=args.delta_norm, n_th=nth, curve_param=curve_param, curves=curves,
     )
     _write_output(emit(run_sweep(spec), args.format), args.out)
     return EXIT_OK

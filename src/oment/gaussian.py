@@ -51,12 +51,7 @@ _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 # Symplectic form for two modes in (x1, p1, x2, p2) ordering.
 _OMEGA = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
+    [[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]
 )
 # Partial transpose of the second mode flips the sign of its momentum: the
 # sign of V_tilde = F V F, F = diag(1, 1, 1, -1), entry by entry.

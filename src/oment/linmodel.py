@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _lapack
 from ._elementwise import square
-from .params import PhysicalParams, check_range
+from .params import PhysicalParams, _checked_stage, check_range
 from .steadystate import SteadyState
 
 __all__ = [
@@ -69,6 +69,7 @@ class StabilityReport:
     undecided: bool
 
 
+@_checked_stage(lambda omega_m, gamma_m, kappa, delta, g, beta=0.0: check_range(beta=beta))
 def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.0) -> np.ndarray:
     """Raw 4x4 drift matrix for the quadrature ordering (dx_m, dp_m, dI, dphi).
 
@@ -76,7 +77,6 @@ def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.
     a stack of shape ``(..., 4, 4)``.  Raises ``ConfigError`` unless every beta
     is below 1.
     """
-    check_range(beta=beta)
     # the sum carries the broadcast shape of the inputs; scalars have none
     a = np.zeros(getattr(delta + g + beta, "shape", ()) + (4, 4))
     a[..., 0, 1] = omega_m
@@ -91,10 +91,10 @@ def drift_matrix(omega_m: float, gamma_m: float, kappa: float, delta, g, beta=0.
     return a
 
 
+@_checked_stage(lambda gamma_m, kappa, n_th: check_range(n_th=n_th))
 def diffusion_matrix(gamma_m: float, kappa: float, n_th) -> np.ndarray:
     """Diagonal diffusion matrix, a stack of shape ``(..., 4, 4)`` for array
     `n_th`.  Raises ``ConfigError`` for a negative or NaN n_th."""
-    check_range(n_th=n_th)
     if not isinstance(n_th, float):  # a float takes the same steps without numpy's per-call cost
         n_th = np.asarray(n_th)
     d = np.zeros(np.shape(n_th) + (4, 4))
@@ -172,7 +172,7 @@ def _hurwitz(omega_m, gamma_m, kappa, delta, g, beta, shift):
     return (a1 > 0.0) & (h2 > 0.0) & (h3 > 0.0) & (a4 > 0.0), h3
 
 
-@np.errstate(all="ignore")
+@_checked_stage(lambda steady, params: check_range(beta=steady.beta))
 def stability_stack(steady: SteadyState, params: PhysicalParams) -> StabilityReport:
     """Both stability verdicts at every point of `steady`, as a :class:`StabilityReport`.
 
@@ -183,7 +183,6 @@ def stability_stack(steady: SteadyState, params: PhysicalParams) -> StabilityRep
     the types it is given: Python floats give Python floats and bools.
     Raises ``ConfigError`` unless every beta is below 1.
     """
-    check_range(beta=steady.beta)
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
     delta, g, beta = steady.delta_eff, steady.g_eff, steady.beta
     s1, s2 = _routh_conditions(omega_m, gamma_m, kappa, delta, g)
@@ -199,7 +198,9 @@ def stability_stack(steady: SteadyState, params: PhysicalParams) -> StabilityRep
     )
 
 
-# The undecorated bodies, which the pipeline runs under its entry point's errstate.
+# The bodies, unchecked and without their errstate, which the pipeline runs.
+_drift_matrix = drift_matrix.__wrapped__
+_diffusion_matrix = diffusion_matrix.__wrapped__
 _routh_conditions = routh_conditions.__wrapped__
 _stability_stack = stability_stack.__wrapped__
 

@@ -6,6 +6,7 @@ the CLI take ordinary frequencies in Hz and convert on ingestion.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, fields, replace
@@ -202,7 +203,24 @@ def thermal_occupation(temperature: float, omega_m: float) -> float:
         return 0.0
 
 
-@np.errstate(all="ignore")
+def _checked_stage(check):
+    """Decorator of a stage whose input has a range: it runs `check` on the
+    arguments, then the body under ``np.errstate(all="ignore")``.  The
+    pipeline, its input checked at its entry point, calls the body alone."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def stage(*args, **kwargs):
+            check(*args, **kwargs)
+            with np.errstate(all="ignore"):
+                return body(*args, **kwargs)
+        return stage
+    return decorate
+
+
+@_checked_stage(lambda power, kappa, omega_laser: check_range(
+    power=power, kappa=kappa, omega_laser=omega_laser
+))
 def drive_amplitude(power, kappa: float, omega_laser: float):
     """Drive amplitude |E0| = sqrt(P0 * kappa / (2 * hbar * omega_laser)) (1/s).
 
@@ -210,11 +228,10 @@ def drive_amplitude(power, kappa: float, omega_laser: float):
     array of powers.  Raises :class:`ConfigError` for a power, kappa or
     omega_laser outside its range.
     """
-    check_range(power=power, kappa=kappa, omega_laser=omega_laser)
     return sqrt(power * kappa / (2.0 * HBAR * omega_laser))
 
 
-# The undecorated body, which the pipeline runs under its entry point's errstate.
+# The unchecked body, which the pipeline runs under its entry point's errstate.
 _drive_amplitude = drive_amplitude.__wrapped__
 
 

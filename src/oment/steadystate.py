@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _lapack
 from ._elementwise import sqrt, square
-from .params import PhysicalParams, _drive_amplitude, check_range, require_finite
+from .params import PhysicalParams, _checked_stage, _drive_amplitude, check_range, require_finite
 
 __all__ = [
     "SteadyState",
@@ -34,6 +34,13 @@ __all__ = [
 
 _ROOT_RESIDUAL_TOL = 1e-9
 _IMAG_TOL = 1e-8
+# A complex pair z = x +- iy is dropped unpolished where one Newton step cannot
+# bring it within the root filter's tolerance.  eigvals is backward stable, so
+# z is off by about c eps scale^3 / |p'(z)|, scale the sum of the roots' moduli
+# plus 1, |p'(z)| = 2 y |z - r| and r the real root: y^2 |z - r| > 1e-11 scale^3
+# keeps that below 1% of y for c up to 1e3, and y over 150 times the tolerance.
+# A cluster of three roots, scattered by eigvals by eps^(1/3) scale, is not clear.
+_CLEAR_PAIR = 1e-11
 _DEGENERATE_TOL = 1e-6
 
 
@@ -67,7 +74,7 @@ def _build(n_s, delta_eff, delta_bare, beta, params: PhysicalParams) -> SteadySt
     return SteadyState(n_s, alpha_s, x_s, delta_eff, delta_bare, params.g_m * alpha_s, beta)
 
 
-@np.errstate(all="ignore")
+@_checked_stage(lambda delta_eff, power, beta, params: check_range(power=power))
 def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState:
     """Operating points at prescribed effective detunings, elementwise.
 
@@ -84,33 +91,45 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
     return _build(n_s, delta_eff, delta_bare, beta, params)
 
 
-# The undecorated body, which the pipeline runs under its entry point's errstate.
+# The unchecked body, which the pipeline runs under its entry point's errstate.
 _steady_states = steady_states.__wrapped__
 
 
-def _cubic_roots(a2: float, a1: float, a0: float):
+def _cubic_roots(a2: float, a1: float, a0: float, real_only: bool = False):
     """Roots of x^3 + a2*x^2 + a1*x + a0 as :func:`monic_cubic_roots` gives
     them, for finite coefficients: a list of Python floats where all are
-    real, else numpy's complex array.  Runs under the caller's errstate."""
-    companion = np.array(
-        [
-            [0.0, 0.0, -a0],
-            [1.0, 0.0, -a1],
-            [0.0, 1.0, -a2],
-        ]
-    )
-    roots = _lapack.eigvals(companion)
-    if any(roots.imag.tolist()):  # complex products stay numpy's, which fuse multiply-adds
+    real, else numpy's complex array.  With `real_only`, the real roots as a
+    list: a pair clear of the real axis (:data:`_CLEAR_PAIR`) is dropped
+    unpolished, one near it polished and filtered by :func:`_real_roots`.
+    Each root has the bits numpy's polish of the array gives it."""
+    roots = _lapack.eigvals(np.array([[0.0, 0.0, -a0], [1.0, 0.0, -a1], [0.0, 1.0, -a2]]))
+    real, imag = roots.real.tolist(), roots.imag.tolist()
+    pair = any(imag)  # one real root and a complex pair
+    if pair and real_only:  # a NaN is not clear
+        (_, _), (_, r), (y, x) = sorted(zip(imag, real))  # x - iy, r, x + iy
+        scale = abs(r) + 2.0 * math.hypot(x, y) + 1.0
+        if y * y * math.hypot(x - r, y) > _CLEAR_PAIR * scale * scale * scale:
+            return [_polished(r, a2, a1, a0, True)]
+    if pair:  # complex products stay numpy's, which fuse multiply-adds
         poly = ((roots + a2) * roots + a1) * roots + a0
         step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
-        return np.where(np.isfinite(step), roots - step, roots)
-    polished = []  # all real: the same steps on floats, without numpy's per-call cost
-    for x in roots.real.tolist():
-        poly = ((x + a2) * x + a1) * x + a0
-        slope = (3.0 * x + 2.0 * a2) * x + a1
-        step = poly / slope if slope else math.nan  # numpy's x / 0 is not finite either
-        polished.append(x - step if math.isfinite(step) else x)
-    return polished
+        roots = np.where(np.isfinite(step), roots - step, roots)
+        return _real_roots(roots) if real_only else roots
+    # all real: the same steps on floats, without numpy's per-call cost
+    return [_polished(x, a2, a1, a0, False) for x in real]
+
+
+def _polished(x: float, a2: float, a1: float, a0: float, pair: bool) -> float:
+    """`x` after one Newton step on the cubic, or `x` where the step is not
+    finite, with the bits of numpy's polish of a real root array or, for
+    `pair`, of a complex one (x + 0j; eigvals returns no -0.0 root)."""
+    poly = ((x + a2) * x + a1) * x + a0
+    slope = (3.0 * x + 2.0 * a2) * x + a1
+    if not slope:
+        return x  # numpy's x / 0 is not finite either
+    # numpy divides a complex by multiplying with the reciprocal of a real divisor
+    step = poly * (1.0 / slope) if pair else poly / slope
+    return x - step if math.isfinite(step) else x
 
 
 @np.errstate(all="ignore")
@@ -147,16 +166,16 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     Solves the cubic ``|E0|^2 = n*((delta_bare + 2*(g_m^2/omega_m)*n)^2 +
     kappa^2/4)`` for the photon number.  Real non-negative roots are returned
     sorted ascending by ``n_s``; complex or negative roots are discarded, not
-    clamped.  Each state's ``n_s`` is a Python float, and so is its
-    ``delta_eff`` for a float `delta_bare`.  Where the cubic cannot be made
-    monic within the float range (a coupling too weak, or a detuning too
-    large), its linear balance ``n = |E0|^2/(delta_bare^2 + kappa^2/4)`` is
-    taken instead.  A :class:`DegenerateRootsWarning` is issued when two
-    roots coincide within relative 1e-6.  A `delta_bare` that is not finite
-    raises :class:`~oment.params.ConfigError`, and a root that misses its
-    residual tolerance, or whose residual is NaN (a square beyond the float
-    range), raises ``ArithmeticError``.  It trusts `params`, which
-    :class:`~oment.params.PhysicalParams` checks.
+    clamped, and a complex pair clear of the real axis is not even polished.
+    Each ``n_s`` is a Python float, and so is ``delta_eff`` for a float
+    `delta_bare`.  Where the cubic cannot be made monic within the float range
+    (a coupling too weak, or a detuning too large), its linear balance ``n =
+    |E0|^2/(delta_bare^2 + kappa^2/4)`` is taken instead.  Two roots within
+    relative 1e-6 issue a :class:`DegenerateRootsWarning`.  A `delta_bare`
+    that is not finite raises :class:`~oment.params.ConfigError`, and a root
+    that misses its residual tolerance, or whose residual is NaN (a square
+    beyond the float range), raises ``ArithmeticError``.  No stage checks
+    `params` again: :class:`~oment.params.PhysicalParams` has.
     """
     require_finite(delta_bare=delta_bare)
     e0_sq = square(_drive_amplitude(params.power, params.kappa, params.omega_laser))
@@ -170,10 +189,7 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     if shift_sq:
         a2, a1, a0 = 2.0 * delta_bare / shift, balance / shift_sq, -e0_sq / shift_sq
     if math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0):
-        roots = _cubic_roots(a2, a1, a0)
-        if isinstance(roots, np.ndarray):  # a complex pair
-            roots = _real_roots(roots)
-        candidates = sorted(x for x in roots if x >= 0.0)
+        candidates = sorted(x for x in _cubic_roots(a2, a1, a0, real_only=True) if x >= 0.0)
     else:  # no monic form within the float range: the linear balance
         candidates = [float(e0_sq / balance)]
 

@@ -16,16 +16,10 @@ import numpy as np
 
 from . import _lapack, gaussian
 from .gaussian import EntanglementReport
-from .linmodel import StabilityReport, _stability_stack, diffusion_matrix, drift_matrix
+from .linmodel import StabilityReport, _diffusion_matrix, _drift_matrix, _stability_stack
 from .lyapunov import CovarianceMatrix, _residual, _solve_stack
-from .params import (
-    ConfigError,
-    PhysicalParams,
-    check_range,
-    default_params,
-    require_finite,
-    thermal_occupation,
-)
+from .params import ConfigError, PhysicalParams, check_range, default_params
+from .params import require_finite, thermal_occupation
 from .steadystate import SteadyState, _steady_states
 
 __all__ = [
@@ -195,7 +189,7 @@ def _gate(report: StabilityReport):
 
 def _drift(params: PhysicalParams, delta_eff, g_eff, beta) -> np.ndarray:
     """Drift matrices of the points that pass the gate, elementwise."""
-    return drift_matrix(params.omega_m, params.gamma_m, params.kappa, delta_eff, g_eff, beta)
+    return _drift_matrix(params.omega_m, params.gamma_m, params.kappa, delta_eff, g_eff, beta)
 
 
 def _operating_groups(op_shape: tuple, shape: tuple) -> np.ndarray:
@@ -235,7 +229,7 @@ def _evaluate(params: PhysicalParams, steady: SteadyState, n_th) -> _Stack:
     if shape != gate.shape:  # each drift matrix meets the diffusion matrices of its grid points
         a, solved = a[:, None], _operating_groups(gate.shape, shape)[solved]
     n_th = np.full(shape, n_th).reshape(-1)[solved]
-    d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
+    d = _diffusion_matrix(params.gamma_m, params.kappa, n_th)
     v, condition, ill = _solve_stack(a, d)
     ok, res, sig, det_v, eta = (x.reshape(-1) for x in _checked_eta(a, v, d))
     solved = solved.reshape(-1)
@@ -259,20 +253,18 @@ def _checked_eta(a: np.ndarray, v: np.ndarray, d: np.ndarray):
     return (res <= RESIDUAL_LIMIT) & physical, res, sig, det_v, eta
 
 
-@np.errstate(all="ignore")
 def evaluate_point(
-    params: PhysicalParams,
-    delta_norm: float,
-    n_th: float | None = None,
+    params: PhysicalParams, delta_norm: float, n_th: float | None = None
 ) -> PointResult:
     """Steady state -> stability -> covariance -> entanglement at one point.
 
-    Unstable and marginal points carry a status instead of a report.  The
-    `report` uses the standard-convention rescaling (:data:`gaussian.CM_SCALE`)
-    and eta factor (:data:`gaussian.ETA_FACTOR`).  The point calls the stages
-    and checks of :func:`run_sweep` itself, on Python scalars wherever a
-    stage's result is 0-d.  `params` is checked by
-    :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here.
+    Unstable and marginal points carry a status instead of a report, which
+    uses :data:`gaussian.CM_SCALE` and :data:`gaussian.ETA_FACTOR`.  The point
+    calls the stages and checks of :func:`run_sweep` itself, on Python scalars
+    wherever a stage's result is 0-d.  `params` is checked by
+    :class:`~oment.params.PhysicalParams`, `delta_norm` and `n_th` here, and
+    no stage checks them again.  Only a point that passes the gate, which
+    runs on Python floats, enters an error state.
     """
     if n_th is None:
         n_th = thermal_occupation(params.temperature, params.omega_m)
@@ -283,16 +275,21 @@ def evaluate_point(
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
     stability = _stability_stack(steady, params)
     gate, status = _gate(stability)
-    covariance = report = None
     if gate == 1:
-        a = _drift(params, steady.delta_eff, steady.g_eff, steady.beta)
-        d = diffusion_matrix(params.gamma_m, params.kappa, n_th)
-        v, condition, ill = _solve_stack(a, d)
-        ok, res, sig, det_v, eta = _checked_eta(a, v, d)
-        covariance = CovarianceMatrix(v, res, condition, ill)
-        report = gaussian.entanglement_report(sig, det_v, eta) if ok else None
-        status = STATUS_OK if ok else STATUS_ERROR
-    return PointResult(steady, stability, covariance, report, str(status))
+        return _solved_point(params, steady, stability, n_th)
+    return PointResult(steady, stability, None, None, str(status))
+
+
+@np.errstate(all="ignore")
+def _solved_point(params, steady, stability, n_th: float) -> PointResult:
+    """The rest of :func:`evaluate_point` where the gate passes: drift, solve, check step."""
+    a = _drift(params, steady.delta_eff, steady.g_eff, steady.beta)
+    d = _diffusion_matrix(params.gamma_m, params.kappa, n_th)
+    v, condition, ill = _solve_stack(a, d)
+    ok, res, sig, det_v, eta = _checked_eta(a, v, d)
+    report = gaussian.entanglement_report(sig, det_v, eta) if ok else None
+    covariance = CovarianceMatrix(v, res, condition, ill)
+    return PointResult(steady, stability, covariance, report, STATUS_OK if ok else STATUS_ERROR)
 
 
 def _grid_values(spec: SweepSpec) -> dict[str, np.ndarray]:
@@ -347,17 +344,9 @@ def run_sweep(spec: SweepSpec) -> Sweep:
     )
     n_s, g_eff, s1, s2, routh_stable, spectral_stable, status = (c.reshape(-1) for c in columns)
     return Sweep(
-        axis=np.tile(spec.grid(), len(curves)),
-        curve=np.repeat(curves, spec.count),
-        n_s=n_s,
-        g_eff=g_eff,
-        s1=s1,
-        s2=s2,
-        routh_stable=routh_stable,
-        spectral_stable=spectral_stable,
-        eta=eta,
-        log_negativity=log_neg,
-        status=status,
+        axis=np.tile(spec.grid(), len(curves)), curve=np.repeat(curves, spec.count), n_s=n_s,
+        g_eff=g_eff, s1=s1, s2=s2, routh_stable=routh_stable, spectral_stable=spectral_stable,
+        eta=eta, log_negativity=log_neg, status=status,
     )
 
 
@@ -538,7 +527,7 @@ def nth_entanglement_threshold(
     gamma_m, kappa, f = params.gamma_m, params.kappa, gaussian.ETA_FACTOR
     step = np.zeros((4, 4))
     step[1, 1] = 2.0 * gamma_m  # D(n_th + 1) - D(n_th)
-    (v0, v1), *_ = _solve_stack(a, np.array([diffusion_matrix(gamma_m, kappa, 0.0), step]))
+    (v0, v1), *_ = _solve_stack(a, np.array([_diffusion_matrix(gamma_m, kappa, 0.0), step]))
     # V(n_th) is affine in n_th, so Simon's P is a quartic: fit it to five samples
     w = gaussian.CM_SCALE * (v0 + (n_hi * _NODES)[:, None, None] * v1)
     simon = _lapack.det(w) - gaussian._sigma(w) / f**2 + f**-4
@@ -547,7 +536,7 @@ def nth_entanglement_threshold(
     def entangled(n_th: list[float]) -> dict[float, bool]:
         n = np.array(n_th)
         v = v0 + n[:, None, None] * v1
-        ok, *_, eta = _checked_eta(a, v, diffusion_matrix(gamma_m, kappa, n))
+        ok, *_, eta = _checked_eta(a, v, _diffusion_matrix(gamma_m, kappa, n))
         ok &= f * eta < 1.0  # entangled, by the rule of gaussian.entanglement_report
         return dict(zip(n_th, ok.tolist()))
 

@@ -32,10 +32,14 @@
 * :func:`bare_states_array_path` is the photon numbers and effective
   detunings of :func:`oment.from_bare_detuning`, selected and sorted on numpy
   arrays as the library did before it kept the roots as Python floats; the
-  library must give the same bits.
+  library must give the same bits.  Its roots are those of
+  :func:`real_roots_array_path`: every root polished, a complex pair too,
+  and then filtered, as the library did before it dropped a pair clear of
+  the real axis unpolished.
 * :func:`cubic_roots_array_polish` is :func:`oment.monic_cubic_roots` with
   its Newton polish on numpy arrays for all-real roots too, as the library
   polished them before it took Python floats there; it must give the same bits.
+  :func:`newton_step_array` is that polish of a given root array.
   :func:`real_roots_array_filter` keeps the near-real roots of a complex
   root array on numpy arrays, as :func:`oment.from_bare_detuning` did before
   it filtered Python complexes; the library must keep the same floats.
@@ -84,7 +88,6 @@ from oment import (
     figure_preset,
     diffusion_matrix,
     from_bare_detuning,
-    monic_cubic_roots,
     nth_entanglement_threshold,
     routh_conditions,
     run_sweep,
@@ -413,13 +416,20 @@ def bare_states_array_path(delta_bare, params):
     if shift_sq:
         a2, a1, a0 = 2.0 * delta_bare / shift, balance / shift_sq, -e0_sq / shift_sq
     if math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0):
-        roots = monic_cubic_roots(a2, a1, a0)
-        if roots.dtype.kind == "c":
-            roots = real_roots_array_filter(roots)
+        roots = real_roots_array_path(a2, a1, a0)
         candidates = np.sort(roots[roots >= 0.0])
     else:
         candidates = np.array([e0_sq / balance])
     return [(float(n_s), delta_bare + shift * n_s) for n_s in candidates]
+
+
+def real_roots_array_path(a2, a1, a0):
+    """The real roots of x^3 + a2 x^2 + a1 x + a0 as an array, in the order
+    of the eigenvalues: every root polished on arrays, a complex pair too, and
+    the near-real ones of a cubic with a pair kept by
+    :func:`real_roots_array_filter`."""
+    roots = cubic_roots_array_polish(a2, a1, a0)
+    return real_roots_array_filter(roots) if roots.dtype.kind == "c" else roots
 
 
 def cubic_roots_array_polish(a2, a1, a0):
@@ -427,7 +437,12 @@ def cubic_roots_array_polish(a2, a1, a0):
     real where all are real, each with one Newton step on arrays where the
     step is finite."""
     companion = np.array([[0.0, 0.0, -a0], [1.0, 0.0, -a1], [0.0, 1.0, -a2]])
-    roots = np.linalg.eigvals(companion)
+    return newton_step_array(np.linalg.eigvals(companion), a2, a1, a0)
+
+
+def newton_step_array(roots, a2, a1, a0):
+    """The array `roots` after one Newton step on x^3 + a2 x^2 + a1 x + a0
+    each, where the step is finite."""
     with np.errstate(all="ignore"):
         poly = ((roots + a2) * roots + a1) * roots + a0
         step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)

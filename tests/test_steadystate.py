@@ -19,7 +19,13 @@ from oment import (
     steadystate,
 )
 from oment.steadystate import square
-from references import bare_states_array_path, cubic_roots_array_polish, real_roots_array_filter
+from references import (
+    bare_states_array_path,
+    cubic_roots_array_polish,
+    newton_step_array,
+    real_roots_array_filter,
+    real_roots_array_path,
+)
 
 
 def test_undriven_cavity(params):
@@ -342,6 +348,73 @@ def test_the_float_filter_keeps_the_roots_of_the_array_filter(coefficients):
     kept = steadystate._real_roots(roots)
     assert all(type(x) is float for x in kept)
     assert [x.hex() for x in kept] == [x.hex() for x in real_roots_array_filter(roots).tolist()]
+
+
+@st.composite
+def _clustered_roots(draw):
+    """a2, a1, a0 of (x - a)(x - z)(x - conj z), z = a (1 + u) + i a v, with u
+    and v from 1e-8 to 0.1: three roots that eigvals may scatter, and a pair
+    that the polish may move far."""
+    a = draw(st.floats(1e-3, 1e6))
+    u = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-8.0, -1.0))
+    v = 10.0 ** draw(st.floats(-8.0, -1.0))
+    c, modulus = a * (1.0 + u), a * a * ((1.0 + u) ** 2 + v * v)
+    return -(a + 2.0 * c), 2.0 * a * c + modulus, -a * modulus
+
+
+# (x - 1)(x - z)(x - conj z), z = 1000 + iy: y 500 and 150 times the filter's
+# tolerance; near-double roots whose pair reads 1.41 and 1.05 times the
+# tolerance off the real axis, and three clustered roots whose pair reads 214
+# times, each brought within it by the polish
+_CLEAR = [(-2.0, 1.0, -2.0), (-2001.0, 1002000.0001002001, -1000000.0001002001)]
+_NOT_CLEAR = [
+    (-2001.0, 1002000.000009018, -1000000.000009018),
+    (-151.42580753861355, 5991.1595123567695, -19361.846924883746),
+    (-129633.62520755606, 4298235002.782782, -6251522356298.539),
+    (-17239.76257244438, 99069804.51838331, -189771100889.52255),
+]
+
+
+@pytest.mark.parametrize("coefficients, clear", [
+    *((c, True) for c in _CLEAR), *((c, False) for c in _NOT_CLEAR)
+])
+def test_only_a_clear_pair_is_dropped_before_the_polish(monkeypatch, coefficients, clear):
+    filtered = []  # the polished arrays that reach the filter
+    real_roots = steadystate._real_roots
+    monkeypatch.setattr(steadystate, "_real_roots", lambda r: filtered.append(r) or real_roots(r))
+    with np.errstate(all="ignore"):
+        kept = steadystate._cubic_roots(*coefficients, real_only=True)
+    assert not filtered if clear else len(filtered) == 1
+    assert len(kept) == (1 if clear or coefficients == _NOT_CLEAR[0] else 3)
+    assert [x.hex() for x in kept] == [x.hex() for x in real_roots_array_path(*coefficients)]
+
+
+@example(coefficients=_CLEAR[0])
+@example(coefficients=_NOT_CLEAR[1])
+@example(coefficients=_NOT_CLEAR[3])
+@given(coefficients=_cubics_with_a_complex_pair() | _clustered_roots())
+def test_the_real_roots_kept_have_the_bits_of_the_array_path(coefficients):
+    # from_bare_detuning keeps the non-negative ones: a pair clear of the real
+    # axis is dropped unpolished, every other root polished on arrays as before
+    with np.errstate(all="ignore"):
+        kept = steadystate._cubic_roots(*coefficients, real_only=True)
+    assert all(type(x) is float for x in kept)
+    assert [x.hex() for x in kept] == [x.hex() for x in real_roots_array_path(*coefficients)]
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@example(x=2.71, a2=2.1, a1=0.0, a0=0.5, pair=True)  # where poly / slope is 1 ulp off
+@given(x=_ANY_FLOAT, a2=_ANY_FLOAT, a1=_ANY_FLOAT, a0=_ANY_FLOAT, pair=st.booleans())
+def test_the_float_polish_of_a_root_has_the_bits_of_the_array_polish(x, a2, a1, a0, pair):
+    # numpy's complex division multiplies by the divisor's reciprocal, and a
+    # product with a zero imaginary part is the real product; the signs of
+    # zeros can differ only at a root -0.0, which eigvals does not return
+    assume(not (pair and x == 0.0 and math.copysign(1.0, x) < 0.0))
+    root = np.array([complex(x, 0.0) if pair else x])
+    expected = newton_step_array(root, a2, a1, a0)[0].real
+    assert steadystate._polished(x, a2, a1, a0, pair).hex() == float(expected).hex()
 
 
 def test_monic_cubic_roots_complex_pair():

@@ -1097,6 +1097,43 @@ def test_a_correct_solve_reads_ok():
     assert evaluate_point(*_CORRECT_SOLVE_READ_AS_ERROR).status == "ok"
 
 
+# A point inside the parameter box that reads ok, with no ill-conditioned flag
+# (condition 7.1e9) and a residual of 6.3e-11, whose V is 3.6e-8 off the exact
+# V: the residual bounds the backward error, and the forward error can be the
+# condition times as large
+_INACCURATE_OK_POINT = (
+    PhysicalParams(omega_m=4724788570556.623, gamma_m=6227.078331426504, g_m=207001108513.738,
+                   kappa=2988561.695525189, power=1.5767761204290618e-07,
+                   laser_wavelength=0.0001962021699201314, temperature=7.749082326128934e-06,
+                   beta=0.40108316573807545),
+    -1.7421124711686096,
+)
+
+
+def _eta_error_at_the_inaccurate_ok_point():
+    """The point, and its eta's error relative to the exact eta."""
+    point = evaluate_point(*_INACCURATE_OK_POINT)
+    v = lyapunov_exact(*drift_and_diffusion(_INACCURATE_OK_POINT[0], point.steady))
+    eta = eta_exact([[Fraction(gaussian.CM_SCALE) * x for x in row] for row in v])
+    return point, abs(point.report.eta - eta) / eta
+
+
+def test_the_inaccurate_ok_point_reads_ok_unflagged():
+    point, error = _eta_error_at_the_inaccurate_ok_point()
+    assert point.status == "ok" and not point.covariance.ill_conditioned
+    assert point.report.eta == 0.3230406450513441
+    assert 4e-8 < error < 5e-8  # measured 4.3e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an ok point's eta is only as accurate as the condition times the residual allows, "
+    "and neither flags this point",
+)
+def test_an_unflagged_ok_point_has_an_accurate_eta():
+    assert _eta_error_at_the_inaccurate_ok_point()[1] <= 1e-10
+
+
 def test_nth_threshold_warns_once_per_call(params, monkeypatch):
     p10 = replace(params, power=10e-3)
     expected = nth_entanglement_threshold(p10, -1.0)
@@ -1246,29 +1283,36 @@ def test_nth_threshold_still_entangled_at_n_hi_names_the_remedy(params):
         nth_entanglement_threshold(replace(params, power=10e-3), -1.0, n_hi=1.0)
 
 
-def _errstate_entries(call):
-    """How many times `call` enters an ``np.errstate``, as a block or a
-    decorator, and what it returns."""
-    targets = {np.errstate.__enter__.__code__, np.errstate()(lambda: None).__code__}
-    entries = 0
+def _calls(call, targets):
+    """How many calls `call` makes to functions whose code is in `targets`,
+    and what it returns."""
+    calls = 0
 
     def profile(frame, event, arg):
-        nonlocal entries
-        entries += event == "call" and frame.f_code in targets
+        nonlocal calls
+        calls += event == "call" and frame.f_code in targets
 
     sys.setprofile(profile)
     try:
         result = call()
     finally:
         sys.setprofile(None)
-    return entries, result
+    return calls, result
+
+
+def _errstate_entries(call):
+    """How many times `call` enters an ``np.errstate``, as a block or a
+    decorator, and what it returns."""
+    return _calls(call, {np.errstate.__enter__.__code__, np.errstate()(lambda: None).__code__})
 
 
 @pytest.mark.parametrize("delta_norm, status", [(-1.0, "ok"), (0.5, "unstable")])
 def test_a_point_enters_one_error_state(params, delta_norm, status):
+    # one at most: the gate runs on Python floats, which numpy's error state
+    # does not govern, so only a point that passes it enters one, for its solve
     p = replace(params, power=10e-3, beta=0.2)
     entries, point = _errstate_entries(lambda: evaluate_point(p, delta_norm, 100.0))
-    assert (entries, point.status) == (1, status)
+    assert (entries, point.status) == (int(status == "ok"), status)
 
 
 @pytest.mark.parametrize(
@@ -1297,45 +1341,83 @@ def _private_stages():
 
 
 def test_the_private_stages_are_found():
-    # the five errstate stages and the three checked ones, at least
-    assert len(_private_stages()) >= 8
+    # the five checked stages and the five that only set an errstate, at least
+    assert len(_private_stages()) >= 10
 
 
 @pytest.mark.parametrize("module, name", _private_stages())
 def test_a_private_stage_is_the_body_of_its_public_one(module, name):
-    # one definition each: the pipeline calls the body without its errstate
+    # one definition each: the pipeline calls the body without its check or errstate
     assert getattr(module, "_" + name) is getattr(module, name).__wrapped__
 
 
 @pytest.mark.parametrize(
-    "module, name, arguments",
+    "call, checks",
     [
-        (oment.params, "drive_amplitude", lambda p: (-1e-3, p.kappa, p.omega_laser)),
-        (oment.steadystate, "steady_states", lambda p: (-p.omega_m, -1e-3, 0.0, p)),
-        (oment.linmodel, "stability_stack", lambda p: (steady_states(-1.0, 0.0, 1.0, p), p)),
+        (lambda p: evaluate_point(p, -1.0, 100.0).status == "ok", 0),
+        (lambda p: len(from_bare_detuning(-0.6 * p.omega_m, p)) == 3, 0),
+        (lambda p: nth_entanglement_threshold(p, -1.0) > 0.0, 1),  # n_hi
     ],
-    ids=["drive_amplitude", "steady_states", "stability_stack"],
+    ids=["solved_point", "from_bare_detuning", "nth_threshold"],
 )
-def test_a_private_stage_checks_its_input_as_its_public_one(params, module, name, arguments):
-    # a negative power or beta = 1: the body raises the public name's ConfigError
-    errors = []
-    for stage in (getattr(module, name), getattr(module, "_" + name)):
-        with pytest.raises(ConfigError) as caught:
-            stage(*arguments(params))
-        errors.append(str(caught.value))
-    assert errors[0] == errors[1]
-    assert errors[0] in ("power must be in [0.0, 1000.0], got -0.001", "beta must be < 1, got 1.0")
+def test_an_entry_point_checks_its_input_once(params, call, checks):
+    # each input is checked where it enters: PhysicalParams checked the fields,
+    # and no stage that the entry point calls checks them again
+    p10 = replace(params, power=10e-3, beta=0.2)
+    assert _calls(lambda: call(p10), {params_module.check_range.__code__}) == (checks, True)
 
 
-def test_the_entry_points_do_not_lean_on_their_error_state(params):
-    # each entry point silences numpy for the whole call, which would also hide
-    # a warning from its own arithmetic; run the undecorated bodies under
-    # numpy's default error state on the presets and a seeded sample of the
-    # benchmark's ranges, with every warning an error
+# Each public stage that checks a range, and each entry point, with an input
+# outside it and the ConfigError text it raises
+_OUT_OF_RANGE = [
+    (lambda p: oment.drive_amplitude(-1e-3, p.kappa, p.omega_laser),
+     "power must be in [0.0, 1000.0], got -0.001"),
+    (lambda p: oment.drive_amplitude(1e-3, 0.0, p.omega_laser),
+     "kappa must be in [0.6283185307179586, 6283185307179586.0], got 0.0"),
+    (lambda p: steady_states(-p.omega_m, -1e-3, 0.0, p),
+     "power must be in [0.0, 1000.0], got -0.001"),
+    (lambda p: oment.stability_stack(steady_states(-1.0, 0.0, 1.0, p), p),
+     "beta must be < 1, got 1.0"),
+    (lambda p: oment.drift_matrix(p.omega_m, p.gamma_m, p.kappa, -p.omega_m, 1e6, 1.5),
+     "beta must be < 1, got 1.5"),
+    (lambda p: oment.diffusion_matrix(p.gamma_m, p.kappa, np.array([0.0, -2.0])),
+     "n_th must be >= 0, got -2.0"),
+    (lambda p: replace(p, power=-1e-3), "power must be in [0.0, 1000.0], got -0.001"),
+    (lambda p: evaluate_point(p, -1.0, -2.0), "n_th must be >= 0, got -2.0"),
+    (lambda p: from_bare_detuning(math.nan, p), "delta_bare must be finite, got nan"),
+    (lambda p: nth_entanglement_threshold(p, -1.0, n_hi=0.0), "n_hi must be > 0, got 0.0"),
+    (lambda p: run_sweep(small_spec(p, axis="beta", start=0.0, stop=1.0)),
+     "beta must be < 1, got 1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    _OUT_OF_RANGE,
+    ids=[
+        "drive_amplitude", "drive_amplitude-kappa", "steady_states", "stability_stack",
+        "drift_matrix", "diffusion_matrix", "PhysicalParams", "evaluate_point",
+        "from_bare_detuning", "nth_entanglement_threshold", "run_sweep",
+    ],
+)
+def test_a_checked_stage_and_an_entry_point_raise_their_config_error(params, call, message):
+    with pytest.raises(ConfigError) as caught:
+        call(params)
+    assert str(caught.value) == message
+
+
+def test_the_entry_points_do_not_lean_on_their_error_state(params, monkeypatch):
+    # each entry point silences numpy (a point past its gate only), which would
+    # also hide a warning from its own arithmetic; run the undecorated bodies,
+    # and a point's solved branch without its errstate, under numpy's default
+    # error state on the presets and a seeded sample of the benchmark's ranges,
+    # with every warning an error
+    monkeypatch.setattr(sweep, "_solved_point", sweep._solved_point.__wrapped__)
     rng = np.random.default_rng(1)
     bistable = rng.uniform([0.7, 0.0, -2.5, 0.0], [30.0, 0.6, 0.5, 3000.0], (240, 4)).tolist()
     threshold = rng.uniform([1.0, 0.0, -1.2], [10.0, 0.6, -0.3], (60, 3)).tolist()
     default = dict(divide="warn", over="warn", under="ignore", invalid="warn")
+    statuses = Counter()
     with np.errstate(**default), warnings.catch_warnings():
         warnings.simplefilter("error")
         for name in FIGURE_NAMES:
@@ -1343,7 +1425,9 @@ def test_the_entry_points_do_not_lean_on_their_error_state(params):
         for power, beta, bare_norm, n_th in bistable:
             sample = replace(params, power=power * 1e-3, beta=beta)
             for state in from_bare_detuning.__wrapped__(bare_norm * sample.omega_m, sample):
-                evaluate_point.__wrapped__(sample, state.delta_eff / sample.omega_m, n_th)
+                point = evaluate_point(sample, state.delta_eff / sample.omega_m, n_th)
+                statuses[point.status] += 1
         for power, beta, delta_norm in threshold:
             sample = replace(params, power=power * 1e-3, beta=beta)
             nth_entanglement_threshold.__wrapped__(sample, delta_norm)
+    assert statuses["ok"] >= 50 and statuses["unstable"] >= 50  # both branches ran
