@@ -25,11 +25,9 @@ from .params import PhysicalParams, _checked_stage, _drive_amplitude, check_rang
 __all__ = [
     "SteadyState",
     "DegenerateRootsWarning",
-    "square",
     "steady_states",
     "from_bare_detuning",
     "nonlinearity_from_betaprime",
-    "monic_cubic_roots",
 ]
 
 _ROOT_RESIDUAL_TOL = 1e-9
@@ -95,28 +93,25 @@ def steady_states(delta_eff, power, beta, params: PhysicalParams) -> SteadyState
 _steady_states = steady_states.__wrapped__
 
 
-def _cubic_roots(a2: float, a1: float, a0: float, real_only: bool = False):
-    """Roots of x^3 + a2*x^2 + a1*x + a0 as :func:`monic_cubic_roots` gives
-    them, for finite coefficients: a list of Python floats where all are
-    real, else numpy's complex array.  With `real_only`, the real roots as a
-    list: a pair clear of the real axis (:data:`_CLEAR_PAIR`) is dropped
-    unpolished, one near it polished and filtered by :func:`_real_roots`.
-    Each root has the bits numpy's polish of the array gives it."""
+def _cubic_roots(a2: float, a1: float, a0: float) -> list[float]:
+    """The real roots of x^3 + a2*x^2 + a1*x + a0, for finite coefficients, as
+    Python floats, each with the bits numpy's Newton polish of the eigenvalue
+    array gives it (a step that is not finite is not taken).  A complex pair
+    clear of the real axis (:data:`_CLEAR_PAIR`) is dropped unpolished, one
+    near it polished and filtered by :func:`_real_roots`."""
     roots = _lapack.eigvals(np.array([[0.0, 0.0, -a0], [1.0, 0.0, -a1], [0.0, 1.0, -a2]]))
     real, imag = roots.real.tolist(), roots.imag.tolist()
-    pair = any(imag)  # one real root and a complex pair
-    if pair and real_only:  # a NaN is not clear
-        (_, _), (_, r), (y, x) = sorted(zip(imag, real))  # x - iy, r, x + iy
-        scale = abs(r) + 2.0 * math.hypot(x, y) + 1.0
-        if y * y * math.hypot(x - r, y) > _CLEAR_PAIR * scale * scale * scale:
-            return [_polished(r, a2, a1, a0, True)]
-    if pair:  # complex products stay numpy's, which fuse multiply-adds
-        poly = ((roots + a2) * roots + a1) * roots + a0
-        step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
-        roots = np.where(np.isfinite(step), roots - step, roots)
-        return _real_roots(roots) if real_only else roots
-    # all real: the same steps on floats, without numpy's per-call cost
-    return [_polished(x, a2, a1, a0, False) for x in real]
+    if not any(imag):  # all real: the steps on floats, without numpy's per-call cost
+        return [_polished(x, a2, a1, a0, False) for x in real]
+    # one real root and a complex pair; a NaN is not clear
+    (_, _), (_, r), (y, x) = sorted(zip(imag, real))  # x - iy, r, x + iy
+    scale = abs(r) + 2.0 * math.hypot(x, y) + 1.0
+    if y * y * math.hypot(x - r, y) > _CLEAR_PAIR * scale * scale * scale:
+        return [_polished(r, a2, a1, a0, True)]
+    # complex products stay numpy's, which fuse multiply-adds
+    poly = ((roots + a2) * roots + a1) * roots + a0
+    step = poly / ((3.0 * roots + 2.0 * a2) * roots + a1)
+    return _real_roots(np.where(np.isfinite(step), roots - step, roots))
 
 
 def _polished(x: float, a2: float, a1: float, a0: float, pair: bool) -> float:
@@ -130,21 +125,6 @@ def _polished(x: float, a2: float, a1: float, a0: float, pair: bool) -> float:
     # numpy divides a complex by multiplying with the reciprocal of a real divisor
     step = poly * (1.0 / slope) if pair else poly / slope
     return x - step if math.isfinite(step) else x
-
-
-@np.errstate(all="ignore")
-def monic_cubic_roots(a2: float, a1: float, a0: float) -> np.ndarray:
-    """All roots of x^3 + a2*x^2 + a1*x + a0 via companion-matrix eigenvalues.
-
-    Each eigenvalue is polished with one Newton step, which keeps residuals
-    checkable even for nearly degenerate roots; a root whose step is not
-    finite (a zero or subnormal derivative) stays unpolished.  As in
-    ``np.linalg.eigvals``, a non-finite coefficient raises ``LinAlgError``
-    and all-real roots are real.  No numpy ``RuntimeWarning`` escapes.
-    """
-    if not (math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0)):  # kept from LAPACK
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return np.asarray(_cubic_roots(a2, a1, a0))
 
 
 def _real_roots(roots: np.ndarray) -> list[float]:
@@ -167,10 +147,10 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     kappa^2/4)`` for the photon number.  Real non-negative roots are returned
     sorted ascending by ``n_s``; complex or negative roots are discarded, not
     clamped, and a complex pair clear of the real axis is not even polished.
-    Each ``n_s`` is a Python float, and so is ``delta_eff`` for a float
-    `delta_bare`.  Where the cubic cannot be made monic within the float range
-    (a coupling too weak, or a detuning too large), its linear balance ``n =
-    |E0|^2/(delta_bare^2 + kappa^2/4)`` is taken instead.  Two roots within
+    Each ``n_s`` and ``delta_eff`` is a Python float, for a numpy scalar
+    `delta_bare` too.  Where the cubic cannot be made monic within the float
+    range (a coupling too weak, or a detuning too large), its linear balance
+    ``n = |E0|^2/(delta_bare^2 + kappa^2/4)`` is taken instead.  Two roots within
     relative 1e-6 issue a :class:`DegenerateRootsWarning`.  A `delta_bare`
     that is not finite raises :class:`~oment.params.ConfigError`, and a root
     that misses its residual tolerance, or whose residual is NaN (a square
@@ -178,18 +158,19 @@ def from_bare_detuning(delta_bare: float, params: PhysicalParams) -> list[Steady
     `params` again: :class:`~oment.params.PhysicalParams` has.
     """
     require_finite(delta_bare=delta_bare)
+    delta_bare = float(delta_bare)
     e0_sq = square(_drive_amplitude(params.power, params.kappa, params.omega_laser))
     shift = 2.0 * square(params.g_m) / params.omega_m  # detuning shift per photon
     shift_sq = square(shift)
     half_kappa_sq = square(params.kappa) / 4.0
-    balance = square(float(delta_bare)) + half_kappa_sq
+    balance = square(delta_bare) + half_kappa_sq
 
     # shift^2 n^3 + 2 d0 shift n^2 + (d0^2 + kappa^2/4) n - E0^2 = 0, made monic
     a2 = a1 = a0 = math.inf  # where shift^2 is 0 there is no monic form
     if shift_sq:
         a2, a1, a0 = 2.0 * delta_bare / shift, balance / shift_sq, -e0_sq / shift_sq
     if math.isfinite(a2) and math.isfinite(a1) and math.isfinite(a0):
-        candidates = sorted(x for x in _cubic_roots(a2, a1, a0, real_only=True) if x >= 0.0)
+        candidates = sorted(x for x in _cubic_roots(a2, a1, a0) if x >= 0.0)
     else:  # no monic form within the float range: the linear balance
         candidates = [float(e0_sq / balance)]
 

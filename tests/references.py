@@ -36,9 +36,10 @@
   :func:`real_roots_array_path`: every root polished, a complex pair too,
   and then filtered, as the library did before it dropped a pair clear of
   the real axis unpolished.
-* :func:`cubic_roots_array_polish` is :func:`oment.monic_cubic_roots` with
-  its Newton polish on numpy arrays for all-real roots too, as the library
-  polished them before it took Python floats there; it must give the same bits.
+* :func:`cubic_roots_array_polish` is every root of the cubic, the companion
+  matrix's ``np.linalg.eigvals`` each with one Newton step on numpy arrays,
+  all-real roots too, as the library polished them before it took Python
+  floats there and kept only the real roots; those must have the same bits.
   :func:`newton_step_array` is that polish of a given root array.
   :func:`real_roots_array_filter` keeps the near-real roots of a complex
   root array on numpy arrays, as :func:`oment.from_bare_detuning` did before
@@ -92,9 +93,9 @@ from oment import (
     routh_conditions,
     run_sweep,
     spectral_abscissa,
-    square,
     thermal_occupation,
 )
+from oment._elementwise import square
 from oment.constants import HBAR, K_B
 
 

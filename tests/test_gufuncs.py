@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
 import oment
-from oment import _lapack, evaluate_point, from_bare_detuning, monic_cubic_roots
+from oment import _lapack, evaluate_point, from_bare_detuning
+from oment.steadystate import _cubic_roots
 from references import STACK_SHAPES, record_gufunc_calls, run_pipeline
 
 # Each gufunc with the signature oment passes it, and the public wrapper
@@ -37,8 +38,7 @@ SIZES = (2, 3, 4, 10)
 
 def direct(name, *args):
     """The gufunc call of ``oment._lapack``, under ``np.errstate(all="ignore")``;
-    an all-real eigvals result is made real, the wrapper's rule that
-    ``monic_cubic_roots`` keeps."""
+    an all-real eigvals result is made real, as the wrapper makes it."""
     with np.errstate(all="ignore"):
         out = getattr(_lapack, name)(*args)
     if name == "eigvals" and not out.imag.any():
@@ -90,22 +90,9 @@ def test_cubic_roots_match_the_eigvals_wrapper(roots, real):
     # the bits are compared, not the warnings: at subnormal coefficients the
     # Newton step itself can overflow, with either source of eigenvalues
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
-        direct_roots = monic_cubic_roots(a2, a1, a0)
+        direct_roots = _cubic_roots(a2, a1, a0)
         patch.setattr(_umath_linalg, "eigvals", lambda a, signature: by_wrapper)
-        assert_same_bits(direct_roots, monic_cubic_roots(a2, a1, a0))
-
-
-@pytest.mark.parametrize("coefficient", [np.inf, np.nan])
-def test_a_non_finite_cubic_coefficient_is_kept_from_lapack(coefficient, monkeypatch):
-    calls = record_gufunc_calls(monkeypatch, ["eigvals"])
-    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
-        monic_cubic_roots(1.0, coefficient, -2.0)
-    assert calls["eigvals"] == []
-
-
-def test_all_real_cubic_roots_are_a_real_array():
-    assert monic_cubic_roots(-6.0, 11.0, -6.0).dtype == np.float64  # (x - 1)(x - 2)(x - 3)
-    assert monic_cubic_roots(0.0, 0.0, 1.0).dtype == np.complex128  # x^3 + 1
+        assert [x.hex() for x in direct_roots] == [x.hex() for x in _cubic_roots(a2, a1, a0)]
 
 
 def failing_member(name, n):

@@ -46,6 +46,16 @@ def test_every_exported_function_carries_its_name_and_a_docstring(module):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def test_every_public_function_and_class_is_named_in_the_readme():
+    text = README.read_text()
+    public = [
+        name
+        for name in oment.__all__
+        if inspect.isfunction(value := getattr(oment, name)) or inspect.isclass(value)
+    ]
+    assert [name for name in public if not re.search(rf"\b{name}\b", text)] == []
+
+
 def test_readme_python_blocks_run_in_order():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
     assert blocks

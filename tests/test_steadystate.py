@@ -13,12 +13,11 @@ from oment import (
     default_params,
     drive_amplitude,
     from_bare_detuning,
-    monic_cubic_roots,
     nonlinearity_from_betaprime,
     steady_states,
     steadystate,
 )
-from oment.steadystate import square
+from oment._elementwise import square
 from references import (
     bare_states_array_path,
     cubic_roots_array_polish,
@@ -153,15 +152,18 @@ def test_degenerate_roots_warn_near_fold(params):
 
 def assert_bare_states_are_the_array_path(delta_bare, params):
     """from_bare_detuning's states are the roots of the array path, as Python
-    floats of the same bits, in the same order; returns how many there are."""
-    with warnings.catch_warnings():  # a sample near the fold warns; only the bits count
-        warnings.simplefilter("ignore", DegenerateRootsWarning)
-        states = from_bare_detuning(delta_bare, params)
-    assert all(type(s.n_s) is float and type(s.delta_eff) is float for s in states)
-    assert [(s.n_s.hex(), s.delta_eff.hex()) for s in states] == [
+    floats of the same bits, in the same order, for `delta_bare` as a float and
+    as a numpy scalar (whose arithmetic stays numpy's); returns how many there are."""
+    expected = [
         (n_s.hex(), float(delta_eff).hex())
         for n_s, delta_eff in bare_states_array_path(delta_bare, params)
     ]
+    for detuning in (delta_bare, np.float64(delta_bare)):
+        with warnings.catch_warnings():  # a sample near the fold warns; only the bits count
+            warnings.simplefilter("ignore", DegenerateRootsWarning)
+            states = from_bare_detuning(detuning, params)
+        assert all(type(s.n_s) is float and type(s.delta_eff) is float for s in states)
+        assert [(s.n_s.hex(), s.delta_eff.hex()) for s in states] == expected
     return len(states)
 
 
@@ -273,14 +275,11 @@ def test_bare_detuning_not_finite_is_a_config_error(params, delta_bare):
 
 def test_cubic_root_with_a_subnormal_derivative_stays_unpolished():
     # x^3 + 1e-322 x: roots 0 and +-i sqrt(1e-322).  At the complex pair the
-    # derivative is subnormal and the Newton step overflows, so it is not taken.
-    a1 = 1e-322
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        roots = monic_cubic_roots(-0.0, a1, -0.0)
-    assert np.isfinite(roots).all()
-    expected = [-1j * math.sqrt(a1), 0.0, 1j * math.sqrt(a1)]
-    np.testing.assert_allclose(np.sort_complex(roots), expected, rtol=1e-12, atol=0.0)
+    # derivative is subnormal and the Newton step overflows, so it is not
+    # taken; the pair lies within the filter's tolerance of the real axis.
+    with np.errstate(all="ignore"):  # from_bare_detuning's error state
+        roots = steadystate._cubic_roots(-0.0, 1e-322, -0.0)
+    assert roots == [0.0, 0.0, 0.0]
 
 
 def test_monic_cubic_roots_recovers_chosen_roots():
@@ -290,7 +289,7 @@ def test_monic_cubic_roots_recovers_chosen_roots():
         a2 = -chosen.sum()
         a1 = chosen[0] * chosen[1] + chosen[0] * chosen[2] + chosen[1] * chosen[2]
         a0 = -chosen.prod()
-        recovered = np.sort(monic_cubic_roots(a2, a1, a0).real)
+        recovered = np.sort(steadystate._cubic_roots(a2, a1, a0))
         scale = np.max(np.abs(chosen)) + 1.0
         assert np.allclose(recovered, chosen, atol=1e-7 * scale)
 
@@ -323,9 +322,11 @@ _COEFFICIENT = st.floats(-1e100, 1e100)
 )
 def test_the_float_polish_gives_the_bits_of_the_array_polish(coefficients):
     # all-real roots are polished on Python floats, complex ones on arrays
-    roots = monic_cubic_roots(*coefficients)
-    expected = cubic_roots_array_polish(*coefficients)
-    assert roots.dtype == expected.dtype and roots.tobytes() == expected.tobytes()
+    with np.errstate(all="ignore"):
+        roots = steadystate._cubic_roots(*coefficients)
+    expected = real_roots_array_path(*coefficients)
+    assert all(type(x) is float for x in roots)
+    assert [x.hex() for x in roots] == [x.hex() for x in expected.tolist()]
 
 
 @st.composite
@@ -342,9 +343,8 @@ def _cubics_with_a_complex_pair(draw):
 @example(coefficients=(-2.0, 1.0, -2.0))  # (x - 2)(x^2 + 1)
 @given(coefficients=_cubics_with_a_complex_pair())
 def test_the_float_filter_keeps_the_roots_of_the_array_filter(coefficients):
-    with np.errstate(all="ignore"):
-        roots = steadystate._cubic_roots(*coefficients)
-    assume(isinstance(roots, np.ndarray))  # eigvals found the pair
+    roots = cubic_roots_array_polish(*coefficients)
+    assume(roots.dtype.kind == "c")  # eigvals found the pair
     kept = steadystate._real_roots(roots)
     assert all(type(x) is float for x in kept)
     assert [x.hex() for x in kept] == [x.hex() for x in real_roots_array_filter(roots).tolist()]
@@ -383,7 +383,7 @@ def test_only_a_clear_pair_is_dropped_before_the_polish(monkeypatch, coefficient
     real_roots = steadystate._real_roots
     monkeypatch.setattr(steadystate, "_real_roots", lambda r: filtered.append(r) or real_roots(r))
     with np.errstate(all="ignore"):
-        kept = steadystate._cubic_roots(*coefficients, real_only=True)
+        kept = steadystate._cubic_roots(*coefficients)
     assert not filtered if clear else len(filtered) == 1
     assert len(kept) == (1 if clear or coefficients == _NOT_CLEAR[0] else 3)
     assert [x.hex() for x in kept] == [x.hex() for x in real_roots_array_path(*coefficients)]
@@ -397,7 +397,7 @@ def test_the_real_roots_kept_have_the_bits_of_the_array_path(coefficients):
     # from_bare_detuning keeps the non-negative ones: a pair clear of the real
     # axis is dropped unpolished, every other root polished on arrays as before
     with np.errstate(all="ignore"):
-        kept = steadystate._cubic_roots(*coefficients, real_only=True)
+        kept = steadystate._cubic_roots(*coefficients)
     assert all(type(x) is float for x in kept)
     assert [x.hex() for x in kept] == [x.hex() for x in real_roots_array_path(*coefficients)]
 
@@ -419,10 +419,9 @@ def test_the_float_polish_of_a_root_has_the_bits_of_the_array_polish(x, a2, a1, 
 
 def test_monic_cubic_roots_complex_pair():
     # (x - 2) * (x^2 + 1): one real root, conjugate pair
-    roots = monic_cubic_roots(-2.0, 1.0, -2.0)
-    real = roots[np.abs(roots.imag) < 1e-10]
-    assert len(real) == 1
-    assert real[0].real == pytest.approx(2.0, rel=1e-12)
+    roots = steadystate._cubic_roots(-2.0, 1.0, -2.0)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_nonlinearity_from_betaprime_linear_beam(params):
