@@ -68,11 +68,6 @@ def where_positive(x):
     return x if x > 0.0 else 0.0
 
 
-def invert(x):
-    """``~x`` of a bool array; ``not x`` of a bool, whose ``~`` is an int."""
-    return not x if isinstance(x, bool) else ~x
-
-
 def any_true(x):
     """``x.any()`` of a bool array; a bool as it is."""
     return x if isinstance(x, bool) else x.any()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gaussian import CM_SCALE, log_negativity_of
 from .linmodel import coupling_threshold_blue, coupling_threshold_red, drift_matrix
-from .linmodel import spectral_abscissa
+from .linmodel import routh_conditions, spectral_abscissa
 from .params import ConfigError, PhysicalParams, default_params, load_config
 from .steadystate import SteadyState
 from .sweep import FIGURE_NAMES, STATUS_OK, SweepSpec, emit, evaluate_point, figure_preset
@@ -101,11 +101,13 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     params, nth = _params_from_args(args)
     point = evaluate_point(params, args.delta_norm, nth)
     stability = point.stability
-    abscissa = _abscissa(params, point.steady)
-    print(f"s1={_fmt(stability.s1)}")
-    print(f"s2={_fmt(stability.s2)}")
-    print(f"routh_stable={'true' if stability.routh_stable else 'false'}")
-    print(f"spectral_abscissa={_fmt(abscissa)}")
+    s1, s2 = routh_conditions(
+        params.omega_m, params.gamma_m, params.kappa, point.steady.delta_eff, point.steady.g_eff
+    )
+    print(f"s1={_fmt(s1)}")
+    print(f"s2={_fmt(s2)}")
+    print(f"routh_stable={'true' if s1 > 0 and s2 > 0 else 'false'}")
+    print(f"spectral_abscissa={_fmt(_abscissa(params, point.steady))}")
     print(f"spectral_stable={'true' if stability.spectral_stable else 'false'}")
     print(f"g_eff={_fmt(point.steady.g_eff)}")
     print(f"g_threshold_blue={_fmt(coupling_threshold_blue(params))}")

@@ -12,10 +12,11 @@ eps = MARGINAL_ABSCISSA_FACTOR * kappa, is not (a root lies within eps of the
 imaginary axis).  The test is elementwise arithmetic with no LAPACK call, so
 :func:`stability_stack` gates a whole grid, or a single point on Python
 floats, without building a drift matrix; the pipeline builds one only for a
-point that passes.  The closed-form conditions ``s1``/``s2``, written for
-``beta = 0``, are reported alongside.  :func:`spectral_abscissa`, the largest
-real part of the drift's eigenvalues from one batched eigvals of
-:mod:`oment._lapack`, is what ``oment stability`` prints.
+point that passes.  The closed-form conditions ``s1``/``s2`` of
+:func:`routh_conditions`, written for ``beta = 0``, decide nothing: the sweep
+columns and ``oment stability`` print them, and the latter also prints
+:func:`spectral_abscissa`, the largest real part of the drift's eigenvalues
+from one batched eigvals of :mod:`oment._lapack`.
 """
 
 from __future__ import annotations
@@ -49,21 +50,18 @@ MARGINAL_ABSCISSA_FACTOR = 1e-6
 
 @dataclass(slots=True)
 class StabilityReport:
-    """Stability of one point or of a stack of points.
+    """The quartic gate's verdict on one point or on a stack of points.
 
-    ``routh_stable`` iff s1 > 0 and s2 > 0, the closed form for beta = 0.
-    ``spectral_stable`` is the quartic gate's verdict: every root of the
-    drift's characteristic quartic, beta included, has a negative real part.
-    ``marginal`` marks stable points with a root within
-    ``MARGINAL_ABSCISSA_FACTOR * kappa`` of the imaginary axis, too close to
-    the boundary for a reliable covariance solve.  ``undecided`` marks points
-    where a quartic coefficient or Hurwitz determinant is not finite (a
-    detuning beyond the float range); they are neither stable nor marginal.
+    ``spectral_stable``: every root of the drift's characteristic quartic,
+    beta included, has a negative real part.  ``marginal`` marks stable
+    points with a root within ``MARGINAL_ABSCISSA_FACTOR * kappa`` of the
+    imaginary axis, too close to the boundary for a reliable covariance
+    solve.  ``undecided`` marks points where a quartic coefficient or Hurwitz
+    determinant is not finite (a detuning beyond the float range); they are
+    neither stable nor marginal.  The beta = 0 numbers s1, s2 are not part
+    of it: :func:`routh_conditions` gives them.
     """
 
-    s1: float
-    s2: float
-    routh_stable: bool
     spectral_stable: bool
     marginal: bool
     undecided: bool
@@ -174,18 +172,16 @@ def _hurwitz(omega_m, gamma_m, kappa, delta, g, beta, shift):
 
 @_checked_stage(lambda steady, params: check_range(beta=steady.beta))
 def stability_stack(steady: SteadyState, params: PhysicalParams) -> StabilityReport:
-    """Both stability verdicts at every point of `steady`, as a :class:`StabilityReport`.
+    """The quartic gate's verdict at every point of `steady`, as a :class:`StabilityReport`.
 
-    The quartic gate (see the module docstring) decides ``spectral_stable``,
+    The gate (see the module docstring) decides ``spectral_stable``,
     ``marginal`` and ``undecided`` from the fields of `steady` and the rates
-    of `params`, with no drift matrix and no LAPACK call; the Routh-Hurwitz
-    numbers s1, s2 are reported verbatim.  Each point is decided alone, on
-    the types it is given: Python floats give Python floats and bools.
+    of `params`, with no drift matrix and no LAPACK call.  Each point is
+    decided alone, on the types it is given: Python floats give Python bools.
     Raises ``ConfigError`` unless every beta is below 1.
     """
     omega_m, gamma_m, kappa = params.omega_m, params.gamma_m, params.kappa
     delta, g, beta = steady.delta_eff, steady.g_eff, steady.beta
-    s1, s2 = _routh_conditions(omega_m, gamma_m, kappa, delta, g)
     hurwitz, h3 = _hurwitz(omega_m, gamma_m, kappa, delta, g, beta, 0.0)
     clear, h3_clear = _hurwitz(
         omega_m, gamma_m, kappa, delta, g, beta, MARGINAL_ABSCISSA_FACTOR * kappa
@@ -193,9 +189,7 @@ def stability_stack(steady: SteadyState, params: PhysicalParams) -> StabilityRep
     decided = (abs(h3) < math.inf) & (abs(h3_clear) < math.inf)
     stable = hurwitz & decided
     # x ^ True is "not x" for a bool and an array alike (~True is -2)
-    return StabilityReport(
-        s1, s2, (s1 > 0) & (s2 > 0), stable, stable & (clear ^ True), decided ^ True
-    )
+    return StabilityReport(stable, stable & (clear ^ True), decided ^ True)
 
 
 # The bodies, unchecked and without their errstate, which the pipeline runs.

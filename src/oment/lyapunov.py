@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from ._elementwise import any_true, invert, item, maximum, sqrt
+from ._elementwise import any_true, item, maximum, sqrt
 
 __all__ = [
     "CovarianceMatrix",
@@ -126,7 +126,7 @@ def solve_stack(a: np.ndarray, d: np.ndarray):
     rhs = -d[..., _UT[0], _UT[1], None]
     solution = _lapack.solve(system, rhs)[..., 0]
 
-    ill = invert(condition <= CONDITION_LIMIT)  # NaN is ill conditioned too
+    ill = (condition <= CONDITION_LIMIT) ^ True  # not (<=), so NaN is ill conditioned too
     if any_true(ill):  # every condition that is not finite is ill, so only here is a v masked
         solution = np.where(np.isfinite(condition)[..., None], solution, np.nan)
         for value in np.atleast_1d(condition)[np.atleast_1d(ill)]:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _lapack, gaussian
 from .gaussian import EntanglementReport
-from .linmodel import StabilityReport, _diffusion_matrix, _drift_matrix, _stability_stack
+from .linmodel import StabilityReport, _diffusion_matrix, _drift_matrix, _routh_conditions
+from .linmodel import _stability_stack
 from .lyapunov import CovarianceMatrix, _residual, _solve_stack
 from .params import ConfigError, PhysicalParams, check_range, default_params
 from .params import require_finite, thermal_occupation
@@ -121,10 +122,10 @@ class Sweep:
 
     The fields are the output columns of :func:`emit`, in order.
     ``spectral_stable`` is the quartic gate's verdict, beta included, and
-    ``routh_stable`` the beta = 0 closed form.  ``curve`` is NaN without
-    curves; ``eta`` and ``log_negativity`` are NaN exactly where the status
-    is not ok (an ok point has passed the residual check, so neither is NaN
-    there).
+    ``routh_stable`` the beta = 0 closed form of s1, s2, which the gate does
+    not read.  ``curve`` is NaN without curves; ``eta`` and ``log_negativity``
+    are NaN exactly where the status is not ok (an ok point has passed the
+    residual check, so neither is NaN there).
     """
 
     axis: np.ndarray
@@ -336,11 +337,13 @@ def run_sweep(spec: SweepSpec) -> Sweep:
     eta[reported] = stack.eta[stack.ok]
     log_neg[reported] = gaussian.log_negativity_of(eta[reported])
     curves = np.array(spec.curves if spec.curves is not None else [np.nan], dtype=float)
-    stability = stack.stability
+    s1, s2 = _routh_conditions(
+        params.omega_m, params.gamma_m, params.kappa, steady.delta_eff, steady.g_eff
+    )
     # steady-state and Routh columns vary with fewer parameters than the grid
     columns = np.broadcast_arrays(
-        steady.n_s, steady.g_eff, stability.s1, stability.s2, stability.routh_stable,
-        stability.spectral_stable, stack.status.reshape(len(curves), spec.count),
+        steady.n_s, steady.g_eff, s1, s2, (s1 > 0) & (s2 > 0),
+        stack.stability.spectral_stable, stack.status.reshape(len(curves), spec.count),
     )
     n_s, g_eff, s1, s2, routh_stable, spectral_stable, status = (c.reshape(-1) for c in columns)
     return Sweep(
@@ -440,6 +443,8 @@ def _jsonl_cells(name: str, values: np.ndarray) -> list[str]:
         text = _flag_text(values)
     else:  # one encoder call for the column: no encoded number holds a comma
         text = _JSON.encode(values.tolist())[1:-1].split(",") if values.size else []
+        for index in np.flatnonzero(~np.isfinite(values)).tolist():  # JSON has no inf, NaN
+            text[index] = f'"{values[index]:.17g}"'
         text = _mark_absent(name, values, text, "null")
     key = f'"{name}":'
     return [key + value for value in text]
@@ -449,9 +454,10 @@ def emit(sweep: Sweep, fmt: str = "csv") -> bytes:
     """Serialize a sweep to CSV or JSONL bytes, with the columns of :data:`CSV_HEADER`.
 
     Floats carry 17 significant digits and round-trip exactly; an absent
-    value is an empty CSV cell or a JSON null.  Each column's distinct values
-    are encoded once and mapped back to its rows, and both formats join a
-    row's cells with commas: only the cell encoder differs between them.
+    value is an empty CSV cell or a JSON null, and any other infinite or NaN
+    number a JSON string of its CSV text.  Each column's distinct values are
+    encoded once and mapped back to its rows, and both formats join a row's
+    cells with commas: only the cell encoder differs between them.
     Identical inputs produce byte-identical output.
     """
     if fmt not in ("csv", "jsonl"):
@@ -520,8 +526,7 @@ def nth_entanglement_threshold(
     require_finite(delta_norm=delta_norm, n_hi=n_hi)
     check_range(n_hi=n_hi)
     steady = _steady_states(delta_norm * params.omega_m, params.power, params.beta, params)
-    stability = _stability_stack(steady, params)
-    if not stability.spectral_stable or stability.marginal:
+    if _gate(_stability_stack(steady, params))[0] != 1:
         return 0.0
     a = _drift(params, steady.delta_eff, steady.g_eff, steady.beta)
     gamma_m, kappa, f = params.gamma_m, params.kappa, gaussian.ETA_FACTOR

@@ -132,15 +132,18 @@ def records_point_by_point(spec):
     for axis_value, curve, params, delta_norm, n_th in grid_points(spec):
         point = evaluate_point(params, delta_norm, n_th)
         ok = point.status == "ok"
+        s1, s2 = routh_conditions(
+            params.omega_m, params.gamma_m, params.kappa, point.steady.delta_eff, point.steady.g_eff
+        )
         rows.append(
             (
                 axis_value,
                 math.nan if curve is None else curve,
                 point.steady.n_s,
                 point.steady.g_eff,
-                point.stability.s1,
-                point.stability.s2,
-                point.stability.routh_stable,
+                s1,
+                s2,
+                s1 > 0 and s2 > 0,
                 point.stability.spectral_stable,
                 point.report.eta if ok else math.nan,
                 point.report.log_negativity if ok else math.nan,
@@ -176,18 +179,26 @@ def _column(sweep, name):
     return values
 
 
+def _json_value(value):
+    """A JSON cell's value: an infinite or NaN float as the string of its CSV text."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _format_float(value)
+    return value
+
+
 def emit_cell_by_cell(sweep, fmt="csv"):
     """The CSV or JSONL bytes of `sweep`, every cell formatted on its own.
 
     CSV cells are ``.17g`` floats, empty for NaN in ``curve``, ``eta`` and
     ``log_negativity``, ``true``/``false`` and the status word; JSONL lines
-    are one ``json`` object per row, with null for those NaN.
+    are one ``json`` object per row, with null for those NaN and any other
+    infinite or NaN number as the string of its CSV text.
     """
     if fmt == "csv":
         cells = [list(map(_FORMATS.get(n, _format_float), _column(sweep, n))) for n in _COLUMNS]
         header = ",".join(_COLUMNS)
         return ("\n".join([header, *map(",".join, zip(*cells))]) + "\n").encode()
-    columns = [_column(sweep, name) for name in _COLUMNS]
+    columns = [list(map(_json_value, _column(sweep, name))) for name in _COLUMNS]
     lines = [_JSON.encode(dict(zip(_COLUMNS, row))) for row in zip(*columns)]
     return ("\n".join(lines) + "\n").encode() if lines else b""
 

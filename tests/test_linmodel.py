@@ -11,6 +11,7 @@ from oment import (
     MARGINAL_ABSCISSA_FACTOR,
     ConfigError,
     SteadyState,
+    SweepSpec,
     coupling_threshold_blue,
     coupling_threshold_red,
     default_params,
@@ -406,18 +407,31 @@ def test_fig2a_rows_where_the_beta_zero_routh_numbers_miss_the_instability():
 
 
 def test_routh_hurwitz_verdict_matches_signs(params):
+    # the sweep's routh_stable column is the signs of its s1 and s2, the
+    # numbers of routh_conditions at the point's steady state
     p10 = replace(params, power=10e-3)
     state = steady_states(-0.2 * p10.omega_m, p10.power, p10.beta, p10)
-    report = stability_stack(state, p10)
-    assert report.routh_stable == (report.s1 > 0 and report.s2 > 0)
+    s1, s2 = routh_conditions(p10.omega_m, p10.gamma_m, p10.kappa, state.delta_eff, state.g_eff)
+    row = run_sweep(SweepSpec(axis="delta_norm", start=-0.2, stop=0.0, count=2, fixed=p10))
+    assert (row.s1[0], row.s2[0]) == (s1, s2)
+    assert row.routh_stable[0] == (s1 > 0 and s2 > 0)
+    assert row.routh_stable.tolist() == ((row.s1 > 0) & (row.s2 > 0)).tolist()
 
 
 def gate_stack(params, delta_norms):
-    """stability_stack at 10 mW and beta = 0.2, one point per detuning."""
+    """The steady states at 10 mW and beta = 0.2, one per detuning, and their
+    stability_stack."""
     # as evaluate_point takes it: 1e308 * omega_m is inf, with no numpy warning
     delta = np.array([delta_norm * params.omega_m for delta_norm in np.ravel(delta_norms).tolist()])
     steady = steady_states(delta.reshape(np.shape(delta_norms)), 10e-3, 0.2, params)
-    return stability_stack(steady, params)
+    return steady, stability_stack(steady, params)
+
+
+def routh_record(params, steady):
+    """s1, s2 and routh_stable at `steady`, as the sweep's columns take them."""
+    omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
+    s1, s2 = routh_conditions(omega, gamma, kappa, steady.delta_eff, steady.g_eff)
+    return dict(s1=s1, s2=s2, routh_stable=(s1 > 0) & (s2 > 0))
 
 
 def test_no_eigvals_on_the_sweep_point_or_threshold_path(params, monkeypatch):
@@ -440,14 +454,19 @@ def test_gate_of_a_stack_with_an_overflowed_drift_matrix(params):
     delta_norms = [-0.5, 1e308, -0.3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = gate_stack(params, delta_norms)
+        steady_stack, report = gate_stack(params, delta_norms)
         alone = [gate_stack(params, delta_norm) for delta_norm in delta_norms]
+        routh = routh_record(params, steady_stack)
+        routh_alone = [routh_record(params, steady) for steady, _ in alone]
     steady = steady_states(1e308 * params.omega_m, 10e-3, 0.2, params)
     omega, gamma, kappa = params.omega_m, params.gamma_m, params.kappa
     assert not np.isfinite(drift_matrix(omega, gamma, kappa, steady.delta_eff, steady.g_eff)).all()
     assert report.undecided.tolist() == [False, True, False]
     assert report.spectral_stable.tolist()[1] is False and report.marginal.tolist()[1] is False
     for k in (0, 2):
-        for name in ("s1", "s2", "routh_stable", "spectral_stable", "marginal", "undecided"):
-            value, single = getattr(report, name)[k], np.asarray(getattr(alone[k], name))
+        for name in ("spectral_stable", "marginal", "undecided"):
+            value, single = getattr(report, name)[k], np.asarray(getattr(alone[k][1], name))
+            assert (value.dtype, value.tobytes()) == (single.dtype, single.tobytes())
+        for name in ("s1", "s2", "routh_stable"):
+            value, single = routh[name][k], np.asarray(routh_alone[k][name])
             assert (value.dtype, value.tobytes()) == (single.dtype, single.tobytes())

@@ -424,6 +424,23 @@ def test_monic_cubic_roots_complex_pair():
     assert roots[0] == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ArithmeticError,
+    reason="beyond about -1e8 kappa the cubic's complex pair lies within the real-root "
+    "filter's 1e-8 of the real axis: it is kept as two real roots and fails the residual check",
+)
+def test_far_red_bare_detuning_has_one_state(params):
+    # the pair sits near -delta_bare/shift +- i kappa/(2 shift); at -1e6 and
+    # -1e7 kappa it is dropped and the one small root comes back, at -1e8
+    # kappa it is not, at power 0 (whose only root is n = 0) as well
+    for power in (0.0, 1e-9, 1e-3):
+        for factor in (-1e6, -1e7, -1e8):
+            (state,) = from_bare_detuning(factor * params.kappa, replace(params, power=power))
+            assert state.n_s < 1e-5
+            assert state.delta_eff == pytest.approx(factor * params.kappa, rel=1e-12)
+
+
 def test_nonlinearity_from_betaprime_linear_beam(params):
     assert nonlinearity_from_betaprime(0.0, 12.0, params.omega_m) == 0.0
 

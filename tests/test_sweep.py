@@ -33,10 +33,11 @@ from oment import (
     figure_preset,
     from_bare_detuning,
     nth_entanglement_threshold,
+    routh_conditions,
     run_sweep,
 )
 import oment
-from oment import cli, gaussian, lyapunov, sweep
+from oment import cli, gaussian, linmodel, lyapunov, sweep
 from oment import params as params_module
 from oment.lyapunov import IllConditionedWarning, solve_stack
 from oment.steadystate import steady_states
@@ -366,6 +367,28 @@ _SIGNED_ZEROS = replace(
 def test_emit_matches_cell_by_cell(result):
     for fmt in ("csv", "jsonl"):
         assert emit(result, fmt) == emit_cell_by_cell(result, fmt)
+    for line in emit(result, "jsonl").decode().splitlines():
+        json.loads(line, parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def test_jsonl_writes_a_non_finite_number_as_its_csv_text(params):
+    # detunings whose squares overflow give s1 = s2 = inf, which Python's
+    # json would write as the token Infinity; eta stays null where absent
+    result = run_sweep(
+        SweepSpec(axis="delta_norm", start=-1e160, stop=1e160, count=3, fixed=params)
+    )
+    rows = [
+        json.loads(line, parse_constant=_not_json)
+        for line in emit(result, "jsonl").decode().splitlines()
+    ]
+    assert [row["status"] for row in rows] == ["error", "ok", "error"]
+    assert [(row["s1"], row["s2"], row["eta"]) for row in rows[::2]] == [("inf", "inf", None)] * 2
+    assert {type(rows[1][name]) for name in ("s1", "s2", "eta")} == {float}
+    assert emit(result).decode().splitlines()[1].split(",")[4:6] == ["inf", "inf"]
 
 
 def test_emit_rejects_unknown_format(params):
@@ -547,6 +570,12 @@ def _box_corner(side):
     )
 
 
+def routh_numbers(point_params, steady):
+    """s1 and s2 at `steady`, as ``oment stability`` prints them."""
+    p = point_params
+    return routh_conditions(p.omega_m, p.gamma_m, p.kappa, steady.delta_eff, steady.g_eff)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     point_params=st.builds(
@@ -567,9 +596,9 @@ def test_every_stage_stays_finite_over_the_parameter_box(point_params, delta_nor
         warnings.simplefilter("ignore", IllConditionedWarning)
         point = evaluate_point(point_params, delta_norm)
         thresholds = (coupling_threshold_blue(point_params), coupling_threshold_red(point_params))
-    stability = point.stability
-    assert not stability.undecided
-    numbers = (point.steady.n_s, point.steady.g_eff, stability.s1, stability.s2, *thresholds)
+    assert not point.stability.undecided
+    s1, s2 = routh_numbers(point_params, point.steady)
+    numbers = (point.steady.n_s, point.steady.g_eff, s1, s2, *thresholds)
     assert all(math.isfinite(x) for x in numbers)
     assert min(thresholds) > 0.0
 
@@ -593,8 +622,11 @@ def test_a_points_stability_fields_are_python_scalars(params, delta_norm):
             point = evaluate_point(point_params, kind(delta_norm), kind(100.0))
             stability = point.stability
             assert [type(getattr(stability, f.name)) for f in fields(stability)] == (
-                [float, float, bool, bool, bool, bool]
+                [bool, bool, bool]
             )
+            s1, s2 = routh_numbers(point_params, point.steady)
+            assert (type(s1), type(s2)) == (float, float)
+            assert (s1, s2) == routh_numbers(p, alone.steady)
             assert {type(getattr(point.steady, f.name)) for f in fields(point.steady)} == {float}
             assert (point.status, point.steady) == (alone.status, alone.steady)
             assert stability == alone.stability
@@ -608,9 +640,7 @@ def test_a_points_stability_fields_are_python_scalars(params, delta_norm):
 # Each per-point result record and its field names, in order.
 _RECORD_FIELDS = {
     oment.SteadyState: ("n_s", "alpha_s", "x_s", "delta_eff", "delta_bare", "g_eff", "beta"),
-    oment.StabilityReport: (
-        "s1", "s2", "routh_stable", "spectral_stable", "marginal", "undecided",
-    ),
+    oment.StabilityReport: ("spectral_stable", "marginal", "undecided"),
     oment.CovarianceMatrix: ("v", "residual", "condition", "ill_conditioned"),
     oment.EntanglementReport: ("sigma_v", "det_v", "eta", "log_negativity", "entangled"),
     oment.PointResult: ("steady", "stability", "covariance", "report", "status"),
@@ -1326,6 +1356,25 @@ def test_a_point_enters_one_error_state(params, delta_norm, status):
 )
 def test_an_entry_point_enters_one_error_state(params, call):
     assert _errstate_entries(lambda: call(params))[0] == 1
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda p: evaluate_point(p, -1.0, 100.0).status, (0, "ok")),
+        (lambda p: evaluate_point(p, 0.5, 100.0).status, (0, "unstable")),
+        (lambda p: nth_entanglement_threshold(p, -1.0) > 0.0, (0, True)),
+        (lambda p: run_sweep(small_spec(p)).axis.size, (1, 5)),
+        (lambda p: cli.main(["stability", "--power-mw", "10", "--beta", "0.2"]), (3, 0)),
+    ],
+    ids=["ok_point", "unstable_point", "nth_threshold", "run_sweep", "cli_stability"],
+)
+def test_routh_numbers_are_computed_only_where_they_are_printed(params, call, expected, capsys):
+    # the gate decides without s1 and s2: only the sweep's columns (once per
+    # sweep) and `oment stability` (the point and each coupling threshold)
+    # take them
+    p = replace(params, power=10e-3, beta=0.2)
+    assert _calls(lambda: call(p), {linmodel._routh_conditions.__code__}) == expected
 
 
 def _private_stages():
